@@ -32,6 +32,7 @@ from .chain import (
     make_direct_kernel,
     make_lazy_direct_kernel,
     run_chain,
+    run_chains,
 )
 from .discrepancy import (
     DeltaCover,

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .bounds import ballwalk_gap_bound
 from .chain import ChainSystem, GeneratorFunction, UpdateFunction
@@ -40,9 +41,10 @@ __all__ = [
 @dataclass(frozen=True)
 class LogDensity:
     """Log of an unnormalized density on the unit ball, with a certified
-    log-Lipschitz constant alpha and a log-concavity witness tag."""
+    log-Lipschitz constant alpha and a log-concavity witness tag.
+    ``log_rho`` maps points of shape (..., d) to shape (...)."""
 
-    log_rho: Callable[[np.ndarray], float]
+    log_rho: Callable[[np.ndarray], np.ndarray]
     alpha: float
     concavity_witness: str  # affine | verified-numerically | asserted
 
@@ -93,60 +95,68 @@ class BallWalkParams:
 
 
 # ---------------------------------------------------------------------------
-# Generators
+# Generators (batched over leading axes)
 # ---------------------------------------------------------------------------
 
 
-def _sin_power_quantile(p: float, m: int) -> float:
-    """theta in [0, pi] with int_0^theta sin^m / int_0^pi sin^m = p, by
-    bisection to 1e-12."""
-    total, _ = integrate.quad(lambda t: math.sin(t) ** m, 0.0, math.pi, epsabs=1e-14)
-    a, b = 0.0, math.pi
-    while b - a > 1e-12:
-        mid = 0.5 * (a + b)
-        val, _ = integrate.quad(lambda t: math.sin(t) ** m, 0.0, mid, epsabs=1e-14)
-        if val / total < p:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+def _sin_power_quantile(p: np.ndarray, m: int) -> np.ndarray:
+    """theta in [0, pi] with int_0^theta sin^m / int_0^pi sin^m = p.
+
+    t = sin^2(theta / 2) = (1 - cos theta) / 2 has the symmetric law
+    Beta((m+1)/2, (m+1)/2), so theta = 2 asin(sqrt(t)), taken from the
+    nearer pole to keep full precision at both ends.
+    """
+    p = np.asarray(p, float)
+    h = 0.5 * (m + 1)
+    half = 2.0 * np.arcsin(np.sqrt(special.betaincinv(h, h, np.minimum(p, 1.0 - p))))
+    return np.where(p > 0.5, math.pi - half, half)
 
 
 def sphere_generator(v, d: int) -> np.ndarray:
-    """Uniform point on the unit sphere S^{d-1} from d-1 driver coordinates
-    (one coordinate, sign threshold 1/2, for d = 1)."""
-    v = np.atleast_1d(np.asarray(v, float))
+    """Uniform points on the unit sphere S^{d-1} from d-1 driver coordinates
+    (one coordinate, sign threshold 1/2, for d = 1): shape (..., d-1) or
+    (..., 1) to (..., d)."""
+    v = np.asarray(v, float)
     if d == 1:
-        return np.array([-1.0 if v[0] < 0.5 else 1.0])
-    if len(v) != d - 1:
+        return np.where(v[..., :1] < 0.5, -1.0, 1.0)
+    if v.shape[-1] != d - 1:
         raise ValueError(f"need {d - 1} coordinates for d = {d}")
     if d == 2:
-        ang = 2.0 * math.pi * v[0]
-        return np.array([math.cos(ang), math.sin(ang)])
+        ang = 2.0 * math.pi * v[..., 0]
+        return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     if d == 3:
-        z = 1.0 - 2.0 * v[0]
-        ang = 2.0 * math.pi * v[1]
-        r = math.sqrt(max(1.0 - z * z, 0.0))
-        return np.array([r * math.cos(ang), r * math.sin(ang), z])
+        z = 1.0 - 2.0 * v[..., 0]
+        ang = 2.0 * math.pi * v[..., 1]
+        r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+        return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=-1)
     # general d: spherical angles theta_j with density prop. to sin^{d-1-j},
     # last angle uniform on [0, 2 pi)
-    angles = [_sin_power_quantile(v[j], d - 2 - j) for j in range(d - 2)]
-    angles.append(2.0 * math.pi * v[d - 2])
-    x = np.empty(d)
-    sin_prod = 1.0
+    angles = [_sin_power_quantile(v[..., j], d - 2 - j) for j in range(d - 2)]
+    angles.append(2.0 * math.pi * v[..., d - 2])
+    x = np.empty(v.shape[:-1] + (d,))
+    sin_prod = np.ones(v.shape[:-1])
     for j in range(d - 1):
-        x[j] = sin_prod * math.cos(angles[j])
-        sin_prod *= math.sin(angles[j])
-    x[d - 1] = sin_prod
+        x[..., j] = sin_prod * np.cos(angles[j])
+        sin_prod = sin_prod * np.sin(angles[j])
+    x[..., d - 1] = sin_prod
     return x
 
 
+def _root(v: np.ndarray, d: int) -> np.ndarray:
+    """v ** (1/d) elementwise through Python's float pow, which numpy's power
+    does not match in the last bit on some inputs; v ** 1 is v itself."""
+    if d == 1:
+        return v
+    roots = map(pow, map(float, v.ravel()), repeat(1.0 / d))
+    return np.fromiter(roots, float, v.size).reshape(v.shape)
+
+
 def ball_generator(v, gamma: float, d: int) -> np.ndarray:
-    """Uniform point in the closed gamma-ball: direction from the leading
-    coordinates, radius gamma * v_last^{1/d}."""
-    v = np.atleast_1d(np.asarray(v, float))
-    radius = gamma * v[-1] ** (1.0 / d)
-    return radius * sphere_generator(v[:-1], d)
+    """Uniform points in the closed gamma-ball: direction from the leading
+    coordinates, radius gamma * v_last^{1/d}; shape (..., p) to (..., d)."""
+    v = np.asarray(v, float)
+    radius = gamma * _root(v[..., -1], d)
+    return radius[..., None] * sphere_generator(v[..., :-1], d)
 
 
 # ---------------------------------------------------------------------------
@@ -154,25 +164,34 @@ def ball_generator(v, gamma: float, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _accept(x: np.ndarray, z: np.ndarray, v: np.ndarray, density: "LogDensity") -> np.ndarray:
+    """Metropolis steps of the rows of x (b, d) with proposals z (b, d) and
+    acceptance coordinates v (b,)."""
+    y = x + z
+    # the density ratio through math.exp, which numpy's exp does not match in
+    # the last bit; exp(0) = 1 accepts every v in [0, 1]
+    log_ratio = np.minimum(density.log_rho(y) - density.log_rho(x), 0.0)
+    bound = np.fromiter(map(math.exp, log_ratio.tolist()), float, len(v))
+    # np.vecdot runs the BLAS dot of np.dot, whose fused multiply-adds a plain
+    # sum of squares does not match in the last bit
+    ok = (v <= bound) & (np.vecdot(y, y) <= 1.0)
+    return np.where(ok[:, None], y, x)
+
+
 def metropolis_update(
     x: np.ndarray, u, params: BallWalkParams, density: LogDensity
 ) -> np.ndarray:
-    """One Metropolis step: propose x + z with z uniform in the gamma-ball;
+    """Metropolis steps from states (..., d) and driver points (..., s) of
+    the same leading shape: propose x + z with z uniform in the gamma-ball;
     accept iff the proposal stays in the unit ball and the last driver
     coordinate clears the density ratio.  Rejection returns x unchanged."""
     x = np.asarray(x, float)
-    u = np.atleast_1d(np.asarray(u, float))
-    if len(u) != params.driver_dim:
+    u = np.asarray(u, float)
+    if u.shape[-1] != params.driver_dim:
         raise ValueError(f"need {params.driver_dim} driver coordinates")
-    z = ball_generator(u[: params.proposal_dim], params.gamma, params.d)
-    y = x + z
-    if np.dot(y, y) > 1.0:
-        return x
-    log_ratio = density.log_rho(y) - density.log_rho(x)
-    v = u[-1]
-    if log_ratio >= 0.0 or v <= math.exp(log_ratio):
-        return y
-    return x
+    rows = u.reshape(-1, params.driver_dim)
+    z = ball_generator(rows[:, : params.proposal_dim], params.gamma, params.d)
+    return _accept(x.reshape(-1, params.d), z, rows[:, -1], density).reshape(x.shape)
 
 
 def _sphere_inverse(e: np.ndarray, d: int) -> np.ndarray:
@@ -226,10 +245,12 @@ def invert_update(
 def density_presets(name: str, alpha: float, d: int) -> LogDensity:
     """uniform: log rho = 0; exp-linear: log rho(x) = alpha * x_1."""
     if name == "uniform":
-        return LogDensity(log_rho=lambda x: 0.0, alpha=0.0, concavity_witness="affine")
+        return LogDensity(
+            log_rho=lambda x: np.zeros(np.shape(x)[:-1]), alpha=0.0, concavity_witness="affine"
+        )
     if name == "exp-linear":
         return LogDensity(
-            log_rho=lambda x: alpha * float(np.atleast_1d(x)[0]),
+            log_rho=lambda x: alpha * np.asarray(x, float)[..., 0],
             alpha=alpha,
             concavity_witness="affine",
         )
@@ -258,14 +279,21 @@ def make_metropolis_system(
     target = _target_for(name, alpha, d)
     params = BallWalkParams(gamma=gamma, d=d)
 
+    p = params.proposal_dim
     generator = GeneratorFunction(
-        s_init=params.driver_dim,
-        map=lambda u: ball_generator(u[: params.proposal_dim], 1.0, d),
+        s_init=params.driver_dim, map=lambda U: ball_generator(U[..., :p], 1.0, d)
     )
+
+    def lift(U):
+        # proposals depend on the driver alone: W = (z, v) for every step
+        z = ball_generator(U[..., :p], gamma, d)
+        return np.concatenate([z, U[..., -1:]], axis=-1)
+
     update = UpdateFunction(
         s=params.driver_dim,
-        map=lambda x, u: metropolis_update(x, u, params, density),
+        map=lambda X, W: _accept(X, W[:, :d], W[:, d], density),
         inverse=lambda x, y: invert_update(x, y, params, density),
+        lift=lift,
     )
 
     def sampler(x: np.ndarray, rng: Rng) -> np.ndarray:
@@ -299,5 +327,4 @@ def make_metropolis_system(
         nu_norm_centered=math.sqrt(max(norm**2 - 1.0, 0.0)),
         exact_marginal=None,
         kernel_sampler=sampler,
-        nu_measure=uniform_ball(d),
     )

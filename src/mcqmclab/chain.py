@@ -4,14 +4,15 @@ A chain system bundles an update function phi: G x [0,1]^s -> G, a generator
 function psi: [0,1]^s -> G for the initial distribution, the target measure,
 and spectral metadata.  Paths are generated deterministically from a driver
 sequence: x_1 = psi(u_0), x_{i+1} = phi(x_i; u_i), so every path is exactly
-replayable.
+replayable.  Both maps act on a batch of chains at once, and ``run_chains``
+replays b equal-length paths in lockstep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "ChainPath",
     "ChainDomainError",
     "run_chain",
+    "run_chains",
     "make_direct_kernel",
     "make_lazy_direct_kernel",
     "compare_expectation",
@@ -37,7 +39,7 @@ class ChainDomainError(RuntimeError):
 @dataclass(frozen=True)
 class GeneratorFunction:
     """Map psi: [0,1]^{s_init} -> G pushing the uniform law to the initial
-    distribution nu."""
+    distribution nu, batched over chains: ``map(U[b, s_init]) -> X[b, d]``."""
 
     s_init: int
     map: Callable[[np.ndarray], np.ndarray]
@@ -45,15 +47,21 @@ class GeneratorFunction:
 
 @dataclass(frozen=True)
 class UpdateFunction:
-    """Map phi: G x [0,1]^s -> G realizing the kernel K(x, .).
+    """Map phi: G x [0,1]^s -> G realizing the kernel K(x, .), batched over
+    chains: ``phi(X[b, d], U[b, s]) -> X[b, d]``.
 
-    ``inverse``, when present, maps (x, y) to a driver point u with
+    ``lift``, when present, is the part of phi that does not depend on the
+    state: phi(X; U) = map(X, lift(U)), where lift takes driver points of
+    shape (..., s).  run_chains lifts the whole driver block once before
+    stepping; without a lift, map takes the driver rows themselves.
+    ``inverse``, when present, maps one pair (x, y) to a driver point u with
     phi(x; u) = y (the anywhere-to-anywhere witness).
     """
 
     s: int
     map: Callable[[np.ndarray, np.ndarray], np.ndarray]
     inverse: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    lift: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclass
@@ -61,10 +69,11 @@ class ChainSystem:
     """Update/generator pair with target and spectral metadata.
 
     ``lambda0`` is max{Lambda, 0}; ``beta`` the absolute operator norm on
-    mean-zero L2 (None when unknown).  ``exact_marginal(i, box)`` returns
-    nu P^i(box) when the kernel admits a closed-form marginal; otherwise the
-    marginal is estimated by Monte Carlo.  ``kernel_sampler(x, rng)`` draws
-    one transition from K(x, .) independently of the update function.
+    mean-zero L2 (None when unknown).  ``exact_marginal(steps, box)`` returns
+    the array of nu P^i(box) over the steps i when the kernel admits a
+    closed-form marginal; otherwise the marginal is estimated by Monte Carlo.
+    ``kernel_sampler(x, rng)`` draws one transition from K(x, .)
+    independently of the update function.
     """
 
     update: UpdateFunction
@@ -74,9 +83,8 @@ class ChainSystem:
     beta: Optional[float]
     nu_density_norm: float
     nu_norm_centered: float = 0.0
-    exact_marginal: Optional[Callable[[int, AnchoredBox], float]] = None
+    exact_marginal: Optional[Callable[[Sequence[int], AnchoredBox], np.ndarray]] = None
     kernel_sampler: Optional[Callable[[np.ndarray, Rng], np.ndarray]] = None
-    nu_measure: Optional[TargetMeasure] = None
 
     def __post_init__(self):
         if not (0.0 <= self.lambda0 <= 1.0):
@@ -113,28 +121,46 @@ class ChainPath:
 
 
 def run_chain(system: ChainSystem, driver: DriverSequence, burn_in: int = 0) -> ChainPath:
-    """Deterministic replay: x_1 = psi(u_0), x_{i+1} = phi(x_i; u_i).
+    """Deterministic replay of one path: ``run_chains`` with b = 1."""
+    return run_chains(system, [driver], burn_in)[0]
 
-    The path has one state per driver point; the retained sample is
+
+def run_chains(
+    system: ChainSystem, drivers: Sequence[DriverSequence], burn_in: int = 0
+) -> list[ChainPath]:
+    """Lockstep replay of b equal-length paths: x_1 = psi(u_0),
+    x_{i+1} = phi(x_i; u_i) for all drivers at once.
+
+    Each path has one state per driver point; the retained sample is
     ``states[burn_in:]``.  Raises ChainDomainError if a state leaves G.
     """
-    if driver.s != system.s:
-        raise ValueError(f"driver dimension {driver.s} != system dimension {system.s}")
-    if driver.n < burn_in + 1:
+    if not drivers:
+        raise ValueError("need at least one driver")
+    n = drivers[0].n
+    for driver in drivers:
+        if driver.s != system.s:
+            raise ValueError(f"driver dimension {driver.s} != system dimension {system.s}")
+        if driver.n != n:
+            raise ValueError("drivers must all have the same length")
+    if n < burn_in + 1:
         raise ValueError("driver must contain at least burn_in + 1 points")
-    d = system.dim
-    states = np.empty((driver.n, d))
-    x = np.atleast_1d(np.asarray(system.generator.map(driver.points[0]), float))
-    if not system.target.domain.contains(x):
-        raise ChainDomainError(f"initial state {x} outside domain")
-    states[0] = x
-    for i in range(1, driver.n):
-        x = np.atleast_1d(np.asarray(system.update.map(x, driver.points[i]), float))
-        if not system.target.domain.contains(x):
-            raise ChainDomainError(f"state {x} left the domain at step {i}")
+    # step-major blocks, so that each step reads and writes contiguous rows
+    U = np.stack([driver.points for driver in drivers], axis=1)
+    update, domain = system.update, system.target.domain
+    W = U[1:] if update.lift is None else update.lift(U[1:])
+    states = np.empty((n, len(drivers), system.dim))
+    x = system.generator.map(U[0])
+    for i in range(n):
+        if i > 0:
+            x = update.map(x, W[i - 1])
+        inside = domain.contains(x)
+        if not inside.all():
+            j = int(np.argmin(inside))
+            raise ChainDomainError(f"state {x[j]} of chain {j} left the domain at step {i}")
         states[i] = x
+    states = np.ascontiguousarray(states.transpose(1, 0, 2))
     states.setflags(write=False)
-    return ChainPath(states=states, burn_in=burn_in, driver=driver)
+    return [ChainPath(states[j], burn_in, driver) for j, driver in enumerate(drivers)]
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +205,13 @@ def _normalizer(m: TargetMeasure) -> float:
     return val
 
 
+def _quantile_rows(measure: TargetMeasure, U: np.ndarray) -> np.ndarray:
+    """Inverse CDF of the first driver coordinate of each row, as states of
+    shape (..., 1)."""
+    p = U[..., 0]
+    return np.asarray(measure.inv_cdf(p.ravel()), float).reshape(p.shape + (1,))
+
+
 def make_direct_kernel(
     target: TargetMeasure, generator: Optional[GeneratorFunction] = None
 ) -> ChainSystem:
@@ -191,18 +224,19 @@ def make_direct_kernel(
     if generator is None:
         if target.dim != 1:
             raise ValueError("default generator available for d = 1 only")
-        generator = GeneratorFunction(
-            s_init=1, map=lambda u: np.array([target.inv_cdf(u[0])])
-        )
-    update = UpdateFunction(
-        s=generator.s_init, map=lambda x, u: np.atleast_1d(generator.map(u))
-    )
+        generator = GeneratorFunction(s_init=1, map=lambda U: _quantile_rows(target, U))
 
-    def marginal(i: int, box: AnchoredBox) -> float:
-        return target.box_mass(box)[0]
+    def lift(U):
+        # the new state is psi(u) whatever the old one: W = the next states
+        return generator.map(U.reshape(-1, U.shape[-1])).reshape(U.shape[:-1] + (-1,))
+
+    update = UpdateFunction(s=generator.s_init, map=lambda X, W: W, lift=lift)
+
+    def marginal(steps: Sequence[int], box: AnchoredBox) -> np.ndarray:
+        return np.full(len(steps), target.box_mass(box)[0])
 
     def sampler(x: np.ndarray, rng: Rng) -> np.ndarray:
-        return np.atleast_1d(generator.map(rng.uniforms(generator.s_init)))
+        return generator.map(rng.uniforms(generator.s_init)[None])[0]
 
     return ChainSystem(
         update=update,
@@ -214,7 +248,6 @@ def make_direct_kernel(
         nu_norm_centered=0.0,
         exact_marginal=marginal,
         kernel_sampler=sampler,
-        nu_measure=target,
     )
 
 
@@ -234,18 +267,22 @@ def make_lazy_direct_kernel(
         raise ValueError("lazy direct kernel implemented for d = 1")
     nu = nu if nu is not None else target
 
-    generator = GeneratorFunction(s_init=2, map=lambda u: np.array([nu.inv_cdf(u[0])]))
+    generator = GeneratorFunction(s_init=2, map=lambda U: _quantile_rows(nu, U))
 
-    def update_map(x, u):
-        if u[-1] < a:
-            return np.array([target.inv_cdf(u[0])])
-        return x
+    def lift(U):
+        # W = (fresh draw from pi, hold coordinate) for every step
+        return np.concatenate([_quantile_rows(target, U), U[..., -1:]], axis=-1)
 
-    update = UpdateFunction(s=2, map=update_map)
+    update = UpdateFunction(
+        s=2, map=lambda X, W: np.where(W[:, 1:] < a, W[:, :1], X), lift=lift
+    )
 
-    def marginal(i: int, box: AnchoredBox) -> float:
-        w = (1.0 - a) ** i
-        return w * nu.box_mass(box)[0] + (1.0 - w) * target.box_mass(box)[0]
+    def marginal(steps: Sequence[int], box: AnchoredBox) -> np.ndarray:
+        m_nu, m_pi = nu.box_mass(box)[0], target.box_mass(box)[0]
+        # Python's float pow, as in the per-step form: numpy's power differs
+        # from it in the last bit on some inputs
+        w = np.array([(1.0 - a) ** i for i in steps])
+        return w * m_nu + (1.0 - w) * m_pi
 
     def sampler(x: np.ndarray, rng: Rng) -> np.ndarray:
         if rng.uniform() < a:
@@ -268,7 +305,6 @@ def make_lazy_direct_kernel(
         nu_norm_centered=cnorm,
         exact_marginal=marginal,
         kernel_sampler=sampler,
-        nu_measure=nu,
     )
 
 
@@ -295,18 +331,14 @@ def compare_expectation(
     s = system.s
     rng_a = rng.split(0)
     rng_b = rng.split(1)
-    vals_a = np.empty(m)
+    drivers = [
+        DriverSequence(rng_a.uniforms(i * s).reshape(i, s), "compare-expectation")
+        for _ in range(m)
+    ]
+    vals_a = np.array([F(list(path.states)) for path in run_chains(system, drivers)])
     vals_b = np.empty(m)
     for r in range(m):
-        us = rng_a.uniforms(i * s).reshape(i, s)
-        x = np.atleast_1d(system.generator.map(us[0]))
-        states = [x]
-        for k in range(1, i):
-            x = np.atleast_1d(system.update.map(x, us[k]))
-            states.append(x)
-        vals_a[r] = F(states)
-
-        y = np.atleast_1d(system.generator.map(rng_b.uniforms(s)))
+        y = system.generator.map(rng_b.uniforms(s)[None])[0]
         states_b = [y]
         for _ in range(1, i):
             y = np.atleast_1d(system.kernel_sampler(y, rng_b))

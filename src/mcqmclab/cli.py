@@ -49,30 +49,59 @@ from .discrepancy import (
     pullback_discrepancy_mc,
     star_discrepancy_exact,
 )
-from .search import SearchConfig, best_of_k, invert_to_target, rate_study
+from .search import (
+    CANDIDATE_KINDS,
+    OBJECTIVES,
+    SearchConfig,
+    best_of_k,
+    invert_to_target,
+    rate_study,
+)
 
 EXPERIMENTS = ("discrepancy", "pullback", "search", "rate-study", "bounds", "invert")
+_KERNELS = ("metropolis-ballwalk", "direct", "lazy-direct")
+_DENSITIES = ("uniform", "exp-linear")
 
-# keys accepted per experiment; "experiment" and "output" are always allowed
-_COMMON = {"experiment", "output", "seed"}
-_ALLOWED = {
-    "discrepancy": _COMMON | {"dimension", "density", "kernel", "gamma", "a", "n", "n0"},
-    "pullback": _COMMON
-    | {"dimension", "density", "kernel", "gamma", "a", "n", "n0", "delta", "mc-replications"},
-    "search": _COMMON
-    | {
-        "dimension", "density", "kernel", "gamma", "a", "n", "n0", "k",
-        "delta", "mc-replications", "objective", "candidate-kinds",
-    },
-    "rate-study": _COMMON
-    | {
-        "dimension", "density", "kernel", "gamma", "a", "ns", "n0", "k",
-        "delta", "mc-replications", "objective", "candidate-kinds",
-    },
-    "bounds": _COMMON | {"dimension", "n", "lambda0", "nu-norm", "delta", "epsilon"},
-    "invert": _COMMON | {"density", "gamma", "n"},
+# Per experiment, every accepted key besides "experiment" and "output":
+# key -> (type, admissible values, default).  Numbers must lie in the
+# interval, strings among the choices; [t] is a non-empty list of t.
+_SEED = (int, "[0, inf)", 0)
+_DIMENSION = (int, "[1, inf)", 1)
+_DENSITY = (dict, None, {"name": "uniform", "alpha": 0.0})
+_CHAIN = {
+    "seed": _SEED,
+    "dimension": _DIMENSION,
+    "density": _DENSITY,
+    "kernel": (str, _KERNELS, "metropolis-ballwalk"),
+    "gamma": (float, "(0, inf)", "gamma-star"),
+    "a": (float, "(0, 1]", None),
+    "n0": (int, "[0, inf)", 0),
 }
-_DENSITY_KEYS = {"name", "alpha"}
+_N = {"n": (int, "[1, inf)", 64)}
+# the Monte Carlo pull-back needs at least 100 replications
+_COVER = {"delta": (float, "(0, 1]", 0.01), "mc-replications": (int, "[100, inf)", 200)}
+_SEARCH = {
+    **_COVER,
+    "k": (int, "[1, inf)", 16),
+    "objective": (str, OBJECTIVES, "star-exact"),
+    "candidate-kinds": ([str], CANDIDATE_KINDS, ["uniform-random"]),
+}
+_SCHEMA = {
+    "discrepancy": {**_CHAIN, **_N},
+    "pullback": {**_CHAIN, **_N, **_COVER},
+    "search": {**_CHAIN, **_N, **_SEARCH},
+    "rate-study": {**_CHAIN, **_SEARCH, "ns": ([int], "[1, inf)", [64, 256, 1024])},
+    "bounds": {
+        "seed": _SEED,
+        "dimension": _DIMENSION,
+        "n": (int, "[1, inf)", 16),
+        "lambda0": (float, "[0, 1]", 0.0),
+        "nu-norm": (float, "[0, inf)", 1.0),
+        "delta": (float, "[0, 1]", 0.0),
+        "epsilon": (float, "(0, 1)", 0.25),
+    },
+    "invert": {"seed": _SEED, "density": _DENSITY, "gamma": (float, "[2, inf)", 2.0), **_N},
+}
 
 
 class ConfigError(ValueError):
@@ -97,74 +126,100 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _in_interval(x, interval: str) -> bool:
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo < x if interval[0] == "(" else lo <= x
+    below = x < hi if interval[-1] == ")" else x <= hi
+    return above and below
+
+
+def _check(key: str, value, kind, allowed):
+    """The value of ``key`` as the schema's type, or ConfigError."""
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"key {key!r} must be a non-empty list, got {value!r}")
+        return [_check(key, v, kind[0], allowed) for v in value]
+    if kind is str:
+        if value not in allowed:
+            raise ConfigError(f"key {key!r} must be one of {allowed}, got {value!r}")
+        return value
+    number = isinstance(value, int if kind is int else (int, float))
+    if isinstance(value, bool) or not number or not _in_interval(value, allowed):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key {key!r} must be {noun} in {allowed}, got {value!r}")
+    return kind(value)
+
+
+def _check_density(density) -> dict:
+    if not isinstance(density, dict):
+        raise ConfigError("key 'density' must be an object {name, alpha}")
+    bad = sorted(set(density) - {"name", "alpha"})
+    if bad:
+        raise ConfigError(f"unknown density keys: {bad}")
+    if density.get("name") not in _DENSITIES:
+        raise ConfigError(f"unknown density name {density.get('name')!r}")
+    alpha = _check("density.alpha", density.get("alpha", 0.0), float, "[0, inf)")
+    return {"name": density["name"], "alpha": alpha}
+
+
 def _validate(cfg: dict) -> dict:
+    """The experiment's parameters: every schema key, checked, with its
+    default where the config omits it."""
     exp = cfg.get("experiment")
     if exp not in EXPERIMENTS:
         raise ConfigError(
             f"key 'experiment' must be one of {EXPERIMENTS}, got {exp!r}"
         )
-    allowed = _ALLOWED[exp]
-    unknown = sorted(set(cfg) - allowed)
+    schema = _SCHEMA[exp]
+    unknown = sorted(set(cfg) - set(schema) - {"experiment", "output"})
     if unknown:
         raise ConfigError(f"unknown keys for experiment {exp!r}: {unknown}")
-    if "output" not in cfg:
-        raise ConfigError("key 'output' is required")
-    density = cfg.get("density")
-    if density is not None:
-        if not isinstance(density, dict):
-            raise ConfigError("key 'density' must be an object {name, alpha}")
-        bad = sorted(set(density) - _DENSITY_KEYS)
-        if bad:
-            raise ConfigError(f"unknown density keys: {bad}")
-        if density.get("name") not in ("uniform", "exp-linear"):
-            raise ConfigError(f"unknown density name {density.get('name')!r}")
-    kernel = cfg.get("kernel")
-    if kernel is not None and kernel not in ("metropolis-ballwalk", "direct", "lazy-direct"):
-        raise ConfigError(f"unknown kernel {kernel!r}")
-    if kernel == "lazy-direct" and "a" not in cfg:
+    if not isinstance(cfg.get("output"), str):
+        raise ConfigError("key 'output' is required and must be a path")
+    params = {"experiment": exp, "output": cfg["output"]}
+    for key, (kind, allowed, default) in schema.items():
+        value = cfg.get(key, default)
+        # "gamma-star" stands for a number where it is the default
+        if key not in cfg or value == default == "gamma-star":
+            params[key] = value
+        elif kind is dict:
+            params[key] = _check_density(value)
+        else:
+            params[key] = _check(key, value, kind, allowed)
+    if params.get("kernel") == "lazy-direct" and params["a"] is None:
         raise ConfigError("kernel 'lazy-direct' requires key 'a'")
-    gamma = cfg.get("gamma")
-    if gamma is not None and gamma != "gamma-star":
-        try:
-            if float(gamma) <= 0:
-                raise ConfigError("key 'gamma' must be positive or 'gamma-star'")
-        except (TypeError, ValueError):
-            raise ConfigError(f"key 'gamma' must be a number or 'gamma-star', got {gamma!r}")
-    return cfg
+    ns = params.get("ns", [])
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ConfigError(f"key 'ns' must be strictly increasing, got {ns!r}")
+    return params
 
 
-def _resolve_gamma(cfg: dict) -> float:
-    gamma = cfg.get("gamma", "gamma-star")
-    if gamma == "gamma-star":
-        alpha = float(cfg.get("density", {}).get("alpha", 0.0))
-        d = int(cfg.get("dimension", 1))
+def _resolve_gamma(p: dict) -> float:
+    if p["gamma"] == "gamma-star":
+        alpha, d = p["density"]["alpha"], p["dimension"]
         if alpha > 0:
             return ballwalk_gap_bound(alpha, d)[0]
         return 1.0 / math.sqrt(d + 1)
-    return float(gamma)
+    return p["gamma"]
 
 
 def _interval_target(density: dict):
-    alpha = float(density.get("alpha", 0.0))
+    alpha = density["alpha"]
     if density["name"] == "uniform" or alpha == 0.0:
         return uniform_interval(-1.0, 1.0)
     return exp_linear_interval(alpha, -1.0, 1.0)
 
 
-def _build_system(cfg: dict, gamma: float):
-    kernel = cfg.get("kernel", "metropolis-ballwalk")
-    density = cfg.get("density", {"name": "uniform", "alpha": 0.0})
-    d = int(cfg.get("dimension", 1))
+def _build_system(p: dict, gamma: float):
+    kernel, density, d = p["kernel"], p["density"], p["dimension"]
     if kernel == "metropolis-ballwalk":
-        return make_metropolis_system(
-            density["name"], float(density.get("alpha", 0.0)), gamma, d
-        )
+        return make_metropolis_system(density["name"], density["alpha"], gamma, d)
     if d != 1:
         raise ConfigError(f"kernel {kernel!r} is implemented for dimension 1 only")
     target = _interval_target(density)
     if kernel == "direct":
         return make_direct_kernel(target)
-    return make_lazy_direct_kernel(target, float(cfg["a"]))
+    return make_lazy_direct_kernel(target, p["a"])
 
 
 def _fmt(x) -> str:
@@ -184,14 +239,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_bounds(cfg: dict):
+def _run_bounds(p: dict):
     inp = BoundInputs(
-        n=int(cfg.get("n", 16)),
-        d=int(cfg.get("dimension", 1)),
-        lambda0=float(cfg.get("lambda0", 0.0)),
-        nu_norm=float(cfg.get("nu-norm", 1.0)),
-        delta=float(cfg.get("delta", 0.0)),
-        epsilon=float(cfg.get("epsilon", 0.25)),
+        n=p["n"],
+        d=p["dimension"],
+        lambda0=p["lambda0"],
+        nu_norm=p["nu-norm"],
+        delta=p["delta"],
+        epsilon=p["epsilon"],
     )
     header = ["d", "n", "lambda0", "nu_norm", "corollary_bound", "beck_bound"]
     row = [
@@ -201,14 +256,12 @@ def _run_bounds(cfg: dict):
     return header, [row], {}
 
 
-def _run_discrepancy(cfg: dict):
-    gamma = _resolve_gamma(cfg)
-    system = _build_system(cfg, gamma)
+def _run_discrepancy(p: dict):
+    gamma = _resolve_gamma(p)
+    system = _build_system(p, gamma)
     if system.dim > 3:
         raise InfeasibleError("exact discrepancy scan is limited to dimension <= 3")
-    n = int(cfg.get("n", 64))
-    n0 = int(cfg.get("n0", 0))
-    seed = int(cfg.get("seed", 0))
+    n, n0, seed = p["n"], p["n0"], p["seed"]
     driver = uniform_driver(n + n0, system.s, Rng(seed))
     path = run_chain(system, driver, burn_in=n0)
     report = star_discrepancy_exact(path.retained, system.target)
@@ -216,17 +269,15 @@ def _run_discrepancy(cfg: dict):
     return header, [[n, seed, report.lower, report.upper]], {"gamma": gamma}
 
 
-def _run_pullback(cfg: dict):
-    gamma = _resolve_gamma(cfg)
-    system = _build_system(cfg, gamma)
-    n = int(cfg.get("n", 64))
-    n0 = int(cfg.get("n0", 0))
-    seed = int(cfg.get("seed", 0))
-    delta = float(cfg.get("delta", 0.01))
-    m = int(cfg.get("mc-replications", 200))
+def _run_pullback(p: dict):
+    gamma = _resolve_gamma(p)
+    system = _build_system(p, gamma)
+    n, n0, seed, delta = p["n"], p["n0"], p["seed"], p["delta"]
     cover = build_quantile_cover(system.target, delta)
     driver = uniform_driver(n + n0, system.s, Rng(seed))
-    report = pullback_discrepancy_mc(system, driver, n0, cover, m, Rng(seed).split(7))
+    report = pullback_discrepancy_mc(
+        system, driver, n0, cover, p["mc-replications"], Rng(seed).split(7)
+    )
     header = ["n", "seed", "delta", "disc_lower", "disc_upper", "mc_stderr"]
     return (
         header,
@@ -235,33 +286,32 @@ def _run_pullback(cfg: dict):
     )
 
 
-def _search_config(cfg: dict, n: int) -> SearchConfig:
+def _search_config(p: dict, n: int) -> SearchConfig:
     return SearchConfig(
         n=n,
-        k=int(cfg.get("k", 16)),
-        seed=int(cfg.get("seed", 0)),
-        n0=int(cfg.get("n0", 0)),
-        candidate_kinds=tuple(cfg.get("candidate-kinds", ["uniform-random"])),
-        objective=cfg.get("objective", "star-exact"),
-        delta=float(cfg.get("delta", 0.01)),
-        mc_replications=int(cfg.get("mc-replications", 200)),
+        k=p["k"],
+        seed=p["seed"],
+        n0=p["n0"],
+        candidate_kinds=tuple(p["candidate-kinds"]),
+        objective=p["objective"],
+        delta=p["delta"],
+        mc_replications=p["mc-replications"],
     )
 
 
-def _cover_builder(cfg: dict, system):
-    sc = _search_config(cfg, 1)
-    if sc.objective == "star-exact":
+def _cover_builder(p: dict, system):
+    if p["objective"] == "star-exact":
         return None
-    return lambda n: build_quantile_cover(system.target, sc.delta)
+    return lambda n: build_quantile_cover(system.target, p["delta"])
 
 
-def _run_search(cfg: dict):
-    gamma = _resolve_gamma(cfg)
-    system = _build_system(cfg, gamma)
-    sc = _search_config(cfg, int(cfg.get("n", 64)))
+def _run_search(p: dict):
+    gamma = _resolve_gamma(p)
+    system = _build_system(p, gamma)
+    sc = _search_config(p, p["n"])
     if sc.objective == "star-exact" and system.dim > 3:
         raise InfeasibleError("exact discrepancy scan is limited to dimension <= 3")
-    builder = _cover_builder(cfg, system)
+    builder = _cover_builder(p, system)
     cover = builder(sc.n) if builder is not None else None
     result = best_of_k(system, sc, cover=cover)
     header = ["n", "seed", "disc_lower", "disc_upper", "theory_bound"]
@@ -269,28 +319,22 @@ def _run_search(cfg: dict):
     return header, [row], {"gamma": gamma, "all_scores": list(result.all_scores)}
 
 
-def _run_rate_study(cfg: dict):
-    gamma = _resolve_gamma(cfg)
-    system = _build_system(cfg, gamma)
-    ns = [int(v) for v in cfg.get("ns", [64, 256, 1024])]
-    sc = _search_config(cfg, ns[0])
+def _run_rate_study(p: dict):
+    gamma = _resolve_gamma(p)
+    system = _build_system(p, gamma)
+    ns = p["ns"]
+    sc = _search_config(p, ns[0])
     if sc.objective == "star-exact" and system.dim > 3:
         raise InfeasibleError("exact discrepancy scan is limited to dimension <= 3")
-    rows = rate_study(system, ns, sc, cover_builder=_cover_builder(cfg, system))
+    rows = rate_study(system, ns, sc, cover_builder=_cover_builder(p, system))
     header = ["n", "seed", "disc_lower", "disc_upper", "theory_bound", "beck_bound", "runtime_ms"]
     out = [[r[h] for h in header] for r in rows]
     return header, out, {"gamma": gamma}
 
 
-def _run_invert(cfg: dict):
-    density = cfg.get("density", {"name": "uniform", "alpha": 0.0})
-    gamma = float(cfg.get("gamma", 2.0))
-    if gamma < 2.0:
-        raise ConfigError("inversion requires gamma >= 2")
-    n = int(cfg.get("n", 64))
-    system = make_metropolis_system(
-        density["name"], float(density.get("alpha", 0.0)), gamma, 1
-    )
+def _run_invert(p: dict):
+    density, gamma, n = p["density"], p["gamma"], p["n"]
+    system = make_metropolis_system(density["name"], density["alpha"], gamma, 1)
     target = _interval_target(density)
     quantiles = (2.0 * np.arange(n) + 1.0) / (2.0 * n)
     targets = [np.array([target.inv_cdf(q)]) for q in quantiles]
@@ -317,13 +361,14 @@ _RUNNERS = {
 
 def _cmd_run(path: str) -> int:
     try:
-        cfg = _validate(_load_config(path))
+        cfg = _load_config(path)
+        params = _validate(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
     try:
-        header, rows, extra = _RUNNERS[cfg["experiment"]](cfg)
+        header, rows, extra = _RUNNERS[params["experiment"]](params)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -331,12 +376,12 @@ def _cmd_run(path: str) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - t0
-    out = Path(cfg["output"])
+    out = Path(params["output"])
     _write_csv(out, header, rows)
     manifest = {
         "config": cfg,
         "version": __version__,
-        "seed": int(cfg.get("seed", 0)),
+        "seed": params["seed"],
         "wall_time_s": wall,
         **extra,
     }

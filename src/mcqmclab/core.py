@@ -3,8 +3,8 @@
 Everything downstream (chains, discrepancies, covers, searches) is built on
 the types here:
 
-* ``Rng`` -- a splittable counter-based SplitMix64 generator, so candidate
-  evaluation can be parallelized while staying bit-reproducible.
+* ``Rng`` -- a splittable counter-based SplitMix64 generator, so every
+  candidate and replica stream is reproducible from (seed, label).
 * ``AnchoredBox`` -- a strictly open box ``(-inf, corner)``; membership is
   strict in every coordinate.
 * ``TargetMeasure`` -- a target distribution given by a density on a bounded
@@ -30,8 +30,6 @@ __all__ = [
     "AnchoredBox",
     "TargetMeasure",
     "DriverSequence",
-    "QuadratureError",
-    "box_mass",
     "halton_sequence",
     "uniform_driver",
     "uniform_interval",
@@ -41,10 +39,6 @@ __all__ = [
     "uniform_ball",
     "exp_linear_ball",
 ]
-
-
-class QuadratureError(RuntimeError):
-    """Quadrature could not reach the requested tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -123,20 +117,24 @@ class BoxDomain:
     lower: tuple
     upper: tuple
 
+    def __post_init__(self):
+        # membership is tested once per chain step; convert the bounds once
+        object.__setattr__(self, "_lo", np.asarray(self.lower, float))
+        object.__setattr__(self, "_hi", np.asarray(self.upper, float))
+
     @property
     def dim(self) -> int:
         return len(self.lower)
 
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, float)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        """Closed-box membership of points of shape (..., d)."""
+        return ((pts >= self._lo) & (pts <= self._hi)).all(axis=-1)
 
     def bounding(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.lower, float), np.asarray(self.upper, float)
 
     def indicator(self, pts: np.ndarray) -> np.ndarray:
-        lo, hi = self.bounding()
-        return np.all((pts >= lo) & (pts <= hi), axis=-1)
+        return self.contains(pts)
 
 
 @dataclass(frozen=True)
@@ -146,9 +144,11 @@ class BallDomain:
     dim: int
     radius: float = 1.0
 
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, float)
-        return bool(np.dot(x, x) <= self.radius**2 * (1 + 1e-15))
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        """Membership of points of shape (..., d), with 1e-15 relative slack
+        on the squared radius for states produced by rounded arithmetic."""
+        pts = np.asarray(pts, float)
+        return np.vecdot(pts, pts) <= self.radius**2 * (1 + 1e-15)
 
     def bounding(self) -> tuple[np.ndarray, np.ndarray]:
         r = np.full(self.dim, self.radius)
@@ -438,11 +438,6 @@ class TargetMeasure:
         return 0.5 * (a + b)
 
 
-def box_mass(measure: TargetMeasure, box: AnchoredBox) -> tuple[float, float]:
-    """Mass of an open anchored box under the target, with an error bound."""
-    return measure.box_mass(box)
-
-
 # ---------------------------------------------------------------------------
 # Measure presets
 # ---------------------------------------------------------------------------
@@ -568,8 +563,8 @@ class DriverSequence:
         pts = np.asarray(self.points, float)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("driver sequence needs shape (n, s) with n >= 1")
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
-            raise ValueError("driver coordinates must lie in [0, 1]")
+        if not np.all((pts >= 0.0) & (pts <= 1.0)):
+            raise ValueError("driver coordinates must be finite and lie in [0, 1]")
         object.__setattr__(self, "points", pts)
 
     @property

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import ChainSystem, run_chain
+from .chain import ChainSystem, run_chain, run_chains
 from .core import AnchoredBox, DriverSequence, Rng, TargetMeasure
 
 __all__ = [
@@ -285,39 +285,37 @@ def pullback_discrepancy_mc(
     equivalent to x_{i+1} in A), while the volume term equals the chain
     marginal nu P^i(A): taken from the system's exact-marginal oracle when
     available (mc_stderr = 0), otherwise estimated from m independent random
-    chains.
+    chains replayed in lockstep with the driver's own path.
     """
     n = driver.n - burn_in
     if n < 1:
         raise ValueError("driver shorter than burn-in")
-    path = run_chain(system, driver, burn_in=burn_in)
     corners = cover.corners()
-    # indicator averages over the retained window, per cover set
-    ind = np.all(path.retained[None, :, :] < corners[:, None, :], axis=2).mean(axis=1)
+
+    def below(path) -> np.ndarray:
+        # indicator averages over the retained window, per cover set
+        return np.all(path.retained[None, :, :] < corners[:, None, :], axis=2).mean(axis=1)
 
     if system.exact_marginal is not None:
-        vol = np.empty(cover.size)
-        for k, box in enumerate(cover.sets):
-            vol[k] = (
-                0.0
-                if box.is_empty
-                else np.mean([system.exact_marginal(i, box) for i in range(burn_in, burn_in + n)])
-            )
+        ind = below(run_chain(system, driver, burn_in=burn_in))
+        steps = range(burn_in, burn_in + n)
+        vol = np.array(
+            [0.0 if box.is_empty else np.mean(system.exact_marginal(steps, box)) for box in cover.sets]
+        )
         stderr = 0.0
     else:
         if m < 100:
             raise ValueError("need at least 100 replications without a marginal oracle")
-        acc = np.empty((m, cover.size))
-        for r in range(m):
-            rep_rng = rng.split(r)
-            rep_driver = DriverSequence(
-                rep_rng.uniforms(driver.n * system.s).reshape(driver.n, system.s),
+        replicas = [
+            DriverSequence(
+                rng.split(r).uniforms(driver.n * system.s).reshape(driver.n, system.s),
                 provenance="pullback-mc-replication",
             )
-            rep_path = run_chain(system, rep_driver, burn_in=burn_in)
-            acc[r] = np.all(
-                rep_path.retained[None, :, :] < corners[:, None, :], axis=2
-            ).mean(axis=1)
+            for r in range(m)
+        ]
+        paths = run_chains(system, [driver] + replicas, burn_in=burn_in)
+        ind = below(paths[0])
+        acc = np.array([below(path) for path in paths[1:]])
         vol = acc.mean(axis=0)
         stderr = float(np.max(acc.std(axis=0, ddof=1) / math.sqrt(m)))
 

@@ -15,16 +15,14 @@ Two routes to a low-discrepancy driver:
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bounds import BoundInputs, corollary_main_bound
-from .chain import ChainSystem, run_chain
+from .chain import ChainSystem, run_chain, run_chains
 from .core import DriverSequence, Rng, halton_sequence, uniform_driver
 from .discrepancy import (
     DeltaCover,
@@ -43,7 +41,8 @@ __all__ = [
     "fit_loglog_slope",
 ]
 
-_KINDS = ("uniform-random", "halton", "scrambled-halton")
+CANDIDATE_KINDS = ("uniform-random", "halton", "scrambled-halton")
+OBJECTIVES = ("star-exact", "star-bracket", "pullback-mc")
 
 
 @dataclass(frozen=True)
@@ -62,12 +61,12 @@ class SearchConfig:
     def __post_init__(self):
         if self.k < 1 or self.n < 1 or self.n0 < 0:
             raise ValueError("need k >= 1, n >= 1, n0 >= 0")
-        if self.objective not in ("star-exact", "star-bracket", "pullback-mc"):
+        if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
         if not self.candidate_kinds:
             raise ValueError("need at least one candidate kind")
         for kind in self.candidate_kinds:
-            if kind not in _KINDS:
+            if kind not in CANDIDATE_KINDS:
                 raise ValueError(f"unknown candidate kind {kind!r}")
         if self.delta <= 0 or self.mc_replications < 1:
             raise ValueError("objective parameters must be positive")
@@ -97,28 +96,26 @@ def _make_candidate(config: SearchConfig, j: int, s: int) -> DriverSequence:
     return DriverSequence(pts, provenance=f"scrambled-halton(seed={config.seed},j={j})")
 
 
-def _score(
+def _scores(
     system: ChainSystem,
-    driver: DriverSequence,
+    drivers: list[DriverSequence],
     config: SearchConfig,
     cover: Optional[DeltaCover],
-    rng: Rng,
-) -> DiscrepancyReport:
+) -> list[DiscrepancyReport]:
+    """One report per candidate; star objectives replay all candidates in
+    lockstep and score each retained path on its own."""
     if config.objective == "pullback-mc":
-        return pullback_discrepancy_mc(
-            system, driver, config.n0, cover, config.mc_replications, rng
-        )
-    path = run_chain(system, driver, burn_in=config.n0)
+        return [
+            pullback_discrepancy_mc(
+                system, driver, config.n0, cover, config.mc_replications,
+                Rng(config.seed).split(50_000 + j),
+            )
+            for j, driver in enumerate(drivers)
+        ]
+    paths = run_chains(system, drivers, burn_in=config.n0)
     if config.objective == "star-exact":
-        return star_discrepancy_exact(path.retained, system.target)
-    return star_discrepancy_bracket(path.retained, system.target, cover)
-
-
-def _worker_count() -> int:
-    env = os.environ.get("MCQMC_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
+        return [star_discrepancy_exact(path.retained, system.target) for path in paths]
+    return [star_discrepancy_bracket(path.retained, system.target, cover) for path in paths]
 
 
 def best_of_k(
@@ -132,17 +129,7 @@ def best_of_k(
     if config.objective in ("star-bracket", "pullback-mc") and cover is None:
         raise ValueError(f"objective {config.objective!r} requires a cover")
     drivers = [_make_candidate(config, j, system.s) for j in range(config.k)]
-
-    def eval_one(j: int) -> DiscrepancyReport:
-        return _score(system, drivers[j], config, cover, Rng(config.seed).split(50_000 + j))
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(eval_one, range(config.k)))
-    else:
-        reports = [eval_one(j) for j in range(config.k)]
-
+    reports = _scores(system, drivers, config, cover)
     uppers = np.array([r.upper for r in reports])
     best = int(np.argmin(uppers))
     theory = corollary_main_bound(
@@ -175,7 +162,7 @@ def invert_to_target(
         raise ValueError("system update exposes no inverse")
     targets = [np.atleast_1d(np.asarray(t, float)) for t in targets]
     x1_driver = np.atleast_1d(np.asarray(x1_driver, float))
-    x1 = np.atleast_1d(np.asarray(system.generator.map(x1_driver), float))
+    x1 = system.generator.map(x1_driver[None])[0]
     if np.max(np.abs(x1 - targets[0])) > 1e-9:
         raise ValueError("x1_driver does not generate targets[0]")
     points = np.empty((len(targets), system.s))

@@ -1,0 +1,91 @@
+"""One-chain, one-step-at-a-time replay: the scalar form of the update
+functions that ``run_chains`` batches.  It is kept as the reference the
+batched replay must match bit for bit, and is not used by the package.
+"""
+
+import math
+
+import numpy as np
+from scipy import integrate
+
+
+def sin_power_quantile(p: float, m: int) -> float:
+    """theta in [0, pi] with int_0^theta sin^m / int_0^pi sin^m = p, by
+    bisection to 1e-12."""
+    total, _ = integrate.quad(lambda t: math.sin(t) ** m, 0.0, math.pi, epsabs=1e-14)
+    a, b = 0.0, math.pi
+    while b - a > 1e-12:
+        mid = 0.5 * (a + b)
+        val, _ = integrate.quad(lambda t: math.sin(t) ** m, 0.0, mid, epsabs=1e-14)
+        if val / total < p:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def sphere_point(v, d: int) -> np.ndarray:
+    v = np.atleast_1d(np.asarray(v, float))
+    if d == 1:
+        return np.array([-1.0 if v[0] < 0.5 else 1.0])
+    if d == 2:
+        ang = 2.0 * math.pi * v[0]
+        return np.array([math.cos(ang), math.sin(ang)])
+    if d == 3:
+        z = 1.0 - 2.0 * v[0]
+        ang = 2.0 * math.pi * v[1]
+        r = math.sqrt(max(1.0 - z * z, 0.0))
+        return np.array([r * math.cos(ang), r * math.sin(ang), z])
+    raise NotImplementedError("scalar reference covers d <= 3")
+
+
+def ball_point(v, gamma: float, d: int) -> np.ndarray:
+    v = np.atleast_1d(np.asarray(v, float))
+    radius = gamma * v[-1] ** (1.0 / d)
+    return radius * sphere_point(v[:-1], d)
+
+
+def log_rho(name: str, alpha: float, x: np.ndarray) -> float:
+    return 0.0 if name == "uniform" else alpha * float(x[0])
+
+
+def metropolis_step(x, u, gamma: float, d: int, name: str, alpha: float) -> np.ndarray:
+    u = np.atleast_1d(np.asarray(u, float))
+    p = d if d >= 2 else 2
+    z = ball_point(u[:p], gamma, d)
+    y = x + z
+    if np.dot(y, y) > 1.0:
+        return x
+    log_ratio = log_rho(name, alpha, y) - log_rho(name, alpha, x)
+    if log_ratio >= 0.0 or u[-1] <= math.exp(log_ratio):
+        return y
+    return x
+
+
+def ballwalk_path(points, gamma: float, d: int, name: str, alpha: float) -> np.ndarray:
+    p = d if d >= 2 else 2
+    x = ball_point(points[0][:p], 1.0, d)
+    states = [x]
+    for u in points[1:]:
+        x = metropolis_step(x, u, gamma, d, name, alpha)
+        states.append(x)
+    return np.array(states)
+
+
+def direct_path(points, target) -> np.ndarray:
+    return np.array([[target.inv_cdf(u[0])] for u in points])
+
+
+def lazy_path(points, target, nu, a: float) -> np.ndarray:
+    x = np.array([nu.inv_cdf(points[0][0])])
+    states = [x]
+    for u in points[1:]:
+        if u[-1] < a:
+            x = np.array([target.inv_cdf(u[0])])
+        states.append(x)
+    return np.array(states)
+
+
+def lazy_marginal(i: int, box, target, nu, a: float) -> float:
+    w = (1.0 - a) ** i
+    return w * nu.box_mass(box)[0] + (1.0 - w) * target.box_mass(box)[0]

@@ -5,17 +5,13 @@ Tolerances are pinned in the asserts; statistical checks use 4-sigma
 thresholds with fixed seeds so the suite is deterministic.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from mcqmclab.ballwalk import (
-    BallWalkParams,
-    density_presets,
-    make_metropolis_system,
-    metropolis_update,
-)
+from mcqmclab.ballwalk import make_metropolis_system
 from mcqmclab.bounds import (
     BoundInputs,
     ballwalk_gap_bound,
@@ -25,13 +21,16 @@ from mcqmclab.bounds import (
     tv_average_bound,
 )
 from mcqmclab.chain import (
+    GeneratorFunction,
     compare_expectation,
     make_direct_kernel,
     make_lazy_direct_kernel,
     run_chain,
+    run_chains,
 )
 from mcqmclab.core import (
     AnchoredBox,
+    DriverSequence,
     Rng,
     exp_linear_box,
     exp_linear_interval,
@@ -230,8 +229,6 @@ def test_criterion_09_inversion_pipeline():
 
 def test_criterion_10_reversibility_and_stationarity():
     gamma = 1.0 / math.sqrt(2.0)
-    params = BallWalkParams(gamma, 1)
-    dens = density_presets("uniform", 0.0, 1)
     system = make_metropolis_system("uniform", 0.0, gamma, 1)
 
     # detailed balance: empirical flows A -> B and B -> A from a long
@@ -246,17 +243,22 @@ def test_criterion_10_reversibility_and_stationarity():
     se = math.sqrt((flow_ab.var() + flow_ba.var()) / (N - 1))
     assert abs(flow_ab.mean() - flow_ba.mean()) <= 4.0 * se
 
-    # k-step stationarity: pi-distributed starts stay pi-distributed
+    # k-step stationarity: pi-distributed starts stay pi-distributed; each
+    # start -1 + 2 u enters as the first coordinate of its driver's point 0
+    starts = dataclasses.replace(
+        system, generator=GeneratorFunction(system.s, lambda U: -1.0 + 2.0 * U[:, :1])
+    )
     m = 20_000
     for k in (1, 10):
         rng = Rng(2718).split(k)
-        states = -1.0 + 2.0 * rng.uniforms(m)
+        first = np.zeros((m, 1, 3))
+        first[:, 0, 0] = rng.uniforms(m)
         drv = rng.uniforms(m * k * 3).reshape(m, k, 3)
-        for i in range(m):
-            s = np.array([states[i]])
-            for j in range(k):
-                s = metropolis_update(s, drv[i, j], params, dens)
-            states[i] = s[0]
+        drivers = [
+            DriverSequence(pts, "stationary-start")
+            for pts in np.concatenate([first, drv], axis=1)
+        ]
+        states = np.array([path.states[-1, 0] for path in run_chains(starts, drivers)])
         for t in (-0.5, 0.0, 0.5):
             exact = (t + 1.0) / 2.0
             emp = float(np.mean(states < t))

@@ -61,8 +61,8 @@ class TestRunChain:
     def test_domain_violation_detected(self):
         target = uniform_interval(0.0, 1.0)
         bad = ChainSystem(
-            update=UpdateFunction(s=1, map=lambda x, u: x + 1.0),
-            generator=GeneratorFunction(s_init=1, map=lambda u: np.array([u[0]])),
+            update=UpdateFunction(s=1, map=lambda X, U: X + 1.0),
+            generator=GeneratorFunction(s_init=1, map=lambda U: U[:, :1]),
             target=target,
             lambda0=0.0,
             beta=None,
@@ -110,15 +110,15 @@ class TestDirectKernel:
     def test_exact_marginal_is_target_mass(self):
         system = _direct()
         box = AnchoredBox([0.2])
-        assert system.exact_marginal(0, box) == system.exact_marginal(7, box) == 0.6
+        assert np.array_equal(system.exact_marginal([0, 7], box), [0.6, 0.6])
 
 
 class TestLazyDirectKernel:
     def test_update_branches(self):
         system = make_lazy_direct_kernel(uniform_interval(-1.0, 1.0), a=0.5)
         x = np.array([0.3])
-        stay = system.update.map(x, np.array([0.9, 0.8]))
-        move = system.update.map(x, np.array([0.25, 0.1]))
+        U = np.array([[0.9, 0.8], [0.25, 0.1]])
+        stay, move = system.update.map(np.array([x, x]), system.update.lift(U))
         assert np.array_equal(stay, x)
         assert move[0] == pytest.approx(-0.5)
 
@@ -127,11 +127,9 @@ class TestLazyDirectKernel:
         nu = uniform_interval(-1.0, 1.0)
         system = make_lazy_direct_kernel(pi, a=0.5, nu=nu)
         box = AnchoredBox([0.0])
-        m0 = system.exact_marginal(0, box)
-        m_inf = system.exact_marginal(200, box)
+        m0, m1, m_inf = system.exact_marginal([0, 1, 200], box)
         assert m0 == pytest.approx(nu.box_mass(box)[0], abs=1e-12)
         assert m_inf == pytest.approx(pi.box_mass(box)[0], abs=1e-12)
-        m1 = system.exact_marginal(1, box)
         assert m1 == pytest.approx(0.5 * m0 + 0.5 * m_inf, abs=1e-12)
 
     def test_spectrum_matches_discretized_operator(self):

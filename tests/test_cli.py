@@ -65,6 +65,69 @@ class TestValidate:
         assert main(["validate", _write(tmp_path, "c.json", cfg)]) == 2
 
 
+class TestBadValues:
+    def _search(self, tmp_path, key, value):
+        cfg = {
+            "experiment": "search",
+            "dimension": 1,
+            "density": {"name": "uniform", "alpha": 0.0},
+            "kernel": "direct",
+            "n": 32,
+            "k": 2,
+            "seed": 1,
+            "output": str(tmp_path / "s.csv"),
+        }
+        cfg[key] = value
+        return _write(tmp_path, "c.json", cfg)
+
+    def _assert_rejected(self, tmp_path, capsys, cfg_path, key):
+        assert main(["run", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert repr(key) in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+        assert main(["validate", cfg_path]) == 2
+
+    def test_non_numeric_n(self, tmp_path, capsys):
+        self._assert_rejected(tmp_path, capsys, self._search(tmp_path, "n", "abc"), "n")
+
+    def test_zero_k(self, tmp_path, capsys):
+        self._assert_rejected(tmp_path, capsys, self._search(tmp_path, "k", 0), "k")
+
+    def test_negative_n(self, tmp_path, capsys):
+        self._assert_rejected(tmp_path, capsys, self._search(tmp_path, "n", -5), "n")
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("n", 32.5),
+            ("n", True),
+            ("delta", 0.0),
+            ("mc-replications", 50),
+            ("gamma", 0),
+            ("objective", "nope"),
+            ("candidate-kinds", ["sobol"]),
+            ("density", {"name": "exp-linear", "alpha": -1.0}),
+        ],
+    )
+    def test_other_bad_values(self, tmp_path, capsys, key, value):
+        name = "density.alpha" if key == "density" else key
+        self._assert_rejected(tmp_path, capsys, self._search(tmp_path, key, value), name)
+
+    def test_gamma_star_rejected_for_inversion(self, tmp_path, capsys):
+        cfg = {"experiment": "invert", "gamma": "gamma-star", "output": str(tmp_path / "i.csv")}
+        self._assert_rejected(tmp_path, capsys, _write(tmp_path, "c.json", cfg), "gamma")
+
+    def test_rate_study_ns_must_increase(self, tmp_path, capsys):
+        cfg = {
+            "experiment": "rate-study",
+            "kernel": "direct",
+            "ns": [64, 16],
+            "output": str(tmp_path / "r.csv"),
+        }
+        self._assert_rejected(tmp_path, capsys, _write(tmp_path, "c.json", cfg), "ns")
+
+
 class TestRunBounds:
     def test_golden_row(self, tmp_path):
         cfg_path = _write(tmp_path, "c.json", _bounds_cfg(tmp_path))

@@ -118,6 +118,13 @@ class TestDriverSequence:
         with pytest.raises(ValueError):
             DriverSequence(np.empty((0, 1)), provenance="bad")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            DriverSequence(np.array([[bad]]), provenance="bad")
+        with pytest.raises(ValueError):
+            DriverSequence(np.array([[0.2, 0.5], [0.3, bad]]), provenance="bad")
+
     def test_uniform_driver_reproducible(self):
         a = uniform_driver(10, 2, Rng(3))
         b = uniform_driver(10, 2, Rng(3))

@@ -89,13 +89,6 @@ class TestBestOfK:
         res = best_of_k(_direct(), cfg)
         assert res.theory_bound == corollary_main_bound(BoundInputs(n=64, d=1))
 
-    def test_threaded_matches_serial(self, monkeypatch):
-        cfg = SearchConfig(n=64, k=6, seed=12)
-        serial = best_of_k(_direct(), cfg)
-        monkeypatch.setenv("MCQMC_THREADS", "4")
-        threaded = best_of_k(_direct(), cfg)
-        assert serial.all_scores == threaded.all_scores
-
 
 class TestInvertToTarget:
     def test_single_target(self):
