@@ -270,10 +270,9 @@ def make_metropolis_system(
     distribution on the unit ball.
 
     ||dnu/dpi||_2 <= e^alpha is used as the density-norm certificate.  The
-    spectral-gap lower bound applies at the optimal radius gamma*; for any
-    other radius (notably the inversion regime gamma = 2) lambda0 is left at
-    the uninformative value 0 and the theory calculators must not be fed
-    from this system.
+    spectral-gap lower bound applies at the optimal radius gamma* only; for
+    any other radius (notably the inversion regime gamma = 2) lambda0 is
+    unknown (None), and no theory bound is computed from this system.
     """
     density = density_presets(name, alpha, d)
     target = _target_for(name, alpha, d)
@@ -314,7 +313,7 @@ def make_metropolis_system(
         1.0 / math.sqrt(d + 1),
         3.125e-6 / (d + 1) ** 2,
     )
-    lambda0 = 1.0 - gap if abs(gamma - gamma_star) <= 1e-12 else 0.0
+    lambda0 = 1.0 - gap if abs(gamma - gamma_star) <= 1e-12 else None
 
     norm = math.exp(density.alpha)
     return ChainSystem(

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import AnchoredBox, DriverSequence, Rng, TargetMeasure
+from .core import DriverSequence, Rng, TargetMeasure
 
 __all__ = [
     "GeneratorFunction",
@@ -68,10 +68,12 @@ class UpdateFunction:
 class ChainSystem:
     """Update/generator pair with target and spectral metadata.
 
-    ``lambda0`` is max{Lambda, 0}; ``beta`` the absolute operator norm on
-    mean-zero L2 (None when unknown).  ``exact_marginal(steps, box)`` returns
-    the array of nu P^i(box) over the steps i when the kernel admits a
-    closed-form marginal; otherwise the marginal is estimated by Monte Carlo.
+    ``lambda0`` is max{Lambda, 0} and ``beta`` the absolute operator norm on
+    mean-zero L2, each None when unknown; no theory bound is computed from
+    an unknown lambda0.  ``exact_marginal(steps, corners)`` returns the
+    array of nu P^i((-inf, c)) of shape (len(corners), len(steps)) for the
+    corner rows c and steps i when the kernel admits a closed-form marginal;
+    otherwise the marginal is estimated by Monte Carlo.
     ``kernel_sampler(x, rng)`` draws one transition from K(x, .)
     independently of the update function.
     """
@@ -79,18 +81,19 @@ class ChainSystem:
     update: UpdateFunction
     generator: GeneratorFunction
     target: TargetMeasure
-    lambda0: float
+    lambda0: Optional[float]
     beta: Optional[float]
     nu_density_norm: float
     nu_norm_centered: float = 0.0
-    exact_marginal: Optional[Callable[[Sequence[int], AnchoredBox], np.ndarray]] = None
+    exact_marginal: Optional[Callable[[Sequence[int], np.ndarray], np.ndarray]] = None
     kernel_sampler: Optional[Callable[[np.ndarray, Rng], np.ndarray]] = None
 
     def __post_init__(self):
-        if not (0.0 <= self.lambda0 <= 1.0):
-            raise ValueError("lambda0 must lie in [0, 1]")
-        if self.beta is not None and self.lambda0 > self.beta + 1e-12:
-            raise ValueError("lambda0 must not exceed beta")
+        if self.lambda0 is not None:
+            if not (0.0 <= self.lambda0 <= 1.0):
+                raise ValueError("lambda0 must lie in [0, 1]")
+            if self.beta is not None and self.lambda0 > self.beta + 1e-12:
+                raise ValueError("lambda0 must not exceed beta")
         if self.update.s != self.generator.s_init:
             raise ValueError("generator and update must consume the same driver dimension")
 
@@ -232,8 +235,9 @@ def make_direct_kernel(
 
     update = UpdateFunction(s=generator.s_init, map=lambda X, W: W, lift=lift)
 
-    def marginal(steps: Sequence[int], box: AnchoredBox) -> np.ndarray:
-        return np.full(len(steps), target.box_mass(box)[0])
+    def marginal(steps: Sequence[int], corners: np.ndarray) -> np.ndarray:
+        masses = target.box_masses(corners)[0]
+        return np.repeat(masses[:, None], len(steps), axis=1)
 
     def sampler(x: np.ndarray, rng: Rng) -> np.ndarray:
         return generator.map(rng.uniforms(generator.s_init)[None])[0]
@@ -277,8 +281,9 @@ def make_lazy_direct_kernel(
         s=2, map=lambda X, W: np.where(W[:, 1:] < a, W[:, :1], X), lift=lift
     )
 
-    def marginal(steps: Sequence[int], box: AnchoredBox) -> np.ndarray:
-        m_nu, m_pi = nu.box_mass(box)[0], target.box_mass(box)[0]
+    def marginal(steps: Sequence[int], corners: np.ndarray) -> np.ndarray:
+        m_nu = nu.box_masses(corners)[0][:, None]
+        m_pi = target.box_masses(corners)[0][:, None]
         # Python's float pow, as in the per-step form: numpy's power differs
         # from it in the last bit on some inputs
         w = np.array([(1.0 - a) ** i for i in steps])

@@ -7,7 +7,8 @@ Subcommands:
 * ``mcqmc validate <config.json>`` -- check a config without running it
 
 Exit codes: 0 success, 2 config error (nothing written), 3 infeasible
-objective (e.g. exact discrepancy scan above dimension 3).
+objective (e.g. exact discrepancy scan above dimension 3, or a delta-cover
+that fails its slab audit).
 
 Every numeric written to the CSV is a pure function of (config, seed);
 floats are serialized with 17 significant digits so they round-trip exactly.
@@ -44,6 +45,7 @@ from .core import (
     uniform_interval,
 )
 from .discrepancy import (
+    CoverConstructionError,
     ExactScanInfeasible,
     build_quantile_cover,
     pullback_discrepancy_mc,
@@ -299,6 +301,14 @@ def _search_config(p: dict, n: int) -> SearchConfig:
     )
 
 
+def _theory_note(system) -> dict:
+    """Manifest entry giving the reason for an infinite theory bound when
+    the system's spectral constant is unknown."""
+    if system.lambda0 is None:
+        return {"theory_bound": "not computed: lambda0 is unknown for gamma != gamma*"}
+    return {}
+
+
 def _cover_builder(p: dict, system):
     if p["objective"] == "star-exact":
         return None
@@ -316,7 +326,8 @@ def _run_search(p: dict):
     result = best_of_k(system, sc, cover=cover)
     header = ["n", "seed", "disc_lower", "disc_upper", "theory_bound"]
     row = [sc.n, sc.seed, result.best_report.lower, result.best_report.upper, result.theory_bound]
-    return header, [row], {"gamma": gamma, "all_scores": list(result.all_scores)}
+    extra = {"gamma": gamma, "all_scores": list(result.all_scores), **_theory_note(system)}
+    return header, [row], extra
 
 
 def _run_rate_study(p: dict):
@@ -329,7 +340,7 @@ def _run_rate_study(p: dict):
     rows = rate_study(system, ns, sc, cover_builder=_cover_builder(p, system))
     header = ["n", "seed", "disc_lower", "disc_upper", "theory_bound", "beck_bound", "runtime_ms"]
     out = [[r[h] for h in header] for r in rows]
-    return header, out, {"gamma": gamma}
+    return header, out, {"gamma": gamma, **_theory_note(system)}
 
 
 def _run_invert(p: dict):
@@ -372,7 +383,7 @@ def _cmd_run(path: str) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InfeasibleError, ExactScanInfeasible, NotImplementedError) as exc:
+    except (InfeasibleError, ExactScanInfeasible, CoverConstructionError, NotImplementedError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - t0

@@ -8,8 +8,8 @@ the types here:
 * ``AnchoredBox`` -- a strictly open box ``(-inf, corner)``; membership is
   strict in every coordinate.
 * ``TargetMeasure`` -- a target distribution given by a density on a bounded
-  domain, with a box-mass oracle (analytic where possible, quadrature
-  otherwise) and cached normalizer.
+  domain, with a batched box-mass oracle over corner arrays (closed form
+  where possible, quadrature otherwise) and cached normalizer.
 * ``DriverSequence`` -- n points in [0,1]^s consumed one per chain step.
 """
 
@@ -220,6 +220,29 @@ class AnchoredBox:
 # ---------------------------------------------------------------------------
 
 _QUAD_TOL = {1: 1e-10, 2: 1e-8}
+# Gauss-Legendre rules over x1 = r sin(theta) for the disc profile
+# reduction; the higher order gives the value, the gap to the lower one the
+# error estimate
+_DISC_RULES = tuple(np.polynomial.legendre.leggauss(k) for k in (24, 48))
+
+
+def _bisect(f: Callable[[np.ndarray], np.ndarray], p, a: float, b: float):
+    """Bisection to width 1e-12 of a nondecreasing f for every level of p at
+    once: each level halves its own bracket [a, b], keeping the lower end
+    while f(mid) < p, until it is no wider than 1e-12, and returns the
+    midpoint.  Scalar p gives a float."""
+    levels = np.atleast_1d(np.asarray(p, float)).ravel()
+    lo = np.full(levels.shape, float(a))
+    hi = np.full(levels.shape, float(b))
+    live = np.flatnonzero(hi - lo > 1e-12)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        up = np.asarray(f(mid)) < levels[live]
+        lo[live[up]] = mid[up]
+        hi[live[~up]] = mid[~up]
+        live = live[hi[live] - lo[live] > 1e-12]
+    out = 0.5 * (lo + hi)
+    return out.reshape(np.shape(p)) if np.ndim(p) else float(out[0])
 
 
 class TargetMeasure:
@@ -232,14 +255,15 @@ class TargetMeasure:
         Unnormalized density; takes an array of shape (m, d) and returns (m,).
         Must be positive on the domain.
     exact_box_mass : callable, optional
-        Closed-form normalized mass of an open anchored box, given the
-        effective (clipped) corner.  When present the quadrature error is 0.
+        Closed-form normalized masses of open anchored boxes, given their
+        effective (clipped) corners as an array of shape (m, d); returns (m,).
+        When present the error is 0.
     exact_cdf / exact_inv_cdf : callable, optional
         d = 1 only; vectorized CDF and its inverse.
     profile : callable, optional
-        For densities depending on the first coordinate only: profile(x1)
-        (vectorized).  Enables the 1-D reduction of ball-domain masses in
-        d = 2.
+        For densities on the d = 2 ball depending on the first coordinate
+        only: profile(x1), vectorized.  Box masses then come from one
+        Gauss-Legendre rule over x1 for all corners.
     """
 
     def __init__(
@@ -248,7 +272,7 @@ class TargetMeasure:
         density: Callable[[np.ndarray], np.ndarray],
         *,
         name: str = "",
-        exact_box_mass: Optional[Callable[[np.ndarray], float]] = None,
+        exact_box_mass: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         exact_cdf: Optional[Callable] = None,
         exact_inv_cdf: Optional[Callable] = None,
         profile: Optional[Callable] = None,
@@ -267,7 +291,11 @@ class TargetMeasure:
             self.normalizer, self.normalizer_error = 1.0, 0.0
         else:
             lo, hi = domain.bounding()
-            self.normalizer, self.normalizer_error = self._raw_integral(hi)
+            if self._profile_rule:
+                num, err = self._disc_integrals(hi[None])
+                self.normalizer, self.normalizer_error = float(num[0]), float(err[0])
+            else:
+                self.normalizer, self.normalizer_error = self._raw_integral(hi)
             if self.normalizer <= 0:
                 raise ValueError("density must integrate to a positive value")
 
@@ -275,41 +303,95 @@ class TargetMeasure:
     def dim(self) -> int:
         return self.domain.dim
 
-    # -- box mass ----------------------------------------------------------
+    # -- box masses ----------------------------------------------------------
+
+    def box_masses(self, corners) -> tuple[np.ndarray, float]:
+        """Normalized masses of the open boxes ``(-inf, c)`` intersected with
+        the domain, one per row c of ``corners`` (shape (m, d)), plus the
+        largest error bound among them.  Entries of +inf mean no
+        restriction; a row with an entry at or below the domain's lower
+        bound has mass 0, and a row at or above its upper bound in every
+        entry has mass 1, both without error."""
+        c = np.asarray(corners, float)
+        if c.ndim != 2 or c.shape[1] != self.dim:
+            raise ValueError(f"corners of shape {c.shape} for measure dimension {self.dim}")
+        lo, hi_dom = self.domain.bounding()
+        empty = np.any(c <= lo, axis=1)
+        full = np.all(c >= hi_dom, axis=1) & ~empty
+        masses = full.astype(float)
+        rest = np.flatnonzero(~(empty | full))
+        if rest.size == 0:
+            return masses, 0.0
+        hi = np.minimum(c[rest], hi_dom)
+        if self.exact_box_mass is not None:
+            masses[rest] = self.exact_box_mass(hi)
+            return masses, 0.0
+        if self._profile_rule:
+            num, num_err = self._disc_integrals(hi)
+            vals = np.clip(num / self.normalizer, 0.0, 1.0)
+            errs = (num_err + vals * self.normalizer_error) / self.normalizer
+        else:
+            vals, errs = np.array([self._cached_mass(c[i], h) for i, h in zip(rest, hi)]).T
+        masses[rest] = vals
+        return masses, float(np.max(errs))
 
     def box_mass(self, box: AnchoredBox) -> tuple[float, float]:
         """Normalized mass of ``box`` intersected with the domain, plus an
-        error bound.  Corner entries of +inf mean no restriction."""
+        error bound: :meth:`box_masses` of its corner."""
         if box.dim != self.dim:
             raise ValueError(f"box dimension {box.dim} != measure dimension {self.dim}")
-        lo, hi_dom = self.domain.bounding()
-        c = box.corner
-        if np.any(c <= lo):
-            return 0.0, 0.0
-        if np.all(c >= hi_dom):
-            return 1.0, 0.0
-        key = box.key
+        masses, err = self.box_masses(box.corner[None])
+        return float(masses[0]), err
+
+    @property
+    def _profile_rule(self) -> bool:
+        """Whether box masses come from the disc profile rule, all corners
+        at once."""
+        return self.profile is not None and self.dim == 2 and isinstance(self.domain, BallDomain)
+
+    def _cached_mass(self, corner: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
+        """Mass and error of one corner by its own quadrature, cached by the
+        corner."""
+        key = corner.tobytes()
         hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        hi = np.minimum(c, hi_dom)
-        if self.exact_box_mass is not None:
-            out = (float(self.exact_box_mass(hi)), 0.0)
-        else:
+        if hit is None:
             num, num_err = self._raw_integral(hi)
             mass = min(max(num / self.normalizer, 0.0), 1.0)
-            err = (num_err + mass * self.normalizer_error) / self.normalizer
-            out = (mass, err)
-        self._cache[key] = out
-        return out
+            hit = self._cache[key] = (mass, (num_err + mass * self.normalizer_error) / self.normalizer)
+        return hit
+
+    def _disc_integrals(self, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d = 2 ball with a profile: int profile(x1) L(x1) dx1 over x1 < h1,
+        where L is the length of the x2-section below h2, in the variable
+        x1 = r sin(theta).  L is r cos(theta) + h2 on |theta| < arccos(|h2|/r)
+        and 2 r cos(theta) or 0 (as h2 >= 0 or not) outside, so the rule runs
+        over the three pieces between these kinks, where the integrand is
+        smooth."""
+        r = self.domain.radius
+        top = np.arcsin(hi[:, 0] / r)
+        h2 = hi[:, 1:]
+        kink = np.arccos(np.abs(hi[:, 1]) / r)
+        edges = [np.full_like(top, -0.5 * math.pi), -kink, kink, np.full_like(top, 0.5 * math.pi)]
+        rules = []
+        for nodes, weights in _DISC_RULES:
+            total = np.zeros_like(top)
+            for k in range(3):
+                a = np.minimum(edges[k], top)
+                b = np.minimum(edges[k + 1], top)
+                half = 0.5 * (b - a)
+                theta = (0.5 * (a + b))[:, None] + half[:, None] * nodes
+                chord = r * np.cos(theta)
+                section = chord + h2 if k == 1 else 2.0 * chord * (h2 >= 0.0)
+                f = self.profile(r * np.sin(theta)) * section * chord
+                total = total + half * np.sum(f * weights, axis=1)
+            rules.append(total)
+        return rules[1], np.abs(rules[1] - rules[0])
 
     def _raw_integral(self, hi: np.ndarray) -> tuple[float, float]:
-        """Unnormalized integral of the density over domain ∩ (-inf, hi)."""
+        """Unnormalized integral of the density over domain ∩ (-inf, hi), for
+        hi inside the domain's bounding box."""
         d = self.dim
         lo, hi_dom = self.domain.bounding()
-        hi = np.minimum(np.asarray(hi, float), hi_dom)
-        if np.any(hi <= lo):
-            return 0.0, 0.0
         if d == 1:
             f = lambda t: float(self.density(np.array([[t]]))[0])
             val, err = integrate.quad(f, lo[0], hi[0], epsabs=_QUAD_TOL[1], limit=200)
@@ -321,20 +403,13 @@ class TargetMeasure:
     def _raw_integral_2d(self, hi: np.ndarray) -> tuple[float, float]:
         lo, hi_dom = self.domain.bounding()
         tol = _QUAD_TOL[2]
+
+        def f2(y, x):
+            return float(self.density(np.array([[x, y]]))[0])
+
         if isinstance(self.domain, BallDomain):
             r = self.domain.radius
             c1, c2 = hi
-
-            if self.profile is not None:
-                # Density depends on x1 only: integrate profile(x1) times the
-                # admissible x2 segment length; a single smooth 1-D quadrature.
-                def f(x):
-                    h = math.sqrt(max(r * r - x * x, 0.0))
-                    seg = min(c2, h) + h
-                    return float(self.profile(np.array([x]))[0]) * max(seg, 0.0)
-
-                val, err = integrate.quad(f, -r, min(c1, r), epsabs=tol, limit=200)
-                return val, err
 
             def glo(x):
                 return -math.sqrt(max(r * r - x * x, 0.0))
@@ -342,17 +417,11 @@ class TargetMeasure:
             def ghi(x):
                 return min(c2, math.sqrt(max(r * r - x * x, 0.0)))
 
-            def f2(y, x):
-                return float(self.density(np.array([[x, y]]))[0])
-
             val, err = integrate.dblquad(
                 f2, -r, min(c1, r), glo, lambda x: max(ghi(x), glo(x)), epsabs=tol
             )
             return val, err
         # box domain: tensorized adaptive rule
-        def f2(y, x):
-            return float(self.density(np.array([[x, y]]))[0])
-
         val, err = integrate.dblquad(f2, lo[0], hi[0], lo[1], hi[1], epsabs=tol)
         return val, err
 
@@ -390,7 +459,7 @@ class TargetMeasure:
         if self.exact_cdf is not None:
             return self.exact_cdf(t)
         t_arr = np.atleast_1d(np.asarray(t, float))
-        out = np.array([self.box_mass(AnchoredBox([ti]))[0] for ti in t_arr])
+        out = self.box_masses(t_arr.reshape(-1, 1))[0].reshape(t_arr.shape)
         return out if np.ndim(t) else float(out[0])
 
     def inv_cdf(self, p):
@@ -400,42 +469,30 @@ class TargetMeasure:
             raise ValueError("inv_cdf is defined for d = 1 only")
         if self.exact_inv_cdf is not None:
             return self.exact_inv_cdf(p)
-        p_arr = np.atleast_1d(np.asarray(p, float))
         lo, hi = self.domain.bounding()
-        out = np.array([self._bisect_cdf(float(pi), lo[0], hi[0]) for pi in p_arr])
-        return out if np.ndim(p) else float(out[0])
-
-    def _bisect_cdf(self, p: float, a: float, b: float) -> float:
-        while b - a > 1e-12:
-            m = 0.5 * (a + b)
-            if self.cdf(m) < p:
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
+        return _bisect(self.cdf, p, lo[0], hi[0])
 
     # -- marginals -----------------------------------------------------------
 
-    def marginal_cdf(self, j: int, t: float) -> float:
-        """pi({x : x_j < t})."""
+    def marginal_cdf(self, j: int, t):
+        """pi({x : x_j < t}), elementwise over t."""
+        t_arr = np.atleast_1d(np.asarray(t, float))
         if self.dim == 1:
-            return float(self.cdf(t))
-        corner = np.full(self.dim, np.inf)
-        corner[j] = t
-        return self.box_mass(AnchoredBox(corner))[0]
+            out = np.asarray(self.cdf(t_arr), float)
+        else:
+            corners = np.full((t_arr.size, self.dim), np.inf)
+            corners[:, j] = t_arr.ravel()
+            out = self.box_masses(corners)[0].reshape(t_arr.shape)
+        return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
 
-    def marginal_quantile(self, j: int, p: float) -> float:
-        lo, hi = self.domain.bounding()
+    def marginal_quantile(self, j: int, p):
+        """Marginal quantiles of coordinate j, elementwise over p: the inverse
+        CDF for d = 1, else bisection of :meth:`marginal_cdf` to 1e-12."""
         if self.dim == 1:
-            return float(self.inv_cdf(p))
-        a, b = lo[j], hi[j]
-        while b - a > 1e-12:
-            m = 0.5 * (a + b)
-            if self.marginal_cdf(j, m) < p:
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
+            q = self.inv_cdf(p)
+            return np.asarray(q, float) if np.ndim(p) else float(q)
+        lo, hi = self.domain.bounding()
+        return _bisect(lambda t: self.marginal_cdf(j, t), p, lo[j], hi[j])
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +503,15 @@ class TargetMeasure:
 def uniform_interval(a: float = -1.0, b: float = 1.0) -> TargetMeasure:
     width = b - a
 
-    def mass(hi):
-        return min(max((hi[0] - a) / width, 0.0), 1.0)
+    def cdf(t):
+        return np.clip((np.asarray(t, float) - a) / width, 0.0, 1.0)
 
     return TargetMeasure(
         BoxDomain((a,), (b,)),
         lambda x: np.ones(x.shape[0]),
         name=f"uniform[{a},{b}]",
-        exact_box_mass=mass,
-        exact_cdf=lambda t: np.clip((np.asarray(t, float) - a) / width, 0.0, 1.0),
+        exact_box_mass=lambda hi: cdf(hi[:, 0]),
+        exact_cdf=cdf,
         exact_inv_cdf=lambda p: a + np.asarray(p, float) * width,
     )
 
@@ -477,24 +534,34 @@ def exp_linear_interval(alpha: float, a: float = -1.0, b: float = 1.0) -> Target
         BoxDomain((a,), (b,)),
         lambda x: np.exp(alpha * x[:, 0]),
         name=f"exp-linear(alpha={alpha})[{a},{b}]",
-        exact_box_mass=lambda hi: float(cdf(hi[0])),
+        exact_box_mass=lambda hi: cdf(hi[:, 0]),
         exact_cdf=cdf,
         exact_inv_cdf=inv,
     )
 
 
+def _product_mass(first: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
+    """Box masses of a product measure: the CDF ``first`` of coordinate 0
+    times uniform factors for the others, multiplied left to right."""
+
+    def mass(c):
+        m = first(c[:, 0])
+        for j in range(1, len(lo)):
+            m = m * np.clip((c[:, j] - lo[j]) / (hi[j] - lo[j]), 0.0, 1.0)
+        return m
+
+    return mass
+
+
 def uniform_box(lower: Sequence[float], upper: Sequence[float]) -> TargetMeasure:
     lo = np.asarray(lower, float)
     hi = np.asarray(upper, float)
-
-    def mass(c):
-        return float(np.prod(np.clip((c - lo) / (hi - lo), 0.0, 1.0)))
-
+    first = uniform_interval(lo[0], hi[0]).exact_cdf
     return TargetMeasure(
         BoxDomain(tuple(lo), tuple(hi)),
         lambda x: np.ones(x.shape[0]),
         name="uniform-box",
-        exact_box_mass=mass,
+        exact_box_mass=_product_mass(first, lo, hi),
     )
 
 
@@ -503,33 +570,45 @@ def exp_linear_box(alpha: float, lower: Sequence[float], upper: Sequence[float])
     and uniform factors, so box masses are closed-form."""
     lo = np.asarray(lower, float)
     hi = np.asarray(upper, float)
-    d = len(lo)
-    first = exp_linear_interval(alpha, lo[0], hi[0])
-
-    def mass(c):
-        m = float(first.exact_cdf(c[0]))
-        for j in range(1, d):
-            m *= min(max((c[j] - lo[j]) / (hi[j] - lo[j]), 0.0), 1.0)
-        return m
-
+    first = exp_linear_interval(alpha, lo[0], hi[0]).exact_cdf
     return TargetMeasure(
         BoxDomain(tuple(lo), tuple(hi)),
         lambda x: np.exp(alpha * x[:, 0]),
         name=f"exp-linear-box(alpha={alpha})",
-        exact_box_mass=mass,
-        profile=lambda x1: np.exp(alpha * np.asarray(x1, float)),
+        exact_box_mass=_product_mass(first, lo, hi),
     )
 
 
+def _disc_area_below(t):
+    """The antiderivative G(t) = (t sqrt(1 - t^2) + asin t) / 2 of
+    sqrt(1 - t^2) on [-1, 1]."""
+    return 0.5 * (t * np.sqrt(1.0 - t * t) + np.arcsin(t))
+
+
+def _uniform_disc_mass(hi: np.ndarray) -> np.ndarray:
+    """pi((-inf, c)) for the uniform unit disc and corners c = (c1, c2) in
+    [-1, 1]^2.  The x2-section at x1 = x has length h + c2 for |x| < s and
+    2h or 0 (as c2 >= 0 or not) for |x| >= s, where h = sqrt(1 - x^2) and
+    s = sqrt(1 - c2^2); each piece integrates in closed form through G."""
+    G = _disc_area_below
+    t, c = hi[:, 0], hi[:, 1]
+    s = np.sqrt(1.0 - c * c)
+    mid = np.clip(t, -s, s)
+    inner = G(mid) - G(-s) + c * (mid + s)
+    outer = 2.0 * (G(np.minimum(t, -s)) - G(-1.0) + G(np.maximum(t, s)) - G(s))
+    return np.clip((inner + np.where(c >= 0.0, outer, 0.0)) / math.pi, 0.0, 1.0)
+
+
 def uniform_ball(d: int, seed: int = 0) -> TargetMeasure:
-    """Uniform distribution on the Euclidean unit ball."""
+    """Uniform distribution on the Euclidean unit ball; closed-form box
+    masses in d = 2."""
     if d == 1:
         return uniform_interval(-1.0, 1.0)
     return TargetMeasure(
         BallDomain(d),
         lambda x: np.ones(x.shape[0]),
         name=f"uniform-ball(d={d})",
-        profile=lambda x1: np.ones(np.shape(x1)),
+        exact_box_mass=_uniform_disc_mass if d == 2 else None,
         seed=seed,
     )
 

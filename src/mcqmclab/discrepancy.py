@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +32,11 @@ __all__ = [
     "pullback_discrepancy_mc",
     "kh_error_bound",
 ]
+
+
+# bound on the grid cells (corner masses, and box counts times points in
+# d = 3) that the exact scan holds at once
+_SCAN_CHUNK_CELLS = 1 << 20
 
 
 class ExactScanInfeasible(RuntimeError):
@@ -101,27 +106,35 @@ def star_discrepancy_exact(points, measure: TargetMeasure) -> DiscrepancyReport:
         )
         return DiscrepancyReport(lower=disc, upper=disc, method="exact-scan")
 
-    # generic grid scan (mass via box-mass oracle; boundary has measure 0)
-    axes = []
-    for j in range(d):
-        vals = np.unique(pts[:, j])
-        cands = [(v, True) for v in vals] + [(v, False) for v in vals]
-        cands.append((np.inf, True))
-        axes.append(cands)
+    # Critical grid: per axis the distinct coordinates and +inf.  Grid index
+    # i counts the points of rank < i strictly and of rank <= i closed; the
+    # two branches share the corner, whose mass is taken once (the boundary
+    # has measure 0).
+    values, ranks = zip(*(np.unique(pts[:, j], return_inverse=True) for j in range(d)))
+    sizes = [v.size + 1 for v in values]
+    axes = [np.append(v, np.inf) for v in values]
+    branches = [(np.arange(u), np.minimum(np.arange(u) + 1, u - 1)) for u in sizes]
+    # member[j][t, p] = 1 when point p has rank < t on axis j; contracting
+    # them over the points gives the count of every box
+    member = [(r[None, :] < np.arange(u)[:, None]).astype(float) for r, u in zip(ranks, sizes)]
+    cells = math.prod(sizes[1:]) * (n if d == 3 else 1)
+    rows = max(1, _SCAN_CHUNK_CELLS // cells)
     best = 0.0
     max_err = 0.0
-    for combo in itertools.product(*axes):
-        corner = np.array([c[0] for c in combo])
-        strict = np.array([c[1] for c in combo])
-        inside = np.ones(n, bool)
-        for j in range(d):
-            if strict[j]:
-                inside &= pts[:, j] < corner[j]
-            else:
-                inside &= pts[:, j] <= corner[j]
-        mass, err = measure.box_mass(AnchoredBox(corner))
-        best = max(best, abs(inside.mean() - mass))
+    for start in range(0, sizes[0], rows):
+        chunk = slice(start, start + rows)
+        grid = np.meshgrid(axes[0][chunk], *axes[1:], indexing="ij")
+        masses, err = measure.box_masses(np.stack(grid, axis=-1).reshape(-1, d))
+        masses = masses.reshape(grid[0].shape)
         max_err = max(max_err, err)
+        for first in branches[0]:
+            counts = member[0][first[chunk]]
+            for mid in member[1:-1]:
+                counts = counts[..., None, :] * mid
+            counts = counts @ member[-1].T if d > 1 else counts.sum(axis=-1)
+            for idx in itertools.product(*branches[1:]):
+                emp = counts[(slice(None),) + np.ix_(*idx)] / n
+                best = max(best, float(np.max(np.abs(emp - masses))))
     return DiscrepancyReport(
         lower=max(best - max_err, 0.0),
         upper=min(best + max_err, 1.0),
@@ -136,23 +149,22 @@ def star_discrepancy_exact(points, measure: TargetMeasure) -> DiscrepancyReport:
 
 @dataclass
 class DeltaCover:
-    """Finite bracketing family for anchored boxes.
-
-    ``sets`` always contains the empty box and the full-domain box;
-    :meth:`bracket` maps any anchored box A to (C, D) in the family with
-    C ⊆ A ⊆ D and pi(D \\ C) <= delta (+ quadrature error).
+    """Finite bracketing family for anchored boxes, held as the corner array
+    of its members: the product grid of the per-coordinate cuts and +inf,
+    then the empty box (all -inf).  :meth:`bracket` maps any anchored box A
+    to (C, D) in the family with C ⊆ A ⊆ D and pi(D \\ C) <= delta
+    (+ quadrature error).
     """
 
     delta: float
     measure: TargetMeasure
     cuts: tuple  # per-coordinate sorted cut arrays
-    sets: list = field(default_factory=list)
-    _corners: Optional[np.ndarray] = None
-    _masses: Optional[np.ndarray] = None
+    corners: np.ndarray  # (size, d)
+    _masses: Optional[tuple] = None
 
     @property
     def size(self) -> int:
-        return len(self.sets)
+        return len(self.corners)
 
     def bracket(self, box: AnchoredBox) -> tuple[AnchoredBox, AnchoredBox]:
         d = self.measure.dim
@@ -179,24 +191,11 @@ class DeltaCover:
     def mass(self, box: AnchoredBox) -> tuple[float, float]:
         return self.measure.box_mass(box)
 
-    def corners(self) -> np.ndarray:
-        """All member corners as one (size, d) array (empty box = all -inf)."""
-        if self._corners is None:
-            self._corners = np.array([b.corner for b in self.sets])
-        return self._corners
-
     def masses(self) -> tuple[np.ndarray, float]:
         """Masses of every member, plus the max quadrature error."""
         if self._masses is None:
-            vals = np.empty(self.size)
-            err = 0.0
-            for i, b in enumerate(self.sets):
-                m, e = self.measure.box_mass(b) if not b.is_empty else (0.0, 0.0)
-                vals[i] = m
-                err = max(err, e)
-            self._masses = vals
-            self._mass_err = err
-        return self._masses, self._mass_err
+            self._masses = self.measure.box_masses(self.corners)
+        return self._masses
 
 
 def build_quantile_cover(measure: TargetMeasure, delta: float) -> DeltaCover:
@@ -210,25 +209,23 @@ def build_quantile_cover(measure: TargetMeasure, delta: float) -> DeltaCover:
         raise ValueError("delta must lie in (0, 1]")
     d = measure.dim
     m = math.ceil(d / delta)
+    levels = np.arange(1, m) / m
     cuts = []
     for j in range(d):
-        cj = np.array([measure.marginal_quantile(j, k / m) for k in range(1, m)])
+        cj = np.asarray(measure.marginal_quantile(j, levels), float)
         cuts.append(cj)
         # Audit the slab masses; the construction can only fail for
         # pathological marginals, but we never report a cover silently.
-        levels = np.array(
-            [0.0] + [measure.marginal_cdf(j, c) for c in cj] + [1.0]
-        )
-        worst = float(np.max(np.diff(levels)))
+        slabs = np.diff(np.concatenate([[0.0], measure.marginal_cdf(j, cj), [1.0]]))
+        worst = float(np.max(slabs))
         if worst > delta / d + 1e-8:
             raise CoverConstructionError(
                 f"coordinate {j}: finest achieved slab mass {worst:.3e}",
                 achieved_delta=worst * d,
             )
-    axis_vals = [np.append(cj, np.inf) for cj in cuts]
-    sets = [AnchoredBox(np.array(c)) for c in itertools.product(*axis_vals)]
-    sets.append(AnchoredBox.empty(d))
-    return DeltaCover(delta=delta, measure=measure, cuts=tuple(cuts), sets=sets)
+    grid = np.meshgrid(*[np.append(cj, np.inf) for cj in cuts], indexing="ij")
+    corners = np.vstack([np.stack(grid, axis=-1).reshape(-1, d), np.full((1, d), -np.inf)])
+    return DeltaCover(delta=delta, measure=measure, cuts=tuple(cuts), corners=corners)
 
 
 def cover_size_bound(delta: float, d: int, epsilon: float) -> int:
@@ -255,7 +252,7 @@ def star_discrepancy_bracket(
     """Bracket of the star discrepancy: the max over cover members is a
     lower bound, and adding delta gives an upper bound."""
     pts = _as_points(points, measure.dim)
-    corners = cover.corners()
+    corners = cover.corners
     masses, mass_err = cover.masses()
     emp = np.all(pts[None, :, :] < corners[:, None, :], axis=2).mean(axis=1)
     lower = float(np.max(np.abs(emp - masses)))
@@ -290,7 +287,7 @@ def pullback_discrepancy_mc(
     n = driver.n - burn_in
     if n < 1:
         raise ValueError("driver shorter than burn-in")
-    corners = cover.corners()
+    corners = cover.corners
 
     def below(path) -> np.ndarray:
         # indicator averages over the retained window, per cover set
@@ -298,10 +295,7 @@ def pullback_discrepancy_mc(
 
     if system.exact_marginal is not None:
         ind = below(run_chain(system, driver, burn_in=burn_in))
-        steps = range(burn_in, burn_in + n)
-        vol = np.array(
-            [0.0 if box.is_empty else np.mean(system.exact_marginal(steps, box)) for box in cover.sets]
-        )
+        vol = np.mean(system.exact_marginal(range(burn_in, burn_in + n), corners), axis=1)
         stderr = 0.0
     else:
         if m < 100:
@@ -359,14 +353,12 @@ class H1Function:
         return self.f0 + self.weights @ inside
 
     def expectation(self, measure: TargetMeasure) -> tuple[float, float]:
-        """E_pi f = f0 + sum_j w_j pi(box_j), with accumulated error bound."""
-        val = self.f0
-        err = 0.0
-        for corner, w in zip(self.corners, self.weights):
-            mass, e = measure.box_mass(AnchoredBox(corner))
-            val += w * mass
-            err += abs(w) * e
-        return val, err
+        """E_pi f = f0 + sum_j w_j pi(box_j), with the error bound
+        sum_j |w_j| times the largest box-mass error."""
+        if len(self.weights) == 0:
+            return self.f0, 0.0
+        masses, err = measure.box_masses(self.corners)
+        return self.f0 + float(self.weights @ masses), float(np.sum(np.abs(self.weights))) * err
 
 
 def kh_error_bound(

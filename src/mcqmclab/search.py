@@ -122,7 +122,8 @@ def best_of_k(
     system: ChainSystem, config: SearchConfig, cover: Optional[DeltaCover] = None
 ) -> SearchResult:
     """Evaluate k candidate drivers, return the one with the smallest upper
-    discrepancy bound (stable argmin: ties go to the lower index).
+    discrepancy bound (stable argmin: ties go to the lower index).  The
+    theory bound is inf for n < 16 and when the system's lambda0 is unknown.
 
     ``cover`` is required for the star-bracket and pullback-mc objectives.
     """
@@ -132,14 +133,16 @@ def best_of_k(
     reports = _scores(system, drivers, config, cover)
     uppers = np.array([r.upper for r in reports])
     best = int(np.argmin(uppers))
-    theory = corollary_main_bound(
-        BoundInputs(
-            n=config.n,
-            d=system.dim,
-            lambda0=system.lambda0,
-            nu_norm=system.nu_density_norm,
+    theory = math.inf
+    if config.n >= 16 and system.lambda0 is not None:
+        theory = corollary_main_bound(
+            BoundInputs(
+                n=config.n,
+                d=system.dim,
+                lambda0=system.lambda0,
+                nu_norm=system.nu_density_norm,
+            )
         )
-    ) if config.n >= 16 else math.inf
     return SearchResult(
         best_driver=drivers[best],
         best_report=reports[best],

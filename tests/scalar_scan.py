@@ -1,0 +1,75 @@
+"""The critical-grid scan with one box-mass call per corner: the scalar form
+of ``star_discrepancy_exact`` for d = 2 and 3 (and d = 1 without a
+closed-form CDF).  It is kept as the reference the tensor scan must match,
+and is not used by the package.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from mcqmclab.core import AnchoredBox
+
+
+def star_discrepancy_scan(points, mass) -> tuple[float, float]:
+    """(lower, upper) bracket of the star discrepancy of points of shape
+    (n, d), with ``mass(corner) -> (mass, error)`` the box-mass oracle.
+
+    Per coordinate the candidates are every distinct coordinate, with the
+    point excluded (strict) and included (closed), and +inf; every
+    combination is evaluated.
+    """
+    pts = np.asarray(points, float)
+    n, d = pts.shape
+    axes = []
+    for j in range(d):
+        vals = np.unique(pts[:, j])
+        cands = [(v, True) for v in vals] + [(v, False) for v in vals]
+        cands.append((np.inf, True))
+        axes.append(cands)
+    best = 0.0
+    max_err = 0.0
+    for combo in itertools.product(*axes):
+        corner = np.array([c[0] for c in combo])
+        strict = np.array([c[1] for c in combo])
+        inside = np.ones(n, bool)
+        for j in range(d):
+            if strict[j]:
+                inside &= pts[:, j] < corner[j]
+            else:
+                inside &= pts[:, j] <= corner[j]
+        m, err = mass(corner)
+        best = max(best, abs(inside.mean() - m))
+        max_err = max(max_err, err)
+    return max(best - max_err, 0.0), min(best + max_err, 1.0)
+
+
+def measure_oracle(measure):
+    """The box-mass oracle of a target measure, one corner per call."""
+    return lambda corner: measure.box_mass(AnchoredBox(corner))
+
+
+def product_oracle(alpha: float, lower, upper):
+    """The scalar closed-form box mass of the density exp(alpha x_1) on a
+    box (uniform for alpha = 0), one corner per call, as the measures
+    computed it before their masses were batched."""
+    lo = np.asarray(lower, float)
+    hi = np.asarray(upper, float)
+    z = math.exp(alpha * hi[0]) - math.exp(alpha * lo[0])
+
+    def mass(corner):
+        if np.any(corner <= lo):
+            return 0.0, 0.0
+        if np.all(corner >= hi):
+            return 1.0, 0.0
+        c = np.minimum(corner, hi)
+        if alpha == 0.0:
+            return float(np.prod(np.clip((c - lo) / (hi - lo), 0.0, 1.0))), 0.0
+        t = np.clip(c[0], lo[0], hi[0])
+        m = float((np.exp(alpha * t) - math.exp(alpha * lo[0])) / z)
+        for j in range(1, len(lo)):
+            m *= min(max((c[j] - lo[j]) / (hi[j] - lo[j]), 0.0), 1.0)
+        return m, 0.0
+
+    return mass

@@ -215,7 +215,7 @@ class TestSystemAssembly:
         at_star = make_metropolis_system("exp-linear", 1.0, gamma_star, 1)
         assert at_star.lambda0 == pytest.approx(1.0 - gap, abs=1e-15)
         inversion = make_metropolis_system("exp-linear", 1.0, 2.0, 1)
-        assert inversion.lambda0 == 0.0
+        assert inversion.lambda0 is None
 
     def test_chain_stays_in_ball(self):
         system = make_metropolis_system("exp-linear", 1.0, 0.5, 2)

@@ -109,8 +109,7 @@ class TestDirectKernel:
 
     def test_exact_marginal_is_target_mass(self):
         system = _direct()
-        box = AnchoredBox([0.2])
-        assert np.array_equal(system.exact_marginal([0, 7], box), [0.6, 0.6])
+        assert np.array_equal(system.exact_marginal([0, 7], np.array([[0.2]])), [[0.6, 0.6]])
 
 
 class TestLazyDirectKernel:
@@ -127,7 +126,7 @@ class TestLazyDirectKernel:
         nu = uniform_interval(-1.0, 1.0)
         system = make_lazy_direct_kernel(pi, a=0.5, nu=nu)
         box = AnchoredBox([0.0])
-        m0, m1, m_inf = system.exact_marginal([0, 1, 200], box)
+        m0, m1, m_inf = system.exact_marginal([0, 1, 200], box.corner[None])[0]
         assert m0 == pytest.approx(nu.box_mass(box)[0], abs=1e-12)
         assert m_inf == pytest.approx(pi.box_mass(box)[0], abs=1e-12)
         assert m1 == pytest.approx(0.5 * m0 + 0.5 * m_inf, abs=1e-12)

@@ -222,6 +222,49 @@ class TestRunExperiments:
         manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
         assert manifest["gamma"] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
+    def test_search_gamma_two_has_no_theory_bound(self, tmp_path):
+        # lambda0 is unknown away from gamma*: the bound used to be computed
+        # from lambda0 = 0 and printed as 0.884
+        cfg = {
+            "experiment": "search",
+            "dimension": 1,
+            "density": {"name": "uniform", "alpha": 0.0},
+            "gamma": 2.0,
+            "n": 64,
+            "k": 2,
+            "seed": 1,
+            "output": str(tmp_path / "s.csv"),
+        }
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 0
+        header, row = (tmp_path / "s.csv").read_text().splitlines()
+        vals = dict(zip(header.split(","), row.split(",")))
+        assert vals["theory_bound"] == "inf"
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        assert "lambda0 is unknown" in manifest["theory_bound"]
+        cfg["gamma"] = "gamma-star"
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 0
+        header, row = (tmp_path / "s.csv").read_text().splitlines()
+        assert math.isfinite(float(dict(zip(header.split(","), row.split(",")))["theory_bound"]))
+
+    def test_cover_failure_exits_3(self, tmp_path, capsys):
+        # the stratified d = 3 marginal CDFs are too noisy for the slab audit
+        cfg = {
+            "experiment": "search",
+            "dimension": 3,
+            "density": {"name": "exp-linear", "alpha": 1.0},
+            "gamma": 0.4,
+            "n": 30,
+            "k": 2,
+            "objective": "star-bracket",
+            "delta": 0.5,
+            "output": str(tmp_path / "s.csv"),
+        }
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: coordinate 0: finest achieved slab mass")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "s.csv").exists()
+
     def test_rate_study_columns(self, tmp_path):
         cfg = {
             "experiment": "rate-study",

@@ -134,8 +134,9 @@ class TestQuantileCover:
 
     def test_contains_empty_and_full(self):
         cover = build_quantile_cover(uniform_interval(), 0.25)
-        assert any(b.is_empty for b in cover.sets)
-        assert any(b.is_full for b in cover.sets)
+        corners = cover.corners
+        assert np.any(np.all(corners == -np.inf, axis=1))
+        assert np.any(np.all(corners == np.inf, axis=1))
 
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
