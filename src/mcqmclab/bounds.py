@@ -37,7 +37,6 @@ class BoundInputs:
     n: int = 1                      # sample size
     n0: int = 0                     # burn-in length
     d: int = 1                      # state dimension
-    s: int = 1                      # driver dimension
     lambda0: float = 0.0            # max{Lambda, 0}, spectral parameter in [0,1]
     beta: float = 0.0               # absolute L2 operator norm on mean-zero functions
     nu_norm: float = 1.0            # ||dnu/dpi||_2
@@ -45,19 +44,16 @@ class BoundInputs:
     cover_size: int = 1             # |Gamma_delta|
     delta: float = 0.0
     epsilon: float = 0.25
-    alpha: float = 0.0              # log-Lipschitz constant
-    gamma: float = 0.0              # ball-walk radius
     c: float = 0.0                  # deviation level
-    r: int = 1                      # point-set size
 
     def __post_init__(self):
         if not (0.0 <= self.lambda0 <= 1.0):
             raise ValueError("lambda0 must lie in [0, 1]")
         if not (0.0 <= self.beta <= 1.0):
             raise ValueError("beta must lie in [0, 1]")
-        if min(self.n, self.d, self.s, self.cover_size, self.r) < 1 or self.n0 < 0:
+        if min(self.n, self.d, self.cover_size) < 1 or self.n0 < 0:
             raise ValueError("counts must be positive (n0 nonnegative)")
-        if min(self.nu_norm, self.nu_norm_centered, self.delta, self.alpha, self.c) < 0:
+        if min(self.nu_norm, self.nu_norm_centered, self.delta, self.c) < 0:
             raise ValueError("nonnegative inputs required")
 
 

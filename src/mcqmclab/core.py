@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 __all__ = [
     "Rng",
@@ -260,6 +260,9 @@ class TargetMeasure:
         When present the error is 0.
     exact_cdf / exact_inv_cdf : callable, optional
         d = 1 only; vectorized CDF and its inverse.
+    exact_marginal_cdf : callable, optional
+        d >= 2; vectorized CDF of the marginal of every coordinate, for
+        measures whose coordinates share one marginal.
     profile : callable, optional
         For densities on the d = 2 ball depending on the first coordinate
         only: profile(x1), vectorized.  Box masses then come from one
@@ -275,6 +278,7 @@ class TargetMeasure:
         exact_box_mass: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         exact_cdf: Optional[Callable] = None,
         exact_inv_cdf: Optional[Callable] = None,
+        exact_marginal_cdf: Optional[Callable] = None,
         profile: Optional[Callable] = None,
         seed: int = 0,
     ):
@@ -284,6 +288,7 @@ class TargetMeasure:
         self.exact_box_mass = exact_box_mass
         self.exact_cdf = exact_cdf
         self.exact_inv_cdf = exact_inv_cdf
+        self.exact_marginal_cdf = exact_marginal_cdf
         self.profile = profile
         self.seed = seed
         self._cache: dict[bytes, tuple[float, float]] = {}
@@ -479,6 +484,9 @@ class TargetMeasure:
         t_arr = np.atleast_1d(np.asarray(t, float))
         if self.dim == 1:
             out = np.asarray(self.cdf(t_arr), float)
+        elif self.exact_marginal_cdf is not None:
+            lo, hi = self.domain.bounding()
+            out = np.asarray(self.exact_marginal_cdf(np.clip(t_arr, lo[j], hi[j])), float)
         else:
             corners = np.full((t_arr.size, self.dim), np.inf)
             corners[:, j] = t_arr.ravel()
@@ -601,14 +609,18 @@ def _uniform_disc_mass(hi: np.ndarray) -> np.ndarray:
 
 def uniform_ball(d: int, seed: int = 0) -> TargetMeasure:
     """Uniform distribution on the Euclidean unit ball; closed-form box
-    masses in d = 2."""
+    masses in d = 2, closed-form marginals in d >= 3: every coordinate t
+    has CDF I_{(1+t)/2}((d+1)/2, (d+1)/2), the regularized incomplete beta
+    function ((t+1)^2 (2-t)/4 in d = 3)."""
     if d == 1:
         return uniform_interval(-1.0, 1.0)
+    a = (d + 1) / 2
     return TargetMeasure(
         BallDomain(d),
         lambda x: np.ones(x.shape[0]),
         name=f"uniform-ball(d={d})",
         exact_box_mass=_uniform_disc_mass if d == 2 else None,
+        exact_marginal_cdf=(lambda t: special.betainc(a, a, 0.5 * (1.0 + t))) if d >= 3 else None,
         seed=seed,
     )
 

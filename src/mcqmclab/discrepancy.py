@@ -9,6 +9,7 @@ instead of nudging by an epsilon.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -149,22 +150,61 @@ def star_discrepancy_exact(points, measure: TargetMeasure) -> DiscrepancyReport:
 
 @dataclass
 class DeltaCover:
-    """Finite bracketing family for anchored boxes, held as the corner array
-    of its members: the product grid of the per-coordinate cuts and +inf,
-    then the empty box (all -inf).  :meth:`bracket` maps any anchored box A
-    to (C, D) in the family with C ⊆ A ⊆ D and pi(D \\ C) <= delta
-    (+ quadrature error).
+    """Finite bracketing family for anchored boxes, given by per-coordinate
+    cuts.  Its members are the product grid of the cuts and +inf on every
+    coordinate, in C order, then the empty box (all -inf); :attr:`corners`
+    lists them.  :meth:`bracket` maps any anchored box A to (C, D) in the
+    family with C ⊆ A ⊆ D and pi(D \\ C) <= delta (+ quadrature error).
     """
 
     delta: float
     measure: TargetMeasure
     cuts: tuple  # per-coordinate sorted cut arrays
-    corners: np.ndarray  # (size, d)
     _masses: Optional[tuple] = None
+
+    @functools.cached_property
+    def corners(self) -> np.ndarray:
+        """Corner array of the members, shape (size, d)."""
+        d = len(self.cuts)
+        grid = np.meshgrid(*[np.append(cj, np.inf) for cj in self.cuts], indexing="ij")
+        return np.vstack([np.stack(grid, axis=-1).reshape(-1, d), np.full((1, d), -np.inf)])
 
     @property
     def size(self) -> int:
         return len(self.corners)
+
+    def fractions_below(self, points) -> np.ndarray:
+        """Fraction of the points strictly inside each member, for stacked
+        point sets: shape (..., n, d) -> (..., size), in the order of
+        :attr:`corners`.
+
+        A point's bin on axis j is the number of cuts at or below x_j, so
+        x_j < cuts_j[t] exactly when the bin is <= t, and every finite x_j
+        is below +inf; +inf and NaN go to one more bin, below nothing.  One
+        histogram of the bin cells per point set, summed cumulatively along
+        every axis, counts the points of every grid member at once.
+        """
+        pts = np.asarray(points, float)
+        d = len(self.cuts)
+        if pts.ndim < 2 or pts.shape[-1] != d or pts.shape[-2] < 1:
+            raise ValueError(f"points must have shape (..., n, {d}) with n >= 1")
+        *batch, n, _ = pts.shape
+        sets = math.prod(batch)
+        flat = pts.reshape(sets, n, d)
+        dims = [len(cj) + 2 for cj in self.cuts]
+        cell = np.arange(sets)[:, None]
+        for j, cj in enumerate(self.cuts):
+            x = flat[:, :, j]
+            cell = cell * dims[j] + np.where(
+                x < np.inf, np.searchsorted(cj, x, side="right"), len(cj) + 1
+            )
+        counts = np.bincount(cell.ravel(), minlength=sets * math.prod(dims))
+        counts = counts.reshape(sets, *dims)
+        for axis in range(1, d + 1):
+            np.cumsum(counts, axis=axis, out=counts)
+        counts = counts[(slice(None),) + tuple(slice(k - 1) for k in dims)].reshape(sets, -1)
+        fractions = np.hstack([counts, np.zeros((sets, 1), counts.dtype)]) / n
+        return fractions.reshape(*batch, self.size)
 
     def bracket(self, box: AnchoredBox) -> tuple[AnchoredBox, AnchoredBox]:
         d = self.measure.dim
@@ -223,9 +263,7 @@ def build_quantile_cover(measure: TargetMeasure, delta: float) -> DeltaCover:
                 f"coordinate {j}: finest achieved slab mass {worst:.3e}",
                 achieved_delta=worst * d,
             )
-    grid = np.meshgrid(*[np.append(cj, np.inf) for cj in cuts], indexing="ij")
-    corners = np.vstack([np.stack(grid, axis=-1).reshape(-1, d), np.full((1, d), -np.inf)])
-    return DeltaCover(delta=delta, measure=measure, cuts=tuple(cuts), corners=corners)
+    return DeltaCover(delta=delta, measure=measure, cuts=tuple(cuts))
 
 
 def cover_size_bound(delta: float, d: int, epsilon: float) -> int:
@@ -252,9 +290,8 @@ def star_discrepancy_bracket(
     """Bracket of the star discrepancy: the max over cover members is a
     lower bound, and adding delta gives an upper bound."""
     pts = _as_points(points, measure.dim)
-    corners = cover.corners
     masses, mass_err = cover.masses()
-    emp = np.all(pts[None, :, :] < corners[:, None, :], axis=2).mean(axis=1)
+    emp = cover.fractions_below(pts)
     lower = float(np.max(np.abs(emp - masses)))
     upper = min(lower + cover.delta + mass_err, 1.0)
     return DiscrepancyReport(
@@ -287,15 +324,9 @@ def pullback_discrepancy_mc(
     n = driver.n - burn_in
     if n < 1:
         raise ValueError("driver shorter than burn-in")
-    corners = cover.corners
-
-    def below(path) -> np.ndarray:
-        # indicator averages over the retained window, per cover set
-        return np.all(path.retained[None, :, :] < corners[:, None, :], axis=2).mean(axis=1)
-
     if system.exact_marginal is not None:
-        ind = below(run_chain(system, driver, burn_in=burn_in))
-        vol = np.mean(system.exact_marginal(range(burn_in, burn_in + n), corners), axis=1)
+        ind = cover.fractions_below(run_chain(system, driver, burn_in=burn_in).retained)
+        vol = np.mean(system.exact_marginal(range(burn_in, burn_in + n), cover.corners), axis=1)
         stderr = 0.0
     else:
         if m < 100:
@@ -308,8 +339,10 @@ def pullback_discrepancy_mc(
             for r in range(m)
         ]
         paths = run_chains(system, [driver] + replicas, burn_in=burn_in)
-        ind = below(paths[0])
-        acc = np.array([below(path) for path in paths[1:]])
+        # indicator averages over the retained window, per cover set: the
+        # driver's path first, then the replicas
+        fractions = cover.fractions_below(np.stack([path.retained for path in paths]))
+        ind, acc = fractions[0], fractions[1:]
         vol = acc.mean(axis=0)
         stderr = float(np.max(acc.std(axis=0, ddof=1) / math.sqrt(m)))
 

@@ -1,7 +1,9 @@
 """The critical-grid scan with one box-mass call per corner: the scalar form
 of ``star_discrepancy_exact`` for d = 2 and 3 (and d = 1 without a
-closed-form CDF).  It is kept as the reference the tensor scan must match,
-and is not used by the package.
+closed-form CDF), and the cover counts as one comparison of every point with
+every cover corner, with the cover bracket and pull-back built on them.
+They are kept as the references the tensor scan and the binned cover counts
+must match, and are not used by the package.
 """
 
 import itertools
@@ -9,7 +11,9 @@ import math
 
 import numpy as np
 
-from mcqmclab.core import AnchoredBox
+from mcqmclab.chain import run_chain, run_chains
+from mcqmclab.core import AnchoredBox, DriverSequence
+from mcqmclab.discrepancy import DiscrepancyReport
 
 
 def star_discrepancy_scan(points, mass) -> tuple[float, float]:
@@ -73,3 +77,51 @@ def product_oracle(alpha: float, lower, upper):
         return m, 0.0
 
     return mass
+
+
+def broadcast_fractions_below(points, corners) -> np.ndarray:
+    """Fraction of the points (shape (n, d)) strictly inside each open box
+    ``(-inf, c)``, c a row of ``corners``: one (size, n, d) comparison."""
+    pts = np.asarray(points, float)
+    return np.all(pts[None, :, :] < corners[:, None, :], axis=2).mean(axis=1)
+
+
+def broadcast_bracket(points, cover) -> DiscrepancyReport:
+    """``star_discrepancy_bracket`` with the broadcast counts."""
+    masses, mass_err = cover.masses()
+    emp = broadcast_fractions_below(points, cover.corners)
+    lower = float(np.max(np.abs(emp - masses)))
+    upper = min(lower + cover.delta + mass_err, 1.0)
+    return DiscrepancyReport(lower=lower, upper=upper, method="cover-bracket", delta_used=cover.delta)
+
+
+def broadcast_pullback(system, driver, burn_in, cover, m, rng) -> DiscrepancyReport:
+    """``pullback_discrepancy_mc`` with the broadcast counts, one call per
+    path."""
+    n = driver.n - burn_in
+    corners = cover.corners
+    if system.exact_marginal is not None:
+        ind = broadcast_fractions_below(run_chain(system, driver, burn_in).retained, corners)
+        vol = np.mean(system.exact_marginal(range(burn_in, burn_in + n), corners), axis=1)
+        stderr = 0.0
+    else:
+        replicas = [
+            DriverSequence(
+                rng.split(r).uniforms(driver.n * system.s).reshape(driver.n, system.s),
+                provenance="pullback-mc-replication",
+            )
+            for r in range(m)
+        ]
+        paths = run_chains(system, [driver] + replicas, burn_in=burn_in)
+        ind = broadcast_fractions_below(paths[0].retained, corners)
+        acc = np.array([broadcast_fractions_below(p.retained, corners) for p in paths[1:]])
+        vol = acc.mean(axis=0)
+        stderr = float(np.max(acc.std(axis=0, ddof=1) / math.sqrt(m)))
+    lower = float(np.max(np.abs(ind - vol)))
+    return DiscrepancyReport(
+        lower=lower,
+        upper=min(lower + cover.delta + stderr, 1.0),
+        method="pullback-mc",
+        delta_used=cover.delta,
+        mc_stderr=stderr,
+    )
