@@ -309,21 +309,16 @@ def make_metropolis_system(
             return y
         return x
 
-    gamma_star, gap = ballwalk_gap_bound(max(alpha, 1e-300), d) if alpha > 0 else (
-        1.0 / math.sqrt(d + 1),
-        3.125e-6 / (d + 1) ** 2,
-    )
+    gamma_star, gap = ballwalk_gap_bound(alpha, d)
     lambda0 = 1.0 - gap if abs(gamma - gamma_star) <= 1e-12 else None
 
-    norm = math.exp(density.alpha)
     return ChainSystem(
         update=update,
         generator=generator,
         target=target,
         lambda0=lambda0,
         beta=None,
-        nu_density_norm=norm,
-        nu_norm_centered=math.sqrt(max(norm**2 - 1.0, 0.0)),
+        nu_density_norm=math.exp(density.alpha),
         exact_marginal=None,
         kernel_sampler=sampler,
     )

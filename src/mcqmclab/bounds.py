@@ -157,9 +157,12 @@ def beck_bound(r: int, d: int) -> float:
 def ballwalk_gap_bound(alpha: float, d: int) -> tuple[float, float]:
     """Optimal ball-walk radius and spectral-gap lower bound:
     ``gamma* = min{1/sqrt(d+1), 1/alpha}`` and
-    ``1 - Lambda >= 3.125e-6 / (d+1) * min{1/(d+1), 1/alpha}``."""
-    if alpha <= 0 or d < 1:
-        raise ValueError("need alpha > 0 and d >= 1")
+    ``1 - Lambda >= 3.125e-6 / (d+1) * min{1/(d+1), 1/alpha}``; for the
+    uniform density (alpha = 0) ``1/sqrt(d+1)`` and ``3.125e-6 / (d+1)^2``."""
+    if alpha < 0 or d < 1:
+        raise ValueError("need alpha >= 0 and d >= 1")
+    if alpha == 0:
+        return 1.0 / math.sqrt(d + 1), 3.125e-6 / (d + 1) ** 2
     gamma_star = min(1.0 / math.sqrt(d + 1), 1.0 / alpha)
     gap = 3.125e-6 / (d + 1) * min(1.0 / (d + 1), 1.0 / alpha)
     return gamma_star, gap

@@ -84,7 +84,6 @@ class ChainSystem:
     lambda0: Optional[float]
     beta: Optional[float]
     nu_density_norm: float
-    nu_norm_centered: float = 0.0
     exact_marginal: Optional[Callable[[Sequence[int], np.ndarray], np.ndarray]] = None
     kernel_sampler: Optional[Callable[[np.ndarray, Rng], np.ndarray]] = None
 
@@ -100,6 +99,11 @@ class ChainSystem:
     @property
     def s(self) -> int:
         return self.update.s
+
+    @property
+    def nu_norm_centered(self) -> float:
+        """||dnu/dpi - 1||_2 = sqrt(||dnu/dpi||_2^2 - 1), since E_pi(dnu/dpi) = 1."""
+        return math.sqrt(max(self.nu_density_norm**2 - 1.0, 0.0))
 
     @property
     def dim(self) -> int:
@@ -135,7 +139,9 @@ def run_chains(
     x_{i+1} = phi(x_i; u_i) for all drivers at once.
 
     Each path has one state per driver point; the retained sample is
-    ``states[burn_in:]``.  Raises ChainDomainError if a state leaves G.
+    ``states[burn_in:]``.  The states are checked against G once, after
+    stepping: ChainDomainError names the first step, and in it the first
+    chain, whose state left G.
     """
     if not drivers:
         raise ValueError("need at least one driver")
@@ -152,15 +158,13 @@ def run_chains(
     update, domain = system.update, system.target.domain
     W = U[1:] if update.lift is None else update.lift(U[1:])
     states = np.empty((n, len(drivers), system.dim))
-    x = system.generator.map(U[0])
-    for i in range(n):
-        if i > 0:
-            x = update.map(x, W[i - 1])
-        inside = domain.contains(x)
-        if not inside.all():
-            j = int(np.argmin(inside))
-            raise ChainDomainError(f"state {x[j]} of chain {j} left the domain at step {i}")
-        states[i] = x
+    x = states[0] = system.generator.map(U[0])
+    for i in range(1, n):
+        x = states[i] = update.map(x, W[i - 1])
+    inside = domain.contains(states)
+    if not inside.all():
+        i, j = divmod(int(np.argmin(inside)), len(drivers))
+        raise ChainDomainError(f"state {states[i, j]} of chain {j} left the domain at step {i}")
     states = np.ascontiguousarray(states.transpose(1, 0, 2))
     states.setflags(write=False)
     return [ChainPath(states[j], burn_in, driver) for j, driver in enumerate(drivers)]
@@ -169,11 +173,6 @@ def run_chains(
 # ---------------------------------------------------------------------------
 # Reference kernels with known spectral data
 # ---------------------------------------------------------------------------
-
-
-def _centered_norm(nu_norm: float) -> float:
-    # ||r - 1||_2^2 = ||r||_2^2 - 1 since E_pi(dnu/dpi) = 1.
-    return math.sqrt(max(nu_norm**2 - 1.0, 0.0))
 
 
 def nu_density_norm(nu: TargetMeasure, pi: TargetMeasure) -> float:
@@ -249,7 +248,6 @@ def make_direct_kernel(
         lambda0=0.0,
         beta=0.0,
         nu_density_norm=1.0,
-        nu_norm_centered=0.0,
         exact_marginal=marginal,
         kernel_sampler=sampler,
     )
@@ -294,20 +292,13 @@ def make_lazy_direct_kernel(
             return np.array([target.inv_cdf(rng.uniform())])
         return x
 
-    if nu is target:
-        norm, cnorm = 1.0, 0.0
-    else:
-        norm = nu_density_norm(nu, target)
-        cnorm = _centered_norm(norm)
-
     return ChainSystem(
         update=update,
         generator=generator,
         target=target,
         lambda0=1.0 - a,
         beta=1.0 - a,
-        nu_density_norm=norm,
-        nu_norm_centered=cnorm,
+        nu_density_norm=1.0 if nu is target else nu_density_norm(nu, target),
         exact_marginal=marginal,
         kernel_sampler=sampler,
     )

@@ -110,10 +110,6 @@ class ConfigError(ValueError):
     pass
 
 
-class InfeasibleError(RuntimeError):
-    pass
-
-
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -198,10 +194,7 @@ def _validate(cfg: dict) -> dict:
 
 def _resolve_gamma(p: dict) -> float:
     if p["gamma"] == "gamma-star":
-        alpha, d = p["density"]["alpha"], p["dimension"]
-        if alpha > 0:
-            return ballwalk_gap_bound(alpha, d)[0]
-        return 1.0 / math.sqrt(d + 1)
+        return ballwalk_gap_bound(p["density"]["alpha"], p["dimension"])[0]
     return p["gamma"]
 
 
@@ -261,8 +254,6 @@ def _run_bounds(p: dict):
 def _run_discrepancy(p: dict):
     gamma = _resolve_gamma(p)
     system = _build_system(p, gamma)
-    if system.dim > 3:
-        raise InfeasibleError("exact discrepancy scan is limited to dimension <= 3")
     n, n0, seed = p["n"], p["n0"], p["seed"]
     driver = uniform_driver(n + n0, system.s, Rng(seed))
     path = run_chain(system, driver, burn_in=n0)
@@ -309,21 +300,19 @@ def _theory_note(system) -> dict:
     return {}
 
 
-def _cover_builder(p: dict, system):
-    if p["objective"] == "star-exact":
+def _cover(system, sc: SearchConfig):
+    """The quantile cover the search objective scores over; None for the
+    exact scan."""
+    if sc.objective == "star-exact":
         return None
-    return lambda n: build_quantile_cover(system.target, p["delta"])
+    return build_quantile_cover(system.target, sc.delta)
 
 
 def _run_search(p: dict):
     gamma = _resolve_gamma(p)
     system = _build_system(p, gamma)
     sc = _search_config(p, p["n"])
-    if sc.objective == "star-exact" and system.dim > 3:
-        raise InfeasibleError("exact discrepancy scan is limited to dimension <= 3")
-    builder = _cover_builder(p, system)
-    cover = builder(sc.n) if builder is not None else None
-    result = best_of_k(system, sc, cover=cover)
+    result = best_of_k(system, sc, cover=_cover(system, sc))
     header = ["n", "seed", "disc_lower", "disc_upper", "theory_bound"]
     row = [sc.n, sc.seed, result.best_report.lower, result.best_report.upper, result.theory_bound]
     extra = {"gamma": gamma, "all_scores": list(result.all_scores), **_theory_note(system)}
@@ -335,9 +324,7 @@ def _run_rate_study(p: dict):
     system = _build_system(p, gamma)
     ns = p["ns"]
     sc = _search_config(p, ns[0])
-    if sc.objective == "star-exact" and system.dim > 3:
-        raise InfeasibleError("exact discrepancy scan is limited to dimension <= 3")
-    rows = rate_study(system, ns, sc, cover_builder=_cover_builder(p, system))
+    rows = rate_study(system, ns, sc, cover=_cover(system, sc))
     header = ["n", "seed", "disc_lower", "disc_upper", "theory_bound", "beck_bound", "runtime_ms"]
     out = [[r[h] for h in header] for r in rows]
     return header, out, {"gamma": gamma, **_theory_note(system)}
@@ -383,7 +370,7 @@ def _cmd_run(path: str) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InfeasibleError, ExactScanInfeasible, CoverConstructionError, NotImplementedError) as exc:
+    except (ExactScanInfeasible, CoverConstructionError, NotImplementedError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - t0

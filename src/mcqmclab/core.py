@@ -258,15 +258,17 @@ class TargetMeasure:
         Closed-form normalized masses of open anchored boxes, given their
         effective (clipped) corners as an array of shape (m, d); returns (m,).
         When present the error is 0.
-    exact_cdf / exact_inv_cdf : callable, optional
-        d = 1 only; vectorized CDF and its inverse.
-    exact_marginal_cdf : callable, optional
-        d >= 2; vectorized CDF of the marginal of every coordinate, for
-        measures whose coordinates share one marginal.
+    exact_marginal_cdf / exact_inv_cdf : callable, optional
+        Vectorized CDF of the marginal of every coordinate, and its inverse,
+        for measures whose coordinates share one marginal.  Without them
+        marginal CDFs are box masses (for d = 1 the CDF is the box mass of
+        the corner t) and quantiles are bisected.
     profile : callable, optional
         For densities on the d = 2 ball depending on the first coordinate
         only: profile(x1), vectorized.  Box masses then come from one
         Gauss-Legendre rule over x1 for all corners.
+    seed : int
+        Seeds the stratified estimates of d >= 3 box masses.
     """
 
     def __init__(
@@ -276,7 +278,6 @@ class TargetMeasure:
         *,
         name: str = "",
         exact_box_mass: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        exact_cdf: Optional[Callable] = None,
         exact_inv_cdf: Optional[Callable] = None,
         exact_marginal_cdf: Optional[Callable] = None,
         profile: Optional[Callable] = None,
@@ -286,7 +287,6 @@ class TargetMeasure:
         self.density = density
         self.name = name
         self.exact_box_mass = exact_box_mass
-        self.exact_cdf = exact_cdf
         self.exact_inv_cdf = exact_inv_cdf
         self.exact_marginal_cdf = exact_marginal_cdf
         self.profile = profile
@@ -456,35 +456,14 @@ class TargetMeasure:
         err = 3.0 * float(np.std(estimates, ddof=1)) / math.sqrt(reps)
         return est, err
 
-    # -- 1-D CDF machinery ---------------------------------------------------
-
-    def cdf(self, t):
-        if self.dim != 1:
-            raise ValueError("cdf is defined for d = 1 only")
-        if self.exact_cdf is not None:
-            return self.exact_cdf(t)
-        t_arr = np.atleast_1d(np.asarray(t, float))
-        out = self.box_masses(t_arr.reshape(-1, 1))[0].reshape(t_arr.shape)
-        return out if np.ndim(t) else float(out[0])
-
-    def inv_cdf(self, p):
-        """Inverse CDF; exact formula if available, else monotone bisection
-        to 1e-12."""
-        if self.dim != 1:
-            raise ValueError("inv_cdf is defined for d = 1 only")
-        if self.exact_inv_cdf is not None:
-            return self.exact_inv_cdf(p)
-        lo, hi = self.domain.bounding()
-        return _bisect(self.cdf, p, lo[0], hi[0])
-
     # -- marginals -----------------------------------------------------------
 
     def marginal_cdf(self, j: int, t):
-        """pi({x : x_j < t}), elementwise over t."""
+        """pi({x : x_j < t}), elementwise over t: the closed-form marginal
+        when the measure has one, else the box masses of the corners with t
+        in coordinate j and +inf in the others."""
         t_arr = np.atleast_1d(np.asarray(t, float))
-        if self.dim == 1:
-            out = np.asarray(self.cdf(t_arr), float)
-        elif self.exact_marginal_cdf is not None:
+        if self.exact_marginal_cdf is not None:
             lo, hi = self.domain.bounding()
             out = np.asarray(self.exact_marginal_cdf(np.clip(t_arr, lo[j], hi[j])), float)
         else:
@@ -494,13 +473,26 @@ class TargetMeasure:
         return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
 
     def marginal_quantile(self, j: int, p):
-        """Marginal quantiles of coordinate j, elementwise over p: the inverse
-        CDF for d = 1, else bisection of :meth:`marginal_cdf` to 1e-12."""
-        if self.dim == 1:
-            q = self.inv_cdf(p)
+        """Marginal quantiles of coordinate j, elementwise over p: the
+        closed-form inverse when the measure has one, else bisection of
+        :meth:`marginal_cdf` to 1e-12."""
+        if self.exact_inv_cdf is not None:
+            q = self.exact_inv_cdf(p)
             return np.asarray(q, float) if np.ndim(p) else float(q)
         lo, hi = self.domain.bounding()
         return _bisect(lambda t: self.marginal_cdf(j, t), p, lo[j], hi[j])
+
+    def cdf(self, t):
+        """The CDF of a d = 1 measure: its :meth:`marginal_cdf`."""
+        if self.dim != 1:
+            raise ValueError("cdf is defined for d = 1 only")
+        return self.marginal_cdf(0, t)
+
+    def inv_cdf(self, p):
+        """The inverse CDF of a d = 1 measure: its :meth:`marginal_quantile`."""
+        if self.dim != 1:
+            raise ValueError("inv_cdf is defined for d = 1 only")
+        return self.marginal_quantile(0, p)
 
 
 # ---------------------------------------------------------------------------
@@ -510,16 +502,11 @@ class TargetMeasure:
 
 def uniform_interval(a: float = -1.0, b: float = 1.0) -> TargetMeasure:
     width = b - a
-
-    def cdf(t):
-        return np.clip((np.asarray(t, float) - a) / width, 0.0, 1.0)
-
     return TargetMeasure(
         BoxDomain((a,), (b,)),
         lambda x: np.ones(x.shape[0]),
         name=f"uniform[{a},{b}]",
-        exact_box_mass=lambda hi: cdf(hi[:, 0]),
-        exact_cdf=cdf,
+        exact_box_mass=lambda hi: np.clip((hi[:, 0] - a) / width, 0.0, 1.0),
         exact_inv_cdf=lambda p: a + np.asarray(p, float) * width,
     )
 
@@ -530,8 +517,8 @@ def exp_linear_interval(alpha: float, a: float = -1.0, b: float = 1.0) -> Target
         return uniform_interval(a, b)
     z = math.exp(alpha * b) - math.exp(alpha * a)
 
-    def cdf(t):
-        t = np.clip(np.asarray(t, float), a, b)
+    def mass(hi):
+        t = np.clip(hi[:, 0], a, b)
         return (np.exp(alpha * t) - math.exp(alpha * a)) / z
 
     def inv(p):
@@ -542,18 +529,18 @@ def exp_linear_interval(alpha: float, a: float = -1.0, b: float = 1.0) -> Target
         BoxDomain((a,), (b,)),
         lambda x: np.exp(alpha * x[:, 0]),
         name=f"exp-linear(alpha={alpha})[{a},{b}]",
-        exact_box_mass=lambda hi: cdf(hi[:, 0]),
-        exact_cdf=cdf,
+        exact_box_mass=mass,
         exact_inv_cdf=inv,
     )
 
 
 def _product_mass(first: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
-    """Box masses of a product measure: the CDF ``first`` of coordinate 0
-    times uniform factors for the others, multiplied left to right."""
+    """Box masses of a product measure: the interval box masses ``first`` of
+    coordinate 0 times uniform factors for the others, multiplied left to
+    right."""
 
     def mass(c):
-        m = first(c[:, 0])
+        m = first(c[:, :1])
         for j in range(1, len(lo)):
             m = m * np.clip((c[:, j] - lo[j]) / (hi[j] - lo[j]), 0.0, 1.0)
         return m
@@ -564,7 +551,7 @@ def _product_mass(first: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi:
 def uniform_box(lower: Sequence[float], upper: Sequence[float]) -> TargetMeasure:
     lo = np.asarray(lower, float)
     hi = np.asarray(upper, float)
-    first = uniform_interval(lo[0], hi[0]).exact_cdf
+    first = uniform_interval(lo[0], hi[0]).exact_box_mass
     return TargetMeasure(
         BoxDomain(tuple(lo), tuple(hi)),
         lambda x: np.ones(x.shape[0]),
@@ -578,7 +565,7 @@ def exp_linear_box(alpha: float, lower: Sequence[float], upper: Sequence[float])
     and uniform factors, so box masses are closed-form."""
     lo = np.asarray(lower, float)
     hi = np.asarray(upper, float)
-    first = exp_linear_interval(alpha, lo[0], hi[0]).exact_cdf
+    first = exp_linear_interval(alpha, lo[0], hi[0]).exact_box_mass
     return TargetMeasure(
         BoxDomain(tuple(lo), tuple(hi)),
         lambda x: np.exp(alpha * x[:, 0]),

@@ -45,9 +45,7 @@ class ExactScanInfeasible(RuntimeError):
 
 
 class CoverConstructionError(RuntimeError):
-    def __init__(self, message: str, achieved_delta: float):
-        super().__init__(message)
-        self.achieved_delta = achieved_delta
+    """A quantile cover failed its slab-mass audit."""
 
 
 @dataclass(frozen=True)
@@ -85,32 +83,44 @@ def star_discrepancy_exact(points, measure: TargetMeasure) -> DiscrepancyReport:
     The supremum is attained on the critical grid: per coordinate the sorted
     point coordinates, each evaluated with the point excluded (strict box at
     the coordinate) and included (limit from above), plus the domain upper
-    extreme.
+    extreme.  For d = 1 that is one sorted pass over the distinct points;
+    for d = 2 and 3, :func:`_tensor_scan`.  The bracket is the largest
+    deviation plus and minus the largest box-mass error.
     """
     d = measure.dim
     if d > 3:
         raise ExactScanInfeasible(
-            "exact scan is limited to d <= 3; use star_discrepancy_bracket"
+            "exact scan is limited to d <= 3; use the cover bracket (objective star-bracket)"
         )
     pts = _as_points(points, d)
     n = pts.shape[0]
-
-    if d == 1 and measure.exact_cdf is not None:
+    if d == 1:
+        # the box below a distinct value holds the points sorted before its
+        # first occurrence, and with the point included, those up to its last
         x = np.sort(pts[:, 0])
         vals, first, counts = np.unique(x, return_index=True, return_counts=True)
-        lt = first.astype(float)
-        le = (first + counts).astype(float)
-        mass = np.asarray(measure.cdf(vals), float)
-        disc = max(
-            float(np.max(np.abs(lt / n - mass))),
-            float(np.max(np.abs(le / n - mass))),
-        )
-        return DiscrepancyReport(lower=disc, upper=disc, method="exact-scan")
+        masses, max_err = measure.box_masses(vals[:, None])
+        strict, closed = first / n - masses, (first + counts) / n - masses
+        best = float(np.max(np.maximum(np.abs(strict), np.abs(closed))))
+    else:
+        best, max_err = _tensor_scan(pts, measure)
+    return DiscrepancyReport(
+        lower=max(best - max_err, 0.0),
+        upper=min(best + max_err, 1.0),
+        method="exact-scan",
+    )
 
-    # Critical grid: per axis the distinct coordinates and +inf.  Grid index
-    # i counts the points of rank < i strictly and of rank <= i closed; the
-    # two branches share the corner, whose mass is taken once (the boundary
-    # has measure 0).
+
+def _tensor_scan(pts: np.ndarray, measure: TargetMeasure) -> tuple[float, float]:
+    """Largest deviation over the critical grid of points (n, d), d = 2 or 3,
+    and the largest box-mass error.
+
+    Per axis the grid is the distinct coordinates and +inf.  Grid index i
+    counts the points of rank < i strictly and of rank <= i closed; the two
+    branches share the corner, whose mass is taken once (the boundary has
+    measure 0).
+    """
+    n, d = pts.shape
     values, ranks = zip(*(np.unique(pts[:, j], return_inverse=True) for j in range(d)))
     sizes = [v.size + 1 for v in values]
     axes = [np.append(v, np.inf) for v in values]
@@ -132,15 +142,11 @@ def star_discrepancy_exact(points, measure: TargetMeasure) -> DiscrepancyReport:
             counts = member[0][first[chunk]]
             for mid in member[1:-1]:
                 counts = counts[..., None, :] * mid
-            counts = counts @ member[-1].T if d > 1 else counts.sum(axis=-1)
+            counts = counts @ member[-1].T
             for idx in itertools.product(*branches[1:]):
                 emp = counts[(slice(None),) + np.ix_(*idx)] / n
                 best = max(best, float(np.max(np.abs(emp - masses))))
-    return DiscrepancyReport(
-        lower=max(best - max_err, 0.0),
-        upper=min(best + max_err, 1.0),
-        method="exact-scan",
-    )
+    return best, max_err
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +265,7 @@ def build_quantile_cover(measure: TargetMeasure, delta: float) -> DeltaCover:
         slabs = np.diff(np.concatenate([[0.0], measure.marginal_cdf(j, cj), [1.0]]))
         worst = float(np.max(slabs))
         if worst > delta / d + 1e-8:
-            raise CoverConstructionError(
-                f"coordinate {j}: finest achieved slab mass {worst:.3e}",
-                achieved_delta=worst * d,
-            )
+            raise CoverConstructionError(f"coordinate {j}: finest achieved slab mass {worst:.3e}")
     return DeltaCover(delta=delta, measure=measure, cuts=tuple(cuts))
 
 

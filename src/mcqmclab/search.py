@@ -14,6 +14,7 @@ Two routes to a low-discrepancy driver:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundInputs, corollary_main_bound
+from .bounds import BoundInputs, beck_bound, corollary_main_bound
 from .chain import ChainSystem, run_chain, run_chains
 from .core import DriverSequence, Rng, halton_sequence, uniform_driver
 from .discrepancy import (
@@ -194,30 +195,18 @@ def rate_study(
     system: ChainSystem,
     ns: Sequence[int],
     config: SearchConfig,
-    cover_builder=None,
+    cover: Optional[DeltaCover] = None,
 ) -> list[dict]:
-    """One best-of-k search per n; rows carry the achieved bracket, the main
-    theory bound and the Beck existence bound for comparison."""
+    """One best-of-k search per n, all scored over the same ``cover``
+    (required for the cover objectives); rows carry the achieved bracket,
+    the main theory bound and the Beck existence bound for comparison."""
     ns = list(ns)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("ns must be strictly increasing")
-    from .bounds import beck_bound
-
     rows = []
     for n in ns:
-        cfg = SearchConfig(
-            n=n,
-            k=config.k,
-            seed=config.seed,
-            n0=config.n0,
-            candidate_kinds=config.candidate_kinds,
-            objective=config.objective,
-            delta=config.delta,
-            mc_replications=config.mc_replications,
-        )
-        cover = cover_builder(n) if cover_builder is not None else None
         t0 = time.perf_counter()
-        result = best_of_k(system, cfg, cover=cover)
+        result = best_of_k(system, dataclasses.replace(config, n=n), cover=cover)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         rows.append(
             {

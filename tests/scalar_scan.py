@@ -1,8 +1,8 @@
 """The critical-grid scan with one box-mass call per corner: the scalar form
-of ``star_discrepancy_exact`` for d = 2 and 3 (and d = 1 without a
-closed-form CDF), and the cover counts as one comparison of every point with
+of ``star_discrepancy_exact`` (its sorted d = 1 pass and its tensor scan
+for d = 2 and 3), and the cover counts as one comparison of every point with
 every cover corner, with the cover bracket and pull-back built on them.
-They are kept as the references the tensor scan and the binned cover counts
+They are kept as the references the exact scan and the binned cover counts
 must match, and are not used by the package.
 """
 

@@ -42,6 +42,13 @@ class TestGoldenValues:
         assert gap == pytest.approx(3.125e-6 / 2 * 0.5, abs=1e-12)
         assert gap == pytest.approx(7.8125e-7, abs=1e-12)
 
+    def test_ballwalk_gap_uniform(self):
+        # the uniform density (alpha = 0) has 1/alpha = inf in both minima
+        for d in range(1, 8):
+            assert ballwalk_gap_bound(0.0, d) == (1.0 / math.sqrt(d + 1), 3.125e-6 / (d + 1) ** 2)
+        with pytest.raises(ValueError):
+            ballwalk_gap_bound(-0.5, 1)
+
     def test_main_bound(self):
         val = main_discrepancy_bound(
             BoundInputs(n=100, lambda0=0.0, nu_norm=1.0, cover_size=2, delta=0.01)

@@ -154,6 +154,13 @@ class TestLazyDirectKernel:
             math.sqrt(expect**2 - 1.0), abs=1e-9
         )
 
+    def test_centered_norm_is_derived(self):
+        # ||dnu/dpi - 1||_2 follows from ||dnu/dpi||_2; it is not stored
+        system = make_lazy_direct_kernel(uniform_interval(), a=0.5)
+        assert (system.nu_density_norm, system.nu_norm_centered) == (1.0, 0.0)
+        system.nu_density_norm = 1.25
+        assert system.nu_norm_centered == math.sqrt(1.25**2 - 1.0) == 0.75
+
     def test_invalid_a(self):
         with pytest.raises(ValueError):
             make_lazy_direct_kernel(uniform_interval(), a=0.0)

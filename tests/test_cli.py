@@ -188,6 +188,24 @@ class TestRunExperiments:
         assert main(["run", _write(tmp_path, "c.json", cfg)]) == 3
         assert not (tmp_path / "d.csv").exists()
 
+    def test_search_exact_infeasible_dimension(self, tmp_path, capsys):
+        # the exact scan itself refuses d = 4; the CLI maps that to exit 3
+        cfg = {
+            "experiment": "search",
+            "dimension": 4,
+            "density": {"name": "uniform", "alpha": 0.0},
+            "gamma": 0.4,
+            "n": 8,
+            "k": 2,
+            "objective": "star-exact",
+            "output": str(tmp_path / "s.csv"),
+        }
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: exact scan is limited to d <= 3")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
     def test_pullback_lazy_direct(self, tmp_path):
         cfg = {
             "experiment": "pullback",

@@ -11,6 +11,7 @@ from mcqmclab.core import (
     BoxDomain,
     DriverSequence,
     Rng,
+    TargetMeasure,
     exp_linear_ball,
     exp_linear_box,
     exp_linear_interval,
@@ -131,6 +132,18 @@ class TestDriverSequence:
         assert np.array_equal(a.points, b.points)
 
 
+def _uniform_01():
+    return uniform_interval(0.0, 1.0)
+
+
+def _exp_linear_01():
+    return exp_linear_interval(1.3, 0.0, 1.0)
+
+
+def _quadrature_01():
+    return TargetMeasure(BoxDomain((0.0,), (1.0,)), lambda x: 1.0 + x[:, 0] ** 2, name="quad")
+
+
 class TestIntervalMeasures:
     def test_uniform_cdf(self):
         m = uniform_interval(-1.0, 1.0)
@@ -160,6 +173,37 @@ class TestIntervalMeasures:
         m = uniform_interval(-1.0, 1.0)
         assert m.box_mass(AnchoredBox([-2.0])) == (0.0, 0.0)
         assert m.box_mass(AnchoredBox([5.0])) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("make", [_uniform_01, _exp_linear_01, _quadrature_01])
+    def test_cdf_is_the_box_mass(self, make):
+        # one CDF path: cdf, marginal_cdf and the box masses of the corners
+        # agree bit for bit inside, at and beyond the ends, and on NaN
+        m = make()
+        t = np.array([-np.inf, -1.5, 0.0, 1e-300, 0.25, 0.5, 0.75, 1.0, 1.5, np.inf, np.nan])
+        masses = m.box_masses(t[:, None])[0]
+        for got in (m.cdf(t), m.marginal_cdf(0, t), np.array([m.cdf(x) for x in t])):
+            assert got.tobytes() == masses.tobytes()
+        assert isinstance(m.cdf(0.25), float)
+
+    @pytest.mark.parametrize("make", [_uniform_01, _exp_linear_01, _quadrature_01])
+    def test_inv_cdf_is_the_marginal_quantile(self, make):
+        m = make()
+        p = np.array([0.0, 1e-9, 0.1, 0.5, 0.9, 1.0])
+        q = m.inv_cdf(p)
+        assert type(q) is np.ndarray and q.tobytes() == m.marginal_quantile(0, p).tobytes()
+        assert m.inv_cdf(list(p)).tobytes() == q.tobytes()
+        for x, want in zip(p, q):
+            got = m.inv_cdf(float(x))
+            assert type(got) is float and got == m.marginal_quantile(0, float(x))
+            if make is not _quadrature_01:
+                assert got == want
+
+    def test_cdf_rejects_d_above_1(self):
+        m = uniform_box([0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            m.cdf(0.5)
+        with pytest.raises(ValueError):
+            m.inv_cdf(0.5)
 
     @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     @settings(max_examples=50, deadline=None)

@@ -81,6 +81,17 @@ def test_product_measures_bit_identical(alpha, d):
         _same_as_scalar(pts, measure, oracle)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.3])
+def test_interval_presets_bit_identical(alpha):
+    # the sorted d = 1 pass takes the closed-form masses from box_masses;
+    # the points include ties and both ends of the domain
+    measure = uniform_interval() if alpha == 0.0 else exp_linear_interval(alpha)
+    oracle = ref.product_oracle(alpha, [-1.0], [1.0])
+    for seed in range(3):
+        report = _same_as_scalar(_box_points(40, 1, seed), measure, oracle)
+        assert report.lower == report.upper
+
+
 def test_quadrature_measures_bit_identical():
     for seed in range(3):
         report = _same_as_scalar(_box_points(10, 1, seed), _quad_interval())

@@ -148,6 +148,18 @@ class TestRateStudy:
         with pytest.raises(ValueError):
             rate_study(_direct(), [64, 16], cfg)
 
+    def test_one_cover_for_every_n(self):
+        system = _direct()
+        cover = build_quantile_cover(system.target, 0.05)
+        cfg = SearchConfig(n=16, k=3, seed=4, objective="star-bracket", delta=0.05)
+        rows = rate_study(system, [16, 48], cfg, cover=cover)
+        for row in rows:
+            single = SearchConfig(n=row["n"], k=3, seed=4, objective="star-bracket", delta=0.05)
+            report = best_of_k(system, single, cover=cover).best_report
+            assert (row["disc_lower"], row["disc_upper"]) == (report.lower, report.upper)
+        with pytest.raises(ValueError, match="requires a cover"):
+            rate_study(system, [16], cfg)
+
     def test_beck_column_golden(self):
         cfg = SearchConfig(n=16, k=1, seed=1)
         rows = rate_study(_direct(), [1024], cfg)
