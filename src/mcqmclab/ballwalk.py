@@ -20,11 +20,10 @@ from itertools import repeat
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .bounds import ballwalk_gap_bound
 from .chain import ChainSystem, GeneratorFunction, UpdateFunction
-from .core import Rng, TargetMeasure, exp_linear_ball, uniform_ball
+from .core import Rng, TargetMeasure, exp_linear_ball, special, uniform_ball
 
 __all__ = [
     "LogDensity",

@@ -43,7 +43,6 @@ class BoundInputs:
     nu_norm_centered: float = 0.0   # ||dnu/dpi - 1||_2
     cover_size: int = 1             # |Gamma_delta|
     delta: float = 0.0
-    epsilon: float = 0.25
     c: float = 0.0                  # deviation level
 
     def __post_init__(self):

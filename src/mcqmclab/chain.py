@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DriverSequence, Rng, TargetMeasure
+from .core import DriverSequence, Rng, TargetMeasure, integrate
 
 __all__ = [
     "GeneratorFunction",
@@ -179,8 +179,6 @@ def nu_density_norm(nu: TargetMeasure, pi: TargetMeasure) -> float:
     """||dnu/dpi||_2 by quadrature (d = 1 only)."""
     if pi.dim != 1:
         raise ValueError("quadrature norm implemented for d = 1 only")
-    from scipy import integrate
-
     lo, hi = pi.domain.bounding()
     z_nu = _normalizer(nu)
     z_pi = _normalizer(pi)
@@ -198,8 +196,6 @@ def nu_density_norm(nu: TargetMeasure, pi: TargetMeasure) -> float:
 def _normalizer(m: TargetMeasure) -> float:
     if m.exact_box_mass is None:
         return m.normalizer
-    from scipy import integrate
-
     lo, hi = m.domain.bounding()
     val, _ = integrate.quad(
         lambda t: float(m.density(np.array([[t]]))[0]), lo[0], hi[0], epsabs=1e-12

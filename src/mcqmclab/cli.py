@@ -100,7 +100,6 @@ _SCHEMA = {
         "lambda0": (float, "[0, 1]", 0.0),
         "nu-norm": (float, "[0, inf)", 1.0),
         "delta": (float, "[0, 1]", 0.0),
-        "epsilon": (float, "(0, 1)", 0.25),
     },
     "invert": {"seed": _SEED, "density": _DENSITY, "gamma": (float, "[2, inf)", 2.0), **_N},
 }
@@ -241,7 +240,6 @@ def _run_bounds(p: dict):
         lambda0=p["lambda0"],
         nu_norm=p["nu-norm"],
         delta=p["delta"],
-        epsilon=p["epsilon"],
     )
     header = ["d", "n", "lambda0", "nu_norm", "corollary_bound", "beck_bound"]
     row = [

@@ -15,13 +15,13 @@ the types here:
 
 from __future__ import annotations
 
+import importlib
 import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, special
 
 __all__ = [
     "Rng",
@@ -39,6 +39,23 @@ __all__ = [
     "uniform_ball",
     "exp_linear_ball",
 ]
+
+
+class _LazyModule:
+    """A module imported on first attribute access, so that importing the
+    package loads no scipy; every attribute is the module's own."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+# quadrature and incomplete beta functions; callers read these names at call
+# time, so an object set in their place here is the one called
+integrate = _LazyModule("scipy.integrate")
+special = _LazyModule("scipy.special")
 
 
 # ---------------------------------------------------------------------------
@@ -316,21 +333,25 @@ class TargetMeasure:
         largest error bound among them.  Entries of +inf mean no
         restriction; a row with an entry at or below the domain's lower
         bound has mass 0, and a row at or above its upper bound in every
-        entry has mass 1, both without error."""
+        entry has mass 1, both without error.  A row with a NaN entry has
+        mass NaN and makes the error NaN, for every measure, and nothing is
+        cached for it."""
         c = np.asarray(corners, float)
         if c.ndim != 2 or c.shape[1] != self.dim:
             raise ValueError(f"corners of shape {c.shape} for measure dimension {self.dim}")
         lo, hi_dom = self.domain.bounding()
+        nan = np.isnan(c).any(axis=1)
         empty = np.any(c <= lo, axis=1)
         full = np.all(c >= hi_dom, axis=1) & ~empty
-        masses = full.astype(float)
-        rest = np.flatnonzero(~(empty | full))
+        masses = np.where(nan, np.nan, full.astype(float))
+        err = math.nan if nan.any() else 0.0
+        rest = np.flatnonzero(~(empty | full | nan))
         if rest.size == 0:
-            return masses, 0.0
+            return masses, err
         hi = np.minimum(c[rest], hi_dom)
         if self.exact_box_mass is not None:
             masses[rest] = self.exact_box_mass(hi)
-            return masses, 0.0
+            return masses, err
         if self._profile_rule:
             num, num_err = self._disc_integrals(hi)
             vals = np.clip(num / self.normalizer, 0.0, 1.0)
@@ -338,7 +359,7 @@ class TargetMeasure:
         else:
             vals, errs = np.array([self._cached_mass(c[i], h) for i, h in zip(rest, hi)]).T
         masses[rest] = vals
-        return masses, float(np.max(errs))
+        return masses, err + float(np.max(errs))
 
     def box_mass(self, box: AnchoredBox) -> tuple[float, float]:
         """Normalized mass of ``box`` intersected with the domain, plus an

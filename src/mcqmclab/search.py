@@ -42,7 +42,7 @@ __all__ = [
     "fit_loglog_slope",
 ]
 
-CANDIDATE_KINDS = ("uniform-random", "halton", "scrambled-halton")
+CANDIDATE_KINDS = ("uniform-random", "halton", "shifted-halton")
 OBJECTIVES = ("star-exact", "star-bracket", "pullback-mc")
 
 
@@ -88,13 +88,14 @@ def _make_candidate(config: SearchConfig, j: int, s: int) -> DriverSequence:
         return uniform_driver(total, s, Rng(config.seed).split(j))
     if kind == "halton":
         return halton_sequence(total, s)
-    # scrambled-halton: seeded digital shift modulo 1
+    # shifted-halton: a seeded Cranley-Patterson rotation, Halton plus one
+    # uniform shift modulo 1 (the digits are not scrambled)
     base = halton_sequence(total, s).points
     shift = Rng(config.seed).split(1000 + j).uniforms(s)
     pts = np.mod(base + shift, 1.0)
     # keep strictly inside [0,1] after the wrap
     pts = np.clip(pts, 0.0, np.nextafter(1.0, 0.0))
-    return DriverSequence(pts, provenance=f"scrambled-halton(seed={config.seed},j={j})")
+    return DriverSequence(pts, provenance=f"shifted-halton(seed={config.seed},j={j})")
 
 
 def _scores(

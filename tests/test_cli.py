@@ -114,6 +114,14 @@ class TestBadValues:
         name = "density.alpha" if key == "density" else key
         self._assert_rejected(tmp_path, capsys, self._search(tmp_path, key, value), name)
 
+    def test_scrambled_halton_renamed(self, tmp_path, capsys):
+        # the kind is a random shift, not a scrambling; the error names its
+        # new name
+        cfg = self._search(tmp_path, "candidate-kinds", ["scrambled-halton"])
+        assert main(["validate", cfg]) == 2
+        assert "'shifted-halton'" in capsys.readouterr().err
+        self._assert_rejected(tmp_path, capsys, cfg, "candidate-kinds")
+
     def test_gamma_star_rejected_for_inversion(self, tmp_path, capsys):
         cfg = {"experiment": "invert", "gamma": "gamma-star", "output": str(tmp_path / "i.csv")}
         self._assert_rejected(tmp_path, capsys, _write(tmp_path, "c.json", cfg), "gamma")
@@ -156,6 +164,15 @@ class TestRunBounds:
         bad["bogus"] = True
         cfg_path = _write(tmp_path, "c.json", bad)
         assert main(["run", cfg_path]) == 2
+        assert not (tmp_path / "bounds.csv").exists()
+
+    def test_epsilon_is_not_a_key(self, tmp_path, capsys):
+        # no bound the experiment prints reads epsilon, so the key is unknown
+        cfg = _bounds_cfg(tmp_path)
+        cfg["epsilon"] = 0.25
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown keys" in err and "'epsilon'" in err
         assert not (tmp_path / "bounds.csv").exists()
 
 

@@ -256,3 +256,46 @@ class TestBallMeasures:
         a = uniform_ball(3).box_mass(AnchoredBox([0.2, 0.1, 0.4]))
         b = uniform_ball(3).box_mass(AnchoredBox([0.2, 0.1, 0.4]))
         assert a == b
+
+
+def _quadrature_2d():
+    return TargetMeasure(
+        BoxDomain((0.0, 0.0), (1.0, 1.0)), lambda x: 1.0 + x[:, 0] * x[:, 1], name="quad-2d"
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _uniform_01,
+        _quadrature_01,
+        _quadrature_2d,
+        lambda: uniform_ball(2),
+        lambda: exp_linear_ball(1.0, 2),
+        lambda: uniform_ball(3),
+    ],
+    ids=["interval", "quadrature-1d", "quadrature-2d", "uniform-disc", "exp-linear-disc", "ball-3"],
+)
+def test_nan_corners_have_nan_mass_and_error(make):
+    # a NaN entry is never a certified value: its row has mass NaN and the
+    # error is NaN, beside an entry below the domain (else mass 0) too, the
+    # other rows keep their values, and nothing is cached for it
+    m = make()
+    d = m.dim
+    good = np.full((2, d), 0.3)
+    good[1] = 0.6
+    want, want_err = make().box_masses(good)
+    bad = [np.full(d, np.nan), np.full(d, 0.4), np.full(d, 0.4)]
+    bad[1][-1] = np.nan
+    bad[2][0] = -5.0
+    bad[2][-1] = np.nan
+    c = np.vstack([good[:1], bad, good[1:]])
+    for _ in range(2):
+        masses, err = m.box_masses(c)
+        assert math.isnan(err)
+        assert np.isnan(masses[1:4]).all()
+        assert masses[[0, 4]].tobytes() == want.tobytes()
+        assert all(math.isnan(v) for v in m.box_mass(AnchoredBox(bad[1])))
+    assert set(m._cache) <= {row.tobytes() for row in good}
+    masses, err = m.box_masses(good)
+    assert masses.tobytes() == want.tobytes() and err == want_err

@@ -56,12 +56,12 @@ class TestBestOfK:
 
     def test_candidate_kinds_cycle(self):
         cfg = SearchConfig(
-            n=32, k=3, seed=1, candidate_kinds=("uniform-random", "halton", "scrambled-halton")
+            n=32, k=3, seed=1, candidate_kinds=("uniform-random", "halton", "shifted-halton")
         )
         res = best_of_k(_direct(), cfg)
         provs = [p for p, _ in res.all_scores]
         assert provs[1] == "halton"
-        assert provs[2].startswith("scrambled-halton")
+        assert provs[2].startswith("shifted-halton")
 
     def test_halton_candidate_usually_wins(self):
         # van der Corput driver through the inverse CDF beats random drivers
