@@ -99,7 +99,6 @@ _SCHEMA = {
         "n": (int, "[1, inf)", 16),
         "lambda0": (float, "[0, 1]", 0.0),
         "nu-norm": (float, "[0, inf)", 1.0),
-        "delta": (float, "[0, 1]", 0.0),
     },
     "invert": {"seed": _SEED, "density": _DENSITY, "gamma": (float, "[2, inf)", 2.0), **_N},
 }
@@ -239,7 +238,6 @@ def _run_bounds(p: dict):
         d=p["dimension"],
         lambda0=p["lambda0"],
         nu_norm=p["nu-norm"],
-        delta=p["delta"],
     )
     header = ["d", "n", "lambda0", "nu_norm", "corollary_bound", "beck_bound"]
     row = [

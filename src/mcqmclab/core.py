@@ -150,9 +150,6 @@ class BoxDomain:
     def bounding(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.lower, float), np.asarray(self.upper, float)
 
-    def indicator(self, pts: np.ndarray) -> np.ndarray:
-        return self.contains(pts)
-
 
 @dataclass(frozen=True)
 class BallDomain:
@@ -170,9 +167,6 @@ class BallDomain:
     def bounding(self) -> tuple[np.ndarray, np.ndarray]:
         r = np.full(self.dim, self.radius)
         return -r, r
-
-    def indicator(self, pts: np.ndarray) -> np.ndarray:
-        return np.sum(np.asarray(pts, float) ** 2, axis=-1) <= self.radius**2
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +411,7 @@ class TargetMeasure:
         """Unnormalized integral of the density over domain ∩ (-inf, hi), for
         hi inside the domain's bounding box."""
         d = self.dim
-        lo, hi_dom = self.domain.bounding()
+        lo = self.domain.bounding()[0]
         if d == 1:
             f = lambda t: float(self.density(np.array([[t]]))[0])
             val, err = integrate.quad(f, lo[0], hi[0], epsabs=_QUAD_TOL[1], limit=200)
@@ -427,7 +421,7 @@ class TargetMeasure:
         return self._raw_integral_stratified(hi)
 
     def _raw_integral_2d(self, hi: np.ndarray) -> tuple[float, float]:
-        lo, hi_dom = self.domain.bounding()
+        lo = self.domain.bounding()[0]
         tol = _QUAD_TOL[2]
 
         def f2(y, x):
@@ -453,7 +447,7 @@ class TargetMeasure:
 
     def _raw_integral_stratified(self, hi: np.ndarray) -> tuple[float, float]:
         """d >= 3: stratified quasi-Monte Carlo estimate with a 3-sigma bound."""
-        lo, hi_dom = self.domain.bounding()
+        lo = self.domain.bounding()[0]
         d = self.dim
         k = 4          # strata per axis
         reps = 12
@@ -471,7 +465,7 @@ class TargetMeasure:
         for r in range(reps):
             u = rng.uniforms(cells * d).reshape(cells, d)
             pts = lo + (grid + u) / k * (hi - lo)
-            vals = self.density(pts) * self.domain.indicator(pts)
+            vals = self.density(pts) * self.domain.contains(pts)
             estimates[r] = vol * float(np.mean(vals))
         est = float(np.mean(estimates))
         err = 3.0 * float(np.std(estimates, ddof=1)) / math.sqrt(reps)

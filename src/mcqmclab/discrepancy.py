@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-# bound on the grid cells (corner masses, and box counts times points in
-# d = 3) that the exact scan holds at once
+# bound on the corners whose masses the exact scan asks for at once
 _SCAN_CHUNK_CELLS = 1 << 20
 
 
@@ -77,15 +76,39 @@ def _as_points(points, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _count_grid(bins: Sequence[np.ndarray], dims: Sequence[int]) -> np.ndarray:
+    """Cumulative point counts over a tensor grid of bins, for stacked point
+    sets.
+
+    ``bins[j]`` holds every point's bin on axis j, shape (sets, n), with
+    values in range(dims[j]).  Entry [s, t_1, ..., t_d] of the result, shape
+    (sets, *dims), counts the points of set s whose bin on every axis j is
+    at most t_j: one histogram of the bin cells per set, summed cumulatively
+    along every axis.
+    """
+    sets = bins[0].shape[0]
+    cell = np.arange(sets)[:, None]
+    for b, k in zip(bins, dims):
+        cell = cell * k + b
+    counts = np.bincount(cell.ravel(), minlength=sets * math.prod(dims))
+    counts = counts.reshape(sets, *dims)
+    for axis in range(1, len(dims) + 1):
+        np.cumsum(counts, axis=axis, out=counts)
+    return counts
+
+
 def star_discrepancy_exact(points, measure: TargetMeasure) -> DiscrepancyReport:
     """Exact star discrepancy over open anchored boxes, d <= 3.
 
-    The supremum is attained on the critical grid: per coordinate the sorted
-    point coordinates, each evaluated with the point excluded (strict box at
-    the coordinate) and included (limit from above), plus the domain upper
-    extreme.  For d = 1 that is one sorted pass over the distinct points;
-    for d = 2 and 3, :func:`_tensor_scan`.  The bracket is the largest
-    deviation plus and minus the largest box-mass error.
+    The supremum is attained on the critical grid: per coordinate the
+    distinct point coordinates and +inf, each evaluated with the point
+    excluded (strict box at the coordinate) and included (limit from
+    above).  A point's bin on axis j is its rank among the distinct
+    coordinates plus one, so entry t of :func:`_count_grid` on that axis
+    counts the points of rank < t: the strict count at grid index t, and
+    the closed count at index t - 1.  Both branches share the corner, whose
+    mass is taken once (the boundary has measure 0).  The bracket is the
+    largest deviation plus and minus the largest box-mass error.
     """
     d = measure.dim
     if d > 3:
@@ -94,59 +117,27 @@ def star_discrepancy_exact(points, measure: TargetMeasure) -> DiscrepancyReport:
         )
     pts = _as_points(points, d)
     n = pts.shape[0]
-    if d == 1:
-        # the box below a distinct value holds the points sorted before its
-        # first occurrence, and with the point included, those up to its last
-        x = np.sort(pts[:, 0])
-        vals, first, counts = np.unique(x, return_index=True, return_counts=True)
-        masses, max_err = measure.box_masses(vals[:, None])
-        strict, closed = first / n - masses, (first + counts) / n - masses
-        best = float(np.max(np.maximum(np.abs(strict), np.abs(closed))))
-    else:
-        best, max_err = _tensor_scan(pts, measure)
+    values, ranks = zip(*(np.unique(pts[:, j], return_inverse=True) for j in range(d)))
+    counts = _count_grid([r[None, :] + 1 for r in ranks], [v.size + 2 for v in values])[0]
+    axes = [np.append(v, np.inf) for v in values]
+    rows = max(1, _SCAN_CHUNK_CELLS // math.prod(a.size for a in axes[1:]))
+    best = 0.0
+    max_err = 0.0
+    for start in range(0, axes[0].size, rows):
+        grid = np.meshgrid(axes[0][start : start + rows], *axes[1:], indexing="ij")
+        masses, err = measure.box_masses(np.stack(grid, axis=-1).reshape(-1, d))
+        masses = masses.reshape(grid[0].shape)
+        max_err = max(max_err, err)
+        # the chunk's rows of the count grid and one more, for the closed
+        # branch of its last row
+        block = counts[start : start + len(masses) + 1]
+        for idx in itertools.product((slice(-1), slice(1, None)), repeat=d):
+            best = max(best, float(np.max(np.abs(block[idx] / n - masses))))
     return DiscrepancyReport(
         lower=max(best - max_err, 0.0),
         upper=min(best + max_err, 1.0),
         method="exact-scan",
     )
-
-
-def _tensor_scan(pts: np.ndarray, measure: TargetMeasure) -> tuple[float, float]:
-    """Largest deviation over the critical grid of points (n, d), d = 2 or 3,
-    and the largest box-mass error.
-
-    Per axis the grid is the distinct coordinates and +inf.  Grid index i
-    counts the points of rank < i strictly and of rank <= i closed; the two
-    branches share the corner, whose mass is taken once (the boundary has
-    measure 0).
-    """
-    n, d = pts.shape
-    values, ranks = zip(*(np.unique(pts[:, j], return_inverse=True) for j in range(d)))
-    sizes = [v.size + 1 for v in values]
-    axes = [np.append(v, np.inf) for v in values]
-    branches = [(np.arange(u), np.minimum(np.arange(u) + 1, u - 1)) for u in sizes]
-    # member[j][t, p] = 1 when point p has rank < t on axis j; contracting
-    # them over the points gives the count of every box
-    member = [(r[None, :] < np.arange(u)[:, None]).astype(float) for r, u in zip(ranks, sizes)]
-    cells = math.prod(sizes[1:]) * (n if d == 3 else 1)
-    rows = max(1, _SCAN_CHUNK_CELLS // cells)
-    best = 0.0
-    max_err = 0.0
-    for start in range(0, sizes[0], rows):
-        chunk = slice(start, start + rows)
-        grid = np.meshgrid(axes[0][chunk], *axes[1:], indexing="ij")
-        masses, err = measure.box_masses(np.stack(grid, axis=-1).reshape(-1, d))
-        masses = masses.reshape(grid[0].shape)
-        max_err = max(max_err, err)
-        for first in branches[0]:
-            counts = member[0][first[chunk]]
-            for mid in member[1:-1]:
-                counts = counts[..., None, :] * mid
-            counts = counts @ member[-1].T
-            for idx in itertools.product(*branches[1:]):
-                emp = counts[(slice(None),) + np.ix_(*idx)] / n
-                best = max(best, float(np.max(np.abs(emp - masses))))
-    return best, max_err
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +157,6 @@ class DeltaCover:
     delta: float
     measure: TargetMeasure
     cuts: tuple  # per-coordinate sorted cut arrays
-    _masses: Optional[tuple] = None
 
     @functools.cached_property
     def corners(self) -> np.ndarray:
@@ -186,9 +176,8 @@ class DeltaCover:
 
         A point's bin on axis j is the number of cuts at or below x_j, so
         x_j < cuts_j[t] exactly when the bin is <= t, and every finite x_j
-        is below +inf; +inf and NaN go to one more bin, below nothing.  One
-        histogram of the bin cells per point set, summed cumulatively along
-        every axis, counts the points of every grid member at once.
+        is below +inf; +inf and NaN go to one more bin, below nothing.  The
+        members' counts are :func:`_count_grid` without that last bin.
         """
         pts = np.asarray(points, float)
         d = len(self.cuts)
@@ -197,18 +186,12 @@ class DeltaCover:
         *batch, n, _ = pts.shape
         sets = math.prod(batch)
         flat = pts.reshape(sets, n, d)
-        dims = [len(cj) + 2 for cj in self.cuts]
-        cell = np.arange(sets)[:, None]
-        for j, cj in enumerate(self.cuts):
-            x = flat[:, :, j]
-            cell = cell * dims[j] + np.where(
-                x < np.inf, np.searchsorted(cj, x, side="right"), len(cj) + 1
-            )
-        counts = np.bincount(cell.ravel(), minlength=sets * math.prod(dims))
-        counts = counts.reshape(sets, *dims)
-        for axis in range(1, d + 1):
-            np.cumsum(counts, axis=axis, out=counts)
-        counts = counts[(slice(None),) + tuple(slice(k - 1) for k in dims)].reshape(sets, -1)
+        bins = [
+            np.where(x < np.inf, np.searchsorted(cj, x, side="right"), len(cj) + 1)
+            for cj, x in zip(self.cuts, np.moveaxis(flat, -1, 0))
+        ]
+        counts = _count_grid(bins, [len(cj) + 2 for cj in self.cuts])
+        counts = counts[(slice(None),) + (slice(-1),) * d].reshape(sets, -1)
         fractions = np.hstack([counts, np.zeros((sets, 1), counts.dtype)]) / n
         return fractions.reshape(*batch, self.size)
 
@@ -237,10 +220,13 @@ class DeltaCover:
     def mass(self, box: AnchoredBox) -> tuple[float, float]:
         return self.measure.box_mass(box)
 
+    @functools.cached_property
+    def _masses(self) -> tuple[np.ndarray, float]:
+        return self.measure.box_masses(self.corners)
+
     def masses(self) -> tuple[np.ndarray, float]:
-        """Masses of every member, plus the max quadrature error."""
-        if self._masses is None:
-            self._masses = self.measure.box_masses(self.corners)
+        """Masses of every member, plus the max quadrature error, computed
+        on the first call."""
         return self._masses
 
 

@@ -166,13 +166,15 @@ class TestRunBounds:
         assert main(["run", cfg_path]) == 2
         assert not (tmp_path / "bounds.csv").exists()
 
-    def test_epsilon_is_not_a_key(self, tmp_path, capsys):
-        # no bound the experiment prints reads epsilon, so the key is unknown
+    @pytest.mark.parametrize("key", ["epsilon", "delta"])
+    def test_epsilon_is_not_a_key(self, tmp_path, capsys, key):
+        # no bound the experiment prints reads epsilon or delta, so the keys
+        # are unknown
         cfg = _bounds_cfg(tmp_path)
-        cfg["epsilon"] = 0.25
+        cfg[key] = 0.25
         assert main(["run", _write(tmp_path, "c.json", cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unknown keys" in err and "'epsilon'" in err
+        assert err.count("\n") == 1 and "unknown keys" in err and f"'{key}'" in err
         assert not (tmp_path / "bounds.csv").exists()
 
 

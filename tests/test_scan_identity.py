@@ -6,6 +6,7 @@ the paths on which the old per-corner disc quadrature misstated its error.
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -102,6 +103,23 @@ def test_quadrature_measures_bit_identical():
 @pytest.mark.parametrize("make", [uniform_ball, lambda d: exp_linear_ball(1.0, d)])
 def test_stratified_ball_bit_identical(make):
     _same_as_scalar(_ball_points(5, 3, 11), make(3))
+
+
+@pytest.mark.parametrize("chunk_cells", [discrepancy._SCAN_CHUNK_CELLS, 10])
+@given(st.integers(1, 3), st.sampled_from([0.0, 1.3]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_random_ties_bit_identical(chunk_cells, d, alpha, data):
+    # coordinates on 5 values per axis, domain ends included, so ties are
+    # dense; 10 cells make the mass chunks end inside the grid
+    lo, hi = np.array([-1.0, -0.5, 0.0][:d]), np.array([1.0, 2.0, 0.5][:d])
+    measure = uniform_box(lo, hi) if alpha == 0.0 else exp_linear_box(alpha, lo, hi)
+    n = data.draw(st.integers(1, 16))
+    steps = data.draw(
+        st.lists(st.lists(st.integers(0, 4), min_size=d, max_size=d), min_size=n, max_size=n)
+    )
+    pts = lo + (hi - lo) * np.array(steps) / 4.0
+    with mock.patch.object(discrepancy, "_SCAN_CHUNK_CELLS", chunk_cells):
+        _same_as_scalar(pts, measure, ref.product_oracle(alpha, lo, hi))
 
 
 def test_chunked_scan_matches_one_chunk(monkeypatch):
