@@ -193,6 +193,69 @@ def metropolis_update(
     return _accept(x.reshape(-1, params.d), z, rows[:, -1], density).reshape(x.shape)
 
 
+# the relative width of _replay's band, derived in its docstring
+_RATIO_BAND = 2.0**-48
+
+
+def _replay(
+    X0: np.ndarray, U: np.ndarray, params: BallWalkParams, density: LogDensity
+) -> np.ndarray:
+    """Ball-walk replay of a driver block U (m, b, s) from states X0 (b, d),
+    for a preset density: log rho(x) = alpha * x_1 (alpha = 0: uniform).
+
+    Proposals z depend on the driver alone, and so does the density-ratio
+    test: with Delta = fl(alpha y_1) - fl(alpha x_1) for y = x + z, a step
+    passes it iff v <= exp(min(Delta, 0)), which in exact arithmetic is
+    g = alpha z_1 - log v >= 0 (log v <= 0).  For alpha = 0, Delta is
+    exactly 0 and every v in [0, 1] passes.  Otherwise the test is decided
+    for the whole block from the sign of the computed g.  That is exact
+    outside the band |g| <= tol, for states and proposals in the unit ball
+    (|x_1|, |y_1| <= 1; the unit-ball test rejects any other y), with
+    u = 2^-53, np.log within 4 ulp (NumPy validates it to 1) and math.exp
+    faithful (within 1 ulp):
+
+        |Delta - alpha z_1| <= 6 alpha u           (x + z, two products, -)
+        |g - (alpha z_1 - ln v)| <= (2 alpha |z_1| + 9 |ln v|) u
+                                                   (product, np.log, -)
+        |ln(math.exp(t) / e^t)| <= 2.01 u          (exp)
+
+    so tol = 2^-48 (alpha (2 + |z_1|) + |log v| + 1), 32 u per term,
+    covers their sum.  The bound on exp is relative, which holds while
+    exp(Delta) is a normal number, so alpha z_1 < -700 counts as inside the
+    band, as does a NaN g.  A block with any entry inside the band replays
+    every step through ``_accept``, the exact per-step form.  Otherwise the
+    step loop keeps only y = x + z, the unit-ball test and the selection,
+    computed as in ``_accept``.  Either way the states equal per-step
+    ``metropolis_update`` bit for bit.
+    """
+    d = params.d
+    z = ball_generator(U[..., : params.proposal_dim], params.gamma, d)
+    v = U[..., -1]
+    X = np.empty(z.shape)
+    x = X0
+    alpha = density.alpha
+    if alpha == 0.0:
+        ratio_ok = np.ones(v.shape, bool)
+    else:
+        az = alpha * z[..., 0]
+        # v = 0 passes whatever the ratio; so does the smallest subnormal
+        # once alpha z_1 >= -700, and its log is finite
+        log_v = np.log(np.maximum(v, 5e-324))
+        g = az - log_v
+        tol = _RATIO_BAND * (alpha * (2.0 + np.abs(z[..., 0])) + np.abs(log_v) + 1.0)
+        if not (np.abs(g) > tol).all() or (az < -700.0).any():
+            for i in range(len(U)):
+                x = X[i] = _accept(x, z[i], v[i], density)
+            return X
+        ratio_ok = g > 0.0
+    for i in range(len(U)):
+        y = x + z[i]
+        # np.vecdot as in _accept, for the same rounding
+        ok = ratio_ok[i] & (np.vecdot(y, y) <= 1.0)
+        x = X[i] = np.where(ok[:, None], y, x)
+    return X
+
+
 def _sphere_inverse(e: np.ndarray, d: int) -> np.ndarray:
     if d == 1:
         return np.array([0.25 if e[0] < 0 else 0.75])
@@ -282,16 +345,10 @@ def make_metropolis_system(
         s_init=params.driver_dim, map=lambda U: ball_generator(U[..., :p], 1.0, d)
     )
 
-    def lift(U):
-        # proposals depend on the driver alone: W = (z, v) for every step
-        z = ball_generator(U[..., :p], gamma, d)
-        return np.concatenate([z, U[..., -1:]], axis=-1)
-
     update = UpdateFunction(
         s=params.driver_dim,
-        map=lambda X, W: _accept(X, W[:, :d], W[:, d], density),
+        replay=lambda X0, U: _replay(X0, U, params, density),
         inverse=lambda x, y: invert_update(x, y, params, density),
-        lift=lift,
     )
 
     def sampler(x: np.ndarray, rng: Rng) -> np.ndarray:

@@ -4,8 +4,10 @@ A chain system bundles an update function phi: G x [0,1]^s -> G, a generator
 function psi: [0,1]^s -> G for the initial distribution, the target measure,
 and spectral metadata.  Paths are generated deterministically from a driver
 sequence: x_1 = psi(u_0), x_{i+1} = phi(x_i; u_i), so every path is exactly
-replayable.  Both maps act on a batch of chains at once, and ``run_chains``
-replays b equal-length paths in lockstep.
+replayable.  The whole driver block is known before a replay starts, so
+phi is given as a block replay: each kernel maps the start states of b
+chains and their m remaining driver points to all m later states at once,
+and ``run_chains`` calls it once per batch of paths.
 """
 
 from __future__ import annotations
@@ -47,21 +49,20 @@ class GeneratorFunction:
 
 @dataclass(frozen=True)
 class UpdateFunction:
-    """Map phi: G x [0,1]^s -> G realizing the kernel K(x, .), batched over
-    chains: ``phi(X[b, d], U[b, s]) -> X[b, d]``.
+    """Map phi: G x [0,1]^s -> G realizing the kernel K(x, .), given as the
+    replay of a whole driver block: ``replay(X0[b, d], U[m, b, s]) ->
+    X[m, b, d]`` returns the states X[0] = phi(X0; U[0]) and X[i] =
+    phi(X[i-1]; U[i]) of b chains; m = 0 gives no states.  Each kernel
+    replays its block its own way, and must agree bit for bit with
+    stepping phi.
 
-    ``lift``, when present, is the part of phi that does not depend on the
-    state: phi(X; U) = map(X, lift(U)), where lift takes driver points of
-    shape (..., s).  run_chains lifts the whole driver block once before
-    stepping; without a lift, map takes the driver rows themselves.
     ``inverse``, when present, maps one pair (x, y) to a driver point u with
     phi(x; u) = y (the anywhere-to-anywhere witness).
     """
 
     s: int
-    map: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    replay: Callable[[np.ndarray, np.ndarray], np.ndarray]
     inverse: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    lift: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclass
@@ -135,12 +136,12 @@ def run_chain(system: ChainSystem, driver: DriverSequence, burn_in: int = 0) -> 
 def run_chains(
     system: ChainSystem, drivers: Sequence[DriverSequence], burn_in: int = 0
 ) -> list[ChainPath]:
-    """Lockstep replay of b equal-length paths: x_1 = psi(u_0),
-    x_{i+1} = phi(x_i; u_i) for all drivers at once.
+    """Replay of b equal-length paths: x_1 = psi(u_0) for all drivers at
+    once, then one ``update.replay`` of the remaining driver points.
 
     Each path has one state per driver point; the retained sample is
     ``states[burn_in:]``.  The states are checked against G once, after
-    stepping: ChainDomainError names the first step, and in it the first
+    the replay: ChainDomainError names the first step, and in it the first
     chain, whose state left G.
     """
     if not drivers:
@@ -155,13 +156,10 @@ def run_chains(
         raise ValueError("driver must contain at least burn_in + 1 points")
     # step-major blocks, so that each step reads and writes contiguous rows
     U = np.stack([driver.points for driver in drivers], axis=1)
-    update, domain = system.update, system.target.domain
-    W = U[1:] if update.lift is None else update.lift(U[1:])
     states = np.empty((n, len(drivers), system.dim))
-    x = states[0] = system.generator.map(U[0])
-    for i in range(1, n):
-        x = states[i] = update.map(x, W[i - 1])
-    inside = domain.contains(states)
+    states[0] = system.generator.map(U[0])
+    states[1:] = system.update.replay(states[0], U[1:])
+    inside = system.target.domain.contains(states)
     if not inside.all():
         i, j = divmod(int(np.argmin(inside)), len(drivers))
         raise ChainDomainError(f"state {states[i, j]} of chain {j} left the domain at step {i}")
@@ -224,11 +222,12 @@ def make_direct_kernel(
             raise ValueError("default generator available for d = 1 only")
         generator = GeneratorFunction(s_init=1, map=lambda U: _quantile_rows(target, U))
 
-    def lift(U):
-        # the new state is psi(u) whatever the old one: W = the next states
-        return generator.map(U.reshape(-1, U.shape[-1])).reshape(U.shape[:-1] + (-1,))
+    def replay(X0, U):
+        # the new state is psi(u) whatever the old one
+        X = generator.map(U.reshape(-1, U.shape[-1]))
+        return X.reshape(U.shape[:-1] + X0.shape[-1:])
 
-    update = UpdateFunction(s=generator.s_init, map=lambda X, W: W, lift=lift)
+    update = UpdateFunction(s=generator.s_init, replay=replay)
 
     def marginal(steps: Sequence[int], corners: np.ndarray) -> np.ndarray:
         masses = target.box_masses(corners)[0]
@@ -267,13 +266,15 @@ def make_lazy_direct_kernel(
 
     generator = GeneratorFunction(s_init=2, map=lambda U: _quantile_rows(nu, U))
 
-    def lift(U):
-        # W = (fresh draw from pi, hold coordinate) for every step
-        return np.concatenate([_quantile_rows(target, U), U[..., -1:]], axis=-1)
+    def replay(X0, U):
+        # a forward fill: step i holds the fresh draw of the last step at or
+        # before it whose hold coordinate is < a, or X0 before the first one
+        steps = np.arange(1, len(U) + 1)[:, None]
+        last = np.maximum.accumulate(np.where(U[..., -1] < a, steps, 0), axis=0)
+        draws = np.concatenate([X0[None], _quantile_rows(target, U)])
+        return np.take_along_axis(draws, last[..., None], axis=0)
 
-    update = UpdateFunction(
-        s=2, map=lambda X, W: np.where(W[:, 1:] < a, W[:, :1], X), lift=lift
-    )
+    update = UpdateFunction(s=2, replay=replay)
 
     def marginal(steps: Sequence[int], corners: np.ndarray) -> np.ndarray:
         m_nu = nu.box_masses(corners)[0][:, None]

@@ -693,10 +693,18 @@ def halton_sequence(n: int, s: int) -> DriverSequence:
         raise ValueError("need n >= 1 and s >= 1")
     if s > len(_PRIMES):
         raise ValueError(f"at most {len(_PRIMES)} dimensions supported")
-    pts = np.empty((n, s))
-    for j in range(s):
-        base = _PRIMES[j]
-        pts[:, j] = [radical_inverse(i + 1, base) for i in range(n)]
+    # radical_inverse for all points and bases at once, one digit position
+    # per pass: the same float operations in the same order, and adding
+    # 0 * f once a point's digits are spent leaves it unchanged.  The last
+    # point's base-2 digits run out last.
+    bases = np.array(_PRIMES[:s])
+    digits = np.arange(1, n + 1)[:, None].repeat(s, axis=1)
+    f = 1.0 / bases
+    pts = np.zeros((n, s))
+    while digits[-1, 0]:
+        digits, digit = np.divmod(digits, bases)
+        pts += digit * f
+        f /= bases
     return DriverSequence(pts, provenance="halton")
 
 

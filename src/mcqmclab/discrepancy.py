@@ -36,7 +36,7 @@ __all__ = [
 
 
 # bound on the corners whose masses the exact scan asks for at once
-_SCAN_CHUNK_CELLS = 1 << 20
+_SCAN_CHUNK_CELLS = 1 << 16
 
 
 class ExactScanInfeasible(RuntimeError):
@@ -308,7 +308,7 @@ def pullback_discrepancy_mc(
     equivalent to x_{i+1} in A), while the volume term equals the chain
     marginal nu P^i(A): taken from the system's exact-marginal oracle when
     available (mc_stderr = 0), otherwise estimated from m independent random
-    chains replayed in lockstep with the driver's own path.
+    chains replayed in one batch with the driver's own path.
     """
     n = driver.n - burn_in
     if n < 1:

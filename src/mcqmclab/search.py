@@ -104,8 +104,8 @@ def _scores(
     config: SearchConfig,
     cover: Optional[DeltaCover],
 ) -> list[DiscrepancyReport]:
-    """One report per candidate; star objectives replay all candidates in
-    lockstep and score each retained path on its own."""
+    """One report per candidate; star objectives replay all candidates as
+    one batch and score each retained path on its own."""
     if config.objective == "pullback-mc":
         return [
             pullback_discrepancy_mc(

@@ -1,7 +1,7 @@
 """The critical-grid scan with one box-mass call per corner: the scalar form
-of ``star_discrepancy_exact`` (its sorted d = 1 pass and its tensor scan
-for d = 2 and 3), and the cover counts as one comparison of every point with
-every cover corner, with the cover bracket and pull-back built on them.
+of ``star_discrepancy_exact`` for every d <= 3, and the cover counts as one
+comparison of every point with every cover corner, with the cover bracket
+and pull-back built on them.
 They are kept as the references the exact scan and the binned cover counts
 must match, and are not used by the package.
 """

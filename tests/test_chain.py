@@ -61,7 +61,9 @@ class TestRunChain:
     def test_domain_violation_detected(self):
         target = uniform_interval(0.0, 1.0)
         bad = ChainSystem(
-            update=UpdateFunction(s=1, map=lambda X, U: X + 1.0),
+            update=UpdateFunction(
+                s=1, replay=lambda X0, U: X0 + np.cumsum(np.ones_like(U), axis=0)
+            ),
             generator=GeneratorFunction(s_init=1, map=lambda U: U[:, :1]),
             target=target,
             lambda0=0.0,
@@ -81,7 +83,7 @@ class TestChainSystemValidation:
     def test_lambda0_range(self):
         with pytest.raises(ValueError):
             ChainSystem(
-                update=UpdateFunction(s=1, map=lambda x, u: x),
+                update=UpdateFunction(s=1, replay=lambda X0, U: X0 + 0.0 * U),
                 generator=GeneratorFunction(s_init=1, map=lambda u: np.zeros(1)),
                 target=uniform_interval(),
                 lambda0=1.5,
@@ -92,7 +94,7 @@ class TestChainSystemValidation:
     def test_lambda0_le_beta(self):
         with pytest.raises(ValueError):
             ChainSystem(
-                update=UpdateFunction(s=1, map=lambda x, u: x),
+                update=UpdateFunction(s=1, replay=lambda X0, U: X0 + 0.0 * U),
                 generator=GeneratorFunction(s_init=1, map=lambda u: np.zeros(1)),
                 target=uniform_interval(),
                 lambda0=0.9,
@@ -117,7 +119,7 @@ class TestLazyDirectKernel:
         system = make_lazy_direct_kernel(uniform_interval(-1.0, 1.0), a=0.5)
         x = np.array([0.3])
         U = np.array([[0.9, 0.8], [0.25, 0.1]])
-        stay, move = system.update.map(np.array([x, x]), system.update.lift(U))
+        stay, move = system.update.replay(np.array([x, x]), U[None])[0]
         assert np.array_equal(stay, x)
         assert move[0] == pytest.approx(-0.5)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcqmclab.core import (
+    _PRIMES,
     AnchoredBox,
     BallDomain,
     BoxDomain,
@@ -98,6 +99,13 @@ class TestHalton:
     def test_radical_inverse_base3(self):
         # 5 = 12 in base 3 -> reversed digits .21 = 2/3 + 1/9
         assert radical_inverse(5, 3) == pytest.approx(2 / 3 + 1 / 9, abs=1e-15)
+
+    def test_sequence_is_the_scalar_radical_inverse(self):
+        # the vectorized digit loop against radical_inverse, bit for bit
+        n = 10_000
+        pts = halton_sequence(n, len(_PRIMES)).points
+        for j, base in enumerate(_PRIMES):
+            assert np.array_equal(pts[:, j], [radical_inverse(i + 1, base) for i in range(n)])
 
     def test_dimensions_use_distinct_primes(self):
         pts = halton_sequence(4, 2).points

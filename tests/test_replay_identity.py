@@ -81,6 +81,45 @@ def test_lazy_direct_kernel_quadrature_target():
     )
 
 
+def _hold_drivers(a, n, seed):
+    """Lazy-kernel drivers on the refresh edge cases: hold coordinates all
+    exactly a (the test is strict, so the chain never refreshes and stays
+    at psi(u_0)), all 0 (it refreshes at every step), and a mix of a, the
+    doubles next to it and uniforms."""
+    rng = Rng(seed)
+    near = [a, np.nextafter(a, 0.0), np.nextafter(a, 1.0)]
+    holds = {
+        "never": np.full(n, a),
+        "always": np.zeros(n),
+        "mixed": np.where(rng.uniforms(n) < 0.5, rng.uniforms(n), np.resize(near, n)),
+    }
+    return {
+        name: DriverSequence(np.column_stack([rng.uniforms(n), h]), name)
+        for name, h in holds.items()
+    }
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0])
+def test_lazy_direct_kernel_refresh_edges(a):
+    pi, nu = exp_linear_interval(1.0), uniform_interval(-1.0, 1.0)
+    system = make_lazy_direct_kernel(pi, a=a, nu=nu)
+    drivers = _hold_drivers(a, 60, 9)
+    never = run_chain(system, drivers["never"]).states
+    assert np.all(never == nu.inv_cdf(drivers["never"].points[0, 0]))
+    for batch in [[d] for d in drivers.values()] + [list(drivers.values())]:
+        _assert_paths_match(system, batch, lambda pts: ref.lazy_path(pts, pi, nu, a))
+
+
+@pytest.mark.parametrize("b", [1, 4])
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_direct_kernel_block_lengths(b, n):
+    # n = 1 replays an empty block: the path is psi(u_0) alone
+    target = exp_linear_interval(1.0)
+    _assert_paths_match(
+        make_direct_kernel(target), _drivers(b, n, 1, 12), lambda pts: ref.direct_path(pts, target)
+    )
+
+
 def _gamma_star(alpha, d):
     return ballwalk_gap_bound(alpha, d)[0] if alpha > 0 else 1.0 / math.sqrt(d + 1)
 
@@ -141,13 +180,77 @@ def test_ballwalk_near_ties(d):
         assert np.array_equal(g, ref.metropolis_step(x, u, 2.0, d, "exp-linear", alpha))
 
 
+def _near_tie_driver(n, d, alpha, rng):
+    """A driver that puts a ball-walk chain at a near-tie of the ratio test
+    on every step: each point is ``invert_update`` toward a target (on the
+    unit sphere or inside the ball), with the acceptance coordinate at the
+    scalar reference's ratio or one ulp to either side of it."""
+    params = BallWalkParams(2.0, d)
+    dens = density_presets("exp-linear", alpha, d)
+    p = params.proposal_dim
+    points = [np.concatenate([rng.uniforms(p), [0.5]])]
+    x = ref.ball_point(points[0][:p], 1.0, d)
+    for _ in range(1, n):
+        e = ref.sphere_point(rng.uniforms(max(d - 1, 1)), d)
+        if rng.uniform() < 0.5:
+            e = e * rng.uniform()
+        u = invert_update(x, e, params, dens)
+        y = x + ref.ball_point(u[:p], 2.0, d)
+        ratio = math.exp(min(alpha * y[0] - alpha * x[0], 0.0))
+        near = (ratio, np.nextafter(ratio, 2.0), np.nextafter(ratio, -1.0))
+        u[-1] = min(near[int(3 * rng.uniform())], 1.0)
+        points.append(u)
+        x = ref.metropolis_step(x, u, 2.0, d, "exp-linear", alpha)
+    return DriverSequence(np.array(points), "near-ties")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_run_chains_ballwalk_near_ties(d):
+    # acceptance coordinates inside the band of the block ratio test, where
+    # only the exact per-step test decides.  One-step drivers are replayed
+    # alone too, so that no other entry of the block decides for them
+    # whether the block takes the exact path.
+    alpha = 1.0
+    system = make_metropolis_system("exp-linear", alpha, 2.0, d)
+    rng = Rng(70 + d)
+    short = [_near_tie_driver(2, d, alpha, rng.split(j)) for j in range(150)]
+    long = [_near_tie_driver(120, d, alpha, rng.split(1000 + j)) for j in range(3)]
+    for batch in [[driver] for driver in short] + [short, long[:1], long]:
+        _assert_paths_match(
+            system, batch, lambda pts: ref.ballwalk_path(pts, 2.0, d, "exp-linear", alpha)
+        )
+
+
+def test_run_chains_ballwalk_subnormal_ratios():
+    # alpha = 400: one step from x to -x with density ratios exp(-800 x_1)
+    # in the subnormal range, where exp has no relative error bound, and
+    # acceptance coordinates at the ratio and one ulp to either side
+    alpha = 400.0
+    system = make_metropolis_system("exp-linear", alpha, 2.0, 1)
+    params = BallWalkParams(2.0, 1)
+    dens = density_presets("exp-linear", alpha, 1)
+    drivers = []
+    for x1 in np.linspace(0.88, 0.935, 40):
+        u0 = np.array([0.75, x1, 0.5])
+        x = ref.ball_point(u0[:2], 1.0, 1)
+        u = invert_update(x, -x, params, dens)
+        y = x + ref.ball_point(u[:2], 2.0, 1)
+        ratio = math.exp(min(alpha * y[0] - alpha * x[0], 0.0))
+        for v in (ratio, np.nextafter(ratio, 1.0), np.nextafter(ratio, 0.0)):
+            drivers.append(DriverSequence(np.array([u0, np.append(u[:-1], v)]), "subnormal"))
+    for batch in [[driver] for driver in drivers] + [drivers]:
+        _assert_paths_match(
+            system, batch, lambda pts: ref.ballwalk_path(pts, 2.0, 1, "exp-linear", alpha)
+        )
+
+
 def test_lifted_update_is_metropolis_update():
     system = make_metropolis_system("exp-linear", 1.0, 0.5, 2)
     params = BallWalkParams(0.5, 2)
     dens = density_presets("exp-linear", 1.0, 2)
     u = Rng(8).uniforms(40 * system.s).reshape(40, system.s)
     x = np.zeros((40, 2))
-    stepped = system.update.map(x, system.update.lift(u))
+    stepped = system.update.replay(x, u[None])[0]
     assert np.array_equal(stepped, metropolis_update(x, u, params, dens))
 
 
@@ -174,7 +277,7 @@ def test_run_chains_rejects_mixed_lengths_and_empty_batches():
 
 def test_domain_violation_names_chain_and_step():
     bad = ChainSystem(
-        update=UpdateFunction(s=1, map=lambda X, U: X + (U > 0.5)),
+        update=UpdateFunction(s=1, replay=lambda X0, U: X0 + np.cumsum(U > 0.5, axis=0)),
         generator=GeneratorFunction(s_init=1, map=lambda U: 0.1 * U),
         target=uniform_interval(0.0, 1.0),
         lambda0=0.0,

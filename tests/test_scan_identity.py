@@ -84,7 +84,7 @@ def test_product_measures_bit_identical(alpha, d):
 
 @pytest.mark.parametrize("alpha", [0.0, 1.3])
 def test_interval_presets_bit_identical(alpha):
-    # the sorted d = 1 pass takes the closed-form masses from box_masses;
+    # the d = 1 count grid with the closed-form masses from box_masses;
     # the points include ties and both ends of the domain
     measure = uniform_interval() if alpha == 0.0 else exp_linear_interval(alpha)
     oracle = ref.product_oracle(alpha, [-1.0], [1.0])
