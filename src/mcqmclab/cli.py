@@ -70,6 +70,9 @@ _DENSITIES = ("uniform", "exp-linear")
 _SEED = (int, "[0, inf)", 0)
 _DIMENSION = (int, "[1, inf)", 1)
 _DENSITY = (dict, None, {"name": "uniform", "alpha": 0.0})
+# density.alpha and bounds --alpha: e^alpha (the density's range and the
+# bound on ||dnu/dpi||) must stay a finite float
+_ALPHA = "[0, 700]"
 _CHAIN = {
     "seed": _SEED,
     "dimension": _DIMENSION,
@@ -154,7 +157,7 @@ def _check_density(density) -> dict:
         raise ConfigError(f"unknown density keys: {bad}")
     if density.get("name") not in _DENSITIES:
         raise ConfigError(f"unknown density name {density.get('name')!r}")
-    alpha = _check("density.alpha", density.get("alpha", 0.0), float, "[0, inf)")
+    alpha = _check("density.alpha", density.get("alpha", 0.0), float, _ALPHA)
     return {"name": density["name"], "alpha": alpha}
 
 
@@ -396,6 +399,9 @@ def _cmd_validate(path: str) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if not _in_interval(args.alpha, _ALPHA):
+        print(f"config error: --alpha must be a number in {_ALPHA}, got {args.alpha!r}", file=sys.stderr)
+        return 2
     inp = BoundInputs(
         n=args.n, d=args.d, lambda0=args.lambda0, nu_norm=args.norm, c=0.1
     )

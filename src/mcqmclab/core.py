@@ -231,29 +231,49 @@ class AnchoredBox:
 # ---------------------------------------------------------------------------
 
 _QUAD_TOL = {1: 1e-10, 2: 1e-8}
-# Gauss-Legendre rules over x1 = r sin(theta) for the disc profile
-# reduction; the higher order gives the value, the gap to the lower one the
-# error estimate
-_DISC_RULES = tuple(np.polynomial.legendre.leggauss(k) for k in (24, 48))
+# The disc profile rule: a Gauss-Legendre pair on every interval between a
+# column's breakpoints in theta (x1 = r sin(theta)).  The higher order gives
+# the value, the gap to the lower one the error estimate.  The fixed panel
+# edges keep every interval at most pi / _DISC_PANELS long, also where a
+# column has a single level: with 8 panels the gap of a single-level column
+# stays below 1e-11 up to alpha = 100 (4 panels: 2e-7).
+_DISC_LOW, _DISC_HIGH = (np.polynomial.legendre.leggauss(k) for k in (12, 24))
+_DISC_NODES = np.concatenate([_DISC_LOW[0], _DISC_HIGH[0]])
+_DISC_PANELS = 8
+_DISC_PANEL_EDGES = -0.5 * math.pi + math.pi / _DISC_PANELS * np.arange(_DISC_PANELS)
 
 
-def _bisect(f: Callable[[np.ndarray], np.ndarray], p, a: float, b: float):
-    """Bisection to width 1e-12 of a nondecreasing f for every level of p at
-    once: each level halves its own bracket [a, b], keeping the lower end
-    while f(mid) < p, until it is no wider than 1e-12, and returns the
-    midpoint.  Scalar p gives a float."""
-    levels = np.atleast_1d(np.asarray(p, float)).ravel()
-    lo = np.full(levels.shape, float(a))
-    hi = np.full(levels.shape, float(b))
+def _ball_section(rho, h):
+    """Measure of the section of the ball at half-width rho below the corner's
+    trailing coordinates h: in d = 2 the length of {|x2| < rho, x2 < h2}."""
+    return np.clip(h[..., 0], -rho, rho) + rho
+
+
+def _ball_section_kinks(h):
+    """The half-widths rho at which :func:`_ball_section` is not smooth in
+    rho: |h2| in d = 2."""
+    return np.abs(h)
+
+
+def _bisect(f: Callable[[np.ndarray, np.ndarray], np.ndarray], p, a, b):
+    """Bisection to width 1e-12 of nondecreasing functions for every level of
+    p at once: level i halves its own bracket [a_i, b_i] (a and b broadcast
+    against p), keeping the lower end while its function at the midpoint is
+    below p_i, until the bracket is no wider than 1e-12, and returns the
+    midpoint.  ``f(mid, live)`` gives the functions at the midpoints of the
+    live levels, whose flat indices are ``live``; one call per step serves
+    all of them.  A scalar result is a float."""
+    shape = np.broadcast_shapes(np.shape(p), np.shape(a), np.shape(b))
+    levels, lo, hi = (np.broadcast_to(np.asarray(x, float), shape).flatten() for x in (p, a, b))
     live = np.flatnonzero(hi - lo > 1e-12)
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
-        up = np.asarray(f(mid)) < levels[live]
+        up = np.asarray(f(mid, live)) < levels[live]
         lo[live[up]] = mid[up]
         hi[live[~up]] = mid[~up]
         live = live[hi[live] - lo[live] > 1e-12]
     out = 0.5 * (lo + hi)
-    return out.reshape(np.shape(p)) if np.ndim(p) else float(out[0])
+    return out.reshape(shape) if shape else float(out[0])
 
 
 class TargetMeasure:
@@ -276,10 +296,19 @@ class TargetMeasure:
         the corner t) and quantiles are bisected.
     profile : callable, optional
         For densities on the d = 2 ball depending on the first coordinate
-        only: profile(x1), vectorized.  Box masses then come from one
-        Gauss-Legendre rule over x1 for all corners.
+        only: profile(x1), vectorized.  Box masses then come from the
+        profile rule (:meth:`_profile_integrals`): per column of corners
+        sharing c2, one pass along x1 = r sin(theta) with a Gauss-Legendre
+        pair per interval, summed cumulatively; the error is the cumulative
+        sum of the per-interval rule gaps.
     seed : int
         Seeds the stratified estimates of d >= 3 box masses.
+
+    :meth:`box_masses` takes corner rows and :meth:`grid_masses` the tensor
+    grid of per-axis values.  For every measure without a profile rule the
+    grid's masses are :meth:`box_masses` of its rows, bit for bit; with one,
+    a row is a column with one level, and the two agree within their
+    reported errors.
     """
 
     def __init__(
@@ -308,8 +337,8 @@ class TargetMeasure:
         else:
             lo, hi = domain.bounding()
             if self._profile_rule:
-                num, err = self._disc_integrals(hi[None])
-                self.normalizer, self.normalizer_error = float(num[0]), float(err[0])
+                num, err = self._profile_integrals(np.full((1, 1), 0.5 * math.pi), hi[None, 1:])
+                self.normalizer, self.normalizer_error = float(num[0, 0]), float(err[0, 0])
             else:
                 self.normalizer, self.normalizer_error = self._raw_integral(hi)
             if self.normalizer <= 0:
@@ -347,13 +376,46 @@ class TargetMeasure:
             masses[rest] = self.exact_box_mass(hi)
             return masses, err
         if self._profile_rule:
-            num, num_err = self._disc_integrals(hi)
-            vals = np.clip(num / self.normalizer, 0.0, 1.0)
-            errs = (num_err + vals * self.normalizer_error) / self.normalizer
+            # one column per row, with the row's x1 as its one level
+            top = np.arcsin(hi[:, :1] / self.domain.radius)
+            vals, errs = self._normalized(*self._profile_integrals(top, hi[:, 1:]))
+            vals, errs = vals[:, 0], errs[:, 0]
         else:
             vals, errs = np.array([self._cached_mass(c[i], h) for i, h in zip(rest, hi)]).T
         masses[rest] = vals
         return masses, err + float(np.max(errs))
+
+    def grid_masses(self, axes) -> tuple[np.ndarray, float]:
+        """Masses of the open boxes ``(-inf, c)`` for every corner c of the
+        tensor grid of the per-axis values ``axes[j]`` (each flattened), with
+        the same special cases as :meth:`box_masses`: ``masses[i_1, ...,
+        i_d]`` belongs to the corner (axes[0][i_1], ..., axes[d-1][i_d]),
+        plus the largest error bound.  The profile rule integrates each
+        column c2 once along x1 for all its levels c1; every other measure
+        returns :meth:`box_masses` of the grid's rows in C order."""
+        axes = [np.asarray(a, float).ravel() for a in axes]
+        if len(axes) != self.dim:
+            raise ValueError(f"{len(axes)} axes for measure dimension {self.dim}")
+        shape = tuple(a.size for a in axes)
+        if not self._profile_rule:
+            grid = np.meshgrid(*axes, indexing="ij")
+            masses, err = self.box_masses(np.stack(grid, axis=-1).reshape(-1, self.dim))
+            return masses.reshape(shape), err
+        r = self.domain.radius
+        c1, c2 = axes
+        masses, errs = np.zeros(shape), np.zeros(shape)
+        levels, cols = c1 > -r, c2 > -r
+        if levels.any() and cols.any():
+            top = np.arcsin(np.minimum(c1[levels], r) / r)
+            h = np.minimum(c2[cols], r)[:, None]
+            num, num_err = self._profile_integrals(np.broadcast_to(top, (h.shape[0], top.size)), h)
+            cells = np.ix_(levels, cols)
+            masses[cells], errs[cells] = self._normalized(num.T, num_err.T)
+        full = (c1 >= r)[:, None] & (c2 >= r)
+        masses[full], errs[full] = 1.0, 0.0
+        nan = np.isnan(c1)[:, None] | np.isnan(c2)
+        masses[nan] = np.nan
+        return masses, math.nan if nan.any() else float(np.max(errs, initial=0.0))
 
     def box_mass(self, box: AnchoredBox) -> tuple[float, float]:
         """Normalized mass of ``box`` intersected with the domain, plus an
@@ -380,32 +442,55 @@ class TargetMeasure:
             hit = self._cache[key] = (mass, (num_err + mass * self.normalizer_error) / self.normalizer)
         return hit
 
-    def _disc_integrals(self, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """d = 2 ball with a profile: int profile(x1) L(x1) dx1 over x1 < h1,
-        where L is the length of the x2-section below h2, in the variable
-        x1 = r sin(theta).  L is r cos(theta) + h2 on |theta| < arccos(|h2|/r)
-        and 2 r cos(theta) or 0 (as h2 >= 0 or not) outside, so the rule runs
-        over the three pieces between these kinks, where the integrand is
-        smooth."""
+    def _normalized(self, num: np.ndarray, num_err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Masses and error bounds from unnormalized integrals and their
+        errors."""
+        vals = np.clip(num / self.normalizer, 0.0, 1.0)
+        return vals, (num_err + vals * self.normalizer_error) / self.normalizer
+
+    def _profile_integrals(self, top: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ball with a profile: int profile(r sin t) S(r cos t; h) r cos t dt
+        over -pi/2 < t < top, where S(rho; h) is the section of the ball at
+        half-width rho below h (:func:`_ball_section` and its kinks
+        :func:`_ball_section_kinks`, the only parts that depend on d), for
+        every level ``top[k, l]`` (an angle, x1 = r sin(top)) of every
+        column ``h[k]`` (the corners' other coordinates, clipped to the
+        domain); returns the integrals and their rule errors, shaped like
+        ``top``.
+
+        A column's breakpoints are the panel edges, the angles at which its
+        section has kinks and its levels.  The integrand is smooth between
+        them, and every interval below the column's highest level gets the
+        Gauss-Legendre pair.  Cumulative sums over the sorted intervals give
+        all levels of the column at once, and cumulative sums of the
+        per-interval gaps between the two rules their errors.  Each column's
+        results depend on that column alone."""
         r = self.domain.radius
-        top = np.arcsin(hi[:, 0] / r)
-        h2 = hi[:, 1:]
-        kink = np.arccos(np.abs(hi[:, 1]) / r)
-        edges = [np.full_like(top, -0.5 * math.pi), -kink, kink, np.full_like(top, 0.5 * math.pi)]
-        rules = []
-        for nodes, weights in _DISC_RULES:
-            total = np.zeros_like(top)
-            for k in range(3):
-                a = np.minimum(edges[k], top)
-                b = np.minimum(edges[k + 1], top)
-                half = 0.5 * (b - a)
-                theta = (0.5 * (a + b))[:, None] + half[:, None] * nodes
-                chord = r * np.cos(theta)
-                section = chord + h2 if k == 1 else 2.0 * chord * (h2 >= 0.0)
-                f = self.profile(r * np.sin(theta)) * section * chord
-                total = total + half * np.sum(f * weights, axis=1)
-            rules.append(total)
-        return rules[1], np.abs(rules[1] - rules[0])
+        cols, levels = top.shape
+        kinks = np.arccos(_ball_section_kinks(h) / r)
+        panels = np.broadcast_to(_DISC_PANEL_EDGES, (cols, _DISC_PANELS))
+        edges = np.concatenate([panels, -kinks, kinks, top], axis=1)
+        order = np.argsort(edges, axis=1, kind="stable")
+        x = np.take_along_axis(edges, order, axis=1)
+        # a level's integral runs over the intervals below its sorted position
+        pos = np.empty_like(order)
+        np.put_along_axis(pos, order, np.arange(edges.shape[1]), axis=1)
+        at = pos[:, edges.shape[1] - levels :]
+        need = np.arange(edges.shape[1] - 1) < np.max(at, axis=1, keepdims=True)
+        a, b = x[:, :-1][need], x[:, 1:][need]
+        half = 0.5 * (b - a)
+        theta = (0.5 * (a + b))[:, None] + half[:, None] * _DISC_NODES
+        rho = r * np.cos(theta)
+        hs = np.broadcast_to(h[:, None], need.shape + h.shape[1:])[need]
+        f = self.profile(r * np.sin(theta)) * _ball_section(rho, hs[:, None]) * rho
+        k = _DISC_LOW[0].size
+        low, high = np.zeros(need.shape), np.zeros(need.shape)
+        low[need] = half * np.sum(f[:, :k] * _DISC_LOW[1], axis=-1)
+        high[need] = half * np.sum(f[:, k:] * _DISC_HIGH[1], axis=-1)
+        zero = np.zeros((cols, 1))
+        total = np.concatenate([zero, np.cumsum(high, axis=1)], axis=1)
+        gap = np.concatenate([zero, np.cumsum(np.abs(high - low), axis=1)], axis=1)
+        return np.take_along_axis(total, at, axis=1), np.take_along_axis(gap, at, axis=1)
 
     def _raw_integral(self, hi: np.ndarray) -> tuple[float, float]:
         """Unnormalized integral of the density over domain ∩ (-inf, hi), for
@@ -473,29 +558,37 @@ class TargetMeasure:
 
     # -- marginals -----------------------------------------------------------
 
-    def marginal_cdf(self, j: int, t):
-        """pi({x : x_j < t}), elementwise over t: the closed-form marginal
-        when the measure has one, else the box masses of the corners with t
-        in coordinate j and +inf in the others."""
-        t_arr = np.atleast_1d(np.asarray(t, float))
+    def marginal_cdf(self, j, t):
+        """pi({x : x_j < t}), elementwise over t and the coordinates j (an
+        index, or an integer array broadcast against t): the closed-form
+        marginal when the measure has one, else the box masses of the
+        corners with t in coordinate j and +inf in the others, one
+        :meth:`box_masses` call for all of them.  Each corner is then its
+        own row, so a profile measure's mass of one corner does not depend
+        on the other corners of the call."""
+        j, t = np.asarray(j), np.asarray(t, float)
         if self.exact_marginal_cdf is not None:
             lo, hi = self.domain.bounding()
-            out = np.asarray(self.exact_marginal_cdf(np.clip(t_arr, lo[j], hi[j])), float)
+            out = np.asarray(self.exact_marginal_cdf(np.clip(t, lo[j], hi[j])), float)
         else:
-            corners = np.full((t_arr.size, self.dim), np.inf)
-            corners[:, j] = t_arr.ravel()
-            out = self.box_masses(corners)[0].reshape(t_arr.shape)
-        return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
+            corners = np.where(np.arange(self.dim) == j[..., None], t[..., None], np.inf)
+            out = self.box_masses(corners.reshape(-1, self.dim))[0].reshape(corners.shape[:-1])
+        return out if out.ndim else float(out)
 
-    def marginal_quantile(self, j: int, p):
-        """Marginal quantiles of coordinate j, elementwise over p: the
-        closed-form inverse when the measure has one, else bisection of
-        :meth:`marginal_cdf` to 1e-12."""
+    def marginal_quantile(self, j, p):
+        """Marginal quantiles of coordinate j, elementwise over p and j (an
+        index, or an integer array broadcast against p): the closed-form
+        inverse when the measure has one, else bisection of
+        :meth:`marginal_cdf` to 1e-12, every level in its own bracket and
+        one :meth:`marginal_cdf` call per step for all of them."""
+        shape = np.broadcast_shapes(np.shape(j), np.shape(p))
         if self.exact_inv_cdf is not None:
-            q = self.exact_inv_cdf(p)
-            return np.asarray(q, float) if np.ndim(p) else float(q)
+            q = np.empty(shape)
+            q[...] = self.exact_inv_cdf(p)
+            return q if shape else float(q)
         lo, hi = self.domain.bounding()
-        return _bisect(lambda t: self.marginal_cdf(j, t), p, lo[j], hi[j])
+        js = np.broadcast_to(j, shape).ravel()
+        return _bisect(lambda t, live: self.marginal_cdf(js[live], t), p, lo[j], hi[j])
 
     def cdf(self, t):
         """The CDF of a d = 1 measure: its :meth:`marginal_cdf`."""

@@ -37,6 +37,9 @@ __all__ = [
 
 # bound on the corners whose masses the exact scan asks for at once
 _SCAN_CHUNK_CELLS = 1 << 16
+# bound on the members of a quantile cover, (ceil(d / delta) + 1)^d; the
+# pull-back counts hold one float per member for each of its m + 1 paths
+COVER_MEMBER_CAP = 1 << 20
 
 
 class ExactScanInfeasible(RuntimeError):
@@ -44,7 +47,8 @@ class ExactScanInfeasible(RuntimeError):
 
 
 class CoverConstructionError(RuntimeError):
-    """A quantile cover failed its slab-mass audit."""
+    """A quantile cover would exceed the member cap, or failed its slab-mass
+    audit."""
 
 
 @dataclass(frozen=True)
@@ -107,8 +111,12 @@ def star_discrepancy_exact(points, measure: TargetMeasure) -> DiscrepancyReport:
     coordinates plus one, so entry t of :func:`_count_grid` on that axis
     counts the points of rank < t: the strict count at grid index t, and
     the closed count at index t - 1.  Both branches share the corner, whose
-    mass is taken once (the boundary has measure 0).  The bracket is the
-    largest deviation plus and minus the largest box-mass error.
+    mass is taken once (the boundary has measure 0).  The masses come from
+    :meth:`TargetMeasure.grid_masses`, a chunk of the last axis at a time
+    with the others whole, so that the profile rule's cumulative axis x1 is
+    never split and the result does not depend on the chunk size.  The
+    bracket is the largest deviation plus and minus the largest box-mass
+    error.
     """
     d = measure.dim
     if d > 3:
@@ -118,18 +126,19 @@ def star_discrepancy_exact(points, measure: TargetMeasure) -> DiscrepancyReport:
     pts = _as_points(points, d)
     n = pts.shape[0]
     values, ranks = zip(*(np.unique(pts[:, j], return_inverse=True) for j in range(d)))
-    counts = _count_grid([r[None, :] + 1 for r in ranks], [v.size + 2 for v in values])[0]
-    axes = [np.append(v, np.inf) for v in values]
-    rows = max(1, _SCAN_CHUNK_CELLS // math.prod(a.size for a in axes[1:]))
+    # the count grid with its axes reversed, so that a chunk of the last
+    # axis is a contiguous block of it
+    counts = _count_grid([r[None, :] + 1 for r in ranks[::-1]], [v.size + 2 for v in values[::-1]])[0]
+    *whole, last = [np.append(v, np.inf) for v in values]
+    step = max(1, _SCAN_CHUNK_CELLS // math.prod(a.size for a in whole))
     best = 0.0
     max_err = 0.0
-    for start in range(0, axes[0].size, rows):
-        grid = np.meshgrid(axes[0][start : start + rows], *axes[1:], indexing="ij")
-        masses, err = measure.box_masses(np.stack(grid, axis=-1).reshape(-1, d))
-        masses = masses.reshape(grid[0].shape)
+    for start in range(0, last.size, step):
+        masses, err = measure.grid_masses(whole + [last[start : start + step]])
+        masses = np.ascontiguousarray(masses.T)  # in the count grid's axis order
         max_err = max(max_err, err)
-        # the chunk's rows of the count grid and one more, for the closed
-        # branch of its last row
+        # the chunk's values of the last axis and one more, for the closed
+        # branch of its last value
         block = counts[start : start + len(masses) + 1]
         for idx in itertools.product((slice(-1), slice(1, None)), repeat=d):
             best = max(best, float(np.max(np.abs(block[idx] / n - masses))))
@@ -222,11 +231,13 @@ class DeltaCover:
 
     @functools.cached_property
     def _masses(self) -> tuple[np.ndarray, float]:
-        return self.measure.box_masses(self.corners)
+        grid, err = self.measure.grid_masses([np.append(cj, np.inf) for cj in self.cuts])
+        return np.append(grid.ravel(), 0.0), err
 
     def masses(self) -> tuple[np.ndarray, float]:
         """Masses of every member, plus the max quadrature error, computed
-        on the first call."""
+        on the first call: the grid masses of the product grid, then 0 for
+        the empty box."""
         return self._masses
 
 
@@ -235,21 +246,27 @@ def build_quantile_cover(measure: TargetMeasure, delta: float) -> DeltaCover:
 
     Coordinate j gets m = ceil(d/delta) slabs of marginal mass <= delta/d;
     bracketing each corner coordinate to adjacent cuts then gives
-    pi(D \\ C) <= delta.
+    pi(D \\ C) <= delta.  The levels of all d coordinates are bisected
+    together.  A cover of more than :data:`COVER_MEMBER_CAP` members,
+    counted as (m + 1)^d, is refused before anything is computed.
     """
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
     d = measure.dim
-    m = math.ceil(d / delta)
-    levels = np.arange(1, m) / m
-    cuts = []
-    for j in range(d):
-        cj = np.asarray(measure.marginal_quantile(j, levels), float)
-        cuts.append(cj)
-        # Audit the slab masses; the construction can only fail for
-        # pathological marginals, but we never report a cover silently.
-        slabs = np.diff(np.concatenate([[0.0], measure.marginal_cdf(j, cj), [1.0]]))
-        worst = float(np.max(slabs))
+    # d / delta is inf for the smallest subnormal delta
+    m = math.ceil(min(d / delta, COVER_MEMBER_CAP))
+    if (m + 1) ** d > COVER_MEMBER_CAP:
+        raise CoverConstructionError(
+            f"delta {delta!r} needs (ceil({d}/delta) + 1)^{d} cover members, "
+            f"more than the cap of {COVER_MEMBER_CAP}"
+        )
+    coords = np.arange(d)[:, None]
+    cuts = np.asarray(measure.marginal_quantile(coords, np.arange(1, m) / m), float)
+    # Audit the slab masses; the construction can only fail for
+    # pathological marginals, but we never report a cover silently.
+    ends = np.ones((d, 1))
+    slabs = np.diff(np.concatenate([0.0 * ends, measure.marginal_cdf(coords, cuts), ends], axis=1), axis=1)
+    for j, worst in enumerate(np.max(slabs, axis=1)):
         if worst > delta / d + 1e-8:
             raise CoverConstructionError(f"coordinate {j}: finest achieved slab mass {worst:.3e}")
     return DeltaCover(delta=delta, measure=measure, cuts=tuple(cuts))

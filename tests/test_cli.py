@@ -108,6 +108,8 @@ class TestBadValues:
             ("objective", "nope"),
             ("candidate-kinds", ["sobol"]),
             ("density", {"name": "exp-linear", "alpha": -1.0}),
+            # e^800 overflows a float
+            ("density", {"name": "exp-linear", "alpha": 800.0}),
         ],
     )
     def test_other_bad_values(self, tmp_path, capsys, key, value):
@@ -302,6 +304,40 @@ class TestRunExperiments:
         assert err.count("\n") == 1
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"experiment": "pullback", "dimension": 1, "delta": 1e-9},
+            {"experiment": "search", "dimension": 2, "objective": "star-bracket", "delta": 1e-4},
+        ],
+    )
+    def test_cover_above_member_cap_exits_3(self, tmp_path, capsys, cfg):
+        # (ceil(d / delta) + 1)^d members: 1e9 + 2 and 4e8; refused before
+        # anything is allocated
+        cfg = {**cfg, "density": {"name": "uniform", "alpha": 0.0}, "n": 16, "k": 2,
+               "output": str(tmp_path / "s.csv")}
+        if cfg["experiment"] == "pullback":
+            del cfg["k"]
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: delta") and "cap of 1048576" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_alpha_at_its_upper_end_runs(self, tmp_path, d):
+        cfg = {
+            "experiment": "discrepancy",
+            "dimension": d,
+            "density": {"name": "exp-linear", "alpha": 700.0},
+            "n": 8,
+            "n0": 4,
+            "output": str(tmp_path / "d.csv"),
+        }
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 0
+        header, row = (tmp_path / "d.csv").read_text().splitlines()
+        assert all(math.isfinite(float(v)) for v in row.split(","))
+
     def test_rate_study_columns(self, tmp_path):
         cfg = {
             "experiment": "rate-study",
@@ -353,3 +389,16 @@ class TestBoundsSubcommand:
         main(["bounds", "--d", "1", "--n", "16", "--alpha", "1.0"])
         out = capsys.readouterr().out
         assert "gamma_star" in out and "spectral_gap" in out
+
+    @pytest.mark.parametrize("alpha", ["800", "-1", "nan", "inf"])
+    def test_alpha_out_of_range_exits_2(self, capsys, alpha):
+        assert main(["bounds", "--alpha", alpha]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: --alpha must be a number in [0, 700]")
+        assert captured.err.count("\n") == 1
+
+    def test_alpha_at_its_upper_end(self, capsys):
+        assert main(["bounds", "--alpha", "700"]) == 0
+        out = capsys.readouterr().out
+        assert "inf" not in out and "nan" not in out

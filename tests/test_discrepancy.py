@@ -9,13 +9,17 @@ from mcqmclab.chain import make_direct_kernel, make_lazy_direct_kernel
 from mcqmclab.core import (
     AnchoredBox,
     Rng,
+    TargetMeasure,
+    exp_linear_ball,
     exp_linear_box,
     exp_linear_interval,
+    uniform_ball,
     uniform_box,
     uniform_driver,
     uniform_interval,
 )
 from mcqmclab.discrepancy import (
+    COVER_MEMBER_CAP,
     CoverConstructionError,
     DiscrepancyReport,
     ExactScanInfeasible,
@@ -141,6 +145,54 @@ class TestQuantileCover:
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
             build_quantile_cover(uniform_interval(), 0.0)
+
+    @pytest.mark.parametrize(
+        "make, delta",
+        [
+            (lambda: uniform_ball(2), 0.1),
+            (lambda: exp_linear_box(1.0, [-1.0, -0.5], [1.0, 2.0]), 0.2),
+            (lambda: uniform_ball(3), 0.5),
+            (lambda: exp_linear_ball(1.0, 2), 0.2),
+        ],
+    )
+    def test_axes_bisected_together_keep_their_cuts(self, make, delta, monkeypatch):
+        # every level keeps its own bracket, and every corner is its own
+        # row (also under the disc profile rule), so the cuts are those of
+        # one axis at a time, bit for bit; the oracle is called once per
+        # step for all axes
+        measure = make()
+        d = measure.dim
+        m = math.ceil(d / delta)
+        calls = []
+        box_masses = measure.box_masses
+        monkeypatch.setattr(measure, "box_masses", lambda c: calls.append(len(c)) or box_masses(c))
+        want, steps = [], []
+        for j in range(d):
+            want.append(measure.marginal_quantile(j, np.arange(1, m) / m))
+            steps.append(len(calls))
+            calls.clear()
+        cover = build_quantile_cover(measure, delta)
+        for cj, wj in zip(cover.cuts, want):
+            assert np.array_equal(cj, wj)
+        if measure.exact_marginal_cdf is None:
+            # the bisection's steps, then the audit
+            assert len(calls) == max(steps) + 1
+            assert calls[0] == calls[-1] == d * (m - 1)
+
+    def test_member_cap_admits_covers_below_it(self):
+        # (2^19 + 1)^1 members counted; 2^-20 below is refused
+        cover = build_quantile_cover(uniform_interval(), 2.0**-19)
+        assert cover.size == 2**19 + 1
+
+    @pytest.mark.parametrize("d, delta", [(1, 2.0**-20), (1, 1e-9), (1, 5e-324), (2, 1e-4), (3, 0.01)])
+    def test_cover_above_member_cap_refused_before_any_work(self, monkeypatch, d, delta):
+        def fail(*args):
+            raise AssertionError("the cover computed something")
+
+        for name in ("marginal_quantile", "marginal_cdf", "box_masses", "grid_masses"):
+            monkeypatch.setattr(TargetMeasure, name, fail)
+        with pytest.raises(CoverConstructionError, match=f"cap of {COVER_MEMBER_CAP}"):
+            build_quantile_cover(uniform_box([-1.0] * d, [1.0] * d), delta)
 
 
 class TestCoverSizeBound:

@@ -1,7 +1,8 @@
 """Tensor critical-grid scan and batched box-mass oracle against their
 references: the one-corner-at-a-time scan in ``scalar_scan`` (bit for bit
 where the masses are unchanged), scipy quadrature of the disc masses, and
-the paths on which the old per-corner disc quadrature misstated its error.
+the paths on which the old per-corner disc quadrature misstated its error;
+and the grid oracle against the box-mass rows of its grid.
 """
 
 import json
@@ -293,3 +294,97 @@ def test_box_masses_equal_row_by_row(name, data):
     singles = [measure.box_mass(AnchoredBox(c)) for c in corners]
     assert np.array_equal(masses, [m for m, _ in singles])
     assert err == max(e for _, e in singles)
+
+
+# ---------------------------------------------------------------------------
+# Grid oracle against the rows of its grid
+# ---------------------------------------------------------------------------
+
+_GRID_COORD = st.one_of(_COORD, st.just(np.nan))
+
+
+def _draw_axes(data, d):
+    return [
+        np.array(data.draw(st.lists(_GRID_COORD, min_size=1, max_size=5)), float)
+        for _ in range(d)
+    ]
+
+
+def _grid_rows(axes):
+    grid = np.meshgrid(*axes, indexing="ij")
+    return np.stack(grid, axis=-1).reshape(-1, len(axes))
+
+
+@given(st.sampled_from(sorted(k for k, m in MEASURES.items() if m.profile is None)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_grid_masses_are_box_masses_of_the_rows(name, data):
+    # every measure without a profile rule: the grid's rows in C order, bit
+    # for bit, with +-inf, NaN and values outside the domain on every axis
+    measure = MEASURES[name]
+    axes = _draw_axes(data, measure.dim)
+    masses, err = measure.grid_masses(axes)
+    rows, rows_err = measure.box_masses(_grid_rows(axes))
+    assert masses.shape == tuple(a.size for a in axes)
+    assert np.array_equal(masses.ravel(), rows, equal_nan=True)
+    assert np.array_equal(err, rows_err, equal_nan=True)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2.0, 4.0])
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_profile_grid_agrees_with_rows(alpha, data):
+    # the errors do not include rounding, about 1e-15
+    measure = exp_linear_ball(alpha, 2)
+    axes = _draw_axes(data, 2)
+    masses, err = measure.grid_masses(axes)
+    rows, rows_err = measure.box_masses(_grid_rows(axes))
+    rows = rows.reshape(masses.shape)
+    assert np.array_equal(np.isnan(masses), np.isnan(rows))
+    if np.isnan(masses).any():
+        assert math.isnan(err) and math.isnan(rows_err)
+    else:
+        assert np.max(np.abs(masses - rows)) <= err + rows_err + 1e-15
+        # the special cases are exact on both paths
+        exact = (axes[0][:, None] <= -1.0) | (axes[1] <= -1.0) | (axes[0][:, None] >= 1.0) & (axes[1] >= 1.0)
+        assert np.array_equal(masses[exact], rows[exact])
+
+
+def _near_kinks_and_edges():
+    """Corner values on both axes: near +-1, and c1 near the kinks
+    |x1| = sqrt(1 - c2^2) of the c2 values."""
+    c2 = np.array([-1.0 + 1e-12, -0.999999, -0.6, -1e-9, 0.0, 1e-9, 0.6, 0.999999, 1.0 - 1e-12])
+    s = np.sqrt(1.0 - c2 * c2)
+    c1 = np.concatenate([s, -s, s + 1e-9, -s - 1e-9, [-1.0 + 1e-12, -0.999999, 0.999999, 1.0 - 1e-12]])
+    return np.unique(c1[(c1 > -1.0) & (c1 < 1.0)]), c2
+
+
+@pytest.mark.parametrize("alpha", [1.0, 4.0])
+def test_profile_masses_match_kinked_quadrature(alpha):
+    measure = exp_linear_ball(alpha, 2)
+    oracle = _kinked_quad_oracle(alpha)
+    c1, c2 = _near_kinks_and_edges()
+    rows = _grid_rows([c1, c2])
+    want = np.array([oracle(c)[0] for c in rows])
+    grid, grid_err = measure.grid_masses([c1, c2])
+    masses, err = measure.box_masses(rows)
+    # the reference is accurate to about 1e-15 here
+    assert np.max(np.abs(grid.ravel() - want)) <= grid_err + 1e-15
+    assert np.max(np.abs(masses - want)) <= err + 1e-15
+    assert grid_err <= 1e-14 and err <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [1.0, 4.0])
+def test_profile_grid_does_not_depend_on_the_chunk(monkeypatch, alpha):
+    measure = exp_linear_ball(alpha, 2)
+    pts = _ball_points(40, 2, 5)
+    pts[5:9, 1] = pts[4, 1]  # a column shared by several points
+    c1 = np.append(np.unique(pts[:, 0]), np.inf)
+    c2 = np.append(np.unique(pts[:, 1]), np.inf)
+    whole, err = measure.grid_masses([c1, c2])
+    # the columns one at a time: a column's masses depend on it alone
+    single = [measure.grid_masses([c1, c2[k : k + 1]]) for k in range(c2.size)]
+    assert np.array_equal(np.hstack([m for m, _ in single]), whole)
+    assert max(e for _, e in single) == err
+    report = star_discrepancy_exact(pts, measure)
+    monkeypatch.setattr(discrepancy, "_SCAN_CHUNK_CELLS", 5)
+    assert star_discrepancy_exact(pts, measure) == report
