@@ -120,16 +120,13 @@ def sphere_generator(v, d: int) -> np.ndarray:
         return np.where(v[..., :1] < 0.5, -1.0, 1.0)
     if v.shape[-1] != d - 1:
         raise ValueError(f"need {d - 1} coordinates for d = {d}")
-    if d == 2:
-        ang = 2.0 * math.pi * v[..., 0]
-        return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     if d == 3:
         z = 1.0 - 2.0 * v[..., 0]
         ang = 2.0 * math.pi * v[..., 1]
         r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=-1)
-    # general d: spherical angles theta_j with density prop. to sin^{d-1-j},
-    # last angle uniform on [0, 2 pi)
+    # d = 2 and d >= 4: spherical angles theta_j with density prop. to
+    # sin^{d-1-j}, last angle uniform on [0, 2 pi)
     angles = [_sin_power_quantile(v[..., j], d - 2 - j) for j in range(d - 2)]
     angles.append(2.0 * math.pi * v[..., d - 2])
     x = np.empty(v.shape[:-1] + (d,))

@@ -73,6 +73,9 @@ _DENSITY = (dict, None, {"name": "uniform", "alpha": 0.0})
 # density.alpha and bounds --alpha: e^alpha (the density's range and the
 # bound on ||dnu/dpi||) must stay a finite float
 _ALPHA = "[0, 700]"
+# bounds: the corollary needs n >= 16 and lambda0 < 1, and ||dnu/dpi||_2 >= 1
+# by Cauchy-Schwarz
+_BOUNDS_N, _LAMBDA0, _NU_NORM = "[16, inf)", "[0, 1)", "[1, inf)"
 _CHAIN = {
     "seed": _SEED,
     "dimension": _DIMENSION,
@@ -99,9 +102,9 @@ _SCHEMA = {
     "bounds": {
         "seed": _SEED,
         "dimension": _DIMENSION,
-        "n": (int, "[1, inf)", 16),
-        "lambda0": (float, "[0, 1]", 0.0),
-        "nu-norm": (float, "[0, inf)", 1.0),
+        "n": (int, _BOUNDS_N, 16),
+        "lambda0": (float, _LAMBDA0, 0.0),
+        "nu-norm": (float, _NU_NORM, 1.0),
     },
     "invert": {"seed": _SEED, "density": _DENSITY, "gamma": (float, "[2, inf)", 2.0), **_N},
 }
@@ -399,9 +402,12 @@ def _cmd_validate(path: str) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if not _in_interval(args.alpha, _ALPHA):
-        print(f"config error: --alpha must be a number in {_ALPHA}, got {args.alpha!r}", file=sys.stderr)
-        return 2
+    flags = [("--d", args.d, _DIMENSION[1]), ("--n", args.n, _BOUNDS_N), ("--alpha", args.alpha, _ALPHA)]
+    flags += [("--lambda0", args.lambda0, _LAMBDA0), ("--norm", args.norm, _NU_NORM)]
+    for flag, value, allowed in flags:
+        if not _in_interval(value, allowed):
+            print(f"config error: {flag} must be a number in {allowed}, got {value!r}", file=sys.stderr)
+            return 2
     inp = BoundInputs(
         n=args.n, d=args.d, lambda0=args.lambda0, nu_norm=args.norm, c=0.1
     )

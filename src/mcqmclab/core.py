@@ -9,7 +9,7 @@ the types here:
   strict in every coordinate.
 * ``TargetMeasure`` -- a target distribution given by a density on a bounded
   domain, with a batched box-mass oracle over corner arrays (closed form
-  where possible, quadrature otherwise) and cached normalizer.
+  where possible, quadrature or a stratified estimate otherwise).
 * ``DriverSequence`` -- n points in [0,1]^s consumed one per chain step.
 """
 
@@ -78,6 +78,20 @@ def _mix64(z: int) -> int:
     return z
 
 
+def _splitmix_uniforms(seed, idx: np.ndarray) -> np.ndarray:
+    """The uniforms in [0,1) of the SplitMix64 outputs with counters ``idx``
+    (uint64, from 1) of the streams ``seed`` (uint64, broadcast against
+    idx)."""
+    z = seed + idx * np.uint64(_GAMMA)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return z.astype(np.float64) * 2.0**-53
+
+
 class Rng:
     """Counter-based SplitMix64 stream.
 
@@ -105,14 +119,8 @@ class Rng:
     def uniforms(self, n: int) -> np.ndarray:
         """n uniforms in [0,1) advancing the stream by n."""
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
-        z = np.uint64(self.seed) + idx * np.uint64(_GAMMA)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
         self._counter += n
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return _splitmix_uniforms(np.uint64(self.seed), idx)
 
     def split(self, label: int) -> "Rng":
         child = _mix64(self.seed ^ _mix64(((2 * int(label) + 1) * _GAMMA) & _MASK64))
@@ -196,10 +204,6 @@ class AnchoredBox:
     def is_empty(self) -> bool:
         return bool(np.any(self.corner == -np.inf))
 
-    @property
-    def is_full(self) -> bool:
-        return bool(np.all(self.corner == np.inf))
-
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Strict membership test; pts has shape (..., d)."""
         return np.all(np.asarray(pts, float) < self.corner, axis=-1)
@@ -230,7 +234,9 @@ class AnchoredBox:
 # Target measures
 # ---------------------------------------------------------------------------
 
-_QUAD_TOL = {1: 1e-10, 2: 1e-8}
+# the stratified estimate takes its rows in chunks of at most this many
+# uniforms (one row at least)
+_STRATIFIED_CHUNK = 1 << 16
 # The disc profile rule: a Gauss-Legendre pair on every interval between a
 # column's breakpoints in theta (x1 = r sin(theta)).  The higher order gives
 # the value, the gap to the lower one the error estimate.  The fixed panel
@@ -301,8 +307,12 @@ class TargetMeasure:
         sharing c2, one pass along x1 = r sin(theta) with a Gauss-Legendre
         pair per interval, summed cumulatively; the error is the cumulative
         sum of the per-interval rule gaps.
-    seed : int
-        Seeds the stratified estimates of d >= 3 box masses.
+
+    Without a closed form the masses are :meth:`_integrals` of the clipped
+    corners over that of the domain's upper corner, the normalizer: the
+    profile rule, adaptive quadrature row by row (d = 1 and the d = 2 box)
+    or the stratified estimate of all rows at once (every other domain, the
+    d = 2 ball without a profile included).
 
     :meth:`box_masses` takes corner rows and :meth:`grid_masses` the tensor
     grid of per-axis values.  For every measure without a profile rule the
@@ -321,7 +331,6 @@ class TargetMeasure:
         exact_inv_cdf: Optional[Callable] = None,
         exact_marginal_cdf: Optional[Callable] = None,
         profile: Optional[Callable] = None,
-        seed: int = 0,
     ):
         self.domain = domain
         self.density = density
@@ -330,17 +339,11 @@ class TargetMeasure:
         self.exact_inv_cdf = exact_inv_cdf
         self.exact_marginal_cdf = exact_marginal_cdf
         self.profile = profile
-        self.seed = seed
-        self._cache: dict[bytes, tuple[float, float]] = {}
         if exact_box_mass is not None:
             self.normalizer, self.normalizer_error = 1.0, 0.0
         else:
-            lo, hi = domain.bounding()
-            if self._profile_rule:
-                num, err = self._profile_integrals(np.full((1, 1), 0.5 * math.pi), hi[None, 1:])
-                self.normalizer, self.normalizer_error = float(num[0, 0]), float(err[0, 0])
-            else:
-                self.normalizer, self.normalizer_error = self._raw_integral(hi)
+            num, err = self._integrals(domain.bounding()[1][None])
+            self.normalizer, self.normalizer_error = float(num[0]), float(err[0])
             if self.normalizer <= 0:
                 raise ValueError("density must integrate to a positive value")
 
@@ -357,8 +360,7 @@ class TargetMeasure:
         restriction; a row with an entry at or below the domain's lower
         bound has mass 0, and a row at or above its upper bound in every
         entry has mass 1, both without error.  A row with a NaN entry has
-        mass NaN and makes the error NaN, for every measure, and nothing is
-        cached for it."""
+        mass NaN and makes the error NaN, for every measure."""
         c = np.asarray(corners, float)
         if c.ndim != 2 or c.shape[1] != self.dim:
             raise ValueError(f"corners of shape {c.shape} for measure dimension {self.dim}")
@@ -375,14 +377,7 @@ class TargetMeasure:
         if self.exact_box_mass is not None:
             masses[rest] = self.exact_box_mass(hi)
             return masses, err
-        if self._profile_rule:
-            # one column per row, with the row's x1 as its one level
-            top = np.arcsin(hi[:, :1] / self.domain.radius)
-            vals, errs = self._normalized(*self._profile_integrals(top, hi[:, 1:]))
-            vals, errs = vals[:, 0], errs[:, 0]
-        else:
-            vals, errs = np.array([self._cached_mass(c[i], h) for i, h in zip(rest, hi)]).T
-        masses[rest] = vals
+        masses[rest], errs = self._normalized(*self._integrals(hi))
         return masses, err + float(np.max(errs))
 
     def grid_masses(self, axes) -> tuple[np.ndarray, float]:
@@ -430,17 +425,6 @@ class TargetMeasure:
         """Whether box masses come from the disc profile rule, all corners
         at once."""
         return self.profile is not None and self.dim == 2 and isinstance(self.domain, BallDomain)
-
-    def _cached_mass(self, corner: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
-        """Mass and error of one corner by its own quadrature, cached by the
-        corner."""
-        key = corner.tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            num, num_err = self._raw_integral(hi)
-            mass = min(max(num / self.normalizer, 0.0), 1.0)
-            hit = self._cache[key] = (mass, (num_err + mass * self.normalizer_error) / self.normalizer)
-        return hit
 
     def _normalized(self, num: np.ndarray, num_err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Masses and error bounds from unnormalized integrals and their
@@ -492,68 +476,48 @@ class TargetMeasure:
         gap = np.concatenate([zero, np.cumsum(np.abs(high - low), axis=1)], axis=1)
         return np.take_along_axis(total, at, axis=1), np.take_along_axis(gap, at, axis=1)
 
-    def _raw_integral(self, hi: np.ndarray) -> tuple[float, float]:
-        """Unnormalized integral of the density over domain ∩ (-inf, hi), for
-        hi inside the domain's bounding box."""
-        d = self.dim
+    def _integrals(self, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unnormalized integrals of the density over domain ∩ (-inf, h) and
+        their errors, one per row h of ``hi`` (shape (m, d), inside the
+        domain's bounding box and above its lower corner): the profile rule
+        with each row its own column, scipy ``quad`` (d = 1) or ``dblquad``
+        (a d = 2 box) row by row, else :meth:`_stratified` for all rows."""
+        if self._profile_rule:
+            num, err = self._profile_integrals(np.arcsin(hi[:, :1] / self.domain.radius), hi[:, 1:])
+            return num[:, 0], err[:, 0]
         lo = self.domain.bounding()[0]
-        if d == 1:
+        if self.dim == 1:
             f = lambda t: float(self.density(np.array([[t]]))[0])
-            val, err = integrate.quad(f, lo[0], hi[0], epsabs=_QUAD_TOL[1], limit=200)
-            return val, err
-        if d == 2:
-            return self._raw_integral_2d(hi)
-        return self._raw_integral_stratified(hi)
+            rows = [integrate.quad(f, lo[0], h[0], epsabs=1e-10, limit=200) for h in hi]
+        elif self.dim == 2 and isinstance(self.domain, BoxDomain):
+            f2 = lambda y, x: float(self.density(np.array([[x, y]]))[0])
+            rows = [integrate.dblquad(f2, lo[0], h[0], lo[1], h[1], epsabs=1e-8) for h in hi]
+        else:
+            return self._stratified(hi)
+        return tuple(np.array(rows).T)
 
-    def _raw_integral_2d(self, hi: np.ndarray) -> tuple[float, float]:
+    def _stratified(self, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stratified quasi-Monte Carlo estimates of :meth:`_integrals` with
+        3-sigma errors.  Each row h splits the box [lo, h] into 4^d cells
+        and takes one point per cell in each of 12 replications; its
+        uniforms are the SplitMix64 stream seeded by the crc32 of the row's
+        bytes, so a row's estimate depends on that row alone."""
         lo = self.domain.bounding()[0]
-        tol = _QUAD_TOL[2]
-
-        def f2(y, x):
-            return float(self.density(np.array([[x, y]]))[0])
-
-        if isinstance(self.domain, BallDomain):
-            r = self.domain.radius
-            c1, c2 = hi
-
-            def glo(x):
-                return -math.sqrt(max(r * r - x * x, 0.0))
-
-            def ghi(x):
-                return min(c2, math.sqrt(max(r * r - x * x, 0.0)))
-
-            val, err = integrate.dblquad(
-                f2, -r, min(c1, r), glo, lambda x: max(ghi(x), glo(x)), epsabs=tol
-            )
-            return val, err
-        # box domain: tensorized adaptive rule
-        val, err = integrate.dblquad(f2, lo[0], hi[0], lo[1], hi[1], epsabs=tol)
-        return val, err
-
-    def _raw_integral_stratified(self, hi: np.ndarray) -> tuple[float, float]:
-        """d >= 3: stratified quasi-Monte Carlo estimate with a 3-sigma bound."""
-        lo = self.domain.bounding()[0]
-        d = self.dim
-        k = 4          # strata per axis
-        reps = 12
+        d, k, reps = self.dim, 4, 12
         cells = k**d
-        vol = float(np.prod(hi - lo))
-        if vol <= 0:
-            return 0.0, 0.0
-        # Deterministic seed from the corner so results are reproducible.
-        seed = _mix64(self.seed ^ zlib.crc32(np.asarray(hi, float).tobytes()))
-        rng = Rng(seed)
-        grid = np.stack(
-            np.meshgrid(*[np.arange(k)] * d, indexing="ij"), axis=-1
-        ).reshape(cells, d)
-        estimates = np.empty(reps)
-        for r in range(reps):
-            u = rng.uniforms(cells * d).reshape(cells, d)
-            pts = lo + (grid + u) / k * (hi - lo)
-            vals = self.density(pts) * self.domain.contains(pts)
-            estimates[r] = vol * float(np.mean(vals))
-        est = float(np.mean(estimates))
-        err = 3.0 * float(np.std(estimates, ddof=1)) / math.sqrt(reps)
+        grid = np.stack(np.meshgrid(*[np.arange(k)] * d, indexing="ij"), axis=-1).reshape(cells, d)
+        idx = np.arange(1, reps * cells * d + 1, dtype=np.uint64)
+        est, err = np.empty(len(hi)), np.empty(len(hi))
+        step = max(1, _STRATIFIED_CHUNK // idx.size)
+        for s in range(0, len(hi), step):
+            h = hi[s : s + step]
+            seeds = np.array([_mix64(zlib.crc32(row.tobytes())) for row in h], np.uint64)
+            u = _splitmix_uniforms(seeds[:, None], idx).reshape(len(h), reps, cells, d)
+            pts = (lo + (grid + u) / k * (h - lo)[:, None, None]).reshape(-1, d)
+            vals = (self.density(pts) * self.domain.contains(pts)).reshape(len(h), reps, cells)
+            estimates = np.prod(h - lo, axis=1)[:, None] * np.mean(vals, axis=-1)
+            est[s : s + step] = np.mean(estimates, axis=1)
+            err[s : s + step] = 3.0 * np.std(estimates, axis=1, ddof=1) / math.sqrt(reps)
         return est, err
 
     # -- marginals -----------------------------------------------------------
@@ -702,11 +666,12 @@ def _uniform_disc_mass(hi: np.ndarray) -> np.ndarray:
     return np.clip((inner + np.where(c >= 0.0, outer, 0.0)) / math.pi, 0.0, 1.0)
 
 
-def uniform_ball(d: int, seed: int = 0) -> TargetMeasure:
+def uniform_ball(d: int) -> TargetMeasure:
     """Uniform distribution on the Euclidean unit ball; closed-form box
     masses in d = 2, closed-form marginals in d >= 3: every coordinate t
     has CDF I_{(1+t)/2}((d+1)/2, (d+1)/2), the regularized incomplete beta
-    function ((t+1)^2 (2-t)/4 in d = 3)."""
+    function ((t+1)^2 (2-t)/4 in d = 3).  Box masses in d >= 3 are the
+    stratified estimate."""
     if d == 1:
         return uniform_interval(-1.0, 1.0)
     a = (d + 1) / 2
@@ -716,12 +681,13 @@ def uniform_ball(d: int, seed: int = 0) -> TargetMeasure:
         name=f"uniform-ball(d={d})",
         exact_box_mass=_uniform_disc_mass if d == 2 else None,
         exact_marginal_cdf=(lambda t: special.betainc(a, a, 0.5 * (1.0 + t))) if d >= 3 else None,
-        seed=seed,
     )
 
 
-def exp_linear_ball(alpha: float, d: int, seed: int = 0) -> TargetMeasure:
-    """Density exp(alpha * x_1) on the unit ball (log-Lipschitz constant alpha)."""
+def exp_linear_ball(alpha: float, d: int) -> TargetMeasure:
+    """Density exp(alpha * x_1) on the unit ball (log-Lipschitz constant
+    alpha): box masses by the profile rule in d = 2, the stratified
+    estimate in d >= 3."""
     if d == 1:
         return exp_linear_interval(alpha, -1.0, 1.0)
     return TargetMeasure(
@@ -729,7 +695,6 @@ def exp_linear_ball(alpha: float, d: int, seed: int = 0) -> TargetMeasure:
         lambda x: np.exp(alpha * x[:, 0]),
         name=f"exp-linear-ball(alpha={alpha},d={d})",
         profile=lambda x1: np.exp(alpha * np.asarray(x1, float)),
-        seed=seed,
     )
 
 

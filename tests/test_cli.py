@@ -110,11 +110,25 @@ class TestBadValues:
             ("density", {"name": "exp-linear", "alpha": -1.0}),
             # e^800 overflows a float
             ("density", {"name": "exp-linear", "alpha": 800.0}),
+            # bounds: the corollary needs n >= 16 and lambda0 < 1, and
+            # ||dnu/dpi||_2 >= 1
+            pytest.param(("bounds", "n"), 8, id="bounds-n-8"),
+            pytest.param(("bounds", "n"), 0, id="bounds-n-0"),
+            pytest.param(("bounds", "dimension"), 0, id="bounds-dimension-0"),
+            pytest.param(("bounds", "lambda0"), 1.0, id="bounds-lambda0-1.0"),
+            pytest.param(("bounds", "nu-norm"), 0.0, id="bounds-nu-norm-0.0"),
+            pytest.param(("bounds", "nu-norm"), 1e-10, id="bounds-nu-norm-1e-10"),
         ],
     )
     def test_other_bad_values(self, tmp_path, capsys, key, value):
+        # a key (experiment, name) belongs to that experiment, else to search
+        if isinstance(key, tuple):
+            key = key[1]
+            cfg = _write(tmp_path, "c.json", {**_bounds_cfg(tmp_path), key: value})
+        else:
+            cfg = self._search(tmp_path, key, value)
         name = "density.alpha" if key == "density" else key
-        self._assert_rejected(tmp_path, capsys, self._search(tmp_path, key, value), name)
+        self._assert_rejected(tmp_path, capsys, cfg, name)
 
     def test_scrambled_halton_renamed(self, tmp_path, capsys):
         # the kind is a random shift, not a scrambling; the error names its
@@ -397,6 +411,30 @@ class TestBoundsSubcommand:
         assert captured.out == ""
         assert captured.err.startswith("config error: --alpha must be a number in [0, 700]")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag,value,allowed",
+        [
+            ("--d", "0", "[1, inf)"),
+            ("--n", "0", "[16, inf)"),
+            ("--n", "15", "[16, inf)"),
+            ("--lambda0", "1", "[0, 1)"),
+            ("--lambda0", "-0.5", "[0, 1)"),
+            ("--norm", "0", "[1, inf)"),
+            ("--norm", "1e-10", "[1, inf)"),
+            ("--norm", "nan", "[1, inf)"),
+        ],
+    )
+    def test_flag_out_of_range_exits_2(self, capsys, flag, value, allowed):
+        assert main(["bounds", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {flag} must be a number in {allowed}")
+        assert captured.err.count("\n") == 1
+
+    def test_flags_at_their_ends(self, capsys):
+        assert main(["bounds", "--d", "1", "--n", "16", "--lambda0", "0", "--norm", "1"]) == 0
+        assert "corollary_bound 1.9747" in capsys.readouterr().out
 
     def test_alpha_at_its_upper_end(self, capsys):
         assert main(["bounds", "--alpha", "700"]) == 0

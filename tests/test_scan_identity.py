@@ -2,7 +2,8 @@
 references: the one-corner-at-a-time scan in ``scalar_scan`` (bit for bit
 where the masses are unchanged), scipy quadrature of the disc masses, and
 the paths on which the old per-corner disc quadrature misstated its error;
-and the grid oracle against the box-mass rows of its grid.
+the grid oracle against the box-mass rows of its grid; and the batched
+stratified estimate against the one-corner estimate in ``scalar_masses``.
 """
 
 import json
@@ -15,13 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import scalar_masses
 import scalar_scan as ref
-from mcqmclab import discrepancy
+from mcqmclab import core, discrepancy
 from mcqmclab.ballwalk import make_metropolis_system
 from mcqmclab.chain import run_chain
 from mcqmclab.cli import main
 from mcqmclab.core import (
     AnchoredBox,
+    BallDomain,
     BoxDomain,
     Rng,
     TargetMeasure,
@@ -388,3 +391,60 @@ def test_profile_grid_does_not_depend_on_the_chunk(monkeypatch, alpha):
     report = star_discrepancy_exact(pts, measure)
     monkeypatch.setattr(discrepancy, "_SCAN_CHUNK_CELLS", 5)
     assert star_discrepancy_exact(pts, measure) == report
+
+
+# ---------------------------------------------------------------------------
+# Batched stratified estimate against the one-corner estimate
+# ---------------------------------------------------------------------------
+
+STRATIFIED = {
+    "uniform-ball-3": uniform_ball(3),
+    "uniform-ball-4": uniform_ball(4),
+    "exp-linear-ball-3": exp_linear_ball(1.0, 3),
+    "exp-linear-ball-4": exp_linear_ball(2.0, 4),
+    # a disc density without a profile gets the stratified estimate
+    "custom-disc": TargetMeasure(BallDomain(2), lambda x: np.exp(x[:, 0] - 0.5 * x[:, 1])),
+}
+
+
+def _same_as_one_corner(measure, rows, masses, err):
+    want = [scalar_masses.stratified_box_mass(measure, c) for c in rows]
+    assert masses.tobytes() == np.array([m for m, _ in want]).tobytes()
+    assert np.array_equal(err, max(e for _, e in want), equal_nan=True)
+
+
+@given(st.sampled_from(sorted(STRATIFIED)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_stratified_masses_equal_one_corner_estimate(name, data):
+    # rows at the upper bound (1.0), +-inf entries and single rows among
+    # them; the grid's rows go through the same estimate
+    measure = STRATIFIED[name]
+    d = measure.dim
+    rows = data.draw(st.integers(1, 6))
+    corners = np.array(
+        data.draw(st.lists(st.lists(_COORD, min_size=d, max_size=d), min_size=rows, max_size=rows))
+    )
+    _same_as_one_corner(measure, corners, *measure.box_masses(corners))
+    size = 3 if d < 4 else 2
+    axes = [np.array(data.draw(st.lists(_COORD, min_size=1, max_size=size))) for _ in range(d)]
+    masses, err = measure.grid_masses(axes)
+    _same_as_one_corner(measure, _grid_rows(axes), masses.ravel(), err)
+
+
+@pytest.mark.parametrize("name", sorted(STRATIFIED))
+def test_stratified_normalizer_equals_one_corner_estimate(name):
+    measure = STRATIFIED[name]
+    want = scalar_masses.stratified_normalizer(measure)
+    assert (measure.normalizer, measure.normalizer_error) == want
+
+
+@pytest.mark.parametrize("name", ["uniform-ball-3", "exp-linear-ball-4"])
+def test_stratified_masses_do_not_depend_on_the_chunk(monkeypatch, name):
+    measure = STRATIFIED[name]
+    corners = _ball_points(60, measure.dim, 4)
+    corners[::5, -1] = np.inf
+    whole, err = measure.box_masses(corners)
+    # a bound below one row's uniforms: every row is its own chunk
+    monkeypatch.setattr(core, "_STRATIFIED_CHUNK", 1)
+    single, single_err = measure.box_masses(corners)
+    assert single.tobytes() == whole.tobytes() and single_err == err
