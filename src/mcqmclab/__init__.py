@@ -25,7 +25,6 @@ from .core import (
     uniform_interval,
 )
 from .chain import (
-    ChainPath,
     ChainSystem,
     GeneratorFunction,
     UpdateFunction,

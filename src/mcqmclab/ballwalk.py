@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -138,20 +137,13 @@ def sphere_generator(v, d: int) -> np.ndarray:
     return x
 
 
-def _root(v: np.ndarray, d: int) -> np.ndarray:
-    """v ** (1/d) elementwise through Python's float pow, which numpy's power
-    does not match in the last bit on some inputs; v ** 1 is v itself."""
-    if d == 1:
-        return v
-    roots = map(pow, map(float, v.ravel()), repeat(1.0 / d))
-    return np.fromiter(roots, float, v.size).reshape(v.shape)
-
-
 def ball_generator(v, gamma: float, d: int) -> np.ndarray:
     """Uniform points in the closed gamma-ball: direction from the leading
-    coordinates, radius gamma * v_last^{1/d}; shape (..., p) to (..., d)."""
+    coordinates, radius gamma * v_last^{1/d}; shape (..., p) to (..., d).
+    The root is float_power's, which matches Python's float pow bit for bit
+    where numpy's power does not."""
     v = np.asarray(v, float)
-    radius = gamma * _root(v[..., -1], d)
+    radius = gamma * np.float_power(v[..., -1], 1.0 / d)
     return radius[..., None] * sphere_generator(v[..., :-1], d)
 
 

@@ -147,10 +147,15 @@ def burn_in_bound(inp: BoundInputs) -> tuple[float, float]:
 
 def beck_bound(r: int, d: int) -> float:
     """Existence bound for anchored-box discrepancy of an r-point set:
-    ``63 sqrt(d) (2 + log2 r)^{(3d+1)/2} / r``."""
+    ``63 sqrt(d) (2 + log2 r)^{(3d+1)/2} / r``, and inf (vacuous) where the
+    power overflows a float."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    return 63.0 * math.sqrt(d) * (2.0 + math.log2(r)) ** ((3 * d + 1) / 2) / r
+    try:
+        power = (2.0 + math.log2(r)) ** ((3 * d + 1) / 2)
+    except OverflowError:
+        return math.inf
+    return 63.0 * math.sqrt(d) * power / r
 
 
 def ballwalk_gap_bound(alpha: float, d: int) -> tuple[float, float]:

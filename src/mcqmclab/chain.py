@@ -4,10 +4,10 @@ A chain system bundles an update function phi: G x [0,1]^s -> G, a generator
 function psi: [0,1]^s -> G for the initial distribution, the target measure,
 and spectral metadata.  Paths are generated deterministically from a driver
 sequence: x_1 = psi(u_0), x_{i+1} = phi(x_i; u_i), so every path is exactly
-replayable.  The whole driver block is known before a replay starts, so
-phi is given as a block replay: each kernel maps the start states of b
-chains and their m remaining driver points to all m later states at once,
-and ``run_chains`` calls it once per batch of paths.
+replayable.  The driver block U[b, n, s], one row per chain, is known
+before a replay starts, so phi is given as a block replay: each kernel maps
+the start states of b chains and their remaining driver points to all later
+states at once, and ``run_chains`` calls it once and returns one array.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "GeneratorFunction",
     "UpdateFunction",
     "ChainSystem",
-    "ChainPath",
     "ChainDomainError",
     "run_chain",
     "run_chains",
@@ -111,61 +110,43 @@ class ChainSystem:
         return self.target.dim
 
 
-@dataclass(frozen=True)
-class ChainPath:
-    """States x_1 .. x_{n0+n} (shape (n0+n, d)), replayable from the driver."""
-
-    states: np.ndarray
-    burn_in: int
-    driver: DriverSequence
-
-    @property
-    def retained(self) -> np.ndarray:
-        return self.states[self.burn_in :]
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[0] - self.burn_in
+def run_chain(system: ChainSystem, driver: DriverSequence, burn_in: int = 0) -> np.ndarray:
+    """Deterministic replay of one path, its retained states X[n - burn_in,
+    d]: ``run_chains`` of the one-row block."""
+    return run_chains(system, driver.points[None], burn_in)[0]
 
 
-def run_chain(system: ChainSystem, driver: DriverSequence, burn_in: int = 0) -> ChainPath:
-    """Deterministic replay of one path: ``run_chains`` with b = 1."""
-    return run_chains(system, [driver], burn_in)[0]
+def run_chains(system: ChainSystem, U, burn_in: int = 0) -> np.ndarray:
+    """Replay of the driver block U[b, n, s], row j driving chain j: x_1 =
+    psi(u_0) for all chains at once, then one ``update.replay`` of the other
+    points.  Returns the retained states X[b, n - burn_in, d], read-only.
 
-
-def run_chains(
-    system: ChainSystem, drivers: Sequence[DriverSequence], burn_in: int = 0
-) -> list[ChainPath]:
-    """Replay of b equal-length paths: x_1 = psi(u_0) for all drivers at
-    once, then one ``update.replay`` of the remaining driver points.
-
-    Each path has one state per driver point; the retained sample is
-    ``states[burn_in:]``.  The states are checked against G once, after
-    the replay: ChainDomainError names the first step, and in it the first
-    chain, whose state left G.
+    ValueError unless U is 3-D with b >= 1, s = ``system.s``, n >= burn_in +
+    1 and every entry in [0, 1].  The states are checked against G once,
+    before the burn-in is dropped: ChainDomainError names the first step,
+    and in it the first chain, whose state left G.
     """
-    if not drivers:
-        raise ValueError("need at least one driver")
-    n = drivers[0].n
-    for driver in drivers:
-        if driver.s != system.s:
-            raise ValueError(f"driver dimension {driver.s} != system dimension {system.s}")
-        if driver.n != n:
-            raise ValueError("drivers must all have the same length")
-    if n < burn_in + 1:
-        raise ValueError("driver must contain at least burn_in + 1 points")
-    # step-major blocks, so that each step reads and writes contiguous rows
-    U = np.stack([driver.points for driver in drivers], axis=1)
-    states = np.empty((n, len(drivers), system.dim))
+    U = np.asarray(U, float)
+    if U.ndim != 3 or U.shape[0] < 1 or U.shape[2] != system.s:
+        raise ValueError(f"driver block needs shape (b, n, {system.s}) with b >= 1, got {U.shape}")
+    b, n, _ = U.shape
+    if not 0 <= burn_in < n:
+        raise ValueError("drivers must contain at least burn_in + 1 points")
+    if not np.all((U >= 0.0) & (U <= 1.0)):
+        raise ValueError("driver coordinates must be finite and lie in [0, 1]")
+    # the kernels replay step-major: a view of the block, and states whose
+    # steps are contiguous rows
+    U = U.transpose(1, 0, 2)
+    states = np.empty((n, b, system.dim))
     states[0] = system.generator.map(U[0])
     states[1:] = system.update.replay(states[0], U[1:])
     inside = system.target.domain.contains(states)
     if not inside.all():
-        i, j = divmod(int(np.argmin(inside)), len(drivers))
+        i, j = divmod(int(np.argmin(inside)), b)
         raise ChainDomainError(f"state {states[i, j]} of chain {j} left the domain at step {i}")
-    states = np.ascontiguousarray(states.transpose(1, 0, 2))
+    states = np.ascontiguousarray(states.transpose(1, 0, 2)[:, burn_in:])
     states.setflags(write=False)
-    return [ChainPath(states[j], burn_in, driver) for j, driver in enumerate(drivers)]
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +260,9 @@ def make_lazy_direct_kernel(
     def marginal(steps: Sequence[int], corners: np.ndarray) -> np.ndarray:
         m_nu = nu.box_masses(corners)[0][:, None]
         m_pi = target.box_masses(corners)[0][:, None]
-        # Python's float pow, as in the per-step form: numpy's power differs
-        # from it in the last bit on some inputs
-        w = np.array([(1.0 - a) ** i for i in steps])
+        # float_power matches Python's float pow of the per-step form bit
+        # for bit; numpy's power differs from it on some inputs
+        w = np.float_power(1.0 - a, np.asarray(steps, float))
         return w * m_nu + (1.0 - w) * m_pi
 
     def sampler(x: np.ndarray, rng: Rng) -> np.ndarray:
@@ -324,11 +305,8 @@ def compare_expectation(
     s = system.s
     rng_a = rng.split(0)
     rng_b = rng.split(1)
-    drivers = [
-        DriverSequence(rng_a.uniforms(i * s).reshape(i, s), "compare-expectation")
-        for _ in range(m)
-    ]
-    vals_a = np.array([F(list(path.states)) for path in run_chains(system, drivers)])
+    U = rng_a.uniforms(m * i * s).reshape(m, i, s)
+    vals_a = np.array([F(list(states)) for states in run_chains(system, U)])
     vals_b = np.empty(m)
     for r in range(m):
         y = system.generator.map(rng_b.uniforms(s)[None])[0]

@@ -258,8 +258,7 @@ def _run_discrepancy(p: dict):
     system = _build_system(p, gamma)
     n, n0, seed = p["n"], p["n0"], p["seed"]
     driver = uniform_driver(n + n0, system.s, Rng(seed))
-    path = run_chain(system, driver, burn_in=n0)
-    report = star_discrepancy_exact(path.retained, system.target)
+    report = star_discrepancy_exact(run_chain(system, driver, burn_in=n0), system.target)
     header = ["n", "seed", "disc_lower", "disc_upper"]
     return header, [[n, seed, report.lower, report.upper]], {"gamma": gamma}
 
@@ -342,9 +341,9 @@ def _run_invert(p: dict):
     t0 = float(targets[0][0])
     x1_driver = np.array([0.25 if t0 < 0 else 0.75, abs(t0), 0.0])
     driver = invert_to_target(system, targets, x1_driver)
-    path = run_chain(system, driver)
-    report = star_discrepancy_exact(path.states, target)
-    dev = float(np.max(np.abs(path.states - np.stack(targets))))
+    states = run_chain(system, driver)
+    report = star_discrepancy_exact(states, target)
+    dev = float(np.max(np.abs(states - np.stack(targets))))
     header = ["n", "disc_lower", "disc_upper", "max_deviation"]
     return header, [[n, report.lower, report.upper, dev]], {"gamma": gamma}
 

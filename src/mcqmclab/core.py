@@ -68,7 +68,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _mix64(z: int) -> int:
+def _mix64(z):
+    """SplitMix64's output mix of a Python int, or in place of a uint64 array."""
     z &= _MASK64
     z ^= z >> 30
     z = (z * _MIX1) & _MASK64
@@ -125,6 +126,13 @@ class Rng:
     def split(self, label: int) -> "Rng":
         child = _mix64(self.seed ^ _mix64(((2 * int(label) + 1) * _GAMMA) & _MASK64))
         return Rng(child)
+
+    def split_uniforms(self, m: int, n: int) -> np.ndarray:
+        """The first n uniforms of the children 0 .. m-1, shape (m, n): row r
+        is ``self.split(r).uniforms(n)``, all from one counter block."""
+        labels = np.arange(m, dtype=np.uint64)
+        seeds = _mix64(np.uint64(self.seed) ^ _mix64((2 * labels + 1) * np.uint64(_GAMMA)))
+        return _splitmix_uniforms(seeds[:, None], np.arange(1, n + 1, dtype=np.uint64))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Rng(seed={self.seed:#x}, counter={self._counter})"

@@ -176,7 +176,8 @@ class DeltaCover:
 
     @property
     def size(self) -> int:
-        return len(self.corners)
+        """Number of members, counted without building :attr:`corners`."""
+        return math.prod(len(cj) + 1 for cj in self.cuts) + 1
 
     def fractions_below(self, points) -> np.ndarray:
         """Fraction of the points strictly inside each member, for stacked
@@ -325,29 +326,21 @@ def pullback_discrepancy_mc(
     equivalent to x_{i+1} in A), while the volume term equals the chain
     marginal nu P^i(A): taken from the system's exact-marginal oracle when
     available (mc_stderr = 0), otherwise estimated from m independent random
-    chains replayed in one batch with the driver's own path.
+    chains replayed in one block with the driver's own path: replica r is
+    driven by the first uniforms of ``rng.split(r)``.
     """
-    n = driver.n - burn_in
-    if n < 1:
-        raise ValueError("driver shorter than burn-in")
     if system.exact_marginal is not None:
-        ind = cover.fractions_below(run_chain(system, driver, burn_in=burn_in).retained)
-        vol = np.mean(system.exact_marginal(range(burn_in, burn_in + n), cover.corners), axis=1)
+        ind = cover.fractions_below(run_chain(system, driver, burn_in=burn_in))
+        vol = np.mean(system.exact_marginal(range(burn_in, driver.n), cover.corners), axis=1)
         stderr = 0.0
     else:
         if m < 100:
             raise ValueError("need at least 100 replications without a marginal oracle")
-        replicas = [
-            DriverSequence(
-                rng.split(r).uniforms(driver.n * system.s).reshape(driver.n, system.s),
-                provenance="pullback-mc-replication",
-            )
-            for r in range(m)
-        ]
-        paths = run_chains(system, [driver] + replicas, burn_in=burn_in)
         # indicator averages over the retained window, per cover set: the
         # driver's path first, then the replicas
-        fractions = cover.fractions_below(np.stack([path.retained for path in paths]))
+        n, s = driver.points.shape
+        U = np.concatenate([driver.points[None], rng.split_uniforms(m, n * s).reshape(m, n, s)])
+        fractions = cover.fractions_below(run_chains(system, U, burn_in=burn_in))
         ind, acc = fractions[0], fractions[1:]
         vol = acc.mean(axis=0)
         stderr = float(np.max(acc.std(axis=0, ddof=1) / math.sqrt(m)))

@@ -114,10 +114,10 @@ def _scores(
             )
             for j, driver in enumerate(drivers)
         ]
-    paths = run_chains(system, drivers, burn_in=config.n0)
+    paths = run_chains(system, np.stack([driver.points for driver in drivers]), burn_in=config.n0)
     if config.objective == "star-exact":
-        return [star_discrepancy_exact(path.retained, system.target) for path in paths]
-    return [star_discrepancy_bracket(path.retained, system.target, cover) for path in paths]
+        return [star_discrepancy_exact(x, system.target) for x in paths]
+    return [star_discrepancy_bracket(x, system.target, cover) for x in paths]
 
 
 def best_of_k(
@@ -178,8 +178,7 @@ def invert_to_target(
         except (ValueError, NotImplementedError) as exc:
             raise ValueError(f"inversion failed between targets {i - 1} and {i}: {exc}")
     driver = DriverSequence(points, provenance="inverted-to-target")
-    path = run_chain(system, driver)
-    dev = float(np.max(np.abs(path.states - np.stack(targets))))
+    dev = float(np.max(np.abs(run_chain(system, driver) - np.stack(targets))))
     if dev > 1e-9:
         raise AssertionError(f"reproduced path deviates from targets by {dev}")
     return driver

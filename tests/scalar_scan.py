@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from mcqmclab.chain import run_chain, run_chains
-from mcqmclab.core import AnchoredBox, DriverSequence
+from mcqmclab.core import AnchoredBox
 from mcqmclab.discrepancy import DiscrepancyReport
 
 
@@ -101,20 +101,17 @@ def broadcast_pullback(system, driver, burn_in, cover, m, rng) -> DiscrepancyRep
     n = driver.n - burn_in
     corners = cover.corners
     if system.exact_marginal is not None:
-        ind = broadcast_fractions_below(run_chain(system, driver, burn_in).retained, corners)
+        ind = broadcast_fractions_below(run_chain(system, driver, burn_in), corners)
         vol = np.mean(system.exact_marginal(range(burn_in, burn_in + n), corners), axis=1)
         stderr = 0.0
     else:
         replicas = [
-            DriverSequence(
-                rng.split(r).uniforms(driver.n * system.s).reshape(driver.n, system.s),
-                provenance="pullback-mc-replication",
-            )
+            rng.split(r).uniforms(driver.n * system.s).reshape(driver.n, system.s)
             for r in range(m)
         ]
-        paths = run_chains(system, [driver] + replicas, burn_in=burn_in)
-        ind = broadcast_fractions_below(paths[0].retained, corners)
-        acc = np.array([broadcast_fractions_below(p.retained, corners) for p in paths[1:]])
+        paths = run_chains(system, np.stack([driver.points] + replicas), burn_in=burn_in)
+        ind = broadcast_fractions_below(paths[0], corners)
+        acc = np.array([broadcast_fractions_below(p, corners) for p in paths[1:]])
         vol = acc.mean(axis=0)
         stderr = float(np.max(acc.std(axis=0, ddof=1) / math.sqrt(m)))
     lower = float(np.max(np.abs(ind - vol)))

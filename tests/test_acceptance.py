@@ -30,7 +30,6 @@ from mcqmclab.chain import (
 )
 from mcqmclab.core import (
     AnchoredBox,
-    DriverSequence,
     Rng,
     exp_linear_box,
     exp_linear_interval,
@@ -124,7 +123,7 @@ def test_criterion_04_direct_simulation_identity():
         driver = uniform_driver(64, 1, Rng(3000 + seed))
         rep = pullback_discrepancy_mc(system, driver, 0, cover, 0, Rng(0))
         assert rep.mc_stderr == 0.0
-        star = star_discrepancy_exact(run_chain(system, driver).states, system.target)
+        star = star_discrepancy_exact(run_chain(system, driver), system.target)
         assert abs(rep.lower - star.lower) <= delta + 1e-12
 
 
@@ -149,7 +148,7 @@ def test_criterion_05_pullback_vs_star_audit():
     for seed in range(50):
         driver = uniform_driver(n, 2, Rng(4000 + seed))
         rep = pullback_discrepancy_mc(system, driver, 0, cover, 0, Rng(0))
-        star = star_discrepancy_exact(run_chain(system, driver).states, pi)
+        star = star_discrepancy_exact(run_chain(system, driver), pi)
         diff = abs(star.lower - rep.lower)
         assert diff <= sup_term + delta + 1e-9
         assert diff <= tv_bound + delta + 1e-9
@@ -219,9 +218,9 @@ def test_criterion_09_inversion_pipeline():
         driver = invert_to_target(
             system, targets, np.array([0.25 if t0 < 0 else 0.75, abs(t0), 0.0])
         )
-        path = run_chain(system, driver)
-        assert np.max(np.abs(path.states - np.stack(targets))) <= 1e-9
-        rep = star_discrepancy_exact(path.states, target)
+        states = run_chain(system, driver)
+        assert np.max(np.abs(states - np.stack(targets))) <= 1e-9
+        rep = star_discrepancy_exact(states, target)
         assert abs(rep.lower - 1.0 / (2.0 * n)) <= 1e-12
         discs.append(rep.lower)
     assert fit_loglog_slope(ns, discs) <= -0.9
@@ -234,8 +233,7 @@ def test_criterion_10_reversibility_and_stationarity():
     # detailed balance: empirical flows A -> B and B -> A from a long
     # stationary-start run agree within 4 standard errors
     N = 200_000
-    path = run_chain(system, uniform_driver(N, system.s, Rng(314)))
-    x = path.states[:, 0]
+    x = run_chain(system, uniform_driver(N, system.s, Rng(314)))[:, 0]
     in_a = (x >= -1.0) & (x < -0.2)
     in_b = (x >= 0.1) & (x < 0.9)
     flow_ab = (in_a[:-1] & in_b[1:]).astype(float)
@@ -254,11 +252,7 @@ def test_criterion_10_reversibility_and_stationarity():
         first = np.zeros((m, 1, 3))
         first[:, 0, 0] = rng.uniforms(m)
         drv = rng.uniforms(m * k * 3).reshape(m, k, 3)
-        drivers = [
-            DriverSequence(pts, "stationary-start")
-            for pts in np.concatenate([first, drv], axis=1)
-        ]
-        states = np.array([path.states[-1, 0] for path in run_chains(starts, drivers)])
+        states = run_chains(starts, np.concatenate([first, drv], axis=1))[:, -1, 0]
         for t in (-0.5, 0.0, 0.5):
             exact = (t + 1.0) / 2.0
             emp = float(np.mean(states < t))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcqmclab.ballwalk import (
     BallWalkParams,
@@ -61,6 +63,28 @@ class TestBallGenerator:
             v = np.concatenate([np.full(max(d - 1, 1), 0.3), [1.0]])
             x = ball_generator(v, 0.7, d)
             assert np.linalg.norm(x) == pytest.approx(0.7, abs=1e-12)
+
+    @given(
+        st.integers(1, 5),
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308]),
+                st.floats(0.0, 2.2250738585072014e-308),
+                st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_radius_root_is_python_pow(self, d, radii):
+        # leading coordinates 0 put the direction on an axis (up to the sign
+        # in d = 1), so the largest |x_j| is the radius itself
+        v = np.column_stack([np.zeros((len(radii), max(d - 1, 1))), radii])
+        radius = np.max(np.abs(ball_generator(v, 1.0, d)), axis=-1)
+        assert np.array_equal(radius, [pow(r, 1.0 / d) for r in radii])
+        if d == 1:
+            assert np.array_equal(radius, radii)
 
     def test_d2_golden(self):
         x = ball_generator([0.25, 0.25], 1.0, 2)
@@ -220,8 +244,8 @@ class TestSystemAssembly:
     def test_chain_stays_in_ball(self):
         system = make_metropolis_system("exp-linear", 1.0, 0.5, 2)
         driver = uniform_driver(300, system.s, Rng(2))
-        path = run_chain(system, driver)
-        assert np.all(np.sum(path.states**2, axis=1) <= 1.0 + 1e-12)
+        states = run_chain(system, driver)
+        assert np.all(np.sum(states**2, axis=1) <= 1.0 + 1e-12)
 
     def test_update_function_law_matches_kernel_sampler(self):
         # same transition law through the driver route and the independent

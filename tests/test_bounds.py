@@ -89,6 +89,18 @@ class TestEdgeCases:
         assert is_vacuous(1.2)
         assert not is_vacuous(0.9)
 
+    @pytest.mark.parametrize("r,d", [(16, 263), (16, 264), (2**20, 160)])
+    def test_beck_overflow_is_vacuous_inf(self, r, d):
+        # at (16, 263) the power is finite and the product overflows; above
+        # it the power itself overflows a float
+        assert beck_bound(r, d) == math.inf
+        assert is_vacuous(beck_bound(r, d))
+
+    def test_beck_finite_values_unchanged(self):
+        for r, d in [(16, 261), (2**20, 150), (1024, 3), (7, 12)]:
+            power = (2.0 + math.log2(r)) ** ((3 * d + 1) / 2)
+            assert beck_bound(r, d) == 63.0 * math.sqrt(d) * power / r < math.inf
+
 
 class TestBurnIn:
     def test_no_burn_in_reduces_to_known_pieces(self):

@@ -34,19 +34,20 @@ class TestRunChain:
         driver = uniform_driver(32, 1, Rng(1))
         a = run_chain(system, driver)
         b = run_chain(system, driver)
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a, b)
 
     def test_direct_kernel_states_are_inverse_cdf_of_driver(self):
         system = _direct()
         driver = uniform_driver(16, 1, Rng(2))
-        path = run_chain(system, driver)
-        assert np.allclose(path.states[:, 0], -1.0 + 2.0 * driver.points[:, 0])
+        states = run_chain(system, driver)
+        assert np.allclose(states[:, 0], -1.0 + 2.0 * driver.points[:, 0])
 
     def test_burn_in_split(self):
         system = _direct()
-        path = run_chain(system, uniform_driver(10, 1, Rng(3)), burn_in=4)
-        assert path.retained.shape == (6, 1)
-        assert path.n == 6
+        driver = uniform_driver(10, 1, Rng(3))
+        retained = run_chain(system, driver, burn_in=4)
+        assert retained.shape == (6, 1)
+        assert np.array_equal(retained, run_chain(system, driver)[4:])
 
     def test_dimension_mismatch(self):
         system = _direct()
@@ -74,9 +75,9 @@ class TestRunChain:
             run_chain(bad, uniform_driver(4, 1, Rng(1)))
 
     def test_states_read_only(self):
-        path = run_chain(_direct(), uniform_driver(4, 1, Rng(5)))
+        states = run_chain(_direct(), uniform_driver(4, 1, Rng(5)))
         with pytest.raises(ValueError):
-            path.states[0, 0] = 0.0
+            states[0, 0] = 0.0
 
 
 class TestChainSystemValidation:

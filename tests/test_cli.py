@@ -168,6 +168,14 @@ class TestRunBounds:
         assert manifest["config"]["experiment"] == "bounds"
         assert "wall_time_s" in manifest and "version" in manifest
 
+    def test_beck_overflow_prints_inf(self, tmp_path, capsys):
+        assert main(["bounds", "--d", "264"]) == 0
+        assert "beck_bound inf" in capsys.readouterr().out.splitlines()
+        cfg_path = _write(tmp_path, "c.json", {**_bounds_cfg(tmp_path), "dimension": 264})
+        assert main(["run", cfg_path]) == 0
+        row = (tmp_path / "bounds.csv").read_text().splitlines()[1].split(",")
+        assert float(row[5]) == math.inf
+
     def test_byte_identical_rerun(self, tmp_path):
         cfg_path = _write(tmp_path, "c.json", _bounds_cfg(tmp_path))
         main(["run", cfg_path])

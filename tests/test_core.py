@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcqmclab.core import (
@@ -50,6 +50,16 @@ class TestRng:
         b = r.split(1).uniforms(50)
         assert not np.array_equal(a, b)
         assert np.array_equal(a, Rng(5).split(0).uniforms(50))
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 40), st.integers(0, 30))
+    @example(0, 5, 7)
+    @example(2**64 - 1, 5, 7)
+    @settings(max_examples=60, deadline=None)
+    def test_split_uniforms_rows_are_child_streams(self, seed, m, n):
+        block = Rng(seed).split_uniforms(m, n)
+        assert block.shape == (m, n)
+        for r in range(m):
+            assert np.array_equal(block[r], Rng(seed).split(r).uniforms(n))
 
     def test_split_does_not_advance_parent(self):
         r = Rng(9)

@@ -104,6 +104,15 @@ def test_corners_follow_cuts():
     assert np.array_equal(cover.corners[:-1], np.stack(grid, axis=-1).reshape(-1, 3))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_size_counts_members_without_building_them(d):
+    cover = build_quantile_cover(uniform_box([0.0] * d, [1.0] * d), 0.3)
+    points = Rng(d).uniforms(20 * d).reshape(20, d)
+    star_discrepancy_bracket(points, cover.measure, cover)
+    assert "corners" not in vars(cover)
+    assert cover.size == len(cover.corners)
+
+
 def test_bad_shapes_rejected():
     cover = COVERS["disc"]()
     for bad in (np.zeros(5), np.zeros((4, 3)), np.zeros((0, 2))):
@@ -207,5 +216,5 @@ def test_uniform_ball_3_cover_search_runs(tmp_path):
     result = best_of_k(system, sc, cover=build_quantile_cover(system.target, 0.25))
     bracket = result.best_report
     assert [float(v) for v in row[2:4]] == [bracket.lower, bracket.upper]
-    exact = star_discrepancy_exact(run_chain(system, result.best_driver, 4).retained, system.target)
+    exact = star_discrepancy_exact(run_chain(system, result.best_driver, 4), system.target)
     assert bracket.lower <= exact.upper and exact.lower <= bracket.upper

@@ -240,7 +240,7 @@ class TestPullback:
         assert rep.mc_stderr == 0.0
         from mcqmclab.chain import run_chain
 
-        star = star_discrepancy_exact(run_chain(system, driver).states, system.target)
+        star = star_discrepancy_exact(run_chain(system, driver), system.target)
         assert abs(rep.lower - star.lower) <= 0.01 + 1e-12
 
     def test_mc_route_close_to_oracle_route(self):

@@ -2,6 +2,7 @@
 ``scalar_replay``: paths must agree bit for bit, for every kernel, at
 b = 1 and b > 1."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -43,17 +44,17 @@ from mcqmclab.core import (
 
 
 def _drivers(b, n, s, seed):
-    return [uniform_driver(n, s, Rng(seed).split(j)) for j in range(b)]
+    return np.stack([uniform_driver(n, s, Rng(seed).split(j)).points for j in range(b)])
 
 
-def _assert_paths_match(system, drivers, scalar_path, burn_in=0):
-    paths = run_chains(system, drivers, burn_in=burn_in)
-    assert len(paths) == len(drivers)
-    for path, driver in zip(paths, drivers):
-        expect = scalar_path(driver.points)
-        assert path.states.shape == expect.shape
-        assert np.array_equal(path.states, expect)
-        assert path.retained.shape[0] == driver.n - burn_in
+def _assert_paths_match(system, U, scalar_path, burn_in=0):
+    """Every path of the block U[b, n, s] is the scalar replay of its row,
+    and the burn-in drops the leading states of each."""
+    states = run_chains(system, U)
+    assert states.shape == U.shape[:2] + (system.dim,)
+    for x, points in zip(states, U):
+        assert np.array_equal(x, scalar_path(points))
+    assert np.array_equal(run_chains(system, U, burn_in=burn_in), states[:, burn_in:])
 
 
 @pytest.mark.parametrize("b", [1, 5])
@@ -93,10 +94,7 @@ def _hold_drivers(a, n, seed):
         "always": np.zeros(n),
         "mixed": np.where(rng.uniforms(n) < 0.5, rng.uniforms(n), np.resize(near, n)),
     }
-    return {
-        name: DriverSequence(np.column_stack([rng.uniforms(n), h]), name)
-        for name, h in holds.items()
-    }
+    return {name: np.column_stack([rng.uniforms(n), h]) for name, h in holds.items()}
 
 
 @pytest.mark.parametrize("a", [0.3, 1.0])
@@ -104,9 +102,9 @@ def test_lazy_direct_kernel_refresh_edges(a):
     pi, nu = exp_linear_interval(1.0), uniform_interval(-1.0, 1.0)
     system = make_lazy_direct_kernel(pi, a=a, nu=nu)
     drivers = _hold_drivers(a, 60, 9)
-    never = run_chain(system, drivers["never"]).states
-    assert np.all(never == nu.inv_cdf(drivers["never"].points[0, 0]))
-    for batch in [[d] for d in drivers.values()] + [list(drivers.values())]:
+    never = run_chains(system, drivers["never"][None])[0]
+    assert np.all(never == nu.inv_cdf(drivers["never"][0, 0]))
+    for batch in [d[None] for d in drivers.values()] + [np.stack(list(drivers.values()))]:
         _assert_paths_match(system, batch, lambda pts: ref.lazy_path(pts, pi, nu, a))
 
 
@@ -152,8 +150,7 @@ def test_ballwalk_random_drivers(d, gamma, alpha, data):
     b = data.draw(st.integers(1, 4))
     n = data.draw(st.integers(1, 30))
     block = data.draw(arrays(np.float64, (b, n, system.s), elements=st.floats(0.0, 1.0)))
-    drivers = [DriverSequence(pts, "hypothesis") for pts in block]
-    _assert_paths_match(system, drivers, lambda pts: ref.ballwalk_path(pts, gamma, d, name, alpha))
+    _assert_paths_match(system, block, lambda pts: ref.ballwalk_path(pts, gamma, d, name, alpha))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -201,7 +198,7 @@ def _near_tie_driver(n, d, alpha, rng):
         u[-1] = min(near[int(3 * rng.uniform())], 1.0)
         points.append(u)
         x = ref.metropolis_step(x, u, 2.0, d, "exp-linear", alpha)
-    return DriverSequence(np.array(points), "near-ties")
+    return np.array(points)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -215,7 +212,7 @@ def test_run_chains_ballwalk_near_ties(d):
     rng = Rng(70 + d)
     short = [_near_tie_driver(2, d, alpha, rng.split(j)) for j in range(150)]
     long = [_near_tie_driver(120, d, alpha, rng.split(1000 + j)) for j in range(3)]
-    for batch in [[driver] for driver in short] + [short, long[:1], long]:
+    for batch in [driver[None] for driver in short] + [np.stack(short), long[0][None], np.stack(long)]:
         _assert_paths_match(
             system, batch, lambda pts: ref.ballwalk_path(pts, 2.0, d, "exp-linear", alpha)
         )
@@ -237,8 +234,9 @@ def test_run_chains_ballwalk_subnormal_ratios():
         y = x + ref.ball_point(u[:2], 2.0, 1)
         ratio = math.exp(min(alpha * y[0] - alpha * x[0], 0.0))
         for v in (ratio, np.nextafter(ratio, 1.0), np.nextafter(ratio, 0.0)):
-            drivers.append(DriverSequence(np.array([u0, np.append(u[:-1], v)]), "subnormal"))
-    for batch in [[driver] for driver in drivers] + [drivers]:
+            drivers.append([u0, np.append(u[:-1], v)])
+    drivers = np.array(drivers)
+    for batch in [driver[None] for driver in drivers] + [drivers]:
         _assert_paths_match(
             system, batch, lambda pts: ref.ballwalk_path(pts, 2.0, 1, "exp-linear", alpha)
         )
@@ -256,23 +254,32 @@ def test_lifted_update_is_metropolis_update():
 
 def test_run_chain_is_first_of_run_chains():
     system = make_metropolis_system("exp-linear", 1.0, 0.5, 2)
-    drivers = _drivers(3, 50, system.s, 1)
-    batch = run_chains(system, drivers, burn_in=5)
-    for driver, path in zip(drivers, batch):
-        one = run_chain(system, driver, burn_in=5)
-        assert np.array_equal(one.states, path.states)
-        assert one.burn_in == path.burn_in == 5
-        assert path.driver is driver
+    U = _drivers(3, 50, system.s, 1)
+    batch = run_chains(system, U, burn_in=5)
+    assert batch.shape == (3, 45, 2)
+    for points, states in zip(U, batch):
+        one = run_chain(system, DriverSequence(points, "row"), burn_in=5)
+        assert np.array_equal(one, states)
+    for states in (batch, one):
         with pytest.raises(ValueError):
-            path.states[0, 0] = 0.0
+            states[0, 0] = 0.0
 
 
-def test_run_chains_rejects_mixed_lengths_and_empty_batches():
-    system = make_direct_kernel(uniform_interval())
-    with pytest.raises(ValueError):
-        run_chains(system, [])
-    with pytest.raises(ValueError):
-        run_chains(system, [uniform_driver(8, 1, Rng(0)), uniform_driver(9, 1, Rng(1))])
+def test_run_chains_rejects_bad_blocks():
+    system = make_lazy_direct_kernel(uniform_interval(), a=0.5)
+    U = _drivers(2, 8, 2, 0)
+    with_nan, below, above = U.copy(), U.copy(), U.copy()
+    with_nan[1, 3, 0] = np.nan
+    below[0, 5, 1] = -1e-300
+    above[1, 0, 0] = np.nextafter(1.0, 2.0)
+    bad = [U[0], U[:0], U[..., :1], np.dstack([U, U]), with_nan, below, above]
+    for block in bad:
+        with pytest.raises(ValueError):
+            run_chains(system, block)
+    for burn_in in (8, 9, -1):
+        with pytest.raises(ValueError):
+            run_chains(system, U, burn_in=burn_in)
+    assert run_chains(system, U, burn_in=7).shape == (2, 1, 1)
 
 
 def test_domain_violation_names_chain_and_step():
@@ -284,12 +291,14 @@ def test_domain_violation_names_chain_and_step():
         beta=None,
         nu_density_norm=1.0,
     )
-    drivers = [
-        DriverSequence(np.array([[0.5], [0.1], [0.2]]), "stays"),
-        DriverSequence(np.array([[0.5], [0.1], [0.9]]), "leaves"),
-    ]
+    drivers = np.array([[[0.5], [0.1], [0.2]], [[0.5], [0.1], [0.9]]])  # stays, leaves
     with pytest.raises(ChainDomainError, match="chain 1 .* step 2"):
         run_chains(bad, drivers)
+    # the states are checked before the burn-in is dropped: a chain that
+    # leaves G at step 1 and comes back is caught with burn_in = 2
+    back = dataclasses.replace(bad, update=UpdateFunction(s=1, replay=lambda X0, U: X0 + (U > 0.5)))
+    with pytest.raises(ChainDomainError, match="chain 0 .* step 1"):
+        run_chains(back, np.array([[[0.5], [0.9], [0.1]]]), burn_in=2)
 
 
 def test_lazy_exact_marginal_matches_per_step_loop():
@@ -303,6 +312,17 @@ def test_lazy_exact_marginal_matches_per_step_loop():
         batched = system.exact_marginal(steps, box.corner[None])[0]
         assert np.array_equal(batched, loop)
         assert np.mean(batched) == np.mean(loop)
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.37, 0.5, 0.999, 1.0])
+def test_lazy_exact_marginal_weights_are_python_pow(a):
+    pi, nu = exp_linear_interval(1.0), uniform_interval(-1.0, 1.0)
+    system = make_lazy_direct_kernel(pi, a=a, nu=nu)
+    corner = np.array([[0.3]])
+    m_nu, m_pi = nu.box_masses(corner)[0][0], pi.box_masses(corner)[0][0]
+    steps = range(5000)
+    loop = [(1.0 - a) ** i * m_nu + (1.0 - (1.0 - a) ** i) * m_pi for i in steps]
+    assert np.array_equal(system.exact_marginal(steps, corner)[0], loop)
 
 
 _SIN_POWER_CDF = {

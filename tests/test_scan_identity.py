@@ -259,7 +259,7 @@ def test_disc_bracket_contains_star_discrepancy(tmp_path, density, seed):
     got = dict(zip(header.split(","), map(float, row.split(","))))
     gamma = json.loads((tmp_path / "scan.csv.manifest.json").read_text())["gamma"]
     system = make_metropolis_system(density["name"], density["alpha"], gamma, 2)
-    retained = run_chain(system, uniform_driver(96, system.s, Rng(seed)), burn_in=64).retained
+    retained = run_chain(system, uniform_driver(96, system.s, Rng(seed)), burn_in=64)
     star, _ = ref.star_discrepancy_scan(retained, _kinked_quad_oracle(density["alpha"]))
     # the reference masses are accurate to about 1e-14
     assert got["disc_lower"] - 1e-12 <= star <= got["disc_upper"] + 1e-12

@@ -96,8 +96,7 @@ class TestInvertToTarget:
         target = np.array([0.25])
         driver = invert_to_target(system, [target], np.array([0.75, 0.25, 0.0]))
         assert driver.n == 1
-        path = run_chain(system, driver)
-        assert np.allclose(path.states[0], target, atol=1e-12)
+        assert np.allclose(run_chain(system, driver)[0], target, atol=1e-12)
 
     def test_midpoint_targets_reach_half_over_n(self):
         system = _metropolis_inversion_system()
@@ -109,8 +108,7 @@ class TestInvertToTarget:
             driver = invert_to_target(
                 system, targets, np.array([0.25 if t0 < 0 else 0.75, abs(t0), 0.0])
             )
-            path = run_chain(system, driver)
-            rep = star_discrepancy_exact(path.states, target_measure)
+            rep = star_discrepancy_exact(run_chain(system, driver), target_measure)
             assert rep.lower == pytest.approx(1.0 / (2.0 * n), abs=1e-12)
 
     def test_random_target_lists_roundtrip(self):
@@ -123,8 +121,7 @@ class TestInvertToTarget:
             driver = invert_to_target(
                 system, targets, np.array([0.25 if t0 < 0 else 0.75, abs(t0), 0.0])
             )
-            path = run_chain(system, driver)
-            assert np.max(np.abs(path.states - np.stack(targets))) <= 1e-9
+            assert np.max(np.abs(run_chain(system, driver) - np.stack(targets))) <= 1e-9
 
     def test_wrong_first_target_rejected(self):
         system = _metropolis_inversion_system()
