@@ -9,10 +9,8 @@ and driver search / construction on top.
 __version__ = "0.1.0"
 
 from .core import (
-    AnchoredBox,
     BallDomain,
     BoxDomain,
-    DriverSequence,
     Rng,
     TargetMeasure,
     exp_linear_ball,
@@ -30,7 +28,6 @@ from .chain import (
     UpdateFunction,
     make_direct_kernel,
     make_lazy_direct_kernel,
-    run_chain,
     run_chains,
 )
 from .discrepancy import (

@@ -18,14 +18,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DriverSequence, Rng, TargetMeasure, integrate
+from .core import Rng, TargetMeasure, integrate
 
 __all__ = [
     "GeneratorFunction",
     "UpdateFunction",
     "ChainSystem",
     "ChainDomainError",
-    "run_chain",
     "run_chains",
     "make_direct_kernel",
     "make_lazy_direct_kernel",
@@ -110,14 +109,9 @@ class ChainSystem:
         return self.target.dim
 
 
-def run_chain(system: ChainSystem, driver: DriverSequence, burn_in: int = 0) -> np.ndarray:
-    """Deterministic replay of one path, its retained states X[n - burn_in,
-    d]: ``run_chains`` of the one-row block."""
-    return run_chains(system, driver.points[None], burn_in)[0]
-
-
 def run_chains(system: ChainSystem, U, burn_in: int = 0) -> np.ndarray:
-    """Replay of the driver block U[b, n, s], row j driving chain j: x_1 =
+    """Replay of the driver block U[b, n, s], row j driving chain j (one
+    driver D of shape (n, s) is the block ``D[None]``): x_1 =
     psi(u_0) for all chains at once, then one ``update.replay`` of the other
     points.  Returns the retained states X[b, n - burn_in, d], read-only.
 

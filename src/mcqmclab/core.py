@@ -5,12 +5,14 @@ the types here:
 
 * ``Rng`` -- a splittable counter-based SplitMix64 generator, so every
   candidate and replica stream is reproducible from (seed, label).
-* ``AnchoredBox`` -- a strictly open box ``(-inf, corner)``; membership is
-  strict in every coordinate.
 * ``TargetMeasure`` -- a target distribution given by a density on a bounded
   domain, with a batched box-mass oracle over corner arrays (closed form
-  where possible, quadrature or a stratified estimate otherwise).
-* ``DriverSequence`` -- n points in [0,1]^s consumed one per chain step.
+  where possible, quadrature or a stratified estimate otherwise).  A row c
+  of a corner array stands for the strictly open box ``(-inf, c)``; an
+  entry of +inf leaves its coordinate unrestricted, one of -inf makes the
+  box empty.
+* ``halton_sequence`` and ``uniform_driver`` -- driver sequences as float
+  arrays of shape (n, s), one point in [0,1]^s per chain step.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ __all__ = [
     "Rng",
     "BoxDomain",
     "BallDomain",
-    "AnchoredBox",
     "TargetMeasure",
-    "DriverSequence",
     "halton_sequence",
     "uniform_driver",
     "uniform_interval",
@@ -183,59 +183,6 @@ class BallDomain:
     def bounding(self) -> tuple[np.ndarray, np.ndarray]:
         r = np.full(self.dim, self.radius)
         return -r, r
-
-
-# ---------------------------------------------------------------------------
-# Anchored boxes
-# ---------------------------------------------------------------------------
-
-
-class AnchoredBox:
-    """Open box ``(-inf, corner)``; membership is strict in every coordinate.
-
-    Corner entries may be ``+inf`` (no restriction in that coordinate).  A
-    corner entry of ``-inf`` makes the box empty.
-    """
-
-    __slots__ = ("corner",)
-
-    def __init__(self, corner):
-        c = np.array(corner, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "corner", c)
-
-    @property
-    def dim(self) -> int:
-        return self.corner.shape[0]
-
-    @property
-    def is_empty(self) -> bool:
-        return bool(np.any(self.corner == -np.inf))
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Strict membership test; pts has shape (..., d)."""
-        return np.all(np.asarray(pts, float) < self.corner, axis=-1)
-
-    @property
-    def key(self) -> bytes:
-        return self.corner.tobytes()
-
-    @staticmethod
-    def empty(d: int) -> "AnchoredBox":
-        return AnchoredBox(np.full(d, -np.inf))
-
-    @staticmethod
-    def full(d: int) -> "AnchoredBox":
-        return AnchoredBox(np.full(d, np.inf))
-
-    def __eq__(self, other):
-        return isinstance(other, AnchoredBox) and np.array_equal(self.corner, other.corner)
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return f"AnchoredBox({self.corner.tolist()})"
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +367,10 @@ class TargetMeasure:
         masses[nan] = np.nan
         return masses, math.nan if nan.any() else float(np.max(errs, initial=0.0))
 
-    def box_mass(self, box: AnchoredBox) -> tuple[float, float]:
-        """Normalized mass of ``box`` intersected with the domain, plus an
-        error bound: :meth:`box_masses` of its corner."""
-        if box.dim != self.dim:
-            raise ValueError(f"box dimension {box.dim} != measure dimension {self.dim}")
-        masses, err = self.box_masses(box.corner[None])
+    def box_mass(self, corner) -> tuple[float, float]:
+        """Normalized mass of the open box ``(-inf, corner)`` intersected with
+        the domain, plus an error bound: :meth:`box_masses` of the one row."""
+        masses, err = self.box_masses(np.asarray(corner, float)[None])
         return float(masses[0]), err
 
     @property
@@ -711,30 +656,6 @@ def exp_linear_ball(alpha: float, d: int) -> TargetMeasure:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DriverSequence:
-    """n points in [0,1]^s, consumed one per chain step."""
-
-    points: np.ndarray  # shape (n, s)
-    provenance: str
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError("driver sequence needs shape (n, s) with n >= 1")
-        if not np.all((pts >= 0.0) & (pts <= 1.0)):
-            raise ValueError("driver coordinates must be finite and lie in [0, 1]")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def s(self) -> int:
-        return self.points.shape[1]
-
-
 _PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
     59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
@@ -752,7 +673,7 @@ def radical_inverse(i: int, base: int) -> float:
     return inv
 
 
-def halton_sequence(n: int, s: int) -> DriverSequence:
+def halton_sequence(n: int, s: int) -> np.ndarray:
     """Halton points: coordinate j of point i is the radical inverse of i+1
     in the j-th prime base."""
     if n < 1 or s < 1:
@@ -771,10 +692,10 @@ def halton_sequence(n: int, s: int) -> DriverSequence:
         digits, digit = np.divmod(digits, bases)
         pts += digit * f
         f /= bases
-    return DriverSequence(pts, provenance="halton")
+    return pts
 
 
-def uniform_driver(n: int, s: int, rng: Rng) -> DriverSequence:
-    """Seeded deterministic uniforms, reproducible per (seed, counter)."""
-    pts = rng.uniforms(n * s).reshape(n, s)
-    return DriverSequence(pts, provenance=f"uniform-random(seed={rng.seed:#x})")
+def uniform_driver(n: int, s: int, rng: Rng) -> np.ndarray:
+    """Seeded deterministic uniforms of shape (n, s), reproducible per
+    (seed, counter)."""
+    return rng.uniforms(n * s).reshape(n, s)

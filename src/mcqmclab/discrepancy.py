@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSystem, run_chain, run_chains
-from .core import AnchoredBox, DriverSequence, Rng, TargetMeasure
+from .chain import ChainSystem, run_chains
+from .core import Rng, TargetMeasure
 
 __all__ = [
     "DiscrepancyReport",
@@ -159,8 +159,9 @@ class DeltaCover:
     """Finite bracketing family for anchored boxes, given by per-coordinate
     cuts.  Its members are the product grid of the cuts and +inf on every
     coordinate, in C order, then the empty box (all -inf); :attr:`corners`
-    lists them.  :meth:`bracket` maps any anchored box A to (C, D) in the
-    family with C ⊆ A ⊆ D and pi(D \\ C) <= delta (+ quadrature error).
+    lists them.  :meth:`bracket` maps the corner c of any anchored box A =
+    (-inf, c) to the corners of boxes C and D with C ⊆ A ⊆ D, each a member
+    or empty, and pi(D \\ C) <= delta (+ quadrature error).
     """
 
     delta: float
@@ -205,30 +206,23 @@ class DeltaCover:
         fractions = np.hstack([counts, np.zeros((sets, 1), counts.dtype)]) / n
         return fractions.reshape(*batch, self.size)
 
-    def bracket(self, box: AnchoredBox) -> tuple[AnchoredBox, AnchoredBox]:
-        d = self.measure.dim
-        if box.is_empty:
-            e = AnchoredBox.empty(d)
-            return e, e
-        c_lo = np.empty(d)
-        c_hi = np.empty(d)
-        for j in range(d):
-            a = box.corner[j]
-            cuts = self.cuts[j]
-            if a == np.inf:
-                c_lo[j] = c_hi[j] = np.inf
-                continue
-            idx = int(np.searchsorted(cuts, a, side="right"))
-            c_lo[j] = cuts[idx - 1] if idx > 0 else -np.inf
-            c_hi[j] = cuts[idx] if idx < len(cuts) else np.inf
-        if np.any(c_lo == -np.inf):
-            inner = AnchoredBox.empty(d)
-        else:
-            inner = AnchoredBox(c_lo)
-        return inner, AnchoredBox(c_hi)
-
-    def mass(self, box: AnchoredBox) -> tuple[float, float]:
-        return self.measure.box_mass(box)
+    def bracket(self, corners) -> tuple[np.ndarray, np.ndarray]:
+        """Inner and outer corners of every row c of ``corners`` (shape (m,
+        d)), both of shape (m, d).  On axis j the inner corner takes the
+        largest cut at or below c_j and the outer one the smallest cut above
+        it, with -inf below the first cut and +inf above the last: one
+        search per axis.  A +inf entry brackets to +inf on both sides, and
+        an inner row with a -inf entry is the empty box (mass 0)."""
+        c = np.asarray(corners, float)
+        if c.ndim != 2 or c.shape[1] != len(self.cuts):
+            raise ValueError(f"corners must have shape (m, {len(self.cuts)})")
+        inner, outer = np.empty_like(c), np.empty_like(c)
+        for j, cj in enumerate(self.cuts):
+            ends = np.concatenate([[-np.inf], cj, [np.inf]])
+            k = np.searchsorted(ends, c[:, j], side="right")
+            inner[:, j] = ends[k - 1]
+            outer[:, j] = ends[np.minimum(k, ends.size - 1)]
+        return inner, outer
 
     @functools.cached_property
     def _masses(self) -> tuple[np.ndarray, float]:
@@ -313,35 +307,37 @@ def star_discrepancy_bracket(
 
 def pullback_discrepancy_mc(
     system: ChainSystem,
-    driver: DriverSequence,
+    driver: np.ndarray,
     burn_in: int,
     cover: DeltaCover,
     m: int,
     rng: Rng,
 ) -> DiscrepancyReport:
-    """Pull-back discrepancy of the driver sequence over the cover sets.
+    """Pull-back discrepancy of the driver sequence (shape (n, s)) over the
+    cover sets.
 
     For each cover set A the indicator term is evaluated exactly by replaying
     the driver prefix (membership of the prefix in the pulled-back set is
     equivalent to x_{i+1} in A), while the volume term equals the chain
     marginal nu P^i(A): taken from the system's exact-marginal oracle when
     available (mc_stderr = 0), otherwise estimated from m independent random
-    chains replayed in one block with the driver's own path: replica r is
-    driven by the first uniforms of ``rng.split(r)``.
+    chains.  Either way one block is replayed: the driver's row, then
+    without the oracle the m replicas, replica r driven by the first
+    uniforms of ``rng.split(r)``.
     """
-    if system.exact_marginal is not None:
-        ind = cover.fractions_below(run_chain(system, driver, burn_in=burn_in))
-        vol = np.mean(system.exact_marginal(range(burn_in, driver.n), cover.corners), axis=1)
+    exact = system.exact_marginal is not None
+    if not exact and m < 100:
+        raise ValueError("need at least 100 replications without a marginal oracle")
+    U = np.asarray(driver, float)[None]
+    if not exact:
+        U = np.concatenate([U, rng.split_uniforms(m, U[0].size).reshape((m,) + U.shape[1:])])
+    # indicator averages over the retained window, per cover set and path
+    fractions = cover.fractions_below(run_chains(system, U, burn_in=burn_in))
+    ind, acc = fractions[0], fractions[1:]
+    if exact:
+        vol = np.mean(system.exact_marginal(range(burn_in, U.shape[1]), cover.corners), axis=1)
         stderr = 0.0
     else:
-        if m < 100:
-            raise ValueError("need at least 100 replications without a marginal oracle")
-        # indicator averages over the retained window, per cover set: the
-        # driver's path first, then the replicas
-        n, s = driver.points.shape
-        U = np.concatenate([driver.points[None], rng.split_uniforms(m, n * s).reshape(m, n, s)])
-        fractions = cover.fractions_below(run_chains(system, U, burn_in=burn_in))
-        ind, acc = fractions[0], fractions[1:]
         vol = acc.mean(axis=0)
         stderr = float(np.max(acc.std(axis=0, ddof=1) / math.sqrt(m)))
 

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import BoundInputs, beck_bound, corollary_main_bound
-from .chain import ChainSystem, run_chain, run_chains
-from .core import DriverSequence, Rng, halton_sequence, uniform_driver
+from .chain import ChainSystem, run_chains
+from .core import Rng, halton_sequence, uniform_driver
 from .discrepancy import (
     DeltaCover,
     DiscrepancyReport,
@@ -75,37 +75,42 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    best_driver: DriverSequence
+    best_driver: np.ndarray  # shape (n0 + n, s)
     best_report: DiscrepancyReport
-    all_scores: tuple  # ((provenance, upper), ...) in candidate order
+    all_scores: tuple  # ((label, upper), ...) in candidate order
     theory_bound: float
 
 
-def _make_candidate(config: SearchConfig, j: int, s: int) -> DriverSequence:
+def _make_candidate(config: SearchConfig, j: int, s: int) -> tuple[str, np.ndarray]:
+    """Candidate j: its label and its driver of shape (n0 + n, s)."""
     kind = config.candidate_kinds[j % len(config.candidate_kinds)]
     total = config.n + config.n0
     if kind == "uniform-random":
-        return uniform_driver(total, s, Rng(config.seed).split(j))
+        rng = Rng(config.seed).split(j)
+        return f"uniform-random(seed={rng.seed:#x})", uniform_driver(total, s, rng)
     if kind == "halton":
-        return halton_sequence(total, s)
+        return "halton", halton_sequence(total, s)
     # shifted-halton: a seeded Cranley-Patterson rotation, Halton plus one
     # uniform shift modulo 1 (the digits are not scrambled)
-    base = halton_sequence(total, s).points
     shift = Rng(config.seed).split(1000 + j).uniforms(s)
-    pts = np.mod(base + shift, 1.0)
+    pts = np.mod(halton_sequence(total, s) + shift, 1.0)
     # keep strictly inside [0,1] after the wrap
     pts = np.clip(pts, 0.0, np.nextafter(1.0, 0.0))
-    return DriverSequence(pts, provenance=f"shifted-halton(seed={config.seed},j={j})")
+    return f"shifted-halton(seed={config.seed},j={j})", pts
 
 
 def _scores(
     system: ChainSystem,
-    drivers: list[DriverSequence],
+    labels: Sequence[str],
+    drivers: Sequence[np.ndarray],
     config: SearchConfig,
     cover: Optional[DeltaCover],
 ) -> list[DiscrepancyReport]:
-    """One report per candidate; star objectives replay all candidates as
-    one batch and score each retained path on its own."""
+    """One report per candidate.  A label names one driver (every
+    ``"halton"`` candidate is one sequence): the star objectives replay
+    each label's driver once, all in one block, and score its path once for
+    all its candidates; the Monte Carlo pull-back scores every candidate
+    with its own replicas."""
     if config.objective == "pullback-mc":
         return [
             pullback_discrepancy_mc(
@@ -114,10 +119,16 @@ def _scores(
             )
             for j, driver in enumerate(drivers)
         ]
-    paths = run_chains(system, np.stack([driver.points for driver in drivers]), burn_in=config.n0)
+    # copy_of[j] is the first candidate with candidate j's label
+    first: dict[str, int] = {}
+    copy_of = [first.setdefault(label, j) for j, label in enumerate(labels)]
+    paths = run_chains(system, np.stack([drivers[j] for j in first.values()]), burn_in=config.n0)
     if config.objective == "star-exact":
-        return [star_discrepancy_exact(x, system.target) for x in paths]
-    return [star_discrepancy_bracket(x, system.target, cover) for x in paths]
+        reports = [star_discrepancy_exact(x, system.target) for x in paths]
+    else:
+        reports = [star_discrepancy_bracket(x, system.target, cover) for x in paths]
+    reports = dict(zip(first.values(), reports))
+    return [reports[j] for j in copy_of]
 
 
 def best_of_k(
@@ -131,8 +142,8 @@ def best_of_k(
     """
     if config.objective in ("star-bracket", "pullback-mc") and cover is None:
         raise ValueError(f"objective {config.objective!r} requires a cover")
-    drivers = [_make_candidate(config, j, system.s) for j in range(config.k)]
-    reports = _scores(system, drivers, config, cover)
+    labels, drivers = zip(*(_make_candidate(config, j, system.s) for j in range(config.k)))
+    reports = _scores(system, labels, drivers, config, cover)
     uppers = np.array([r.upper for r in reports])
     best = int(np.argmin(uppers))
     theory = math.inf
@@ -148,19 +159,20 @@ def best_of_k(
     return SearchResult(
         best_driver=drivers[best],
         best_report=reports[best],
-        all_scores=tuple((d.provenance, float(r.upper)) for d, r in zip(drivers, reports)),
+        all_scores=tuple((label, float(r.upper)) for label, r in zip(labels, reports)),
         theory_bound=theory,
     )
 
 
 def invert_to_target(
     system: ChainSystem, targets: Sequence[np.ndarray], x1_driver: np.ndarray
-) -> DriverSequence:
-    """Driver sequence whose chain path reproduces ``targets`` exactly.
+) -> np.ndarray:
+    """Driver sequence (shape (len(targets), s)) whose chain path reproduces
+    ``targets`` exactly.
 
     ``x1_driver`` must generate targets[0] through the system generator; the
     remaining driver points come from the update inverse.  The constructed
-    driver is replayed through run_chain and checked against the targets to
+    driver is replayed through run_chains and checked against the targets to
     1e-9 sup-norm before being returned.
     """
     if system.update.inverse is None:
@@ -177,11 +189,10 @@ def invert_to_target(
             points[i] = system.update.inverse(targets[i - 1], targets[i])
         except (ValueError, NotImplementedError) as exc:
             raise ValueError(f"inversion failed between targets {i - 1} and {i}: {exc}")
-    driver = DriverSequence(points, provenance="inverted-to-target")
-    dev = float(np.max(np.abs(run_chain(system, driver) - np.stack(targets))))
+    dev = float(np.max(np.abs(run_chains(system, points[None])[0] - np.stack(targets))))
     if dev > 1e-9:
         raise AssertionError(f"reproduced path deviates from targets by {dev}")
-    return driver
+    return points
 
 
 def fit_loglog_slope(ns: Sequence[int], values: Sequence[float]) -> float:

@@ -86,6 +86,6 @@ def lazy_path(points, target, nu, a: float) -> np.ndarray:
     return np.array(states)
 
 
-def lazy_marginal(i: int, box, target, nu, a: float) -> float:
+def lazy_marginal(i: int, corner, target, nu, a: float) -> float:
     w = (1.0 - a) ** i
-    return w * nu.box_mass(box)[0] + (1.0 - w) * target.box_mass(box)[0]
+    return w * nu.box_mass(corner)[0] + (1.0 - w) * target.box_mass(corner)[0]

@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from mcqmclab.chain import run_chain, run_chains
-from mcqmclab.core import AnchoredBox
+from mcqmclab.chain import run_chains
 from mcqmclab.discrepancy import DiscrepancyReport
 
 
@@ -51,7 +50,7 @@ def star_discrepancy_scan(points, mass) -> tuple[float, float]:
 
 def measure_oracle(measure):
     """The box-mass oracle of a target measure, one corner per call."""
-    return lambda corner: measure.box_mass(AnchoredBox(corner))
+    return measure.box_mass
 
 
 def product_oracle(alpha: float, lower, upper):
@@ -98,18 +97,18 @@ def broadcast_bracket(points, cover) -> DiscrepancyReport:
 def broadcast_pullback(system, driver, burn_in, cover, m, rng) -> DiscrepancyReport:
     """``pullback_discrepancy_mc`` with the broadcast counts, one call per
     path."""
-    n = driver.n - burn_in
+    n = len(driver) - burn_in
     corners = cover.corners
     if system.exact_marginal is not None:
-        ind = broadcast_fractions_below(run_chain(system, driver, burn_in), corners)
+        ind = broadcast_fractions_below(run_chains(system, driver[None], burn_in)[0], corners)
         vol = np.mean(system.exact_marginal(range(burn_in, burn_in + n), corners), axis=1)
         stderr = 0.0
     else:
         replicas = [
-            rng.split(r).uniforms(driver.n * system.s).reshape(driver.n, system.s)
+            rng.split(r).uniforms(driver.size).reshape(driver.shape)
             for r in range(m)
         ]
-        paths = run_chains(system, np.stack([driver.points] + replicas), burn_in=burn_in)
+        paths = run_chains(system, np.stack([driver] + replicas), burn_in=burn_in)
         ind = broadcast_fractions_below(paths[0], corners)
         acc = np.array([broadcast_fractions_below(p, corners) for p in paths[1:]])
         vol = acc.mean(axis=0)

@@ -25,11 +25,9 @@ from mcqmclab.chain import (
     compare_expectation,
     make_direct_kernel,
     make_lazy_direct_kernel,
-    run_chain,
     run_chains,
 )
 from mcqmclab.core import (
-    AnchoredBox,
     Rng,
     exp_linear_box,
     exp_linear_interval,
@@ -94,11 +92,9 @@ def test_criterion_03_cover_soundness():
             cover = build_quantile_cover(measure, delta)
             rng = Rng(500 + mi)
             for _ in range(1000):
-                box = AnchoredBox(-1.0 + 2.0 * rng.uniforms(d))
-                inner, outer = cover.bracket(box)
-                gap = cover.mass(outer)[0] - (
-                    0.0 if inner.is_empty else cover.mass(inner)[0]
-                )
+                corner = -1.0 + 2.0 * rng.uniforms(d)
+                inner, outer = cover.bracket(corner[None])
+                gap = measure.box_mass(outer[0])[0] - measure.box_mass(inner[0])[0]
                 assert gap <= delta + 1e-8
 
     # bracket contains the exact value on 100 random point sets, d <= 2
@@ -123,7 +119,7 @@ def test_criterion_04_direct_simulation_identity():
         driver = uniform_driver(64, 1, Rng(3000 + seed))
         rep = pullback_discrepancy_mc(system, driver, 0, cover, 0, Rng(0))
         assert rep.mc_stderr == 0.0
-        star = star_discrepancy_exact(run_chain(system, driver), system.target)
+        star = star_discrepancy_exact(run_chains(system, driver[None])[0], system.target)
         assert abs(rep.lower - star.lower) <= delta + 1e-12
 
 
@@ -148,7 +144,7 @@ def test_criterion_05_pullback_vs_star_audit():
     for seed in range(50):
         driver = uniform_driver(n, 2, Rng(4000 + seed))
         rep = pullback_discrepancy_mc(system, driver, 0, cover, 0, Rng(0))
-        star = star_discrepancy_exact(run_chain(system, driver), pi)
+        star = star_discrepancy_exact(run_chains(system, driver[None])[0], pi)
         diff = abs(star.lower - rep.lower)
         assert diff <= sup_term + delta + 1e-9
         assert diff <= tv_bound + delta + 1e-9
@@ -218,7 +214,7 @@ def test_criterion_09_inversion_pipeline():
         driver = invert_to_target(
             system, targets, np.array([0.25 if t0 < 0 else 0.75, abs(t0), 0.0])
         )
-        states = run_chain(system, driver)
+        states = run_chains(system, driver[None])[0]
         assert np.max(np.abs(states - np.stack(targets))) <= 1e-9
         rep = star_discrepancy_exact(states, target)
         assert abs(rep.lower - 1.0 / (2.0 * n)) <= 1e-12
@@ -233,7 +229,7 @@ def test_criterion_10_reversibility_and_stationarity():
     # detailed balance: empirical flows A -> B and B -> A from a long
     # stationary-start run agree within 4 standard errors
     N = 200_000
-    x = run_chain(system, uniform_driver(N, system.s, Rng(314)))[:, 0]
+    x = run_chains(system, uniform_driver(N, system.s, Rng(314))[None])[0][:, 0]
     in_a = (x >= -1.0) & (x < -0.2)
     in_b = (x >= 0.1) & (x < 0.9)
     flow_ab = (in_a[:-1] & in_b[1:]).astype(float)

@@ -15,7 +15,7 @@ from mcqmclab.ballwalk import (
     metropolis_update,
     sphere_generator,
 )
-from mcqmclab.chain import nu_density_norm, run_chain
+from mcqmclab.chain import nu_density_norm, run_chains
 from mcqmclab.core import (
     Rng,
     exp_linear_interval,
@@ -244,7 +244,7 @@ class TestSystemAssembly:
     def test_chain_stays_in_ball(self):
         system = make_metropolis_system("exp-linear", 1.0, 0.5, 2)
         driver = uniform_driver(300, system.s, Rng(2))
-        states = run_chain(system, driver)
+        states = run_chains(system, driver[None])[0]
         assert np.all(np.sum(states**2, axis=1) <= 1.0 + 1e-12)
 
     def test_update_function_law_matches_kernel_sampler(self):

@@ -12,11 +12,9 @@ from mcqmclab.chain import (
     make_direct_kernel,
     make_lazy_direct_kernel,
     nu_density_norm,
-    run_chain,
+    run_chains,
 )
 from mcqmclab.core import (
-    AnchoredBox,
-    DriverSequence,
     Rng,
     exp_linear_interval,
     uniform_driver,
@@ -32,32 +30,32 @@ class TestRunChain:
     def test_replay_is_deterministic(self):
         system = _direct()
         driver = uniform_driver(32, 1, Rng(1))
-        a = run_chain(system, driver)
-        b = run_chain(system, driver)
+        a = run_chains(system, driver[None])[0]
+        b = run_chains(system, driver[None])[0]
         assert np.array_equal(a, b)
 
     def test_direct_kernel_states_are_inverse_cdf_of_driver(self):
         system = _direct()
         driver = uniform_driver(16, 1, Rng(2))
-        states = run_chain(system, driver)
-        assert np.allclose(states[:, 0], -1.0 + 2.0 * driver.points[:, 0])
+        states = run_chains(system, driver[None])[0]
+        assert np.allclose(states[:, 0], -1.0 + 2.0 * driver[:, 0])
 
     def test_burn_in_split(self):
         system = _direct()
         driver = uniform_driver(10, 1, Rng(3))
-        retained = run_chain(system, driver, burn_in=4)
+        retained = run_chains(system, driver[None], burn_in=4)[0]
         assert retained.shape == (6, 1)
-        assert np.array_equal(retained, run_chain(system, driver)[4:])
+        assert np.array_equal(retained, run_chains(system, driver[None])[0][4:])
 
     def test_dimension_mismatch(self):
         system = _direct()
         with pytest.raises(ValueError):
-            run_chain(system, uniform_driver(8, 2, Rng(0)))
+            run_chains(system, uniform_driver(8, 2, Rng(0))[None])
 
     def test_too_short_driver(self):
         system = _direct()
         with pytest.raises(ValueError):
-            run_chain(system, uniform_driver(3, 1, Rng(0)), burn_in=3)
+            run_chains(system, uniform_driver(3, 1, Rng(0))[None], burn_in=3)
 
     def test_domain_violation_detected(self):
         target = uniform_interval(0.0, 1.0)
@@ -72,10 +70,10 @@ class TestRunChain:
             nu_density_norm=1.0,
         )
         with pytest.raises(ChainDomainError):
-            run_chain(bad, uniform_driver(4, 1, Rng(1)))
+            run_chains(bad, uniform_driver(4, 1, Rng(1))[None])
 
     def test_states_read_only(self):
-        states = run_chain(_direct(), uniform_driver(4, 1, Rng(5)))
+        states = run_chains(_direct(), uniform_driver(4, 1, Rng(5))[None])[0]
         with pytest.raises(ValueError):
             states[0, 0] = 0.0
 
@@ -128,10 +126,10 @@ class TestLazyDirectKernel:
         pi = exp_linear_interval(1.0)
         nu = uniform_interval(-1.0, 1.0)
         system = make_lazy_direct_kernel(pi, a=0.5, nu=nu)
-        box = AnchoredBox([0.0])
-        m0, m1, m_inf = system.exact_marginal([0, 1, 200], box.corner[None])[0]
-        assert m0 == pytest.approx(nu.box_mass(box)[0], abs=1e-12)
-        assert m_inf == pytest.approx(pi.box_mass(box)[0], abs=1e-12)
+        corner = np.array([0.0])
+        m0, m1, m_inf = system.exact_marginal([0, 1, 200], corner[None])[0]
+        assert m0 == pytest.approx(nu.box_mass(corner)[0], abs=1e-12)
+        assert m_inf == pytest.approx(pi.box_mass(corner)[0], abs=1e-12)
         assert m1 == pytest.approx(0.5 * m0 + 0.5 * m_inf, abs=1e-12)
 
     def test_spectrum_matches_discretized_operator(self):

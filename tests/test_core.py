@@ -5,12 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mcqmclab.chain import make_direct_kernel, make_lazy_direct_kernel, run_chains
 from mcqmclab.core import (
     _PRIMES,
-    AnchoredBox,
     BallDomain,
     BoxDomain,
-    DriverSequence,
     Rng,
     TargetMeasure,
     exp_linear_ball,
@@ -73,22 +72,6 @@ class TestRng:
         assert abs(u.mean() - 0.5) < 4.0 / math.sqrt(12 * 100_000)
 
 
-class TestAnchoredBox:
-    def test_strict_membership(self):
-        box = AnchoredBox([0.5, 0.5])
-        assert box.contains(np.array([0.4, 0.4]))
-        assert not box.contains(np.array([0.5, 0.4]))
-
-    def test_infinite_corners(self):
-        assert AnchoredBox.full(2).contains(np.array([100.0, -3.0]))
-        assert AnchoredBox.empty(2).is_empty
-        assert not AnchoredBox.empty(2).contains(np.array([0.0, 0.0]))
-
-    def test_hash_eq(self):
-        assert AnchoredBox([1.0, 2.0]) == AnchoredBox([1.0, 2.0])
-        assert len({AnchoredBox([1.0]), AnchoredBox([1.0]), AnchoredBox([2.0])}) == 2
-
-
 class TestDomains:
     def test_box(self):
         d = BoxDomain((-1.0, 0.0), (1.0, 2.0))
@@ -103,7 +86,7 @@ class TestDomains:
 
 class TestHalton:
     def test_base2_golden(self):
-        pts = halton_sequence(3, 1).points[:, 0]
+        pts = halton_sequence(3, 1)[:, 0]
         assert np.allclose(pts, [0.5, 0.25, 0.75], atol=0)
 
     def test_radical_inverse_base3(self):
@@ -113,12 +96,13 @@ class TestHalton:
     def test_sequence_is_the_scalar_radical_inverse(self):
         # the vectorized digit loop against radical_inverse, bit for bit
         n = 10_000
-        pts = halton_sequence(n, len(_PRIMES)).points
+        pts = halton_sequence(n, len(_PRIMES))
         for j, base in enumerate(_PRIMES):
             assert np.array_equal(pts[:, j], [radical_inverse(i + 1, base) for i in range(n)])
 
     def test_dimensions_use_distinct_primes(self):
-        pts = halton_sequence(4, 2).points
+        pts = halton_sequence(4, 2)
+        assert pts.shape == (4, 2) and pts.dtype == np.float64
         assert pts[0, 0] == 0.5 and pts[0, 1] == pytest.approx(1 / 3)
 
     def test_star_discrepancy_beats_random(self):
@@ -126,28 +110,34 @@ class TestHalton:
         from mcqmclab.discrepancy import star_discrepancy_exact
 
         m = uniform_interval(0.0, 1.0)
-        h = star_discrepancy_exact(halton_sequence(256, 1).points, m)
+        h = star_discrepancy_exact(halton_sequence(256, 1), m)
         assert h.lower < 0.04
 
 
 class TestDriverSequence:
+    # a driver D of shape (n, s) is replayed as the block D[None]; run_chains
+    # is the one place a driver is checked
     def test_validation(self):
+        direct = make_direct_kernel(uniform_interval())
         with pytest.raises(ValueError):
-            DriverSequence(np.array([[1.5]]), provenance="bad")
+            run_chains(direct, np.array([[1.5]])[None])
         with pytest.raises(ValueError):
-            DriverSequence(np.empty((0, 1)), provenance="bad")
+            run_chains(direct, np.empty((0, 1))[None])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
-            DriverSequence(np.array([[bad]]), provenance="bad")
+            run_chains(make_direct_kernel(uniform_interval()), np.array([[bad]])[None])
+        lazy = make_lazy_direct_kernel(uniform_interval(), a=0.5)
         with pytest.raises(ValueError):
-            DriverSequence(np.array([[0.2, 0.5], [0.3, bad]]), provenance="bad")
+            run_chains(lazy, np.array([[0.2, 0.5], [0.3, bad]])[None])
 
     def test_uniform_driver_reproducible(self):
         a = uniform_driver(10, 2, Rng(3))
         b = uniform_driver(10, 2, Rng(3))
-        assert np.array_equal(a.points, b.points)
+        assert a.shape == (10, 2) and a.dtype == np.float64
+        assert np.array_equal(a, b)
+        assert np.array_equal(a.ravel(), Rng(3).uniforms(20))
 
 
 def _uniform_01():
@@ -182,15 +172,14 @@ class TestIntervalMeasures:
             BoxDomain((-1.0,), (1.0,)), lambda x: np.exp(x[:, 0]), name="quad-route"
         )
         for t in (-0.7, -0.2, 0.3, 0.9):
-            box = AnchoredBox([t])
-            m_exact, _ = exact.box_mass(box)
-            m_quad, err = quad.box_mass(box)
+            m_exact, _ = exact.box_mass([t])
+            m_quad, err = quad.box_mass([t])
             assert m_quad == pytest.approx(m_exact, abs=max(err, 1e-9))
 
     def test_box_mass_clipping(self):
         m = uniform_interval(-1.0, 1.0)
-        assert m.box_mass(AnchoredBox([-2.0])) == (0.0, 0.0)
-        assert m.box_mass(AnchoredBox([5.0])) == (1.0, 0.0)
+        assert m.box_mass([-2.0]) == (0.0, 0.0)
+        assert m.box_mass([5.0]) == (1.0, 0.0)
 
     @pytest.mark.parametrize("make", [_uniform_01, _exp_linear_01, _quadrature_01])
     def test_cdf_is_the_box_mass(self, make):
@@ -234,7 +223,7 @@ class TestIntervalMeasures:
 class TestProductMeasures:
     def test_uniform_box_mass(self):
         m = uniform_box([0.0, 0.0], [2.0, 2.0])
-        assert m.box_mass(AnchoredBox([1.0, 1.0]))[0] == pytest.approx(0.25)
+        assert m.box_mass([1.0, 1.0])[0] == pytest.approx(0.25)
 
     def test_exp_linear_box_matches_dblquad(self):
         m = exp_linear_box(1.0, [-1.0, -1.0], [1.0, 1.0])
@@ -244,7 +233,7 @@ class TestProductMeasures:
             lambda y, x: math.exp(x), -1.0, 0.3, -1.0, 0.5, epsabs=1e-10
         )
         den = 2.0 * (math.e - 1.0 / math.e)
-        assert m.box_mass(AnchoredBox([0.3, 0.5]))[0] == pytest.approx(num / den, abs=1e-9)
+        assert m.box_mass([0.3, 0.5])[0] == pytest.approx(num / den, abs=1e-9)
 
     def test_marginal_quantile_product(self):
         m = exp_linear_box(1.0, [-1.0, -1.0], [1.0, 1.0])
@@ -256,23 +245,23 @@ class TestBallMeasures:
     def test_quarter_disc_mass(self):
         # open box (-inf, (0,0)) meets the unit disc in a quarter of it
         m = uniform_ball(2)
-        mass, err = m.box_mass(AnchoredBox([0.0, 0.0]))
+        mass, err = m.box_mass([0.0, 0.0])
         assert mass == pytest.approx(0.25, abs=max(err, 1e-8))
 
     def test_half_disc_profile_reduction(self):
         m = exp_linear_ball(0.0, 2)
-        mass, err = m.box_mass(AnchoredBox([0.0, np.inf]))
+        mass, err = m.box_mass([0.0, np.inf])
         assert mass == pytest.approx(0.5, abs=max(err, 1e-8))
 
     def test_d3_stratified_vs_exact_octant(self):
         m = uniform_ball(3)
-        mass, err = m.box_mass(AnchoredBox([0.0, 0.0, 0.0]))
+        mass, err = m.box_mass([0.0, 0.0, 0.0])
         assert err < 0.02
         assert mass == pytest.approx(0.125, abs=err + 1e-3)
 
     def test_stratified_reproducible(self):
-        a = uniform_ball(3).box_mass(AnchoredBox([0.2, 0.1, 0.4]))
-        b = uniform_ball(3).box_mass(AnchoredBox([0.2, 0.1, 0.4]))
+        a = uniform_ball(3).box_mass([0.2, 0.1, 0.4])
+        b = uniform_ball(3).box_mass([0.2, 0.1, 0.4])
         assert a == b
 
 
@@ -313,6 +302,6 @@ def test_nan_corners_have_nan_mass_and_error(make):
         assert math.isnan(err)
         assert np.isnan(masses[1:4]).all()
         assert masses[[0, 4]].tobytes() == want.tobytes()
-        assert all(math.isnan(v) for v in m.box_mass(AnchoredBox(bad[1])))
+        assert all(math.isnan(v) for v in m.box_mass(bad[1]))
     masses, err = m.box_masses(good)
     assert masses.tobytes() == want.tobytes() and err == want_err

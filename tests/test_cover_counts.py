@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import scalar_scan as ref
 from mcqmclab.ballwalk import make_metropolis_system
-from mcqmclab.chain import make_lazy_direct_kernel, run_chain
+from mcqmclab.chain import make_lazy_direct_kernel, run_chains
 from mcqmclab.cli import main
 from mcqmclab.core import (
     Rng,
@@ -216,5 +216,5 @@ def test_uniform_ball_3_cover_search_runs(tmp_path):
     result = best_of_k(system, sc, cover=build_quantile_cover(system.target, 0.25))
     bracket = result.best_report
     assert [float(v) for v in row[2:4]] == [bracket.lower, bracket.upper]
-    exact = star_discrepancy_exact(run_chain(system, result.best_driver, 4), system.target)
+    exact = star_discrepancy_exact(run_chains(system, result.best_driver[None], 4)[0], system.target)
     assert bracket.lower <= exact.upper and exact.lower <= bracket.upper

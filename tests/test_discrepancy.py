@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mcqmclab.chain import make_direct_kernel, make_lazy_direct_kernel
 from mcqmclab.core import (
-    AnchoredBox,
     Rng,
     TargetMeasure,
     exp_linear_ball,
@@ -119,11 +118,10 @@ class TestQuantileCover:
         cover = build_quantile_cover(m, 0.1)
         rng = Rng(9)
         for _ in range(200):
-            box = AnchoredBox([-1.0 + 2.0 * rng.uniform()])
-            inner, outer = cover.bracket(box)
-            assert inner.is_empty or np.all(inner.corner <= box.corner)
-            assert np.all(box.corner <= outer.corner)
-            gap = cover.mass(outer)[0] - (0.0 if inner.is_empty else cover.mass(inner)[0])
+            corner = np.array([-1.0 + 2.0 * rng.uniform()])
+            inner, outer = cover.bracket(corner[None])
+            assert np.all(inner <= corner) and np.all(corner <= outer)
+            gap = m.box_mass(outer[0])[0] - m.box_mass(inner[0])[0]
             assert gap <= 0.1 + 1e-8
 
     def test_bracket_soundness_2d(self):
@@ -131,9 +129,9 @@ class TestQuantileCover:
         cover = build_quantile_cover(m, 0.1)
         rng = Rng(10)
         for _ in range(200):
-            box = AnchoredBox(-1.0 + 2.0 * rng.uniforms(2))
-            inner, outer = cover.bracket(box)
-            gap = cover.mass(outer)[0] - (0.0 if inner.is_empty else cover.mass(inner)[0])
+            corner = -1.0 + 2.0 * rng.uniforms(2)
+            inner, outer = cover.bracket(corner[None])
+            gap = m.box_mass(outer[0])[0] - m.box_mass(inner[0])[0]
             assert gap <= 0.1 + 1e-8
 
     def test_contains_empty_and_full(self):
@@ -195,6 +193,47 @@ class TestQuantileCover:
             build_quantile_cover(uniform_box([-1.0] * d, [1.0] * d), delta)
 
 
+# covers of measures with closed-form box masses, for the bracket tests
+_BRACKET_COVERS = {
+    "interval": lambda: build_quantile_cover(exp_linear_interval(1.0), 0.1),
+    "box": lambda: build_quantile_cover(exp_linear_box(1.0, [-1.0, -1.0], [1.0, 1.0]), 0.2),
+    "disc": lambda: build_quantile_cover(uniform_ball(2), 0.25),
+}
+
+
+class TestCoverBracket:
+    def test_infinite_coordinates_bracket_to_infinity(self):
+        cover = _BRACKET_COVERS["box"]()
+        corners = np.array([[np.inf, np.inf], [0.3, np.inf], [np.inf, -0.2]])
+        inner, outer = cover.bracket(corners)
+        assert inner.shape == outer.shape == (3, 2)
+        infinite = corners == np.inf
+        assert np.all(inner[infinite] == np.inf) and np.all(outer[infinite] == np.inf)
+        assert np.all(np.isfinite(inner[~infinite])) and np.all(np.isfinite(outer[~infinite]))
+
+    def test_below_the_first_cut_is_empty(self):
+        cover = _BRACKET_COVERS["box"]()
+        first = cover.cuts[0][0]
+        corners = np.array([[np.nextafter(first, -np.inf), 0.5], [-1.5, -1.5], [first, 0.5]])
+        inner, outer = cover.bracket(corners)
+        assert inner[0, 0] == inner[1, 0] == inner[1, 1] == -np.inf
+        assert outer[0, 0] == first and inner[2, 0] == first
+        masses, err = cover.measure.box_masses(inner[:2])
+        assert masses.tolist() == [0.0, 0.0] and err == 0.0
+
+    @given(st.sampled_from(sorted(_BRACKET_COVERS)), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_brackets_hold_their_corner_within_delta(self, name, data):
+        cover = _BRACKET_COVERS[name]()
+        d = len(cover.cuts)
+        coord = st.one_of(st.floats(-1.5, 1.5), st.just(np.inf))
+        corners = np.array(data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=8)))
+        inner, outer = cover.bracket(corners)
+        assert np.all(inner <= corners) and np.all(corners <= outer)
+        gap = cover.measure.box_masses(outer)[0] - cover.measure.box_masses(inner)[0]
+        assert np.all(gap <= cover.delta + 1e-8)
+
+
 class TestCoverSizeBound:
     def test_golden_d1(self):
         # C_{1/4,1} = sqrt(2) (4 / (e/2 log 2))^2; delta=1 -> (2 + ceil((2C)^{4/3}))^1
@@ -238,9 +277,9 @@ class TestPullback:
         driver = uniform_driver(64, 1, Rng(4))
         rep = pullback_discrepancy_mc(system, driver, 0, cover, 0, Rng(1))
         assert rep.mc_stderr == 0.0
-        from mcqmclab.chain import run_chain
+        from mcqmclab.chain import run_chains
 
-        star = star_discrepancy_exact(run_chain(system, driver), system.target)
+        star = star_discrepancy_exact(run_chains(system, driver[None])[0], system.target)
         assert abs(rep.lower - star.lower) <= 0.01 + 1e-12
 
     def test_mc_route_close_to_oracle_route(self):
@@ -260,6 +299,31 @@ class TestPullback:
         cover = build_quantile_cover(system.target, 0.1)
         with pytest.raises(ValueError):
             pullback_discrepancy_mc(system, uniform_driver(8, 1, Rng(0)), 0, cover, 10, Rng(0))
+
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_replays_one_block(self, monkeypatch, oracle):
+        # the driver's row alone with the marginal oracle, else the driver's
+        # row and then the m replicas
+        from mcqmclab import chain, discrepancy
+
+        system = make_lazy_direct_kernel(uniform_interval(-1.0, 1.0), a=0.5)
+        if not oracle:
+            system.exact_marginal = None
+        cover = build_quantile_cover(system.target, 0.1)
+        driver = uniform_driver(24, 2, Rng(5))
+        blocks = []
+
+        def recording(system, U, burn_in=0):
+            blocks.append(np.array(U))
+            return chain.run_chains(system, U, burn_in)
+
+        monkeypatch.setattr(discrepancy, "run_chains", recording)
+        pullback_discrepancy_mc(system, driver, 4, cover, 100, Rng(3))
+        assert len(blocks) == 1
+        assert blocks[0].shape == (1 if oracle else 101, 24, 2)
+        assert np.array_equal(blocks[0][0], driver)
+        with pytest.raises(ValueError):
+            pullback_discrepancy_mc(system, driver[:, 0], 4, cover, 100, Rng(3))
 
     def test_burn_in_drops_prefix(self):
         system = make_direct_kernel(uniform_interval(-1.0, 1.0))

@@ -28,13 +28,10 @@ from mcqmclab.chain import (
     UpdateFunction,
     make_direct_kernel,
     make_lazy_direct_kernel,
-    run_chain,
     run_chains,
 )
 from mcqmclab.core import (
-    AnchoredBox,
     BoxDomain,
-    DriverSequence,
     Rng,
     TargetMeasure,
     exp_linear_interval,
@@ -44,7 +41,7 @@ from mcqmclab.core import (
 
 
 def _drivers(b, n, s, seed):
-    return np.stack([uniform_driver(n, s, Rng(seed).split(j)).points for j in range(b)])
+    return np.stack([uniform_driver(n, s, Rng(seed).split(j)) for j in range(b)])
 
 
 def _assert_paths_match(system, U, scalar_path, burn_in=0):
@@ -252,13 +249,13 @@ def test_lifted_update_is_metropolis_update():
     assert np.array_equal(stepped, metropolis_update(x, u, params, dens))
 
 
-def test_run_chain_is_first_of_run_chains():
+def test_one_row_block_is_its_row_of_the_block():
     system = make_metropolis_system("exp-linear", 1.0, 0.5, 2)
     U = _drivers(3, 50, system.s, 1)
     batch = run_chains(system, U, burn_in=5)
     assert batch.shape == (3, 45, 2)
     for points, states in zip(U, batch):
-        one = run_chain(system, DriverSequence(points, "row"), burn_in=5)
+        one = run_chains(system, points[None], burn_in=5)[0]
         assert np.array_equal(one, states)
     for states in (batch, one):
         with pytest.raises(ValueError):
@@ -268,11 +265,17 @@ def test_run_chain_is_first_of_run_chains():
 def test_run_chains_rejects_bad_blocks():
     system = make_lazy_direct_kernel(uniform_interval(), a=0.5)
     U = _drivers(2, 8, 2, 0)
-    with_nan, below, above = U.copy(), U.copy(), U.copy()
-    with_nan[1, 3, 0] = np.nan
-    below[0, 5, 1] = -1e-300
-    above[1, 0, 0] = np.nextafter(1.0, 2.0)
-    bad = [U[0], U[:0], U[..., :1], np.dstack([U, U]), with_nan, below, above]
+    # blocks of the wrong shape, with b = 0 or n = 0, then blocks with one
+    # entry NaN, +-inf, just below 0, just above 1 or 1.5
+    bad = [U[0], U[:0], U[:, :0], U[..., :1], np.dstack([U, U])]
+    entries = {
+        (1, 3, 0): np.nan, (0, 6, 1): np.inf, (1, 7, 1): -np.inf,
+        (0, 5, 1): -1e-300, (1, 0, 0): np.nextafter(1.0, 2.0), (0, 2, 0): 1.5,
+    }
+    for index, value in entries.items():
+        block = U.copy()
+        block[index] = value
+        bad.append(block)
     for block in bad:
         with pytest.raises(ValueError):
             run_chains(system, block)
@@ -307,9 +310,9 @@ def test_lazy_exact_marginal_matches_per_step_loop():
     system = make_lazy_direct_kernel(pi, a=a, nu=nu)
     steps = range(3, 700)
     for t in (-0.8, -0.1, 0.0, 0.45, 0.99):
-        box = AnchoredBox([t])
-        loop = [ref.lazy_marginal(i, box, pi, nu, a) for i in steps]
-        batched = system.exact_marginal(steps, box.corner[None])[0]
+        corner = np.array([t])
+        loop = [ref.lazy_marginal(i, corner, pi, nu, a) for i in steps]
+        batched = system.exact_marginal(steps, corner[None])[0]
         assert np.array_equal(batched, loop)
         assert np.mean(batched) == np.mean(loop)
 

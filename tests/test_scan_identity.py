@@ -20,10 +20,9 @@ import scalar_masses
 import scalar_scan as ref
 from mcqmclab import core, discrepancy
 from mcqmclab.ballwalk import make_metropolis_system
-from mcqmclab.chain import run_chain
+from mcqmclab.chain import run_chains
 from mcqmclab.cli import main
 from mcqmclab.core import (
-    AnchoredBox,
     BallDomain,
     BoxDomain,
     Rng,
@@ -259,7 +258,7 @@ def test_disc_bracket_contains_star_discrepancy(tmp_path, density, seed):
     got = dict(zip(header.split(","), map(float, row.split(","))))
     gamma = json.loads((tmp_path / "scan.csv.manifest.json").read_text())["gamma"]
     system = make_metropolis_system(density["name"], density["alpha"], gamma, 2)
-    retained = run_chain(system, uniform_driver(96, system.s, Rng(seed)), burn_in=64)
+    retained = run_chains(system, uniform_driver(96, system.s, Rng(seed))[None], burn_in=64)[0]
     star, _ = ref.star_discrepancy_scan(retained, _kinked_quad_oracle(density["alpha"]))
     # the reference masses are accurate to about 1e-14
     assert got["disc_lower"] - 1e-12 <= star <= got["disc_upper"] + 1e-12
@@ -294,7 +293,7 @@ def test_box_masses_equal_row_by_row(name, data):
                            min_size=rows, max_size=rows))
     )
     masses, err = measure.box_masses(corners)
-    singles = [measure.box_mass(AnchoredBox(c)) for c in corners]
+    singles = [measure.box_mass(c) for c in corners]
     assert np.array_equal(masses, [m for m, _ in singles])
     assert err == max(e for _, e in singles)
 

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from mcqmclab.chain import make_direct_kernel, run_chain
+from mcqmclab.chain import make_direct_kernel, run_chains
 from mcqmclab.core import Rng, uniform_interval
-from mcqmclab.discrepancy import build_quantile_cover, star_discrepancy_exact
+from mcqmclab import search
+from mcqmclab.discrepancy import (
+    build_quantile_cover,
+    star_discrepancy_bracket,
+    star_discrepancy_exact,
+)
 from mcqmclab.search import (
     SearchConfig,
     best_of_k,
@@ -51,7 +56,7 @@ class TestBestOfK:
         cfg = SearchConfig(n=64, k=6, seed=9)
         a = best_of_k(_direct(), cfg)
         b = best_of_k(_direct(), cfg)
-        assert np.array_equal(a.best_driver.points, b.best_driver.points)
+        assert np.array_equal(a.best_driver, b.best_driver)
         assert a.all_scores == b.all_scores
 
     def test_candidate_kinds_cycle(self):
@@ -69,6 +74,35 @@ class TestBestOfK:
         res = best_of_k(_direct(), cfg)
         halton_score = dict(res.all_scores)["halton"]
         assert res.best_report.upper == halton_score
+
+    @pytest.mark.parametrize("objective", ["star-exact", "star-bracket"])
+    def test_repeated_candidates_are_replayed_once(self, monkeypatch, objective):
+        # the halton kind is one sequence, so candidates 1 and 3 are one row
+        system = _direct()
+        cover = build_quantile_cover(system.target, 0.05)
+        cfg = SearchConfig(
+            n=32, k=4, seed=2, n0=4, candidate_kinds=("uniform-random", "halton"),
+            objective=objective, delta=0.05,
+        )
+        blocks = []
+
+        def recording(system, U, burn_in=0):
+            blocks.append(len(U))
+            return run_chains(system, U, burn_in)
+
+        monkeypatch.setattr(search, "run_chains", recording)
+        res = best_of_k(system, cfg, cover=cover)
+        assert blocks == [3]
+        assert res.all_scores[1] == res.all_scores[3] and res.all_scores[1][0] == "halton"
+        # every score is that of its candidate replayed and scored on its own
+        for j, score in enumerate(res.all_scores):
+            label, driver = search._make_candidate(cfg, j, system.s)
+            x = run_chains(system, driver[None], burn_in=cfg.n0)[0]
+            if objective == "star-exact":
+                report = star_discrepancy_exact(x, system.target)
+            else:
+                report = star_discrepancy_bracket(x, system.target, cover)
+            assert score == (label, report.upper)
 
     def test_bracket_objective_requires_cover(self):
         cfg = SearchConfig(n=16, k=2, seed=1, objective="star-bracket")
@@ -95,8 +129,8 @@ class TestInvertToTarget:
         system = _metropolis_inversion_system()
         target = np.array([0.25])
         driver = invert_to_target(system, [target], np.array([0.75, 0.25, 0.0]))
-        assert driver.n == 1
-        assert np.allclose(run_chain(system, driver)[0], target, atol=1e-12)
+        assert driver.shape == (1, system.s)
+        assert np.allclose(run_chains(system, driver[None])[0][0], target, atol=1e-12)
 
     def test_midpoint_targets_reach_half_over_n(self):
         system = _metropolis_inversion_system()
@@ -108,7 +142,7 @@ class TestInvertToTarget:
             driver = invert_to_target(
                 system, targets, np.array([0.25 if t0 < 0 else 0.75, abs(t0), 0.0])
             )
-            rep = star_discrepancy_exact(run_chain(system, driver), target_measure)
+            rep = star_discrepancy_exact(run_chains(system, driver[None])[0], target_measure)
             assert rep.lower == pytest.approx(1.0 / (2.0 * n), abs=1e-12)
 
     def test_random_target_lists_roundtrip(self):
@@ -121,7 +155,7 @@ class TestInvertToTarget:
             driver = invert_to_target(
                 system, targets, np.array([0.25 if t0 < 0 else 0.75, abs(t0), 0.0])
             )
-            assert np.max(np.abs(run_chain(system, driver) - np.stack(targets))) <= 1e-9
+            assert np.max(np.abs(run_chains(system, driver[None])[0] - np.stack(targets))) <= 1e-9
 
     def test_wrong_first_target_rejected(self):
         system = _metropolis_inversion_system()
