@@ -141,9 +141,9 @@ def ball_generator(v, gamma: float, d: int) -> np.ndarray:
     """Uniform points in the closed gamma-ball: direction from the leading
     coordinates, radius gamma * v_last^{1/d}; shape (..., p) to (..., d).
     The root is float_power's, which matches Python's float pow bit for bit
-    where numpy's power does not."""
+    where numpy's power does not; in d = 1 it is v_last itself."""
     v = np.asarray(v, float)
-    radius = gamma * np.float_power(v[..., -1], 1.0 / d)
+    radius = gamma * (v[..., -1] if d == 1 else np.float_power(v[..., -1], 1.0 / d))
     return radius[..., None] * sphere_generator(v[..., :-1], d)
 
 
@@ -212,10 +212,11 @@ def _replay(
     covers their sum.  The bound on exp is relative, which holds while
     exp(Delta) is a normal number, so alpha z_1 < -700 counts as inside the
     band, as does a NaN g.  A block with any entry inside the band replays
-    every step through ``_accept``, the exact per-step form.  Otherwise the
-    step loop keeps only y = x + z, the unit-ball test and the selection,
-    computed as in ``_accept``.  Either way the states equal per-step
-    ``metropolis_update`` bit for bit.
+    every step through ``_accept``, the exact per-step form.  Otherwise a
+    proposal that fails the ratio test becomes +inf, which the unit-ball
+    test rejects, and the step loop keeps y = x + z, the unit-ball test and
+    the selection of ``_accept``, in buffers allocated once.  Either way the
+    states equal per-step ``metropolis_update`` bit for bit.
     """
     d = params.d
     z = ball_generator(U[..., : params.proposal_dim], params.gamma, d)
@@ -223,9 +224,7 @@ def _replay(
     X = np.empty(z.shape)
     x = X0
     alpha = density.alpha
-    if alpha == 0.0:
-        ratio_ok = np.ones(v.shape, bool)
-    else:
+    if alpha != 0.0:
         az = alpha * z[..., 0]
         # v = 0 passes whatever the ratio; so does the smallest subnormal
         # once alpha z_1 >= -700, and its log is finite
@@ -236,12 +235,17 @@ def _replay(
             for i in range(len(U)):
                 x = X[i] = _accept(x, z[i], v[i], density)
             return X
-        ratio_ok = g > 0.0
-    for i in range(len(U)):
-        y = x + z[i]
+        z = np.where((g > 0.0)[..., None], z, np.inf)
+    x, y = X0.copy(), np.empty_like(X0)
+    sq, ok = np.empty(len(X0)), np.empty((len(X0), 1), bool)
+    ok_rows = ok[:, 0]
+    for z_i, X_i in zip(z, X):
+        np.add(x, z_i, out=y)
         # np.vecdot as in _accept, for the same rounding
-        ok = ratio_ok[i] & (np.vecdot(y, y) <= 1.0)
-        x = X[i] = np.where(ok[:, None], y, x)
+        np.vecdot(y, y, out=sq)
+        np.less_equal(sq, 1.0, out=ok_rows)
+        np.copyto(x, y, where=ok)
+        np.copyto(X_i, x)
     return X
 
 

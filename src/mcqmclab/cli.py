@@ -19,6 +19,7 @@ reruns and is documented as such.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -424,7 +425,9 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="mcqmc", description="Markov chain quasi-Monte Carlo experiments"
     )
@@ -442,8 +445,11 @@ def main(argv=None) -> int:
     p_bounds.add_argument("--alpha", type=float, default=0.0)
     p_bounds.add_argument("--lambda0", type=float, default=0.0)
     p_bounds.add_argument("--norm", type=float, default=1.0)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args.config)
     if args.command == "validate":

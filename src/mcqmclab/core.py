@@ -316,6 +316,12 @@ class TargetMeasure:
         bound has mass 0, and a row at or above its upper bound in every
         entry has mass 1, both without error.  A row with a NaN entry has
         mass NaN and makes the error NaN, for every measure."""
+        masses, errs = self._box_masses(corners)
+        return masses, float(np.max(errs, initial=0.0))
+
+    def _box_masses(self, corners) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`box_masses` with the error bound of every row (NaN for a
+        row with a NaN entry)."""
         c = np.asarray(corners, float)
         if c.ndim != 2 or c.shape[1] != self.dim:
             raise ValueError(f"corners of shape {c.shape} for measure dimension {self.dim}")
@@ -324,16 +330,16 @@ class TargetMeasure:
         empty = np.any(c <= lo, axis=1)
         full = np.all(c >= hi_dom, axis=1) & ~empty
         masses = np.where(nan, np.nan, full.astype(float))
-        err = math.nan if nan.any() else 0.0
+        errs = np.where(nan, np.nan, 0.0)
         rest = np.flatnonzero(~(empty | full | nan))
         if rest.size == 0:
-            return masses, err
+            return masses, errs
         hi = np.minimum(c[rest], hi_dom)
         if self.exact_box_mass is not None:
             masses[rest] = self.exact_box_mass(hi)
-            return masses, err
-        masses[rest], errs = self._normalized(*self._integrals(hi))
-        return masses, err + float(np.max(errs))
+        else:
+            masses[rest], errs[rest] = self._normalized(*self._integrals(hi))
+        return masses, errs
 
     def grid_masses(self, axes) -> tuple[np.ndarray, float]:
         """Masses of the open boxes ``(-inf, c)`` for every corner c of the
@@ -343,14 +349,19 @@ class TargetMeasure:
         plus the largest error bound.  The profile rule integrates each
         column c2 once along x1 for all its levels c1; every other measure
         returns :meth:`box_masses` of the grid's rows in C order."""
+        masses, errs = self._grid_masses(axes)
+        return masses, float(np.max(errs, initial=0.0))
+
+    def _grid_masses(self, axes) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`grid_masses` with the error bound of every corner."""
         axes = [np.asarray(a, float).ravel() for a in axes]
         if len(axes) != self.dim:
             raise ValueError(f"{len(axes)} axes for measure dimension {self.dim}")
         shape = tuple(a.size for a in axes)
         if not self._profile_rule:
             grid = np.meshgrid(*axes, indexing="ij")
-            masses, err = self.box_masses(np.stack(grid, axis=-1).reshape(-1, self.dim))
-            return masses.reshape(shape), err
+            masses, errs = self._box_masses(np.stack(grid, axis=-1).reshape(-1, self.dim))
+            return masses.reshape(shape), errs.reshape(shape)
         r = self.domain.radius
         c1, c2 = axes
         masses, errs = np.zeros(shape), np.zeros(shape)
@@ -364,8 +375,8 @@ class TargetMeasure:
         full = (c1 >= r)[:, None] & (c2 >= r)
         masses[full], errs[full] = 1.0, 0.0
         nan = np.isnan(c1)[:, None] | np.isnan(c2)
-        masses[nan] = np.nan
-        return masses, math.nan if nan.any() else float(np.max(errs, initial=0.0))
+        masses[nan], errs[nan] = np.nan, np.nan
+        return masses, errs
 
     def box_mass(self, corner) -> tuple[float, float]:
         """Normalized mass of the open box ``(-inf, corner)`` intersected with

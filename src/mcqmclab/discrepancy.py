@@ -35,7 +35,8 @@ __all__ = [
 ]
 
 
-# bound on the corners whose masses the exact scan asks for at once
+# bound on the corners whose masses the exact scan asks for at once, and on
+# the set-member counts a search's cover bracket holds at once
 _SCAN_CHUNK_CELLS = 1 << 16
 # bound on the members of a quantile cover, (ceil(d / delta) + 1)^d; the
 # pull-back counts hold one float per member for each of its m + 1 paths
@@ -70,8 +71,8 @@ def _as_points(points, d: int) -> np.ndarray:
     pts = np.asarray(points, float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
-    if pts.ndim != 2 or pts.shape[1] != d:
-        raise ValueError(f"points must have shape (n, {d})")
+    if pts.ndim != 2 or pts.shape[1] != d or pts.shape[0] == 0 or np.isnan(pts).any():
+        raise ValueError(f"points must have shape (n, {d}) with n >= 1 and no NaN")
     return pts
 
 
@@ -101,6 +102,62 @@ def _count_grid(bins: Sequence[np.ndarray], dims: Sequence[int]) -> np.ndarray:
     return counts
 
 
+def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of every row of x (sets, n) in increasing order, each
+    row padded with +inf to the largest distinct count + 1, and every
+    entry's bin: its rank among its row's distinct values, plus one."""
+    order = np.argsort(x, axis=1)
+    xs = np.take_along_axis(x, order, axis=1)
+    new = np.hstack([np.ones((len(x), 1), bool), xs[:, 1:] != xs[:, :-1]])
+    ranks = np.cumsum(new, axis=1) - 1
+    values = np.full((x.shape[0], ranks[:, -1].max() + 2), np.inf)
+    np.put_along_axis(values, ranks, xs, axis=1)
+    bins = np.empty_like(ranks)
+    np.put_along_axis(bins, order, ranks + 1, axis=1)
+    return values, bins
+
+
+def _exact_scans(paths: np.ndarray, measure: TargetMeasure) -> list[DiscrepancyReport]:
+    """:func:`star_discrepancy_exact` of each of the stacked, NaN-free point
+    sets ``paths`` (sets, n, d), bit for bit.  In d = 1 all sets go through
+    one pass, padded to the largest distinct count with corners at +inf
+    (count n, mass 1, deviation 0); in d = 2 and 3 the count grid grows as
+    n^d, so the sets go one at a time."""
+    d = measure.dim
+    if d > 3:
+        raise ExactScanInfeasible(
+            "exact scan is limited to d <= 3; use the cover bracket (objective star-bracket)"
+        )
+    reports = []
+    for block in [paths] if d == 1 else paths[:, None]:
+        sets, n = block.shape[:2]
+        values, bins = zip(*(_ranks(block[..., j]) for j in range(d)))
+        # the count grid with its axes reversed, so that a chunk of the last
+        # axis is a contiguous block of it
+        counts = _count_grid(bins[::-1], [v.shape[1] + 1 for v in values[::-1]])
+        whole, last = [w[0] for w in values[:-1]], values[-1]  # one set when d > 1
+        step = max(1, _SCAN_CHUNK_CELLS // (sets * math.prod(a.size for a in whole)))
+        best, max_err = np.zeros(sets), np.zeros(sets)
+        rest = tuple(range(1, d + 1))
+        for start in range(0, last.shape[1], step):
+            masses, errs = measure._grid_masses(whole + [last[:, start : start + step]])
+            # in the count grid's axis order, one leading axis per set
+            grid = (sets, -1) + masses.shape[-2::-1]
+            masses, errs = masses.T.reshape(grid), errs.T.reshape(grid)
+            max_err = np.maximum(max_err, np.max(errs, axis=rest))
+            # the chunk's values of the last axis and one more, for the
+            # closed branch of its last value
+            chunk = counts[:, start : start + masses.shape[1] + 1]
+            for idx in itertools.product((slice(-1), slice(1, None)), repeat=d):
+                dev = np.abs(chunk[(slice(None),) + idx] / n - masses)
+                best = np.maximum(best, np.max(dev, axis=rest))
+        reports += [
+            DiscrepancyReport(lower=max(b - e, 0.0), upper=min(b + e, 1.0), method="exact-scan")
+            for b, e in zip(best.tolist(), max_err.tolist())
+        ]
+    return reports
+
+
 def star_discrepancy_exact(points, measure: TargetMeasure) -> DiscrepancyReport:
     """Exact star discrepancy over open anchored boxes, d <= 3.
 
@@ -116,37 +173,9 @@ def star_discrepancy_exact(points, measure: TargetMeasure) -> DiscrepancyReport:
     with the others whole, so that the profile rule's cumulative axis x1 is
     never split and the result does not depend on the chunk size.  The
     bracket is the largest deviation plus and minus the largest box-mass
-    error.
+    error.  This is the one-set call of :func:`_exact_scans`.
     """
-    d = measure.dim
-    if d > 3:
-        raise ExactScanInfeasible(
-            "exact scan is limited to d <= 3; use the cover bracket (objective star-bracket)"
-        )
-    pts = _as_points(points, d)
-    n = pts.shape[0]
-    values, ranks = zip(*(np.unique(pts[:, j], return_inverse=True) for j in range(d)))
-    # the count grid with its axes reversed, so that a chunk of the last
-    # axis is a contiguous block of it
-    counts = _count_grid([r[None, :] + 1 for r in ranks[::-1]], [v.size + 2 for v in values[::-1]])[0]
-    *whole, last = [np.append(v, np.inf) for v in values]
-    step = max(1, _SCAN_CHUNK_CELLS // math.prod(a.size for a in whole))
-    best = 0.0
-    max_err = 0.0
-    for start in range(0, last.size, step):
-        masses, err = measure.grid_masses(whole + [last[start : start + step]])
-        masses = np.ascontiguousarray(masses.T)  # in the count grid's axis order
-        max_err = max(max_err, err)
-        # the chunk's values of the last axis and one more, for the closed
-        # branch of its last value
-        block = counts[start : start + len(masses) + 1]
-        for idx in itertools.product((slice(-1), slice(1, None)), repeat=d):
-            best = max(best, float(np.max(np.abs(block[idx] / n - masses))))
-    return DiscrepancyReport(
-        lower=max(best - max_err, 0.0),
-        upper=min(best + max_err, 1.0),
-        method="exact-scan",
-    )
+    return _exact_scans(_as_points(points, measure.dim)[None], measure)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +240,9 @@ class DeltaCover:
         d)), both of shape (m, d).  On axis j the inner corner takes the
         largest cut at or below c_j and the outer one the smallest cut above
         it, with -inf below the first cut and +inf above the last: one
-        search per axis.  A +inf entry brackets to +inf on both sides, and
-        an inner row with a -inf entry is the empty box (mass 0)."""
+        search per axis.  A +inf entry brackets to +inf on both sides, a NaN
+        entry to NaN (mass NaN), and an inner row with a -inf entry is the
+        empty box (mass 0)."""
         c = np.asarray(corners, float)
         if c.ndim != 2 or c.shape[1] != len(self.cuts):
             raise ValueError(f"corners must have shape (m, {len(self.cuts)})")
@@ -222,6 +252,7 @@ class DeltaCover:
             k = np.searchsorted(ends, c[:, j], side="right")
             inner[:, j] = ends[k - 1]
             outer[:, j] = ends[np.minimum(k, ends.size - 1)]
+        inner[np.isnan(c)] = outer[np.isnan(c)] = np.nan
         return inner, outer
 
     @functools.cached_property
@@ -290,14 +321,23 @@ def star_discrepancy_bracket(
 ) -> DiscrepancyReport:
     """Bracket of the star discrepancy: the max over cover members is a
     lower bound, and adding delta gives an upper bound."""
-    pts = _as_points(points, measure.dim)
+    return _cover_brackets(_as_points(points, measure.dim)[None], cover)[0]
+
+
+def _cover_brackets(paths: np.ndarray, cover: DeltaCover) -> list[DiscrepancyReport]:
+    """:func:`star_discrepancy_bracket` of each set of stacked point sets
+    ``paths`` (sets, n, d), from one count of as many sets at a time as
+    keep their member counts within :data:`_SCAN_CHUNK_CELLS`."""
     masses, mass_err = cover.masses()
-    emp = cover.fractions_below(pts)
-    lower = float(np.max(np.abs(emp - masses)))
-    upper = min(lower + cover.delta + mass_err, 1.0)
-    return DiscrepancyReport(
-        lower=lower, upper=upper, method="cover-bracket", delta_used=cover.delta
-    )
+    step = max(1, _SCAN_CHUNK_CELLS // cover.size)
+    lowers = []
+    for i in range(0, len(paths), step):
+        emp = cover.fractions_below(paths[i : i + step])
+        lowers += np.max(np.abs(emp - masses), axis=-1).tolist()
+    return [
+        DiscrepancyReport(lo, min(lo + cover.delta + mass_err, 1.0), "cover-bracket", cover.delta)
+        for lo in lowers
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ from .core import Rng, halton_sequence, uniform_driver
 from .discrepancy import (
     DeltaCover,
     DiscrepancyReport,
+    _cover_brackets,
+    _exact_scans,
     pullback_discrepancy_mc,
-    star_discrepancy_bracket,
-    star_discrepancy_exact,
 )
 
 __all__ = [
@@ -108,9 +108,10 @@ def _scores(
 ) -> list[DiscrepancyReport]:
     """One report per candidate.  A label names one driver (every
     ``"halton"`` candidate is one sequence): the star objectives replay
-    each label's driver once, all in one block, and score its path once for
-    all its candidates; the Monte Carlo pull-back scores every candidate
-    with its own replicas."""
+    each label's driver once, all in one block, and score the block's paths
+    as one block too (one exact scan, or one cover count), each path once
+    for all its candidates; the Monte Carlo pull-back scores every
+    candidate with its own replicas."""
     if config.objective == "pullback-mc":
         return [
             pullback_discrepancy_mc(
@@ -123,10 +124,8 @@ def _scores(
     first: dict[str, int] = {}
     copy_of = [first.setdefault(label, j) for j, label in enumerate(labels)]
     paths = run_chains(system, np.stack([drivers[j] for j in first.values()]), burn_in=config.n0)
-    if config.objective == "star-exact":
-        reports = [star_discrepancy_exact(x, system.target) for x in paths]
-    else:
-        reports = [star_discrepancy_bracket(x, system.target, cover) for x in paths]
+    exact = config.objective == "star-exact"
+    reports = _exact_scans(paths, system.target) if exact else _cover_brackets(paths, cover)
     reports = dict(zip(first.values(), reports))
     return [reports[j] for j in copy_of]
 

@@ -86,6 +86,30 @@ class TestBallGenerator:
         if d == 1:
             assert np.array_equal(radius, radii)
 
+    @given(
+        st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-3, 10.0)),
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                st.one_of(
+                    st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308]),
+                    st.floats(0.0, 2.2250738585072014e-308),
+                    st.floats(0.0, 1.0),
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_d1_radius_is_python_product(self, gamma, rows):
+        # in d = 1 the root v^(1/1) is v itself, subnormals, 0 and 1 included
+        x = ball_generator(np.array(rows), gamma, 1)
+        want = [gamma * v**1.0 * (-1.0 if s < 0.5 else 1.0) for s, v in rows]
+        assert x.shape == (len(rows), 1)
+        assert np.array_equal(x[:, 0], want)
+        assert [math.copysign(1.0, a) for a in x[:, 0]] == [math.copysign(1.0, b) for b in want]
+
     def test_d2_golden(self):
         x = ball_generator([0.25, 0.25], 1.0, 2)
         assert np.allclose(x, [0.0, 0.5], atol=1e-12)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from mcqmclab.cli import main
+from mcqmclab.cli import _parser, main
 
 
 def _write(tmp_path, name, cfg):
@@ -448,3 +448,24 @@ class TestBoundsSubcommand:
         assert main(["bounds", "--alpha", "700"]) == 0
         out = capsys.readouterr().out
         assert "inf" not in out and "nan" not in out
+
+
+class TestParser:
+    def test_built_once_and_reused(self, capsys):
+        assert _parser() is _parser()
+        assert main(["bounds", "--d", "2", "--n", "64"]) == 0
+        first = capsys.readouterr().out
+        assert main(["bounds", "--n", "32"]) == 0
+        second = capsys.readouterr().out
+        assert first.startswith("corollary_bound") and second.startswith("corollary_bound")
+        assert first != second
+        # defaults are not carried over from the earlier call
+        assert main(["bounds", "--d", "2", "--n", "64"]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_bad_flag_still_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(["bounds"]) == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcqmclab import discrepancy
 from mcqmclab.chain import make_direct_kernel, make_lazy_direct_kernel
 from mcqmclab.core import (
     Rng,
@@ -23,6 +24,7 @@ from mcqmclab.discrepancy import (
     DiscrepancyReport,
     ExactScanInfeasible,
     H1Function,
+    _cover_brackets,
     build_quantile_cover,
     cover_size_bound,
     kh_error_bound,
@@ -89,6 +91,16 @@ class TestExactScan:
             star_discrepancy_exact(pts[:, 1], m1).lower,
         )
         assert report.lower >= proj - 1e-12
+
+    @pytest.mark.parametrize("pts", [[[0.1, np.nan], [0.2, 0.3]], np.empty((0, 2))])
+    def test_refuses_nan_and_empty_point_sets(self, pts):
+        # NaN deviations and errors once dropped out of the maximum, and an
+        # empty set divided by n = 0: both reported [0, 0]
+        cover = build_quantile_cover(uniform_ball(2), 0.5)
+        with pytest.raises(ValueError, match="n >= 1 and no NaN"):
+            star_discrepancy_exact(pts, uniform_ball(2))
+        with pytest.raises(ValueError, match="n >= 1 and no NaN"):
+            star_discrepancy_bracket(pts, uniform_ball(2), cover)
 
     def test_refuses_high_dimension(self):
         m = uniform_box([0.0] * 4, [1.0] * 4)
@@ -211,6 +223,18 @@ class TestCoverBracket:
         assert np.all(inner[infinite] == np.inf) and np.all(outer[infinite] == np.inf)
         assert np.all(np.isfinite(inner[~infinite])) and np.all(np.isfinite(outer[~infinite]))
 
+    def test_nan_coordinates_bracket_to_nan(self):
+        cover = build_quantile_cover(uniform_interval(), 0.25)
+        inner, outer = cover.bracket([[np.nan], [0.1]])
+        assert np.isnan(inner[0, 0]) and np.isnan(outer[0, 0])
+        assert inner[1, 0] <= 0.1 < outer[1, 0]
+        for corner in (inner, outer):
+            masses, err = cover.measure.box_masses(corner)
+            assert np.isnan(masses[0]) and not np.isnan(masses[1]) and np.isnan(err)
+        inner, outer = _BRACKET_COVERS["box"]().bracket([[0.3, np.nan]])
+        assert np.isnan(inner[0, 1]) and np.isnan(outer[0, 1])
+        assert np.isfinite(inner[0, 0]) and np.isfinite(outer[0, 0])
+
     def test_below_the_first_cut_is_empty(self):
         cover = _BRACKET_COVERS["box"]()
         first = cover.cuts[0][0]
@@ -261,6 +285,19 @@ class TestBracketDiscrepancy:
             br = star_discrepancy_bracket(pts.reshape(-1, 1), m, cover)
             assert br.lower <= exact + 1e-12
             assert exact <= br.upper + 1e-12
+
+    @pytest.mark.parametrize("make, d", [(uniform_interval, 1), (lambda: uniform_ball(2), 2)])
+    @pytest.mark.parametrize("chunk_cells", [discrepancy._SCAN_CHUNK_CELLS, 300])
+    def test_block_brackets_equal_one_set_brackets(self, make, d, chunk_cells, monkeypatch):
+        # 300 cells count the d = 2 sets two at a time (122 members)
+        m = make()
+        cover = build_quantile_cover(m, 0.2)
+        paths = (2.0 * Rng(5).uniforms(5 * 30 * d).reshape(5, 30, d) - 1.0) * 0.7
+        paths[1, :5] = paths[1, 0]  # ties
+        monkeypatch.setattr(discrepancy, "_SCAN_CHUNK_CELLS", chunk_cells)
+        block = _cover_brackets(paths, cover)
+        assert block == [star_discrepancy_bracket(p, m, cover) for p in paths]
+        assert len({r.lower for r in block}) > 1
 
     def test_upper_within_delta_of_lower(self):
         m = uniform_interval()

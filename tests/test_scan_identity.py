@@ -125,6 +125,45 @@ def test_random_ties_bit_identical(chunk_cells, d, alpha, data):
         _same_as_scalar(pts, measure, ref.product_oracle(alpha, lo, hi))
 
 
+_BLOCK_MEASURES = {
+    "uniform-interval": lambda: uniform_interval(),
+    "exp-interval": lambda: exp_linear_interval(1.3),
+    "quad-interval": _quad_interval,
+    "exp-box": lambda: exp_linear_box(0.7, [-1.0, -0.5], [1.0, 2.0]),
+    "uniform-disc": lambda: uniform_ball(2),
+}
+
+
+@pytest.mark.parametrize("chunk_cells", [discrepancy._SCAN_CHUNK_CELLS, 7])
+@given(st.sampled_from(sorted(_BLOCK_MEASURES)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_block_scans_equal_one_set_scans(chunk_cells, name, data):
+    # sets of one size n whose coordinates sit on grids of 1 to 9 levels, so
+    # that ties are common and the sets' distinct counts differ; the
+    # quadrature interval has mass errors that are not 0, and 7 cells end
+    # the d = 1 block's mass chunks inside a set's row
+    measure = _BLOCK_MEASURES[name]()
+    lo, hi = measure.domain.bounding()
+    d, n = measure.dim, data.draw(st.integers(1, 12))
+    sets = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        levels = data.draw(st.integers(1, 9))
+        steps = data.draw(st.lists(st.integers(0, levels), min_size=n * d, max_size=n * d))
+        sets.append(lo + (hi - lo) * np.reshape(steps, (n, d)) / (levels + 1))
+    if isinstance(measure.domain, BallDomain):
+        sets = [pts / math.sqrt(2.0) for pts in sets]
+    with mock.patch.object(discrepancy, "_SCAN_CHUNK_CELLS", chunk_cells):
+        block = discrepancy._exact_scans(np.stack(sets), measure)
+    one = [star_discrepancy_exact(pts, measure) for pts in sets]
+    assert block == one
+    for report, pts in zip(block, sets):
+        assert (report.lower, report.upper) == ref.star_discrepancy_scan(pts, ref.measure_oracle(measure))
+    if name == "quad-interval":
+        # a point inside the domain is a corner with a quadrature error
+        inside = [bool(np.any((lo < pts) & (pts < hi))) for pts in sets]
+        assert [r.upper > r.lower for r in block] == inside
+
+
 def test_chunked_scan_matches_one_chunk(monkeypatch):
     cases = [
         (_box_points(14, 2, 1), exp_linear_box(0.7, [-1.0] * 2, [1.0] * 2)),
