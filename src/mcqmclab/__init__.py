@@ -51,9 +51,7 @@ from .bounds import (
 )
 from .ballwalk import (
     BallWalkParams,
-    LogDensity,
     ball_generator,
-    density_presets,
     invert_update,
     make_metropolis_system,
     metropolis_update,

@@ -1,5 +1,7 @@
 """Metropolis algorithm with ball-walk proposal on the Euclidean unit ball.
 
+The walk targets the density exp(alpha x_1) on the unit ball, which is
+log-concave and alpha-log-Lipschitz by construction (alpha = 0: uniform).
 The proposal draws z uniformly from a gamma-ball via an explicit generator
 (sphere direction from the leading driver coordinates, radius from the last
 proposal coordinate) and accepts with the usual density ratio, evaluated in
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -25,63 +26,30 @@ from .chain import ChainSystem, GeneratorFunction, UpdateFunction
 from .core import Rng, TargetMeasure, exp_linear_ball, special, uniform_ball
 
 __all__ = [
-    "LogDensity",
     "BallWalkParams",
     "sphere_generator",
     "ball_generator",
     "metropolis_update",
     "invert_update",
-    "density_presets",
     "make_metropolis_system",
 ]
 
 
 @dataclass(frozen=True)
-class LogDensity:
-    """Log of an unnormalized density on the unit ball, with a certified
-    log-Lipschitz constant alpha and a log-concavity witness tag.
-    ``log_rho`` maps points of shape (..., d) to shape (...)."""
-
-    log_rho: Callable[[np.ndarray], np.ndarray]
-    alpha: float
-    concavity_witness: str  # affine | verified-numerically | asserted
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.concavity_witness not in ("affine", "verified-numerically", "asserted"):
-            raise ValueError(f"unknown witness {self.concavity_witness!r}")
-
-    def audit(self, d: int, rng: Rng, pairs: int = 10_000, tol: float = 1e-9) -> None:
-        """Randomized membership audit: log-Lipschitz bound and midpoint
-        log-concavity on sampled pairs of ball points.  Raises on violation."""
-        for _ in range(pairs):
-            x = _random_ball_point(d, rng)
-            y = _random_ball_point(d, rng)
-            lx, ly = self.log_rho(x), self.log_rho(y)
-            if abs(lx - ly) > self.alpha * np.linalg.norm(x - y) + tol:
-                raise AssertionError(f"log-Lipschitz violation at {x}, {y}")
-            if self.log_rho(0.5 * (x + y)) < 0.5 * (lx + ly) - tol:
-                raise AssertionError(f"log-concavity violation at {x}, {y}")
-
-
-def _random_ball_point(d: int, rng: Rng) -> np.ndarray:
-    while True:
-        x = 2.0 * rng.uniforms(d) - 1.0
-        if np.dot(x, x) <= 1.0:
-            return x
-
-
-@dataclass(frozen=True)
 class BallWalkParams:
-    """Proposal radius gamma and state dimension d."""
+    """Proposal radius gamma, state dimension d and the log-Lipschitz
+    constant alpha of the target density exp(alpha x_1) (alpha = 0:
+    uniform)."""
 
     gamma: float
     d: int
+    alpha: float
 
     def __post_init__(self):
         if self.gamma <= 0 or self.d < 1:
             raise ValueError("need gamma > 0 and d >= 1")
+        if self.alpha < 0:
+            raise ValueError("alpha must be nonnegative")
 
     @property
     def proposal_dim(self) -> int:
@@ -152,13 +120,13 @@ def ball_generator(v, gamma: float, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _accept(x: np.ndarray, z: np.ndarray, v: np.ndarray, density: "LogDensity") -> np.ndarray:
+def _accept(x: np.ndarray, z: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
     """Metropolis steps of the rows of x (b, d) with proposals z (b, d) and
-    acceptance coordinates v (b,)."""
+    acceptance coordinates v (b,), for the density exp(alpha x_1)."""
     y = x + z
     # the density ratio through math.exp, which numpy's exp does not match in
-    # the last bit; exp(0) = 1 accepts every v in [0, 1]
-    log_ratio = np.minimum(density.log_rho(y) - density.log_rho(x), 0.0)
+    # the last bit; exp(+-0) = 1 accepts every v in [0, 1]
+    log_ratio = np.minimum(alpha * y[:, 0] - alpha * x[:, 0], 0.0)
     bound = np.fromiter(map(math.exp, log_ratio.tolist()), float, len(v))
     # np.vecdot runs the BLAS dot of np.dot, whose fused multiply-adds a plain
     # sum of squares does not match in the last bit
@@ -166,9 +134,7 @@ def _accept(x: np.ndarray, z: np.ndarray, v: np.ndarray, density: "LogDensity") 
     return np.where(ok[:, None], y, x)
 
 
-def metropolis_update(
-    x: np.ndarray, u, params: BallWalkParams, density: LogDensity
-) -> np.ndarray:
+def metropolis_update(x: np.ndarray, u, params: BallWalkParams) -> np.ndarray:
     """Metropolis steps from states (..., d) and driver points (..., s) of
     the same leading shape: propose x + z with z uniform in the gamma-ball;
     accept iff the proposal stays in the unit ball and the last driver
@@ -179,18 +145,16 @@ def metropolis_update(
         raise ValueError(f"need {params.driver_dim} driver coordinates")
     rows = u.reshape(-1, params.driver_dim)
     z = ball_generator(rows[:, : params.proposal_dim], params.gamma, params.d)
-    return _accept(x.reshape(-1, params.d), z, rows[:, -1], density).reshape(x.shape)
+    return _accept(x.reshape(-1, params.d), z, rows[:, -1], params.alpha).reshape(x.shape)
 
 
 # the relative width of _replay's band, derived in its docstring
 _RATIO_BAND = 2.0**-48
 
 
-def _replay(
-    X0: np.ndarray, U: np.ndarray, params: BallWalkParams, density: LogDensity
-) -> np.ndarray:
-    """Ball-walk replay of a driver block U (m, b, s) from states X0 (b, d),
-    for a preset density: log rho(x) = alpha * x_1 (alpha = 0: uniform).
+def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams) -> np.ndarray:
+    """Ball-walk replay of a driver block U (m, b, s) from states X0 (b, d)
+    for the density of ``params``: log rho(x) = alpha * x_1.
 
     Proposals z depend on the driver alone, and so does the density-ratio
     test: with Delta = fl(alpha y_1) - fl(alpha x_1) for y = x + z, a step
@@ -223,7 +187,7 @@ def _replay(
     v = U[..., -1]
     X = np.empty(z.shape)
     x = X0
-    alpha = density.alpha
+    alpha = params.alpha
     if alpha != 0.0:
         az = alpha * z[..., 0]
         # v = 0 passes whatever the ratio; so does the smallest subnormal
@@ -233,7 +197,7 @@ def _replay(
         tol = _RATIO_BAND * (alpha * (2.0 + np.abs(z[..., 0])) + np.abs(log_v) + 1.0)
         if not (np.abs(g) > tol).all() or (az < -700.0).any():
             for i in range(len(U)):
-                x = X[i] = _accept(x, z[i], v[i], density)
+                x = X[i] = _accept(x, z[i], v[i], alpha)
             return X
         z = np.where((g > 0.0)[..., None], z, np.inf)
     x, y = X0.copy(), np.empty_like(X0)
@@ -261,9 +225,7 @@ def _sphere_inverse(e: np.ndarray, d: int) -> np.ndarray:
     raise NotImplementedError("sphere inverse implemented for d <= 3 only")
 
 
-def invert_update(
-    x: np.ndarray, y: np.ndarray, params: BallWalkParams, density: LogDensity
-) -> np.ndarray:
+def invert_update(x: np.ndarray, y: np.ndarray, params: BallWalkParams) -> np.ndarray:
     """Driver point u with metropolis_update(x, u) = y, for gamma >= 2.
 
     For y != x the proposal is forced to z = y - x with acceptance coordinate
@@ -293,45 +255,33 @@ def invert_update(
 
 
 # ---------------------------------------------------------------------------
-# Density presets and chain assembly
+# Target presets and chain assembly
 # ---------------------------------------------------------------------------
 
 
-def density_presets(name: str, alpha: float, d: int) -> LogDensity:
-    """uniform: log rho = 0; exp-linear: log rho(x) = alpha * x_1."""
+def _target_for(name: str, alpha: float, d: int) -> TargetMeasure:
+    """The target of a density preset on the unit ball: uniform, or
+    exp-linear (density exp(alpha x_1)); in d = 1 the interval [-1, 1]."""
     if name == "uniform":
-        return LogDensity(
-            log_rho=lambda x: np.zeros(np.shape(x)[:-1]), alpha=0.0, concavity_witness="affine"
-        )
+        return uniform_ball(d)
     if name == "exp-linear":
-        return LogDensity(
-            log_rho=lambda x: alpha * np.asarray(x, float)[..., 0],
-            alpha=alpha,
-            concavity_witness="affine",
-        )
+        return exp_linear_ball(alpha, d)
     raise ValueError(f"unknown density preset {name!r}")
 
 
-def _target_for(name: str, alpha: float, d: int) -> TargetMeasure:
-    if name == "uniform":
-        return uniform_ball(d)
-    return exp_linear_ball(alpha, d)
+def make_metropolis_system(name: str, alpha: float, gamma: float, d: int) -> ChainSystem:
+    """Chain system for the Metropolis ball walk on the target of the preset
+    ``name`` (:func:`_target_for`), started from the uniform distribution on
+    the unit ball.  The uniform walk has alpha 0 whatever ``alpha`` is.
 
-
-def make_metropolis_system(
-    name: str, alpha: float, gamma: float, d: int
-) -> ChainSystem:
-    """Chain system for the Metropolis ball walk, started from the uniform
-    distribution on the unit ball.
-
-    ||dnu/dpi||_2 <= e^alpha is used as the density-norm certificate.  The
-    spectral-gap lower bound applies at the optimal radius gamma* only; for
-    any other radius (notably the inversion regime gamma = 2) lambda0 is
-    unknown (None), and no theory bound is computed from this system.
+    ||dnu/dpi||_2 <= e^alpha, for the walk's alpha, is used as the
+    density-norm certificate.  The spectral-gap lower bound, from ``alpha``
+    as given, applies at the optimal radius gamma* only; for any other
+    radius (notably the inversion regime gamma = 2) lambda0 is unknown
+    (None), and no theory bound is computed from this system.
     """
-    density = density_presets(name, alpha, d)
+    params = BallWalkParams(gamma=gamma, d=d, alpha=alpha if name == "exp-linear" else 0.0)
     target = _target_for(name, alpha, d)
-    params = BallWalkParams(gamma=gamma, d=d)
 
     p = params.proposal_dim
     generator = GeneratorFunction(
@@ -340,8 +290,8 @@ def make_metropolis_system(
 
     update = UpdateFunction(
         s=params.driver_dim,
-        replay=lambda X0, U: _replay(X0, U, params, density),
-        inverse=lambda x, y: invert_update(x, y, params, density),
+        replay=lambda X0, U: _replay(X0, U, params),
+        inverse=lambda x, y: invert_update(x, y, params),
     )
 
     def sampler(x: np.ndarray, rng: Rng) -> np.ndarray:
@@ -353,7 +303,7 @@ def make_metropolis_system(
         y = x + z
         if np.dot(y, y) > 1.0:
             return x
-        log_ratio = density.log_rho(y) - density.log_rho(x)
+        log_ratio = params.alpha * y[0] - params.alpha * x[0]
         if log_ratio >= 0.0 or rng.uniform() <= math.exp(log_ratio):
             return y
         return x
@@ -367,7 +317,7 @@ def make_metropolis_system(
         target=target,
         lambda0=lambda0,
         beta=None,
-        nu_density_norm=math.exp(density.alpha),
+        nu_density_norm=math.exp(params.alpha),
         exact_marginal=None,
         kernel_sampler=sampler,
     )

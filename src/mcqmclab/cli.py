@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ballwalk import make_metropolis_system
+from .ballwalk import _target_for, make_metropolis_system
 from .bounds import (
     BoundInputs,
     ballwalk_gap_bound,
@@ -39,12 +39,7 @@ from .bounds import (
     main_discrepancy_bound,
 )
 from .chain import make_direct_kernel, make_lazy_direct_kernel, run_chains
-from .core import (
-    Rng,
-    exp_linear_interval,
-    uniform_driver,
-    uniform_interval,
-)
+from .core import Rng, uniform_driver
 from .discrepancy import (
     CoverConstructionError,
     ExactScanInfeasible,
@@ -203,20 +198,13 @@ def _resolve_gamma(p: dict) -> float:
     return p["gamma"]
 
 
-def _interval_target(density: dict):
-    alpha = density["alpha"]
-    if density["name"] == "uniform" or alpha == 0.0:
-        return uniform_interval(-1.0, 1.0)
-    return exp_linear_interval(alpha, -1.0, 1.0)
-
-
 def _build_system(p: dict, gamma: float):
     kernel, density, d = p["kernel"], p["density"], p["dimension"]
     if kernel == "metropolis-ballwalk":
         return make_metropolis_system(density["name"], density["alpha"], gamma, d)
     if d != 1:
         raise ConfigError(f"kernel {kernel!r} is implemented for dimension 1 only")
-    target = _interval_target(density)
+    target = _target_for(density["name"], density["alpha"], 1)
     if kernel == "direct":
         return make_direct_kernel(target)
     return make_lazy_direct_kernel(target, p["a"])
@@ -296,9 +284,11 @@ def _search_config(p: dict, n: int) -> SearchConfig:
 
 def _theory_note(system) -> dict:
     """Manifest entry giving the reason for an infinite theory bound when
-    the system's spectral constant is unknown."""
+    the system's spectral constant is unknown or leaves no spectral gap."""
     if system.lambda0 is None:
         return {"theory_bound": "not computed: lambda0 is unknown for gamma != gamma*"}
+    if system.lambda0 >= 1.0:
+        return {"theory_bound": f"not computed: lambda0 = {system.lambda0!r} leaves no spectral gap"}
     return {}
 
 
@@ -335,7 +325,7 @@ def _run_rate_study(p: dict):
 def _run_invert(p: dict):
     density, gamma, n = p["density"], p["gamma"], p["n"]
     system = make_metropolis_system(density["name"], density["alpha"], gamma, 1)
-    target = _interval_target(density)
+    target = system.target
     quantiles = (2.0 * np.arange(n) + 1.0) / (2.0 * n)
     targets = [np.array([target.inv_cdf(q)]) for q in quantiles]
     # x1_driver: ball generator on [-1,1] maps (sign, radius) to +-radius

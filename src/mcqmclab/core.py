@@ -281,7 +281,6 @@ class TargetMeasure:
         domain,
         density: Callable[[np.ndarray], np.ndarray],
         *,
-        name: str = "",
         exact_box_mass: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         exact_inv_cdf: Optional[Callable] = None,
         exact_marginal_cdf: Optional[Callable] = None,
@@ -289,7 +288,6 @@ class TargetMeasure:
     ):
         self.domain = domain
         self.density = density
-        self.name = name
         self.exact_box_mass = exact_box_mass
         self.exact_inv_cdf = exact_inv_cdf
         self.exact_marginal_cdf = exact_marginal_cdf
@@ -481,7 +479,13 @@ class TargetMeasure:
             vals = (self.density(pts) * self.domain.contains(pts)).reshape(len(h), reps, cells)
             estimates = np.prod(h - lo, axis=1)[:, None] * np.mean(vals, axis=-1)
             est[s : s + step] = np.mean(estimates, axis=1)
-            err[s : s + step] = 3.0 * np.std(estimates, axis=1, ddof=1) / math.sqrt(reps)
+            # the std of each row scaled by a power of two at or above its
+            # largest estimate: the same bits where the plain std's squares
+            # stay finite, and finite where they overflow (frexp of an
+            # all-zero row gives scale 1)
+            scale = np.ldexp(1.0, np.frexp(np.max(np.abs(estimates), axis=1))[1])
+            std = np.std(estimates / scale[:, None], axis=1, ddof=1) * scale
+            err[s : s + step] = 3.0 * std / math.sqrt(reps)
         return est, err
 
     # -- marginals -----------------------------------------------------------
@@ -541,7 +545,6 @@ def uniform_interval(a: float = -1.0, b: float = 1.0) -> TargetMeasure:
     return TargetMeasure(
         BoxDomain((a,), (b,)),
         lambda x: np.ones(x.shape[0]),
-        name=f"uniform[{a},{b}]",
         exact_box_mass=lambda hi: np.clip((hi[:, 0] - a) / width, 0.0, 1.0),
         exact_inv_cdf=lambda p: a + np.asarray(p, float) * width,
     )
@@ -564,7 +567,6 @@ def exp_linear_interval(alpha: float, a: float = -1.0, b: float = 1.0) -> Target
     return TargetMeasure(
         BoxDomain((a,), (b,)),
         lambda x: np.exp(alpha * x[:, 0]),
-        name=f"exp-linear(alpha={alpha})[{a},{b}]",
         exact_box_mass=mass,
         exact_inv_cdf=inv,
     )
@@ -591,7 +593,6 @@ def uniform_box(lower: Sequence[float], upper: Sequence[float]) -> TargetMeasure
     return TargetMeasure(
         BoxDomain(tuple(lo), tuple(hi)),
         lambda x: np.ones(x.shape[0]),
-        name="uniform-box",
         exact_box_mass=_product_mass(first, lo, hi),
     )
 
@@ -605,7 +606,6 @@ def exp_linear_box(alpha: float, lower: Sequence[float], upper: Sequence[float])
     return TargetMeasure(
         BoxDomain(tuple(lo), tuple(hi)),
         lambda x: np.exp(alpha * x[:, 0]),
-        name=f"exp-linear-box(alpha={alpha})",
         exact_box_mass=_product_mass(first, lo, hi),
     )
 
@@ -642,7 +642,6 @@ def uniform_ball(d: int) -> TargetMeasure:
     return TargetMeasure(
         BallDomain(d),
         lambda x: np.ones(x.shape[0]),
-        name=f"uniform-ball(d={d})",
         exact_box_mass=_uniform_disc_mass if d == 2 else None,
         exact_marginal_cdf=(lambda t: special.betainc(a, a, 0.5 * (1.0 + t))) if d >= 3 else None,
     )
@@ -657,7 +656,6 @@ def exp_linear_ball(alpha: float, d: int) -> TargetMeasure:
     return TargetMeasure(
         BallDomain(d),
         lambda x: np.exp(alpha * x[:, 0]),
-        name=f"exp-linear-ball(alpha={alpha},d={d})",
         profile=lambda x1: np.exp(alpha * np.asarray(x1, float)),
     )
 

@@ -135,7 +135,8 @@ def best_of_k(
 ) -> SearchResult:
     """Evaluate k candidate drivers, return the one with the smallest upper
     discrepancy bound (stable argmin: ties go to the lower index).  The
-    theory bound is inf for n < 16 and when the system's lambda0 is unknown.
+    theory bound is inf for n < 16, when the system's lambda0 is unknown and
+    when it is 1 or more (no spectral gap).
 
     ``cover`` is required for the star-bracket and pullback-mc objectives.
     """
@@ -146,7 +147,7 @@ def best_of_k(
     uppers = np.array([r.upper for r in reports])
     best = int(np.argmin(uppers))
     theory = math.inf
-    if config.n >= 16 and system.lambda0 is not None:
+    if config.n >= 16 and system.lambda0 is not None and system.lambda0 < 1.0:
         theory = corollary_main_bound(
             BoundInputs(
                 n=config.n,

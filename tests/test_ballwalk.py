@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from mcqmclab.ballwalk import (
     BallWalkParams,
-    LogDensity,
     ball_generator,
-    density_presets,
     invert_update,
     make_metropolis_system,
     metropolis_update,
@@ -128,116 +126,114 @@ class TestBallGenerator:
 
 
 class TestLogDensity:
+    """The walk's log density alpha * x_1 per preset, through its chain
+    system."""
+
     def test_presets(self):
-        uni = density_presets("uniform", 0.0, 2)
-        assert uni.alpha == 0.0 and uni.log_rho(np.array([0.3, 0.1])) == 0.0
-        exp = density_presets("exp-linear", 1.0, 2)
-        x, y = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-        assert abs(exp.log_rho(x) - exp.log_rho(y)) == pytest.approx(
-            exp.alpha * np.linalg.norm(x - y)
-        )
+        # one downhill step of length 0.3 from the origin, with an
+        # acceptance coordinate just above exp(-3 * 0.3): the exp-linear
+        # walk (alpha 3) rejects it, the uniform walk (alpha 0) accepts it
+        x = np.zeros((1, 2))
+        u = np.array([[[0.5, 0.3**2 / 0.5**2, 1.001 * math.exp(-3.0 * 0.3)]]])
+        for name, walk_alpha in [("uniform", 0.0), ("exp-linear", 3.0)]:
+            system = make_metropolis_system(name, 3.0, 0.5, 2)
+            assert system.nu_density_norm == math.exp(walk_alpha)
+            moved = system.update.replay(x, u)[0, 0, 0] != 0.0
+            assert moved == (walk_alpha == 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_uniform_walk_ignores_alpha(self, d):
+        from mcqmclab.bounds import ballwalk_gap_bound
+
+        gamma_star, gap = ballwalk_gap_bound(3.0, d)
+        walk = make_metropolis_system("uniform", 3.0, gamma_star, d)
+        flat = make_metropolis_system("uniform", 0.0, gamma_star, d)
+        driver = uniform_driver(200, walk.s, Rng(d))[None]
+        assert np.array_equal(run_chains(walk, driver), run_chains(flat, driver))
+        assert walk.nu_density_norm == 1.0
+        assert walk.lambda0 == 1.0 - gap
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
-            density_presets("gauss", 1.0, 2)
+            make_metropolis_system("gauss", 1.0, 0.5, 2)
 
-    @pytest.mark.parametrize("name,alpha", [("uniform", 0.0), ("exp-linear", 1.0)])
-    def test_membership_audit(self, name, alpha):
-        density_presets(name, alpha, 2).audit(2, Rng(3), pairs=10_000)
-
-    def test_audit_catches_violations(self):
-        bad = LogDensity(
-            log_rho=lambda x: float(np.sum(np.atleast_1d(x) ** 2)),
-            alpha=0.01,
-            concavity_witness="asserted",
-        )
-        with pytest.raises(AssertionError):
-            bad.audit(2, Rng(1), pairs=500)
+    def test_negative_alpha(self):
+        with pytest.raises(ValueError):
+            BallWalkParams(0.5, 2, -1.0)
 
 
 class TestMetropolisUpdate:
     def test_uniform_density_reduces_to_membership(self):
-        params = BallWalkParams(0.5, 2)
-        dens = density_presets("uniform", 0.0, 2)
+        params = BallWalkParams(0.5, 2, 0.0)
         x = np.zeros(2)
         # v_acc = 1 is the hardest threshold; still accepted since ratio = 1
         u = np.array([0.0, 0.5, 1.0])
-        y = metropolis_update(x, u, params, dens)
+        y = metropolis_update(x, u, params)
         assert not np.array_equal(y, x)
 
     def test_boundary_outward_proposal_stays(self):
-        params = BallWalkParams(0.5, 2)
-        dens = density_presets("uniform", 0.0, 2)
+        params = BallWalkParams(0.5, 2, 0.0)
         x = np.array([1.0, 0.0])
         u = np.array([0.0, 1.0, 0.0])  # propose +gamma in direction (1,0)
-        assert np.array_equal(metropolis_update(x, u, params, dens), x)
+        assert np.array_equal(metropolis_update(x, u, params), x)
 
     def test_zero_acceptance_coordinate_always_moves(self):
-        params = BallWalkParams(0.3, 2)
-        dens = density_presets("exp-linear", 5.0, 2)
+        params = BallWalkParams(0.3, 2, 5.0)
         x = np.array([0.2, 0.0])
         u = np.array([0.5, 0.8, 0.0])  # downhill proposal, v = 0
-        y = metropolis_update(x, u, params, dens)
+        y = metropolis_update(x, u, params)
         assert not np.array_equal(y, x)
 
     def test_driver_dimension_checked(self):
-        params = BallWalkParams(0.5, 2)
-        dens = density_presets("uniform", 0.0, 2)
+        params = BallWalkParams(0.5, 2, 0.0)
         with pytest.raises(ValueError):
-            metropolis_update(np.zeros(2), np.array([0.1, 0.2]), params, dens)
+            metropolis_update(np.zeros(2), np.array([0.1, 0.2]), params)
 
     def test_d1_convention_uses_three_coordinates(self):
-        params = BallWalkParams(0.5, 1)
+        params = BallWalkParams(0.5, 1, 0.0)
         assert params.proposal_dim == 2 and params.driver_dim == 3
-        dens = density_presets("uniform", 0.0, 1)
-        y = metropolis_update(np.array([0.0]), np.array([0.2, 0.6, 0.0]), params, dens)
+        y = metropolis_update(np.array([0.0]), np.array([0.2, 0.6, 0.0]), params)
         assert y[0] == pytest.approx(-0.3)
 
 
 class TestInvertUpdate:
     def test_golden_d2(self):
-        params = BallWalkParams(2.0, 2)
-        dens = density_presets("uniform", 0.0, 2)
-        u = invert_update(np.zeros(2), np.array([0.3, 0.0]), params, dens)
+        params = BallWalkParams(2.0, 2, 0.0)
+        u = invert_update(np.zeros(2), np.array([0.3, 0.0]), params)
         assert np.allclose(u, [0.0, 0.0225, 0.0], atol=1e-12)
 
     def test_stay_branch(self):
-        params = BallWalkParams(2.0, 2)
-        dens = density_presets("uniform", 0.0, 2)
+        params = BallWalkParams(2.0, 2, 0.0)
         x = np.array([0.5, 0.0])
-        u = invert_update(x, x, params, dens)
-        assert np.array_equal(metropolis_update(x, u, params, dens), x)
+        u = invert_update(x, x, params)
+        assert np.array_equal(metropolis_update(x, u, params), x)
 
     def test_stay_branch_at_origin(self):
-        params = BallWalkParams(2.0, 2)
-        dens = density_presets("uniform", 0.0, 2)
-        u = invert_update(np.zeros(2), np.zeros(2), params, dens)
-        assert np.array_equal(metropolis_update(np.zeros(2), u, params, dens), np.zeros(2))
+        params = BallWalkParams(2.0, 2, 0.0)
+        u = invert_update(np.zeros(2), np.zeros(2), params)
+        assert np.array_equal(metropolis_update(np.zeros(2), u, params), np.zeros(2))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_random_roundtrips(self, d):
-        params = BallWalkParams(2.0, d)
-        dens = density_presets("exp-linear", 1.0, d)
+        params = BallWalkParams(2.0, d, 1.0)
         rng = Rng(d)
         for _ in range(1000):
             x = _ball_point(d, rng)
             y = _ball_point(d, rng)
-            u = invert_update(x, y, params, dens)
+            u = invert_update(x, y, params)
             assert np.all(u >= 0.0) and np.all(u <= 1.0)
-            out = metropolis_update(x, u, params, dens)
+            out = metropolis_update(x, u, params)
             assert np.max(np.abs(out - y)) <= 1e-9
 
     def test_refuses_high_dimension(self):
-        params = BallWalkParams(2.0, 4)
-        dens = density_presets("uniform", 0.0, 4)
+        params = BallWalkParams(2.0, 4, 0.0)
         with pytest.raises(NotImplementedError):
-            invert_update(np.zeros(4), np.zeros(4), params, dens)
+            invert_update(np.zeros(4), np.zeros(4), params)
 
     def test_refuses_far_targets(self):
-        params = BallWalkParams(1.0, 2)
-        dens = density_presets("uniform", 0.0, 2)
+        params = BallWalkParams(1.0, 2, 0.0)
         with pytest.raises(ValueError):
-            invert_update(np.array([-0.9, 0.0]), np.array([0.9, 0.0]), params, dens)
+            invert_update(np.array([-0.9, 0.0]), np.array([0.9, 0.0]), params)
 
 
 def _ball_point(d, rng):

@@ -307,6 +307,26 @@ class TestRunExperiments:
         header, row = (tmp_path / "s.csv").read_text().splitlines()
         assert math.isfinite(float(dict(zip(header.split(","), row.split(",")))["theory_bound"]))
 
+    @pytest.mark.parametrize("experiment", ["search", "rate-study"])
+    def test_lazy_direct_without_gap_has_no_theory_bound(self, tmp_path, capsys, experiment):
+        # 1 - a rounds to lambda0 = 1.0: the run used to end in a traceback
+        cfg = {
+            "experiment": experiment,
+            "dimension": 1,
+            "kernel": "lazy-direct",
+            "a": 1e-17,
+            "k": 2,
+            "output": str(tmp_path / "s.csv"),
+        }
+        cfg.update({"n": 16} if experiment == "search" else {"ns": [16, 32]})
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        header, *rows = (tmp_path / "s.csv").read_text().splitlines()
+        for row in rows:
+            assert dict(zip(header.split(","), row.split(",")))["theory_bound"] == "inf"
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        assert "no spectral gap" in manifest["theory_bound"]
+
     def test_cover_failure_exits_3(self, tmp_path, capsys):
         # the stratified d = 3 marginal CDFs are too noisy for the slab audit
         cfg = {
@@ -346,8 +366,10 @@ class TestRunExperiments:
         assert err.count("\n") == 1
         assert not (tmp_path / "s.csv").exists()
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_alpha_at_its_upper_end_runs(self, tmp_path, d):
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_alpha_at_its_upper_end_runs(self, tmp_path, capsys, d):
+        # in d = 3 the stratified estimate's std used to overflow and end
+        # the run in an invalid bracket [nan, nan]
         cfg = {
             "experiment": "discrepancy",
             "dimension": d,
@@ -357,8 +379,11 @@ class TestRunExperiments:
             "output": str(tmp_path / "d.csv"),
         }
         assert main(["run", _write(tmp_path, "c.json", cfg)]) == 0
+        assert capsys.readouterr().err == ""
         header, row = (tmp_path / "d.csv").read_text().splitlines()
-        assert all(math.isfinite(float(v)) for v in row.split(","))
+        vals = dict(zip(header.split(","), map(float, row.split(","))))
+        assert all(math.isfinite(v) for v in vals.values())
+        assert 0.0 <= vals["disc_lower"] <= vals["disc_upper"] <= 1.0
 
     def test_rate_study_columns(self, tmp_path):
         cfg = {

@@ -149,7 +149,7 @@ def _exp_linear_01():
 
 
 def _quadrature_01():
-    return TargetMeasure(BoxDomain((0.0,), (1.0,)), lambda x: 1.0 + x[:, 0] ** 2, name="quad")
+    return TargetMeasure(BoxDomain((0.0,), (1.0,)), lambda x: 1.0 + x[:, 0] ** 2)
 
 
 class TestIntervalMeasures:
@@ -168,9 +168,7 @@ class TestIntervalMeasures:
         from mcqmclab.core import TargetMeasure
 
         exact = exp_linear_interval(1.0)
-        quad = TargetMeasure(
-            BoxDomain((-1.0,), (1.0,)), lambda x: np.exp(x[:, 0]), name="quad-route"
-        )
+        quad = TargetMeasure(BoxDomain((-1.0,), (1.0,)), lambda x: np.exp(x[:, 0]))
         for t in (-0.7, -0.2, 0.3, 0.9):
             m_exact, _ = exact.box_mass([t])
             m_quad, err = quad.box_mass([t])
@@ -264,10 +262,24 @@ class TestBallMeasures:
         b = uniform_ball(3).box_mass([0.2, 0.1, 0.4])
         assert a == b
 
+    @pytest.mark.parametrize("alpha", [400.0, 700.0])
+    def test_stratified_error_finite_at_large_alpha(self, alpha):
+        # estimates near e^alpha, whose squares overflow a plain std, and a
+        # corner at x_1 <= -0.99 whose mass underflows to 0
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = exp_linear_ball(alpha, 3)
+            masses, err = m.box_masses(np.array([[-0.99, 0.1, 0.1], [0.5, 0.5, 0.5]]))
+        assert 0.0 < m.normalizer_error < math.inf
+        assert masses[0] == 0.0 and 0.0 <= masses[1] <= 1.0
+        assert 0.0 <= err < math.inf
+
 
 def _quadrature_2d():
     return TargetMeasure(
-        BoxDomain((0.0, 0.0), (1.0, 1.0)), lambda x: 1.0 + x[:, 0] * x[:, 1], name="quad-2d"
+        BoxDomain((0.0, 0.0), (1.0, 1.0)), lambda x: 1.0 + x[:, 0] * x[:, 1]
     )
 
 

@@ -14,7 +14,6 @@ from hypothesis.extra.numpy import arrays
 import scalar_replay as ref
 from mcqmclab.ballwalk import (
     BallWalkParams,
-    density_presets,
     invert_update,
     make_metropolis_system,
     metropolis_update,
@@ -154,22 +153,21 @@ def test_ballwalk_random_drivers(d, gamma, alpha, data):
 def test_ballwalk_near_ties(d):
     # proposals landing on the unit sphere to rounding, and acceptance
     # coordinates equal to or one ulp above the density ratio
-    params = BallWalkParams(2.0, d)
     alpha = 1.0
-    dens = density_presets("exp-linear", alpha, d)
+    params = BallWalkParams(2.0, d, alpha)
     rng = Rng(40 + d)
     xs, us = [], []
     for _ in range(300):
         x = 0.9 * ref.ball_point(rng.uniforms(params.proposal_dim), 1.0, d)
         e = ref.sphere_point(rng.uniforms(max(d - 1, 1)), d)
-        u = invert_update(x, e, params, dens)
+        u = invert_update(x, e, params)
         y = x + ref.ball_point(u[: params.proposal_dim], 2.0, d)
         ratio = math.exp(min(alpha * (y[0] - x[0]), 0.0))
         for v in (ratio, np.nextafter(ratio, 2.0), np.nextafter(ratio, -1.0)):
             xs.append(x)
             us.append(np.concatenate([u[:-1], [min(v, 1.0)]]))
     xs, us = np.array(xs), np.array(us)
-    got = metropolis_update(xs, us, params, dens)
+    got = metropolis_update(xs, us, params)
     for x, u, g in zip(xs, us, got):
         assert np.array_equal(g, ref.metropolis_step(x, u, 2.0, d, "exp-linear", alpha))
 
@@ -179,8 +177,7 @@ def _near_tie_driver(n, d, alpha, rng):
     on every step: each point is ``invert_update`` toward a target (on the
     unit sphere or inside the ball), with the acceptance coordinate at the
     scalar reference's ratio or one ulp to either side of it."""
-    params = BallWalkParams(2.0, d)
-    dens = density_presets("exp-linear", alpha, d)
+    params = BallWalkParams(2.0, d, alpha)
     p = params.proposal_dim
     points = [np.concatenate([rng.uniforms(p), [0.5]])]
     x = ref.ball_point(points[0][:p], 1.0, d)
@@ -188,7 +185,7 @@ def _near_tie_driver(n, d, alpha, rng):
         e = ref.sphere_point(rng.uniforms(max(d - 1, 1)), d)
         if rng.uniform() < 0.5:
             e = e * rng.uniform()
-        u = invert_update(x, e, params, dens)
+        u = invert_update(x, e, params)
         y = x + ref.ball_point(u[:p], 2.0, d)
         ratio = math.exp(min(alpha * y[0] - alpha * x[0], 0.0))
         near = (ratio, np.nextafter(ratio, 2.0), np.nextafter(ratio, -1.0))
@@ -221,13 +218,12 @@ def test_run_chains_ballwalk_subnormal_ratios():
     # acceptance coordinates at the ratio and one ulp to either side
     alpha = 400.0
     system = make_metropolis_system("exp-linear", alpha, 2.0, 1)
-    params = BallWalkParams(2.0, 1)
-    dens = density_presets("exp-linear", alpha, 1)
+    params = BallWalkParams(2.0, 1, alpha)
     drivers = []
     for x1 in np.linspace(0.88, 0.935, 40):
         u0 = np.array([0.75, x1, 0.5])
         x = ref.ball_point(u0[:2], 1.0, 1)
-        u = invert_update(x, -x, params, dens)
+        u = invert_update(x, -x, params)
         y = x + ref.ball_point(u[:2], 2.0, 1)
         ratio = math.exp(min(alpha * y[0] - alpha * x[0], 0.0))
         for v in (ratio, np.nextafter(ratio, 1.0), np.nextafter(ratio, 0.0)):
@@ -241,12 +237,11 @@ def test_run_chains_ballwalk_subnormal_ratios():
 
 def test_lifted_update_is_metropolis_update():
     system = make_metropolis_system("exp-linear", 1.0, 0.5, 2)
-    params = BallWalkParams(0.5, 2)
-    dens = density_presets("exp-linear", 1.0, 2)
+    params = BallWalkParams(0.5, 2, 1.0)
     u = Rng(8).uniforms(40 * system.s).reshape(40, system.s)
     x = np.zeros((40, 2))
     stepped = system.update.replay(x, u[None])[0]
-    assert np.array_equal(stepped, metropolis_update(x, u, params, dens))
+    assert np.array_equal(stepped, metropolis_update(x, u, params))
 
 
 def test_one_row_block_is_its_row_of_the_block():

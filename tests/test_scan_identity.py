@@ -40,14 +40,13 @@ from mcqmclab.discrepancy import star_discrepancy_exact
 
 def _quad_interval():
     """exp(x) on [-1, 1] without a closed form: masses by quadrature."""
-    return TargetMeasure(BoxDomain((-1.0,), (1.0,)), lambda x: np.exp(x[:, 0]), name="quad")
+    return TargetMeasure(BoxDomain((-1.0,), (1.0,)), lambda x: np.exp(x[:, 0]))
 
 
 def _quad_square():
     return TargetMeasure(
         BoxDomain((-1.0, -1.0), (1.0, 1.0)),
         lambda x: np.exp(0.5 * x[:, 0] - x[:, 1]),
-        name="quad-square",
     )
 
 

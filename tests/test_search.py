@@ -104,6 +104,17 @@ class TestBestOfK:
                 report = star_discrepancy_bracket(x, system.target, cover)
             assert score == (label, report.upper)
 
+    def test_no_spectral_gap_has_no_theory_bound(self):
+        # a lazy kernel with a = 1e-17: 1 - a rounds to lambda0 = 1.0, which
+        # the corollary refuses
+        from mcqmclab.chain import make_lazy_direct_kernel
+
+        system = make_lazy_direct_kernel(uniform_interval(-1.0, 1.0), 1e-17)
+        assert system.lambda0 == 1.0
+        res = best_of_k(system, SearchConfig(n=16, k=2, seed=0))
+        assert res.theory_bound == np.inf
+        assert np.isfinite(res.best_report.upper)
+
     def test_bracket_objective_requires_cover(self):
         cfg = SearchConfig(n=16, k=2, seed=1, objective="star-bracket")
         with pytest.raises(ValueError):
