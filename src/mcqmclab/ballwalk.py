@@ -178,9 +178,12 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams) -> np.ndarray
     band, as does a NaN g.  A block with any entry inside the band replays
     every step through ``_accept``, the exact per-step form.  Otherwise a
     proposal that fails the ratio test becomes +inf, which the unit-ball
-    test rejects, and the step loop keeps y = x + z, the unit-ball test and
-    the selection of ``_accept``, in buffers allocated once.  Either way the
-    states equal per-step ``metropolis_update`` bit for bit.
+    test rejects, and each step writes y = x + z into its row of the
+    states and copies the previous state back into the rows with y . y > 1
+    (np.vecdot, as in ``_accept``), or |y| > 1 in d = 1, which for finite y
+    is exactly fl(y y) > 1 (y is never NaN: states are finite and proposals
+    finite or +inf).  Either way the states equal per-step
+    ``metropolis_update`` bit for bit.
     """
     d = params.d
     z = ball_generator(U[..., : params.proposal_dim], params.gamma, d)
@@ -200,16 +203,19 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams) -> np.ndarray
                 x = X[i] = _accept(x, z[i], v[i], alpha)
             return X
         z = np.where((g > 0.0)[..., None], z, np.inf)
-    x, y = X0.copy(), np.empty_like(X0)
-    sq, ok = np.empty(len(X0)), np.empty((len(X0), 1), bool)
-    ok_rows = ok[:, 0]
+    # size[j] is |y_j| (d = 1) or y_j . y_j, and out[j] whether y_j left the
+    # unit ball; 1.0 as a 0-d array compares faster than a Python float
+    size, out, one = np.empty(len(X0)), np.empty((len(X0), 1), bool), np.array(1.0)
+    size_col, out_rows = size[:, None], out[:, 0]
     for z_i, X_i in zip(z, X):
-        np.add(x, z_i, out=y)
-        # np.vecdot as in _accept, for the same rounding
-        np.vecdot(y, y, out=sq)
-        np.less_equal(sq, 1.0, out=ok_rows)
-        np.copyto(x, y, where=ok)
-        np.copyto(X_i, x)
+        np.add(x, z_i, X_i)
+        if d == 1:
+            np.absolute(X_i, size_col)
+        else:
+            np.vecdot(X_i, X_i, size)
+        np.greater(size, one, out_rows)
+        np.copyto(X_i, x, where=out)
+        x = X_i
     return X
 
 

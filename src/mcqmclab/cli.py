@@ -7,8 +7,9 @@ Subcommands:
 * ``mcqmc validate <config.json>`` -- check a config without running it
 
 Exit codes: 0 success, 2 config error (nothing written), 3 infeasible
-objective (e.g. exact discrepancy scan above dimension 3, or a delta-cover
-that fails its slab audit).
+objective (e.g. exact discrepancy scan above dimension 3, a delta-cover
+that fails its slab audit, or a ball above dimension 8, whose stratified
+masses exceed their cap).
 
 Every numeric written to the CSV is a pure function of (config, seed);
 floats are serialized with 17 significant digits so they round-trip exactly.
@@ -39,7 +40,7 @@ from .bounds import (
     main_discrepancy_bound,
 )
 from .chain import make_direct_kernel, make_lazy_direct_kernel, run_chains
-from .core import Rng, uniform_driver
+from .core import Rng, StratifiedEstimateInfeasible, uniform_driver
 from .discrepancy import (
     CoverConstructionError,
     ExactScanInfeasible,
@@ -63,7 +64,8 @@ _DENSITIES = ("uniform", "exp-linear")
 # Per experiment, every accepted key besides "experiment" and "output":
 # key -> (type, admissible values, default).  Numbers must lie in the
 # interval, strings among the choices; [t] is a non-empty list of t.
-_SEED = (int, "[0, inf)", 0)
+# Rng seeds are 64-bit: a closed end 2^64 - 1 would read as the float 2^64
+_SEED = (int, "[0, 18446744073709551616)", 0)
 _DIMENSION = (int, "[1, inf)", 1)
 _DENSITY = (dict, None, {"name": "uniform", "alpha": 0.0})
 # density.alpha and bounds --alpha: e^alpha (the density's range and the
@@ -362,7 +364,8 @@ def _cmd_run(path: str) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ExactScanInfeasible, CoverConstructionError, NotImplementedError) as exc:
+    except (ExactScanInfeasible, CoverConstructionError, StratifiedEstimateInfeasible,
+            NotImplementedError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - t0

@@ -127,10 +127,11 @@ class Rng:
         child = _mix64(self.seed ^ _mix64(((2 * int(label) + 1) * _GAMMA) & _MASK64))
         return Rng(child)
 
-    def split_uniforms(self, m: int, n: int) -> np.ndarray:
-        """The first n uniforms of the children 0 .. m-1, shape (m, n): row r
-        is ``self.split(r).uniforms(n)``, all from one counter block."""
-        labels = np.arange(m, dtype=np.uint64)
+    def split_uniforms(self, labels, n: int) -> np.ndarray:
+        """The first n uniforms of the children with the given integer
+        labels, shape (len(labels), n): row r is
+        ``self.split(labels[r]).uniforms(n)``, all from one counter block."""
+        labels = np.asarray(labels, np.uint64)
         seeds = _mix64(np.uint64(self.seed) ^ _mix64((2 * labels + 1) * np.uint64(_GAMMA)))
         return _splitmix_uniforms(seeds[:, None], np.arange(1, n + 1, dtype=np.uint64))
 
@@ -192,6 +193,15 @@ class BallDomain:
 # the stratified estimate takes its rows in chunks of at most this many
 # uniforms (one row at least)
 _STRATIFIED_CHUNK = 1 << 16
+# bound on the uniforms of one row of the stratified estimate, 12 * 4^d * d:
+# 6.3e6 in d = 8, 2.8e7 in d = 9
+STRATIFIED_ROW_CAP = 1 << 24
+
+
+class StratifiedEstimateInfeasible(RuntimeError):
+    """A stratified estimate whose rows would exceed the uniforms cap."""
+
+
 # The disc profile rule: a Gauss-Legendre pair on every interval between a
 # column's breakpoints in theta (x1 = r sin(theta)).  The higher order gives
 # the value, the gap to the lower one the error estimate.  The fixed panel
@@ -463,10 +473,17 @@ class TargetMeasure:
         3-sigma errors.  Each row h splits the box [lo, h] into 4^d cells
         and takes one point per cell in each of 12 replications; its
         uniforms are the SplitMix64 stream seeded by the crc32 of the row's
-        bytes, so a row's estimate depends on that row alone."""
-        lo = self.domain.bounding()[0]
+        bytes, so a row's estimate depends on that row alone.  A row of more
+        than :data:`STRATIFIED_ROW_CAP` uniforms is refused before anything
+        is computed."""
         d, k, reps = self.dim, 4, 12
         cells = k**d
+        if reps * cells * d > STRATIFIED_ROW_CAP:
+            raise StratifiedEstimateInfeasible(
+                f"the stratified masses in d = {d} need {reps * cells * d} uniforms "
+                f"per box, more than the cap of {STRATIFIED_ROW_CAP}"
+            )
+        lo = self.domain.bounding()[0]
         grid = np.stack(np.meshgrid(*[np.arange(k)] * d, indexing="ij"), axis=-1).reshape(cells, d)
         idx = np.arange(1, reps * cells * d + 1, dtype=np.uint64)
         est, err = np.empty(len(hi)), np.empty(len(hi))
@@ -632,18 +649,21 @@ def _uniform_disc_mass(hi: np.ndarray) -> np.ndarray:
 
 def uniform_ball(d: int) -> TargetMeasure:
     """Uniform distribution on the Euclidean unit ball; closed-form box
-    masses in d = 2, closed-form marginals in d >= 3: every coordinate t
-    has CDF I_{(1+t)/2}((d+1)/2, (d+1)/2), the regularized incomplete beta
-    function ((t+1)^2 (2-t)/4 in d = 3).  Box masses in d >= 3 are the
-    stratified estimate."""
+    masses in d = 2 and closed-form marginals in d >= 2.  In d = 2 every
+    coordinate t has CDF 2 (G(t) - G(-1)) / pi through
+    :func:`_disc_area_below`, numpy only: the box masses of the corners
+    (t, +inf) bit for bit.  In d >= 3 it is I_{(1+t)/2}((d+1)/2, (d+1)/2),
+    the regularized incomplete beta function ((t+1)^2 (2-t)/4 in d = 3),
+    and box masses are the stratified estimate."""
     if d == 1:
         return uniform_interval(-1.0, 1.0)
-    a = (d + 1) / 2
+    a, G, below = (d + 1) / 2, _disc_area_below, _disc_area_below(-1.0)
+    disc = lambda t: np.clip(2.0 * (G(t) - below) / math.pi, 0.0, 1.0)
     return TargetMeasure(
         BallDomain(d),
         lambda x: np.ones(x.shape[0]),
         exact_box_mass=_uniform_disc_mass if d == 2 else None,
-        exact_marginal_cdf=(lambda t: special.betainc(a, a, 0.5 * (1.0 + t))) if d >= 3 else None,
+        exact_marginal_cdf=disc if d == 2 else lambda t: special.betainc(a, a, 0.5 * (1.0 + t)),
     )
 
 

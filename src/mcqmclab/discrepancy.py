@@ -370,7 +370,7 @@ def pullback_discrepancy_mc(
         raise ValueError("need at least 100 replications without a marginal oracle")
     U = np.asarray(driver, float)[None]
     if not exact:
-        U = np.concatenate([U, rng.split_uniforms(m, U[0].size).reshape((m,) + U.shape[1:])])
+        U = np.concatenate([U, rng.split_uniforms(np.arange(m), U[0].size).reshape((m,) + U.shape[1:])])
     # indicator averages over the retained window, per cover set and path
     fractions = cover.fractions_below(run_chains(system, U, burn_in=burn_in))
     ind, acc = fractions[0], fractions[1:]

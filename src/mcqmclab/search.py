@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import BoundInputs, beck_bound, corollary_main_bound
 from .chain import ChainSystem, run_chains
-from .core import Rng, halton_sequence, uniform_driver
+from .core import Rng, halton_sequence
 from .discrepancy import (
     DeltaCover,
     DiscrepancyReport,
@@ -81,22 +81,32 @@ class SearchResult:
     theory_bound: float
 
 
-def _make_candidate(config: SearchConfig, j: int, s: int) -> tuple[str, np.ndarray]:
-    """Candidate j: its label and its driver of shape (n0 + n, s)."""
-    kind = config.candidate_kinds[j % len(config.candidate_kinds)]
-    total = config.n + config.n0
-    if kind == "uniform-random":
-        rng = Rng(config.seed).split(j)
-        return f"uniform-random(seed={rng.seed:#x})", uniform_driver(total, s, rng)
-    if kind == "halton":
-        return "halton", halton_sequence(total, s)
-    # shifted-halton: a seeded Cranley-Patterson rotation, Halton plus one
-    # uniform shift modulo 1 (the digits are not scrambled)
-    shift = Rng(config.seed).split(1000 + j).uniforms(s)
-    pts = np.mod(halton_sequence(total, s) + shift, 1.0)
-    # keep strictly inside [0,1] after the wrap
-    pts = np.clip(pts, 0.0, np.nextafter(1.0, 0.0))
-    return f"shifted-halton(seed={config.seed},j={j})", pts
+def _candidates(config: SearchConfig, s: int) -> tuple[list, list]:
+    """The labels of the k candidates and their drivers of shape (n0 + n, s),
+    candidate j of kind ``candidate_kinds[j % len(candidate_kinds)]``.  The
+    uniform-random drivers are the child streams j of ``Rng(seed)``, all
+    drawn in one counter block."""
+    kinds = [config.candidate_kinds[j % len(config.candidate_kinds)] for j in range(config.k)]
+    total, rng = config.n + config.n0, Rng(config.seed)
+    uniform = [j for j, kind in enumerate(kinds) if kind == "uniform-random"]
+    block = iter(rng.split_uniforms(uniform, total * s).reshape(len(uniform), total, s))
+    labels, drivers = [], []
+    for j, kind in enumerate(kinds):
+        if kind == "uniform-random":
+            labels.append(f"uniform-random(seed={rng.split(j).seed:#x})")
+            drivers.append(next(block))
+        elif kind == "halton":
+            labels.append("halton")
+            drivers.append(halton_sequence(total, s))
+        else:
+            # shifted-halton: a seeded Cranley-Patterson rotation, Halton
+            # plus one uniform shift modulo 1 (the digits are not scrambled)
+            shift = rng.split(1000 + j).uniforms(s)
+            pts = np.mod(halton_sequence(total, s) + shift, 1.0)
+            labels.append(f"shifted-halton(seed={config.seed},j={j})")
+            # keep strictly inside [0,1] after the wrap
+            drivers.append(np.clip(pts, 0.0, np.nextafter(1.0, 0.0)))
+    return labels, drivers
 
 
 def _scores(
@@ -142,7 +152,7 @@ def best_of_k(
     """
     if config.objective in ("star-bracket", "pullback-mc") and cover is None:
         raise ValueError(f"objective {config.objective!r} requires a cover")
-    labels, drivers = zip(*(_make_candidate(config, j, system.s) for j in range(config.k)))
+    labels, drivers = _candidates(config, system.s)
     reports = _scores(system, labels, drivers, config, cover)
     uppers = np.array([r.upper for r in reports])
     best = int(np.argmin(uppers))

@@ -2,7 +2,8 @@
 ``TargetMeasure._stratified``, with the special cases and the normalization
 of ``TargetMeasure.box_masses``.
 It is kept as the reference the batched estimate must match bit for bit,
-and is not used by the package.
+and is not used by the package.  So is the uniform disc whose marginals are
+box masses, the reference of the disc's closed-form marginal.
 """
 
 import math
@@ -10,7 +11,7 @@ import zlib
 
 import numpy as np
 
-from mcqmclab.core import Rng, _mix64
+from mcqmclab.core import BallDomain, Rng, TargetMeasure, _mix64, _uniform_disc_mass
 
 
 def stratified_integral(measure, hi) -> tuple[float, float]:
@@ -61,3 +62,10 @@ def stratified_box_mass(measure, corner) -> tuple[float, float]:
     num, num_err = stratified_integral(measure, np.minimum(c, hi))
     mass = min(max(num / norm, 0.0), 1.0)
     return mass, (num_err + mass * norm_err) / norm
+
+
+def disc_by_box_masses():
+    """The uniform disc without its closed-form marginal: marginal CDFs are
+    the box masses of the corners with +inf in the other coordinate, and
+    quantiles are bisected from them."""
+    return TargetMeasure(BallDomain(2), lambda x: np.ones(x.shape[0]), exact_box_mass=_uniform_disc_mass)

@@ -118,6 +118,9 @@ class TestBadValues:
             pytest.param(("bounds", "lambda0"), 1.0, id="bounds-lambda0-1.0"),
             pytest.param(("bounds", "nu-norm"), 0.0, id="bounds-nu-norm-0.0"),
             pytest.param(("bounds", "nu-norm"), 1e-10, id="bounds-nu-norm-1e-10"),
+            # Rng seeds are 64-bit: 2^64 used to run as seed 0
+            pytest.param("seed", 2**64, id="seed-2^64"),
+            pytest.param("seed", 2**64 + 1, id="seed-2^64+1"),
         ],
     )
     def test_other_bad_values(self, tmp_path, capsys, key, value):
@@ -364,6 +367,29 @@ class TestRunExperiments:
         err = capsys.readouterr().err
         assert err.startswith("infeasible: delta") and "cap of 1048576" in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_largest_seed_runs(self, tmp_path, capsys):
+        cfg = {"experiment": "search", "dimension": 1, "kernel": "direct", "n": 16, "k": 2,
+               "seed": 2**64 - 1, "output": str(tmp_path / "s.csv")}
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        header, row = (tmp_path / "s.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["seed"] == "18446744073709551615"
+
+    @pytest.mark.parametrize(
+        "experiment,d",
+        [("pullback", 40), ("search", 9), ("discrepancy", 9), ("rate-study", 31), ("search", 33)],
+    )
+    def test_ball_above_stratified_cap_exits_3(self, tmp_path, capsys, experiment, d):
+        # a ball in d >= 9 needs 12 * 4^d * d uniforms per box for its
+        # stratified masses; refused before anything is allocated
+        cfg = {"experiment": experiment, "dimension": d, "density": {"name": "exp-linear", "alpha": 1.0},
+               "output": str(tmp_path / "s.csv")}
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"infeasible: the stratified masses in d = {d} need")
+        assert "cap of 16777216" in err and err.count("\n") == 1
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("d", [1, 2, 3])

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import scalar_masses
+from mcqmclab import core
 from mcqmclab.chain import make_direct_kernel, make_lazy_direct_kernel, run_chains
 from mcqmclab.core import (
     _PRIMES,
+    STRATIFIED_ROW_CAP,
     BallDomain,
     BoxDomain,
     Rng,
+    StratifiedEstimateInfeasible,
     TargetMeasure,
     exp_linear_ball,
     exp_linear_box,
@@ -22,6 +26,7 @@ from mcqmclab.core import (
     uniform_driver,
     uniform_interval,
 )
+from mcqmclab.discrepancy import build_quantile_cover
 
 
 class TestRng:
@@ -55,10 +60,13 @@ class TestRng:
     @example(2**64 - 1, 5, 7)
     @settings(max_examples=60, deadline=None)
     def test_split_uniforms_rows_are_child_streams(self, seed, m, n):
-        block = Rng(seed).split_uniforms(m, n)
-        assert block.shape == (m, n)
-        for r in range(m):
-            assert np.array_equal(block[r], Rng(seed).split(r).uniforms(n))
+        # the labels 0 .. m-1, then every third label from 5 on, backwards
+        for labels in (range(m), range(5 + 3 * (m - 1), 4, -3)):
+            block = Rng(seed).split_uniforms(labels, n)
+            assert block.shape == (m, n)
+            for r, label in enumerate(labels):
+                assert np.array_equal(block[r], Rng(seed).split(label).uniforms(n))
+        assert Rng(seed).split_uniforms([], n).shape == (0, n)
 
     def test_split_does_not_advance_parent(self):
         r = Rng(9)
@@ -275,6 +283,65 @@ class TestBallMeasures:
         assert 0.0 < m.normalizer_error < math.inf
         assert masses[0] == 0.0 and 0.0 <= masses[1] <= 1.0
         assert 0.0 <= err < math.inf
+
+
+    def test_stratified_above_row_cap_refused_before_any_work(self, monkeypatch):
+        # 12 * 4^d * d uniforms per row: 2.8e7 in d = 9, above the cap
+        def fail(*args, **kwargs):
+            raise AssertionError("the estimate computed something")
+
+        monkeypatch.setattr(core, "_splitmix_uniforms", fail)
+        monkeypatch.setattr(np, "meshgrid", fail)
+        monkeypatch.setattr(np, "arange", fail)
+        for make in (lambda: TargetMeasure(BallDomain(9), fail), lambda: uniform_ball(40),
+                     lambda: exp_linear_ball(1.0, 33)):
+            with pytest.raises(StratifiedEstimateInfeasible, match=f"cap of {STRATIFIED_ROW_CAP}"):
+                make()
+
+    def test_stratified_row_cap_is_inclusive(self, monkeypatch):
+        # d = 3 takes 12 * 4^3 * 3 = 2304 uniforms per row
+        monkeypatch.setattr(core, "STRATIFIED_ROW_CAP", 2304)
+        assert uniform_ball(3).normalizer > 0
+        monkeypatch.setattr(core, "STRATIFIED_ROW_CAP", 2303)
+        with pytest.raises(StratifiedEstimateInfeasible, match="d = 3 need 2304 uniforms"):
+            uniform_ball(3)
+
+
+class TestDiscMarginal:
+    # a grid of [-1, 1] with its ends, the points just inside and outside
+    # them, +-inf, values beyond the disc and NaN
+    T = np.concatenate([
+        np.linspace(-1.0, 1.0, 2001),
+        [np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), -0.0],
+        [np.inf, -np.inf, 1.5, -1.5, np.nan],
+    ])
+
+    def test_axis_0_is_the_box_masses_bit_for_bit(self):
+        m = uniform_ball(2)
+        corners = np.column_stack([self.T, np.full_like(self.T, np.inf)])
+        want = m.box_masses(corners)[0]
+        assert m.marginal_cdf(0, self.T).tobytes() == want.tobytes()
+        assert m.marginal_cdf(0, 0.25) == float(want[np.flatnonzero(self.T == 0.25)[0]])
+
+    def test_axis_1_is_the_box_masses_within_1e_13(self):
+        m = uniform_ball(2)
+        want = m.box_masses(np.column_stack([np.full_like(self.T, np.inf), self.T]))[0]
+        got = m.marginal_cdf(1, self.T)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.nanmax(np.abs(got - want)) <= 1e-13
+        assert got[self.T == np.inf].tolist() == [1.0] and got[self.T == -np.inf].tolist() == [0.0]
+
+    @pytest.mark.parametrize(
+        "delta", [0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.08, 0.05, 0.03, 0.02, 0.01, 0.005]
+    )
+    def test_cover_cuts_are_the_box_mass_bisection(self, delta):
+        # the cuts the quantile cover bisected from box masses before the
+        # disc had a closed-form marginal
+        got = build_quantile_cover(uniform_ball(2), delta).cuts
+        want = build_quantile_cover(scalar_masses.disc_by_box_masses(), delta).cuts
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
 
 def _quadrature_2d():

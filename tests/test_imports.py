@@ -81,3 +81,16 @@ def test_first_use_loads_scipy(tmp_path):
     # a d = 3 uniform-ball marginal loads scipy.special, and nothing else
     code = "from mcqmclab.core import uniform_ball\nuniform_ball(3).marginal_cdf(0, 0.25)"
     assert _loaded_after(code, tmp_path) == ["scipy.special"]
+
+
+def test_disc_cover_loads_no_scipy(tmp_path):
+    # the disc's marginal is numpy's closed form, not scipy's betainc
+    code = (
+        "import sys\n"
+        "from mcqmclab.core import uniform_ball\n"
+        "from mcqmclab.discrepancy import build_quantile_cover\n"
+        "build_quantile_cover(uniform_ball(2), 0.1)\n"
+        "scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not scipy, scipy"
+    )
+    assert _loaded_after(code, tmp_path) == []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import scalar_replay as ref
+from mcqmclab import ballwalk
 from mcqmclab.ballwalk import (
     BallWalkParams,
     invert_update,
@@ -147,6 +148,68 @@ def test_ballwalk_random_drivers(d, gamma, alpha, data):
     n = data.draw(st.integers(1, 30))
     block = data.draw(arrays(np.float64, (b, n, system.s), elements=st.floats(0.0, 1.0)))
     _assert_paths_match(system, block, lambda pts: ref.ballwalk_path(pts, gamma, d, name, alpha))
+
+
+def _edge_states(d):
+    """Ball-walk states on the unit sphere along the first and last axes,
+    both signed zeros and points halfway to the sphere along the first."""
+    e = np.eye(d)
+    return np.array([e[0], -e[0], e[-1], -e[-1], np.full(d, -0.0), np.zeros(d), 0.5 * e[0], -0.5 * e[0]])
+
+
+def _assert_replay_is_per_step(X0, U, params):
+    """``_replay`` of the block U from the states X0 equals the per-step
+    ``metropolis_update`` and the scalar reference, signs of zero included."""
+    got = ballwalk._replay(X0, U, params)
+    name = "exp-linear" if params.alpha else "uniform"
+    x = X0
+    for i, u in enumerate(U):
+        x = metropolis_update(x, u, params)
+        assert got[i].tobytes() == x.tobytes()
+    for j, x in enumerate(X0):
+        for i, u in enumerate(U[:, j]):
+            x = ref.metropolis_step(x, u, params.gamma, params.d, name, params.alpha)
+            assert got[i, j].tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_replay_is_the_per_step_update(d, alpha, data):
+    # states at +-1 and -0.0, radii 0 (v_last = 0), proposals along the
+    # axes that land on |y| = 1 exactly, and at alpha = 1 proposals failing
+    # the ratio test, folded to +inf when no entry is near a tie
+    gamma = data.draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.05, 2.5))
+    params = BallWalkParams(gamma, d, alpha)
+    states = _edge_states(d)
+    rows = data.draw(st.lists(st.integers(0, len(states) - 1), min_size=1, max_size=5))
+    m = data.draw(st.integers(1, 12))
+    coords = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+    U = data.draw(arrays(np.float64, (m, len(rows), params.driver_dim), elements=coords))
+    _assert_replay_is_per_step(states[rows], U, params)
+
+
+def _axis_point(d, sign, r, v):
+    """A driver point proposing gamma r e_1 (sign +1) or -gamma r e_1 (sign
+    -1), to rounding in d = 3, with acceptance coordinate v."""
+    direction = {1: [0.75 if sign > 0 else 0.25], 2: [0.0 if sign > 0 else 0.5]}
+    return direction.get(d, [0.5, 0.0 if sign > 0 else 0.5]) + [r**d, v]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_replay_step_loop_on_the_sphere(monkeypatch, d):
+    # alpha = 1, gamma = 1: every ratio test is far from a tie, so the block
+    # takes the step loop, and the steps of -r e_1 with v = 0.9 fail it and
+    # are folded to +inf; steps of r = 0.5 from +-0.5 e_1 land on the sphere
+    params = BallWalkParams(1.0, d, 1.0)
+    points = [_axis_point(d, sign, r, v) for sign in (1, -1) for r in (0.0, 0.5, 1.0) for v in (0.3, 0.9)]
+    X0 = _edge_states(d)
+    U = np.array([[points[(i + 5 * j) % len(points)] for j in range(len(X0))] for i in range(24)])
+    with monkeypatch.context() as patched:
+        patched.setattr(ballwalk, "_accept", None)
+        ballwalk._replay(X0, U, params)
+    _assert_replay_is_per_step(X0, U, params)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

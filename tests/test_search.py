@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mcqmclab.chain import make_direct_kernel, run_chains
-from mcqmclab.core import Rng, uniform_interval
+from mcqmclab.core import Rng, halton_sequence, uniform_driver, uniform_interval
 from mcqmclab import search
 from mcqmclab.discrepancy import (
     build_quantile_cover,
@@ -20,6 +20,21 @@ from mcqmclab.search import (
 
 def _direct():
     return make_direct_kernel(uniform_interval(-1.0, 1.0))
+
+
+def _one_candidate(config, j, s):
+    """Candidate j built on its own, the reference of the search's block of
+    candidates: its label and its driver of shape (n0 + n, s)."""
+    kind = config.candidate_kinds[j % len(config.candidate_kinds)]
+    total = config.n + config.n0
+    if kind == "uniform-random":
+        rng = Rng(config.seed).split(j)
+        return f"uniform-random(seed={rng.seed:#x})", uniform_driver(total, s, rng)
+    if kind == "halton":
+        return "halton", halton_sequence(total, s)
+    shift = Rng(config.seed).split(1000 + j).uniforms(s)
+    pts = np.clip(np.mod(halton_sequence(total, s) + shift, 1.0), 0.0, np.nextafter(1.0, 0.0))
+    return f"shifted-halton(seed={config.seed},j={j})", pts
 
 
 def _metropolis_inversion_system():
@@ -75,6 +90,29 @@ class TestBestOfK:
         halton_score = dict(res.all_scores)["halton"]
         assert res.best_report.upper == halton_score
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ("uniform-random",),
+            ("halton", "shifted-halton"),
+            ("shifted-halton", "uniform-random", "halton", "uniform-random"),
+        ],
+    )
+    def test_block_candidates_are_the_one_candidate_drivers(self, kinds, seed):
+        cfg = SearchConfig(n=40, k=9, seed=seed, n0=3, candidate_kinds=kinds)
+        for s in (1, 3):
+            labels, drivers = search._candidates(cfg, s)
+            assert len(labels) == len(drivers) == cfg.k
+            for j, (label, driver) in enumerate(zip(labels, drivers)):
+                want_label, want = _one_candidate(cfg, j, s)
+                assert label == want_label
+                assert driver.shape == want.shape and driver.tobytes() == want.tobytes()
+        res = best_of_k(_direct(), cfg)
+        best = int(np.argmin([u for _, u in res.all_scores]))
+        assert [label for label, _ in res.all_scores] == search._candidates(cfg, 1)[0]
+        assert res.best_driver.tobytes() == _one_candidate(cfg, best, 1)[1].tobytes()
+
     @pytest.mark.parametrize("objective", ["star-exact", "star-bracket"])
     def test_repeated_candidates_are_replayed_once(self, monkeypatch, objective):
         # the halton kind is one sequence, so candidates 1 and 3 are one row
@@ -96,7 +134,7 @@ class TestBestOfK:
         assert res.all_scores[1] == res.all_scores[3] and res.all_scores[1][0] == "halton"
         # every score is that of its candidate replayed and scored on its own
         for j, score in enumerate(res.all_scores):
-            label, driver = search._make_candidate(cfg, j, system.s)
+            label, driver = _one_candidate(cfg, j, system.s)
             x = run_chains(system, driver[None], burn_in=cfg.n0)[0]
             if objective == "star-exact":
                 report = star_discrepancy_exact(x, system.target)
