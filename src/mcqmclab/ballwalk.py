@@ -134,6 +134,9 @@ def _accept(x: np.ndarray, z: np.ndarray, v: np.ndarray, alpha: float) -> np.nda
     return np.where(ok[:, None], y, x)
 
 
+# y . y overflows to inf for radii near the float range, which the unit-ball
+# test rightly rejects: the update and the replay ignore it, once per call
+@np.errstate(over="ignore")
 def metropolis_update(x: np.ndarray, u, params: BallWalkParams) -> np.ndarray:
     """Metropolis steps from states (..., d) and driver points (..., s) of
     the same leading shape: propose x + z with z uniform in the gamma-ball;
@@ -152,6 +155,7 @@ def metropolis_update(x: np.ndarray, u, params: BallWalkParams) -> np.ndarray:
 _RATIO_BAND = 2.0**-48
 
 
+@np.errstate(over="ignore")
 def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams) -> np.ndarray:
     """Ball-walk replay of a driver block U (m, b, s) from states X0 (b, d)
     for the density of ``params``: log rho(x) = alpha * x_1.

@@ -13,8 +13,9 @@ masses exceed their cap).
 
 Every numeric written to the CSV is a pure function of (config, seed);
 floats are serialized with 17 significant digits so they round-trip exactly.
-The rate-study runtime_ms column is the one exception to byte-identical
-reruns and is documented as such.
+The one exception to byte-identical reruns is the rate-study runtime_ms
+column: the milliseconds from the study's start until that row's result
+(the study builds and replays its candidates once, for every n).
 """
 
 from __future__ import annotations
@@ -279,7 +280,6 @@ def _search_config(p: dict, n: int) -> SearchConfig:
         n0=p["n0"],
         candidate_kinds=tuple(p["candidate-kinds"]),
         objective=p["objective"],
-        delta=p["delta"],
         mc_replications=p["mc-replications"],
     )
 
@@ -294,19 +294,19 @@ def _theory_note(system) -> dict:
     return {}
 
 
-def _cover(system, sc: SearchConfig):
-    """The quantile cover the search objective scores over; None for the
-    exact scan."""
-    if sc.objective == "star-exact":
+def _cover(system, p: dict):
+    """The quantile cover at the config's delta that the search objective
+    scores over; None for the exact scan."""
+    if p["objective"] == "star-exact":
         return None
-    return build_quantile_cover(system.target, sc.delta)
+    return build_quantile_cover(system.target, p["delta"])
 
 
 def _run_search(p: dict):
     gamma = _resolve_gamma(p)
     system = _build_system(p, gamma)
     sc = _search_config(p, p["n"])
-    result = best_of_k(system, sc, cover=_cover(system, sc))
+    result = best_of_k(system, sc, cover=_cover(system, p))
     header = ["n", "seed", "disc_lower", "disc_upper", "theory_bound"]
     row = [sc.n, sc.seed, result.best_report.lower, result.best_report.upper, result.theory_bound]
     extra = {"gamma": gamma, "all_scores": list(result.all_scores), **_theory_note(system)}
@@ -317,8 +317,7 @@ def _run_rate_study(p: dict):
     gamma = _resolve_gamma(p)
     system = _build_system(p, gamma)
     ns = p["ns"]
-    sc = _search_config(p, ns[0])
-    rows = rate_study(system, ns, sc, cover=_cover(system, sc))
+    rows = rate_study(system, ns, _search_config(p, ns[0]), cover=_cover(system, p))
     header = ["n", "seed", "disc_lower", "disc_upper", "theory_bound", "beck_bound", "runtime_ms"]
     out = [[r[h] for h in header] for r in rows]
     return header, out, {"gamma": gamma, **_theory_note(system)}

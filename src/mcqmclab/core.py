@@ -99,11 +99,14 @@ class Rng:
     The i-th output is a pure function of ``(seed, i)``, so block generation
     via :meth:`uniforms` and one-at-a-time generation via :meth:`uniform`
     produce the same stream.  :meth:`split` derives an independent child
-    stream from an integer label.
+    stream from an integer label.  Seeds are 64-bit: ValueError outside
+    [0, 2^64), where a masked seed would alias another.
     """
 
     def __init__(self, seed: int, _counter: int = 0):
-        self.seed = int(seed) & _MASK64
+        self.seed = int(seed)
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"Rng seeds lie in [0, 2^64), got {seed}")
         self._counter = _counter
 
     def _raw(self, i: int) -> int:

@@ -6,7 +6,9 @@ Two routes to a low-discrepancy driver:
   and keep the one with the smallest discrepancy upper bound.  This is the
   constructive face of the existence results: a random driver achieves the
   Monte Carlo rate with positive probability, so sampling a handful and
-  keeping the best realizes it.
+  keeping the best realizes it.  A rate study is one search at several n:
+  the candidates are built and replayed once, at the largest n, and every
+  n is scored on their prefixes.
 * inversion: when the update function is anywhere-to-anywhere invertible,
   pull a prescribed low-discrepancy target path back through the update to
   obtain a driver that reproduces it exactly.
@@ -14,11 +16,10 @@ Two routes to a low-discrepancy driver:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -56,21 +57,15 @@ class SearchConfig:
     n0: int = 0
     candidate_kinds: tuple = ("uniform-random",)
     objective: str = "star-exact"  # star-exact | star-bracket | pullback-mc
-    delta: float = 0.01
     mc_replications: int = 200
 
     def __post_init__(self):
-        if self.k < 1 or self.n < 1 or self.n0 < 0:
-            raise ValueError("need k >= 1, n >= 1, n0 >= 0")
+        if self.k < 1 or self.n < 1 or self.n0 < 0 or self.mc_replications < 1:
+            raise ValueError("need k >= 1, n >= 1, n0 >= 0 and mc_replications >= 1")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if not self.candidate_kinds:
-            raise ValueError("need at least one candidate kind")
-        for kind in self.candidate_kinds:
-            if kind not in CANDIDATE_KINDS:
-                raise ValueError(f"unknown candidate kind {kind!r}")
-        if self.delta <= 0 or self.mc_replications < 1:
-            raise ValueError("objective parameters must be positive")
+        if not self.candidate_kinds or not set(self.candidate_kinds) <= set(CANDIDATE_KINDS):
+            raise ValueError(f"need known candidate kinds, got {self.candidate_kinds!r}")
 
 
 @dataclass(frozen=True)
@@ -81,15 +76,17 @@ class SearchResult:
     theory_bound: float
 
 
-def _candidates(config: SearchConfig, s: int) -> tuple[list, list]:
-    """The labels of the k candidates and their drivers of shape (n0 + n, s),
+def _candidates(config: SearchConfig, rows: int, s: int) -> tuple[list, list]:
+    """The labels of the k candidates and their drivers of shape (rows, s),
     candidate j of kind ``candidate_kinds[j % len(candidate_kinds)]``.  The
     uniform-random drivers are the child streams j of ``Rng(seed)``, all
-    drawn in one counter block."""
+    drawn in one counter block; the halton kinds share one Halton sequence.
+    Every driver's first r rows are its driver at rows = r."""
     kinds = [config.candidate_kinds[j % len(config.candidate_kinds)] for j in range(config.k)]
-    total, rng = config.n + config.n0, Rng(config.seed)
+    rng = Rng(config.seed)
     uniform = [j for j, kind in enumerate(kinds) if kind == "uniform-random"]
-    block = iter(rng.split_uniforms(uniform, total * s).reshape(len(uniform), total, s))
+    block = iter(rng.split_uniforms(uniform, rows * s).reshape(len(uniform), rows, s))
+    halton = halton_sequence(rows, s) if len(uniform) < config.k else None
     labels, drivers = [], []
     for j, kind in enumerate(kinds):
         if kind == "uniform-random":
@@ -97,81 +94,81 @@ def _candidates(config: SearchConfig, s: int) -> tuple[list, list]:
             drivers.append(next(block))
         elif kind == "halton":
             labels.append("halton")
-            drivers.append(halton_sequence(total, s))
+            drivers.append(halton)
         else:
             # shifted-halton: a seeded Cranley-Patterson rotation, Halton
             # plus one uniform shift modulo 1 (the digits are not scrambled)
             shift = rng.split(1000 + j).uniforms(s)
-            pts = np.mod(halton_sequence(total, s) + shift, 1.0)
+            pts = np.mod(halton + shift, 1.0)
             labels.append(f"shifted-halton(seed={config.seed},j={j})")
             # keep strictly inside [0,1] after the wrap
             drivers.append(np.clip(pts, 0.0, np.nextafter(1.0, 0.0)))
     return labels, drivers
 
 
-def _scores(
-    system: ChainSystem,
-    labels: Sequence[str],
-    drivers: Sequence[np.ndarray],
-    config: SearchConfig,
-    cover: Optional[DeltaCover],
-) -> list[DiscrepancyReport]:
-    """One report per candidate.  A label names one driver (every
-    ``"halton"`` candidate is one sequence): the star objectives replay
-    each label's driver once, all in one block, and score the block's paths
-    as one block too (one exact scan, or one cover count), each path once
-    for all its candidates; the Monte Carlo pull-back scores every
-    candidate with its own replicas."""
-    if config.objective == "pullback-mc":
-        return [
-            pullback_discrepancy_mc(
-                system, driver, config.n0, cover, config.mc_replications,
-                Rng(config.seed).split(50_000 + j),
-            )
-            for j, driver in enumerate(drivers)
-        ]
-    # copy_of[j] is the first candidate with candidate j's label
-    first: dict[str, int] = {}
-    copy_of = [first.setdefault(label, j) for j, label in enumerate(labels)]
-    paths = run_chains(system, np.stack([drivers[j] for j in first.values()]), burn_in=config.n0)
+def _search(
+    system: ChainSystem, config: SearchConfig, ns: list, cover: Optional[DeltaCover]
+) -> Iterator[SearchResult]:
+    """The best-of-k search at each n of the strictly increasing ``ns``, one
+    result per n (``config.n`` is not read).  The candidates are built once,
+    at n0 + max(ns): the drivers at n are their first n0 + n rows, and so
+    are the paths and the pull-back replicas.  A label names one driver
+    (every ``"halton"`` candidate is one sequence): the star objectives
+    replay each label's driver once, all in one block, and score the
+    block's paths at each n as one block too (one exact scan, or one cover
+    count), each path once for all its candidates; the Monte Carlo
+    pull-back scores every candidate with its own replicas."""
+    if config.objective in ("star-bracket", "pullback-mc") and cover is None:
+        raise ValueError(f"objective {config.objective!r} requires a cover")
+    if any(b <= a for a, b in zip([0] + ns, ns)):
+        raise ValueError(f"ns must be strictly increasing sizes >= 1, got {ns!r}")
+    if not ns:
+        return
+    n0, pullback = config.n0, config.objective == "pullback-mc"
     exact = config.objective == "star-exact"
-    reports = _exact_scans(paths, system.target) if exact else _cover_brackets(paths, cover)
-    reports = dict(zip(first.values(), reports))
-    return [reports[j] for j in copy_of]
+    labels, drivers = _candidates(config, n0 + ns[-1], system.s)
+    if not pullback:
+        # row[label] is the label's row of the replayed block
+        row = {label: r for r, label in enumerate(dict.fromkeys(labels))}
+        paths = run_chains(system, np.stack([drivers[labels.index(label)] for label in row]), n0)
+    for n in ns:
+        if pullback:
+            reports = [
+                pullback_discrepancy_mc(
+                    system, driver[: n0 + n], n0, cover, config.mc_replications,
+                    Rng(config.seed).split(50_000 + j),
+                )
+                for j, driver in enumerate(drivers)
+            ]
+        else:
+            block = paths[:, :n]
+            scored = _exact_scans(block, system.target) if exact else _cover_brackets(block, cover)
+            reports = [scored[row[label]] for label in labels]
+        best = int(np.argmin([r.upper for r in reports]))
+        theory = math.inf
+        if n >= 16 and system.lambda0 is not None and system.lambda0 < 1.0:
+            lam, norm = system.lambda0, system.nu_density_norm
+            theory = corollary_main_bound(BoundInputs(n=n, d=system.dim, lambda0=lam, nu_norm=norm))
+        yield SearchResult(
+            best_driver=drivers[best][: n0 + n],
+            best_report=reports[best],
+            all_scores=tuple((label, float(r.upper)) for label, r in zip(labels, reports)),
+            theory_bound=theory,
+        )
 
 
 def best_of_k(
     system: ChainSystem, config: SearchConfig, cover: Optional[DeltaCover] = None
 ) -> SearchResult:
-    """Evaluate k candidate drivers, return the one with the smallest upper
-    discrepancy bound (stable argmin: ties go to the lower index).  The
-    theory bound is inf for n < 16, when the system's lambda0 is unknown and
-    when it is 1 or more (no spectral gap).
+    """Evaluate k candidate drivers of n0 + n points, return the one with
+    the smallest upper discrepancy bound (stable argmin: ties go to the
+    lower index).  The theory bound is inf for n < 16, when the system's
+    lambda0 is unknown and when it is 1 or more (no spectral gap).  This is
+    the one-n rate study: :func:`_search` at ``ns = [config.n]``.
 
     ``cover`` is required for the star-bracket and pullback-mc objectives.
     """
-    if config.objective in ("star-bracket", "pullback-mc") and cover is None:
-        raise ValueError(f"objective {config.objective!r} requires a cover")
-    labels, drivers = _candidates(config, system.s)
-    reports = _scores(system, labels, drivers, config, cover)
-    uppers = np.array([r.upper for r in reports])
-    best = int(np.argmin(uppers))
-    theory = math.inf
-    if config.n >= 16 and system.lambda0 is not None and system.lambda0 < 1.0:
-        theory = corollary_main_bound(
-            BoundInputs(
-                n=config.n,
-                d=system.dim,
-                lambda0=system.lambda0,
-                nu_norm=system.nu_density_norm,
-            )
-        )
-    return SearchResult(
-        best_driver=drivers[best],
-        best_report=reports[best],
-        all_scores=tuple((label, float(r.upper)) for label, r in zip(labels, reports)),
-        theory_bound=theory,
-    )
+    return next(_search(system, config, [config.n], cover))
 
 
 def invert_to_target(
@@ -218,26 +215,23 @@ def rate_study(
     config: SearchConfig,
     cover: Optional[DeltaCover] = None,
 ) -> list[dict]:
-    """One best-of-k search per n, all scored over the same ``cover``
-    (required for the cover objectives); rows carry the achieved bracket,
-    the main theory bound and the Beck existence bound for comparison."""
-    ns = list(ns)
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("ns must be strictly increasing")
-    rows = []
-    for n in ns:
-        t0 = time.perf_counter()
-        result = best_of_k(system, dataclasses.replace(config, n=n), cover=cover)
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        rows.append(
-            {
-                "n": n,
-                "seed": config.seed,
-                "disc_lower": result.best_report.lower,
-                "disc_upper": result.best_report.upper,
-                "theory_bound": result.theory_bound,
-                "beck_bound": beck_bound(n, system.dim),
-                "runtime_ms": elapsed_ms,
-            }
-        )
-    return rows
+    """The best-of-k search at each n of ``ns`` (``config.n`` is not read),
+    every n scored over the same ``cover`` (required for the cover
+    objectives) and on prefixes of one build and one replay at the largest
+    n, so each row is bit for bit the one-n :func:`best_of_k`.  Rows carry
+    the achieved bracket, the main theory bound, the Beck existence bound
+    and ``runtime_ms``, the milliseconds from the study's start until that
+    row's result."""
+    ns, t0 = list(ns), time.perf_counter()
+    return [
+        {
+            "n": n,
+            "seed": config.seed,
+            "disc_lower": result.best_report.lower,
+            "disc_upper": result.best_report.upper,
+            "theory_bound": result.theory_bound,
+            "beck_bound": beck_bound(n, system.dim),
+            "runtime_ms": (time.perf_counter() - t0) * 1000.0,
+        }
+        for n, result in zip(ns, _search(system, config, ns, cover))
+    ]

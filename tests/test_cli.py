@@ -378,6 +378,29 @@ class TestRunExperiments:
         assert dict(zip(header.split(","), row.split(",")))["seed"] == "18446744073709551615"
 
     @pytest.mark.parametrize(
+        "cfg,csv",
+        [
+            ({"experiment": "discrepancy", "dimension": 2, "gamma": 1e300, "n": 32, "n0": 4},
+             "n,seed,disc_lower,disc_upper\n32,0,0.80463422841915921,0.80463422841915921\n"),
+            ({"experiment": "search", "dimension": 3, "gamma": 1e300, "n": 16, "k": 2},
+             "n,seed,disc_lower,disc_upper,theory_bound\n16,0,0.79615894053983183,1,inf\n"),
+            ({"experiment": "pullback", "dimension": 2, "gamma": 1e200, "n": 32, "delta": 0.1},
+             "n,seed,delta,disc_lower,disc_upper,mc_stderr\n"
+             "32,0,0.10000000000000001,0.78500000000000003,0.92044406025041681,0.035444060250416798\n"),
+            ({"experiment": "discrepancy", "dimension": 1, "density": {"name": "exp-linear", "alpha": 300.0},
+              "gamma": 1e300, "n": 32}, "n,seed,disc_lower,disc_upper\n32,0,1,1\n"),
+        ],
+        ids=["discrepancy-d2", "search-d3", "pullback-d2", "exp-linear-d1"],
+    )
+    def test_huge_proposal_radius_runs_quietly(self, tmp_path, capsys, cfg, csv):
+        # y . y overflows to inf, which the unit-ball test rejects as it
+        # should; the run prints no overflow warning and its CSV is unchanged
+        cfg = {**cfg, "seed": 0, "output": str(tmp_path / "o.csv")}
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "o.csv").read_text() == csv
+
+    @pytest.mark.parametrize(
         "experiment,d",
         [("pullback", 40), ("search", 9), ("discrepancy", 9), ("rate-study", 31), ("search", 33)],
     )

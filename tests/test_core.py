@@ -68,6 +68,24 @@ class TestRng:
                 assert np.array_equal(block[r], Rng(seed).split(label).uniforms(n))
         assert Rng(seed).split_uniforms([], n).shape == (0, n)
 
+    @pytest.mark.parametrize("seed", [2**64, -1, 2**70 + 5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # masked, 2^64 would alias seed 0 and -1 seed 2^64 - 1
+        with pytest.raises(ValueError, match="2\\^64"):
+            Rng(seed)
+
+    def test_largest_seed_kept(self):
+        r = Rng(2**64 - 1)
+        assert r.seed == 2**64 - 1
+        assert not np.array_equal(r.uniforms(8), Rng(0).uniforms(8))
+
+    def test_search_at_seed_2_64_rejected(self):
+        from mcqmclab.search import SearchConfig, best_of_k
+
+        system = make_direct_kernel(uniform_interval(-1.0, 1.0))
+        with pytest.raises(ValueError, match="2\\^64"):
+            best_of_k(system, SearchConfig(n=16, k=2, seed=2**64))
+
     def test_split_does_not_advance_parent(self):
         r = Rng(9)
         before = Rng(9).uniforms(5)

@@ -212,7 +212,7 @@ def test_uniform_ball_3_cover_search_runs(tmp_path):
 
     # the same search in the library, and the exact scan of its chosen path
     system = make_metropolis_system("uniform", 0.0, gamma, 3)
-    sc = SearchConfig(n=12, k=2, seed=3, n0=4, objective="star-bracket", delta=0.25)
+    sc = SearchConfig(n=12, k=2, seed=3, n0=4, objective="star-bracket")
     result = best_of_k(system, sc, cover=build_quantile_cover(system.target, 0.25))
     bracket = result.best_report
     assert [float(v) for v in row[2:4]] == [bracket.lower, bracket.upper]

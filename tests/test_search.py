@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,20 @@ def _one_candidate(config, j, s):
     shift = Rng(config.seed).split(1000 + j).uniforms(s)
     pts = np.clip(np.mod(halton_sequence(total, s) + shift, 1.0), 0.0, np.nextafter(1.0, 0.0))
     return f"shifted-halton(seed={config.seed},j={j})", pts
+
+
+# every kind, the halton sequence twice: candidates 1 and 3 are one driver
+MIXED_KINDS = ("uniform-random", "halton", "shifted-halton", "halton")
+
+
+def _walk_and_cover():
+    """The d = 1 exp-linear ball walk at gamma*, which has no exact marginal
+    (the pull-back draws its replicas), and its cover at delta = 0.05."""
+    from mcqmclab.ballwalk import make_metropolis_system
+    from mcqmclab.bounds import ballwalk_gap_bound
+
+    system = make_metropolis_system("exp-linear", 1.0, ballwalk_gap_bound(1.0, 1)[0], 1)
+    return system, build_quantile_cover(system.target, 0.05)
 
 
 def _metropolis_inversion_system():
@@ -102,7 +118,7 @@ class TestBestOfK:
     def test_block_candidates_are_the_one_candidate_drivers(self, kinds, seed):
         cfg = SearchConfig(n=40, k=9, seed=seed, n0=3, candidate_kinds=kinds)
         for s in (1, 3):
-            labels, drivers = search._candidates(cfg, s)
+            labels, drivers = search._candidates(cfg, cfg.n0 + cfg.n, s)
             assert len(labels) == len(drivers) == cfg.k
             for j, (label, driver) in enumerate(zip(labels, drivers)):
                 want_label, want = _one_candidate(cfg, j, s)
@@ -110,7 +126,7 @@ class TestBestOfK:
                 assert driver.shape == want.shape and driver.tobytes() == want.tobytes()
         res = best_of_k(_direct(), cfg)
         best = int(np.argmin([u for _, u in res.all_scores]))
-        assert [label for label, _ in res.all_scores] == search._candidates(cfg, 1)[0]
+        assert [label for label, _ in res.all_scores] == search._candidates(cfg, cfg.n0 + cfg.n, 1)[0]
         assert res.best_driver.tobytes() == _one_candidate(cfg, best, 1)[1].tobytes()
 
     @pytest.mark.parametrize("objective", ["star-exact", "star-bracket"])
@@ -120,7 +136,7 @@ class TestBestOfK:
         cover = build_quantile_cover(system.target, 0.05)
         cfg = SearchConfig(
             n=32, k=4, seed=2, n0=4, candidate_kinds=("uniform-random", "halton"),
-            objective=objective, delta=0.05,
+            objective=objective,
         )
         blocks = []
 
@@ -161,7 +177,7 @@ class TestBestOfK:
     def test_bracket_objective(self):
         system = _direct()
         cover = build_quantile_cover(system.target, 0.05)
-        cfg = SearchConfig(n=64, k=4, seed=4, objective="star-bracket", delta=0.05)
+        cfg = SearchConfig(n=64, k=4, seed=4, objective="star-bracket")
         res = best_of_k(system, cfg, cover=cover)
         assert res.best_report.method == "cover-bracket"
 
@@ -228,17 +244,62 @@ class TestRateStudy:
         with pytest.raises(ValueError):
             rate_study(_direct(), [64, 16], cfg)
 
-    def test_one_cover_for_every_n(self):
-        system = _direct()
-        cover = build_quantile_cover(system.target, 0.05)
-        cfg = SearchConfig(n=16, k=3, seed=4, objective="star-bracket", delta=0.05)
-        rows = rate_study(system, [16, 48], cfg, cover=cover)
-        for row in rows:
-            single = SearchConfig(n=row["n"], k=3, seed=4, objective="star-bracket", delta=0.05)
-            report = best_of_k(system, single, cover=cover).best_report
-            assert (row["disc_lower"], row["disc_upper"]) == (report.lower, report.upper)
-        with pytest.raises(ValueError, match="requires a cover"):
-            rate_study(system, [16], cfg)
+    @pytest.mark.parametrize("kinds", [("uniform-random",), MIXED_KINDS], ids=["uniform", "mixed"])
+    @pytest.mark.parametrize("objective", search.OBJECTIVES)
+    def test_one_cover_for_every_n(self, objective, kinds):
+        # every n is scored on prefixes of one build and one replay, and is
+        # the one-n best_of_k bit for bit
+        system, cover = _walk_and_cover()
+        cfg = SearchConfig(
+            n=16, k=5, seed=4, n0=6, candidate_kinds=kinds, objective=objective, mc_replications=100
+        )
+        ns = [16, 48, 80]
+        rows = rate_study(system, ns, cfg, cover=cover)
+        for n, row, got in zip(ns, rows, search._search(system, cfg, ns, cover), strict=True):
+            want = best_of_k(system, dataclasses.replace(cfg, n=n), cover=cover)
+            assert (row["disc_lower"], row["disc_upper"]) == (want.best_report.lower, want.best_report.upper)
+            assert row["theory_bound"] == want.theory_bound < np.inf
+            assert got.best_report == want.best_report
+            assert got.all_scores == want.all_scores
+            assert got.best_driver.shape == want.best_driver.shape == (6 + n, system.s)
+            assert got.best_driver.tobytes() == want.best_driver.tobytes()
+        if objective != "star-exact":
+            with pytest.raises(ValueError, match="requires a cover"):
+                rate_study(system, [16], cfg)
+
+    @pytest.mark.parametrize("objective", search.OBJECTIVES)
+    def test_one_halton_sequence_and_one_replay(self, monkeypatch, objective):
+        system, cover = _walk_and_cover()
+        cfg = SearchConfig(n=16, k=5, seed=4, n0=6, candidate_kinds=MIXED_KINDS, objective=objective)
+        haltons, replays = [], []
+
+        def halton(n, s):
+            haltons.append(n)
+            return halton_sequence(n, s)
+
+        def replay(system, U, burn_in=0):
+            replays.append(U.shape)
+            return run_chains(system, U, burn_in)
+
+        monkeypatch.setattr(search, "halton_sequence", halton)
+        monkeypatch.setattr(search, "run_chains", replay)
+        rate_study(system, [16, 48, 80], cfg, cover=cover)
+        assert haltons == [6 + 80]
+        # the pull-back replays each candidate with its replicas, per n
+        assert replays == ([] if objective == "pullback-mc" else [(4, 6 + 80, system.s)])
+
+    @pytest.mark.parametrize("ns", [[0, 16], [64, 16], [16, 16]])
+    def test_bad_ns_raise_before_anything_is_built(self, monkeypatch, ns):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built or replayed before ns were checked")
+
+        monkeypatch.setattr(search, "_candidates", refuse)
+        monkeypatch.setattr(search, "run_chains", refuse)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rate_study(_direct(), ns, SearchConfig(n=16, k=2, seed=1))
+
+    def test_no_ns_no_rows(self):
+        assert rate_study(_direct(), [], SearchConfig(n=16, k=2, seed=1)) == []
 
     def test_beck_column_golden(self):
         cfg = SearchConfig(n=16, k=1, seed=1)
