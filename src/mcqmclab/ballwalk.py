@@ -176,17 +176,20 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams) -> np.ndarray
                                                    (product, np.log, -)
         |ln(math.exp(t) / e^t)| <= 2.01 u          (exp)
 
-    so tol = 2^-48 (alpha (2 + |z_1|) + |log v| + 1), 32 u per term,
-    covers their sum.  The bound on exp is relative, which holds while
-    exp(Delta) is a normal number, so alpha z_1 < -700 counts as inside the
-    band, as does a NaN g.  A block with any entry inside the band replays
-    every step through ``_accept``, the exact per-step form.  Otherwise a
-    proposal that fails the ratio test becomes +inf, which the unit-ball
-    test rejects, and each step writes y = x + z into its row of the
-    states and copies the previous state back into the rows with y . y > 1
-    (np.vecdot, as in ``_accept``), or |y| > 1 in d = 1, which for finite y
-    is exactly fl(y y) > 1 (y is never NaN: states are finite and proposals
-    finite or +inf).  Either way the states equal per-step
+    so 2^-48 (alpha (2 + |z_1|) + |log v| + 1), 32 u per term, covers
+    their sum.  |z_1| <= gamma, and |log v| <= 745 for v >= 5e-324, so one
+    band serves the whole block: tol = 2^-48 (alpha (2 + gamma) + 746).  A
+    wider band than needed only sends more blocks to the exact path.  The
+    bound on exp is relative, which holds while exp(Delta) is a normal
+    number, so alpha z_1 < -700 counts as inside the band, as does a NaN g;
+    the former needs alpha gamma > 700.  A block with any entry inside the
+    band replays every step through ``_accept``, the exact per-step form.
+    Otherwise a proposal that fails the ratio test becomes +inf, which the
+    unit-ball test rejects, and each step writes y = x + z into its row of
+    the states and copies the previous state back into the rows with
+    y . y > 1 (np.vecdot, as in ``_accept``), or |y| > 1 in d = 1, which
+    for finite y is exactly fl(y y) > 1 (y is never NaN: states are finite
+    and proposals finite or +inf).  Either way the states equal per-step
     ``metropolis_update`` bit for bit.
     """
     d = params.d
@@ -201,8 +204,8 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams) -> np.ndarray
         # once alpha z_1 >= -700, and its log is finite
         log_v = np.log(np.maximum(v, 5e-324))
         g = az - log_v
-        tol = _RATIO_BAND * (alpha * (2.0 + np.abs(z[..., 0])) + np.abs(log_v) + 1.0)
-        if not (np.abs(g) > tol).all() or (az < -700.0).any():
+        tol = _RATIO_BAND * (alpha * (2.0 + params.gamma) + 746.0)
+        if not (np.abs(g) > tol).all() or (alpha * params.gamma > 700.0 and (az < -700.0).any()):
             for i in range(len(U)):
                 x = X[i] = _accept(x, z[i], v[i], alpha)
             return X

@@ -126,7 +126,8 @@ def run_chains(system: ChainSystem, U, burn_in: int = 0) -> np.ndarray:
     b, n, _ = U.shape
     if not 0 <= burn_in < n:
         raise ValueError("drivers must contain at least burn_in + 1 points")
-    if not np.all((U >= 0.0) & (U <= 1.0)):
+    # a NaN fails both
+    if not (U.min() >= 0.0 and U.max() <= 1.0):
         raise ValueError("driver coordinates must be finite and lie in [0, 1]")
     # the kernels replay step-major: a view of the block, and states whose
     # steps are contiguous rows

@@ -6,7 +6,8 @@ Subcommands:
 * ``mcqmc bounds --d --n ...``  -- print the closed-form bound values
 * ``mcqmc validate <config.json>`` -- check a config without running it
 
-Exit codes: 0 success, 2 config error (nothing written), 3 infeasible
+Exit codes: 0 success, 2 config error (nothing written) or an output that
+cannot be written, 3 infeasible
 objective (e.g. exact discrepancy scan above dimension 3, a delta-cover
 that fails its slab audit, or a ball above dimension 8, whose stratified
 masses exceed their cap).
@@ -115,8 +116,8 @@ class ConfigError(ValueError):
 
 def _load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
     try:
         cfg = json.loads(text)
@@ -177,6 +178,11 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError(f"unknown keys for experiment {exp!r}: {unknown}")
     if not isinstance(cfg.get("output"), str):
         raise ConfigError("key 'output' is required and must be a path")
+    out = Path(cfg["output"])
+    if out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(
+            f"key 'output' must name a file in an existing directory, got {cfg['output']!r}"
+        )
     params = {"experiment": exp, "output": cfg["output"]}
     for key, (kind, allowed, default) in schema.items():
         value = cfg.get(key, default)
@@ -369,7 +375,6 @@ def _cmd_run(path: str) -> int:
         return 3
     wall = time.perf_counter() - t0
     out = Path(params["output"])
-    _write_csv(out, header, rows)
     manifest = {
         "config": cfg,
         "version": __version__,
@@ -377,9 +382,19 @@ def _cmd_run(path: str) -> int:
         "wall_time_s": wall,
         **extra,
     }
-    out.with_suffix(out.suffix + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, default=str) + "\n"
-    )
+    csv_written = False
+    try:
+        _write_csv(out, header, rows)
+        csv_written = True
+        out.with_suffix(out.suffix + ".manifest.json").write_text(
+            json.dumps(manifest, indent=2, default=str) + "\n"
+        )
+    except OSError as exc:
+        if csv_written:
+            # a CSV without its manifest must not pass for a finished run
+            out.unlink()
+        print(f"config error: cannot write output {str(out)!r}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

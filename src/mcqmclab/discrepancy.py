@@ -102,60 +102,81 @@ def _count_grid(bins: Sequence[np.ndarray], dims: Sequence[int]) -> np.ndarray:
     return counts
 
 
-def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of every row of x (sets, n) in increasing order, each
-    row padded with +inf to the largest distinct count + 1, and every
-    entry's bin: its rank among its row's distinct values, plus one."""
-    order = np.argsort(x, axis=1)
-    xs = np.take_along_axis(x, order, axis=1)
-    new = np.hstack([np.ones((len(x), 1), bool), xs[:, 1:] != xs[:, :-1]])
-    ranks = np.cumsum(new, axis=1) - 1
-    values = np.full((x.shape[0], ranks[:, -1].max() + 2), np.inf)
-    np.put_along_axis(values, ranks, xs, axis=1)
-    bins = np.empty_like(ranks)
-    np.put_along_axis(bins, order, ranks + 1, axis=1)
-    return values, bins
+def _grid_scan(points: np.ndarray, measure: TargetMeasure) -> tuple[float, float]:
+    """Largest deviation and largest mass error over the critical grid of
+    one point set (n, d), d = 2 or 3, from its count grid."""
+    n, d = points.shape
+    # per axis the distinct coordinates, then +inf, and every point's bin:
+    # its rank among them, plus one
+    values, ranks = zip(*(np.unique(points[:, j], return_inverse=True) for j in range(d)))
+    values = [np.append(v, np.inf) for v in values]
+    # the count grid of the one set with its axes reversed, so that a chunk
+    # of the last axis is a contiguous block of it
+    counts = _count_grid([r[None] + 1 for r in ranks[::-1]], [v.size + 1 for v in values[::-1]])[0]
+    *whole, last = values
+    step = max(1, _SCAN_CHUNK_CELLS // math.prod(a.size for a in whole))
+    best = max_err = 0.0
+    for start in range(0, last.size, step):
+        masses, errs = measure._grid_masses(whole + [last[start : start + step]])
+        max_err = np.maximum(max_err, np.max(errs))
+        # in the count grid's axis order
+        masses = masses.T
+        # the chunk's values of the last axis and one more, for the closed
+        # branch of its last value
+        chunk = counts[start : start + len(masses) + 1]
+        for idx in itertools.product((slice(-1), slice(1, None)), repeat=d):
+            best = np.maximum(best, np.max(np.abs(chunk[idx] / n - masses)))
+    return float(best), float(max_err)
+
+
+def _sorted_scans(x: np.ndarray, measure: TargetMeasure) -> tuple[list, list]:
+    """Largest deviation and largest mass error of each row of x (sets, n),
+    the d = 1 point sets of :func:`_exact_scans`, from one sort of them all.
+
+    Position i of a sorted row has i points before it and i + 1 up to it.
+    A tie run is one critical corner; its first position is its strict
+    count a and its end its closed count b.  fl(i / n) - F is monotone in
+    i, so the largest |i / n - F| over the run is at a or b, the deviations
+    of the count grid bit for bit; the corner +inf adds deviation 0.  Each
+    run's mass is taken once, at its first value, a chunk of
+    :data:`_SCAN_CHUNK_CELLS` runs at a time.
+    """
+    n = x.shape[1]
+    xs = np.sort(x, axis=1).ravel()
+    first = np.empty(xs.shape, bool)
+    np.not_equal(xs[1:], xs[:-1], out=first[1:])
+    first[::n] = True
+    starts = np.flatnonzero(first)
+    values = xs[starts]
+    masses, errs = np.empty_like(values), np.empty_like(values)
+    for start in range(0, values.size, _SCAN_CHUNK_CELLS):
+        chunk = slice(start, start + _SCAN_CHUNK_CELLS)
+        masses[chunk], errs[chunk] = measure._grid_masses([values[chunk]])
+    strict = starts % n
+    closed = strict + np.diff(starts, append=xs.size)
+    dev = np.maximum(np.abs(strict / n - masses), np.abs(closed / n - masses))
+    rows = np.flatnonzero(strict == 0)
+    return np.maximum.reduceat(dev, rows).tolist(), np.maximum.reduceat(errs, rows).tolist()
 
 
 def _exact_scans(paths: np.ndarray, measure: TargetMeasure) -> list[DiscrepancyReport]:
     """:func:`star_discrepancy_exact` of each of the stacked, NaN-free point
     sets ``paths`` (sets, n, d), bit for bit.  In d = 1 all sets go through
-    one pass, padded to the largest distinct count with corners at +inf
-    (count n, mass 1, deviation 0); in d = 2 and 3 the count grid grows as
-    n^d, so the sets go one at a time."""
+    one sort (:func:`_sorted_scans`); in d = 2 and 3 the count grid grows
+    as n^d, so the sets go one at a time (:func:`_grid_scan`)."""
     d = measure.dim
     if d > 3:
         raise ExactScanInfeasible(
             "exact scan is limited to d <= 3; use the cover bracket (objective star-bracket)"
         )
-    reports = []
-    for block in [paths] if d == 1 else paths[:, None]:
-        sets, n = block.shape[:2]
-        values, bins = zip(*(_ranks(block[..., j]) for j in range(d)))
-        # the count grid with its axes reversed, so that a chunk of the last
-        # axis is a contiguous block of it
-        counts = _count_grid(bins[::-1], [v.shape[1] + 1 for v in values[::-1]])
-        whole, last = [w[0] for w in values[:-1]], values[-1]  # one set when d > 1
-        step = max(1, _SCAN_CHUNK_CELLS // (sets * math.prod(a.size for a in whole)))
-        best, max_err = np.zeros(sets), np.zeros(sets)
-        rest = tuple(range(1, d + 1))
-        for start in range(0, last.shape[1], step):
-            masses, errs = measure._grid_masses(whole + [last[:, start : start + step]])
-            # in the count grid's axis order, one leading axis per set
-            grid = (sets, -1) + masses.shape[-2::-1]
-            masses, errs = masses.T.reshape(grid), errs.T.reshape(grid)
-            max_err = np.maximum(max_err, np.max(errs, axis=rest))
-            # the chunk's values of the last axis and one more, for the
-            # closed branch of its last value
-            chunk = counts[:, start : start + masses.shape[1] + 1]
-            for idx in itertools.product((slice(-1), slice(1, None)), repeat=d):
-                dev = np.abs(chunk[(slice(None),) + idx] / n - masses)
-                best = np.maximum(best, np.max(dev, axis=rest))
-        reports += [
-            DiscrepancyReport(lower=max(b - e, 0.0), upper=min(b + e, 1.0), method="exact-scan")
-            for b, e in zip(best.tolist(), max_err.tolist())
-        ]
-    return reports
+    if d == 1:
+        scans = zip(*_sorted_scans(paths[..., 0], measure))
+    else:
+        scans = [_grid_scan(p, measure) for p in paths]
+    return [
+        DiscrepancyReport(lower=max(b - e, 0.0), upper=min(b + e, 1.0), method="exact-scan")
+        for b, e in scans
+    ]
 
 
 def star_discrepancy_exact(points, measure: TargetMeasure) -> DiscrepancyReport:
@@ -164,16 +185,18 @@ def star_discrepancy_exact(points, measure: TargetMeasure) -> DiscrepancyReport:
     The supremum is attained on the critical grid: per coordinate the
     distinct point coordinates and +inf, each evaluated with the point
     excluded (strict box at the coordinate) and included (limit from
-    above).  A point's bin on axis j is its rank among the distinct
-    coordinates plus one, so entry t of :func:`_count_grid` on that axis
-    counts the points of rank < t: the strict count at grid index t, and
-    the closed count at index t - 1.  Both branches share the corner, whose
-    mass is taken once (the boundary has measure 0).  The masses come from
-    :meth:`TargetMeasure.grid_masses`, a chunk of the last axis at a time
-    with the others whole, so that the profile rule's cumulative axis x1 is
-    never split and the result does not depend on the chunk size.  The
-    bracket is the largest deviation plus and minus the largest box-mass
-    error.  This is the one-set call of :func:`_exact_scans`.
+    above).  Both branches share the corner, whose mass is taken once (the
+    boundary has measure 0).  In d = 1 the counts are positions in the
+    sorted points (:func:`_sorted_scans`).  In d = 2 and 3 a point's bin on
+    axis j is its rank among the distinct coordinates plus one, so entry t
+    of :func:`_count_grid` on that axis counts the points of rank < t: the
+    strict count at grid index t, and the closed count at index t - 1.  The
+    masses come from :meth:`TargetMeasure.grid_masses`, a chunk of the last
+    axis at a time with the others whole, so that the profile rule's
+    cumulative axis x1 is never split and the result does not depend on the
+    chunk size.  The bracket is the largest deviation plus and minus the
+    largest box-mass error.  This is the one-set call of
+    :func:`_exact_scans`.
     """
     return _exact_scans(_as_points(points, measure.dim)[None], measure)[0]
 
@@ -217,7 +240,9 @@ class DeltaCover:
         A point's bin on axis j is the number of cuts at or below x_j, so
         x_j < cuts_j[t] exactly when the bin is <= t, and every finite x_j
         is below +inf; +inf and NaN go to one more bin, below nothing.  The
-        members' counts are :func:`_count_grid` without that last bin.
+        members' counts are :func:`_count_grid` without that last bin.  In
+        d = 1 each set is sorted first: counts do not depend on the order
+        of the points, and sorted keys search faster.
         """
         pts = np.asarray(points, float)
         d = len(self.cuts)
@@ -226,6 +251,8 @@ class DeltaCover:
         *batch, n, _ = pts.shape
         sets = math.prod(batch)
         flat = pts.reshape(sets, n, d)
+        if d == 1:
+            flat = np.sort(flat, axis=1)
         bins = [
             np.where(x < np.inf, np.searchsorted(cj, x, side="right"), len(cj) + 1)
             for cj, x in zip(self.cuts, np.moveaxis(flat, -1, 0))

@@ -40,8 +40,16 @@ class TestValidate:
         cfg = _write(tmp_path, "c.json", {"experiment": "frobnicate", "output": "x"})
         assert main(["validate", cfg]) == 2
 
-    def test_missing_file(self, tmp_path):
-        assert main(["validate", str(tmp_path / "absent.json")]) == 2
+    def test_missing_file(self, tmp_path, capsys):
+        # a missing config, and one that is not UTF-8
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b"\xff\xfe")
+        for path in (str(tmp_path / "absent.json"), str(latin)):
+            for command in ("validate", "run"):
+                assert main([command, path]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"config error: cannot read config {path!r}: ")
+                assert err.count("\n") == 1
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "c.json"
@@ -202,6 +210,27 @@ class TestRunBounds:
         assert main(["run", _write(tmp_path, "c.json", cfg)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unknown keys" in err and f"'{key}'" in err
+        assert not (tmp_path / "bounds.csv").exists()
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("output", ["absent/bounds.csv", "."], ids=["missing-directory", "directory"])
+    def test_refused_before_running(self, tmp_path, capsys, command, output):
+        cfg_path = _write(tmp_path, "c.json", _bounds_cfg(tmp_path, output))
+        assert main([command, cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: key 'output' must name a file in an existing directory")
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_failed_write_exits_2(self, tmp_path, capsys):
+        # the manifest's path is a directory, so its write fails
+        (tmp_path / "bounds.csv.manifest.json").mkdir()
+        assert main(["run", _write(tmp_path, "c.json", _bounds_cfg(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output {str(tmp_path / 'bounds.csv')!r}: ")
+        assert err.count("\n") == 1
         assert not (tmp_path / "bounds.csv").exists()
 
 

@@ -80,6 +80,22 @@ def test_stacked_point_sets_match_broadcast(name):
     assert np.array_equal(cover.fractions_below(stack[0, :1])[0], got[0, 0])
 
 
+@pytest.mark.parametrize("measure", [uniform_interval(), exp_linear_interval(1.0)], ids=["uniform", "exp"])
+def test_signed_zeros_and_tie_runs_match_broadcast(measure):
+    # d = 1 sets holding -0.0 and +0.0 and runs of tied points, on a cut
+    # and off the cuts; the uniform interval's cover has a cut at 0.0
+    cover = build_quantile_cover(measure, 0.1)
+    cut = cover.cuts[0][3]
+    sets = np.array([
+        [-0.0, 0.0, 0.5, cut, cut, cut, cut, -0.5, -0.0, 1.0],
+        [cut, cut, cut, 0.0, -0.0, -0.0, 0.9, -1.0, 0.0, 0.3],
+        [0.3, 0.3, 0.3, 0.3, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+    ])[..., None]
+    got = cover.fractions_below(sets)
+    for row, pts in zip(got, sets):
+        assert np.array_equal(row, ref.broadcast_fractions_below(pts, cover.corners))
+
+
 def test_full_and_empty_rows():
     cover = COVERS["disc"]()
     pts = np.clip(np.nan_to_num(_points(cover, 40, 2)), -1.0, 1.0)

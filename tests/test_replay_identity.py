@@ -275,6 +275,29 @@ def test_run_chains_ballwalk_near_ties(d):
         )
 
 
+def test_replay_band_is_one_per_block(monkeypatch):
+    # one entry of the block has |g| = |alpha z_1 - log v| above its own
+    # rounding bound 2^-48 (alpha (2 + |z_1|) + |log v| + 1) but inside the
+    # block's band 2^-48 (alpha (2 + gamma) + 746): every step of the block
+    # goes through the exact per-step test
+    alpha, gamma = 1.0, 0.5
+    system = make_metropolis_system("exp-linear", alpha, gamma, 1)
+    U = _drivers(4, 40, 3, 9)
+    # chain 2, step 8: the proposal -gamma / 2 with g = 100 * 2^-48
+    U[2, 8] = [0.25, 0.5, math.exp(-alpha * gamma / 2 - 100 * 2.0**-48)]
+    block = U.transpose(1, 0, 2)[1:]
+    z_1 = ballwalk.ball_generator(block[..., :2], gamma, 1)[..., 0]
+    log_v = np.log(np.maximum(block[..., -1], 5e-324))
+    g = np.abs(alpha * z_1 - log_v)
+    own = 2.0**-48 * (alpha * (2.0 + np.abs(z_1)) + np.abs(log_v) + 1.0)
+    assert (g > own).all()
+    assert np.argwhere(g <= 2.0**-48 * (alpha * (2.0 + gamma) + 746.0)).tolist() == [[7, 2]]
+    accept, calls = ballwalk._accept, []
+    monkeypatch.setattr(ballwalk, "_accept", lambda *args: calls.append(1) or accept(*args))
+    _assert_paths_match(system, U, lambda pts: ref.ballwalk_path(pts, gamma, 1, "exp-linear", alpha))
+    assert len(calls) == 2 * len(block)  # the two replays of _assert_paths_match
+
+
 def test_run_chains_ballwalk_subnormal_ratios():
     # alpha = 400: one step from x to -x with density ratios exp(-800 x_1)
     # in the subnormal range, where exp has no relative error bound, and

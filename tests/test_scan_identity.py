@@ -6,6 +6,7 @@ the grid oracle against the box-mass rows of its grid; and the batched
 stratified estimate against the one-corner estimate in ``scalar_masses``.
 """
 
+import itertools
 import json
 import math
 from unittest import mock
@@ -161,6 +162,30 @@ def test_block_scans_equal_one_set_scans(chunk_cells, name, data):
         # a point inside the domain is a corner with a quadrature error
         inside = [bool(np.any((lo < pts) & (pts < hi))) for pts in sets]
         assert [r.upper > r.lower for r in block] == inside
+
+
+@pytest.mark.parametrize("name", ["uniform-interval", "exp-interval", "quad-interval"])
+def test_signed_zeros_and_tie_runs_bit_identical(name):
+    # d = 1 sets holding -0.0 and +0.0, one critical corner, and runs of
+    # tied states at a set's start, middle and end, one of them the whole
+    # set and equal to the largest point of the set before; the last set
+    # is a ball-walk path with rejected stretches of 3 or more steps
+    measure = _BLOCK_MEASURES[name]()
+    x = 0.3
+    sets = [
+        [-0.0, 0.0, 0.5, x, x, x, x, -0.5, -0.0, 1.0],
+        [x, x, x, 0.0, -0.0, -0.0, 0.9, -1.0, 0.0, x],
+        [0.2, 0.0, -0.7, -0.0, -1.0, x, x, x, x, x],
+        [x] * 10,
+        [0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+    ]
+    walk = make_metropolis_system("uniform", 0.0, 1.9, 1)
+    path = run_chains(walk, Rng(3).uniforms(10 * walk.s).reshape(1, 10, walk.s))[0, :, 0]
+    assert max(len(list(run)) for _, run in itertools.groupby(path)) >= 3
+    paths = np.array(sets + [path])[..., None]
+    block = discrepancy._exact_scans(paths, measure)
+    for report, pts in zip(block, paths):
+        assert (report.lower, report.upper) == ref.star_discrepancy_scan(pts, ref.measure_oracle(measure))
 
 
 def test_chunked_scan_matches_one_chunk(monkeypatch):
