@@ -153,6 +153,9 @@ def metropolis_update(x: np.ndarray, u, params: BallWalkParams) -> np.ndarray:
 
 # the relative width of _replay's band, derived in its docstring
 _RATIO_BAND = 2.0**-48
+# _replay builds the proposals and the ratio test of about this many driver
+# entries at a time (one step at least)
+_REPLAY_CHUNK = 1 << 13
 
 
 @np.errstate(over="ignore")
@@ -165,11 +168,11 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams) -> np.ndarray
     passes it iff v <= exp(min(Delta, 0)), which in exact arithmetic is
     g = alpha z_1 - log v >= 0 (log v <= 0).  For alpha = 0, Delta is
     exactly 0 and every v in [0, 1] passes.  Otherwise the test is decided
-    for the whole block from the sign of the computed g.  That is exact
-    outside the band |g| <= tol, for states and proposals in the unit ball
-    (|x_1|, |y_1| <= 1; the unit-ball test rejects any other y), with
-    u = 2^-53, np.log within 4 ulp (NumPy validates it to 1) and math.exp
-    faithful (within 1 ulp):
+    from the sign of the computed g.  That is exact outside the band
+    |g| <= tol, for states and proposals in the unit ball (|x_1|, |y_1| <=
+    1; the unit-ball test rejects any other y), with u = 2^-53, np.log
+    within 4 ulp (NumPy validates it to 1) and math.exp faithful (within 1
+    ulp):
 
         |Delta - alpha z_1| <= 6 alpha u           (x + z, two products, -)
         |g - (alpha z_1 - ln v)| <= (2 alpha |z_1| + 9 |ln v|) u
@@ -178,51 +181,58 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams) -> np.ndarray
 
     so 2^-48 (alpha (2 + |z_1|) + |log v| + 1), 32 u per term, covers
     their sum.  |z_1| <= gamma, and |log v| <= 745 for v >= 5e-324, so one
-    band serves the whole block: tol = 2^-48 (alpha (2 + gamma) + 746).  A
-    wider band than needed only sends more blocks to the exact path.  The
+    band serves every entry: tol = 2^-48 (alpha (2 + gamma) + 746).  A
+    wider band than needed only sends more steps to the exact path.  The
     bound on exp is relative, which holds while exp(Delta) is a normal
     number, so alpha z_1 < -700 counts as inside the band, as does a NaN g;
-    the former needs alpha gamma > 700.  A block with any entry inside the
-    band replays every step through ``_accept``, the exact per-step form.
+    the former needs alpha gamma > 700.
+
+    The steps go in chunks of about :data:`_REPLAY_CHUNK` driver entries,
+    and the band is decided per chunk: the proposals and the test of a
+    chunk are built, then its steps run.  A chunk with any entry inside the
+    band replays its steps through ``_accept``, the exact per-step form.
     Otherwise a proposal that fails the ratio test becomes +inf, which the
     unit-ball test rejects, and each step writes y = x + z into its row of
     the states and copies the previous state back into the rows with
     y . y > 1 (np.vecdot, as in ``_accept``), or |y| > 1 in d = 1, which
     for finite y is exactly fl(y y) > 1 (y is never NaN: states are finite
-    and proposals finite or +inf).  Either way the states equal per-step
-    ``metropolis_update`` bit for bit.
+    and proposals finite or +inf).  Either way, chunk by chunk, the states
+    equal per-step ``metropolis_update`` bit for bit.
     """
-    d = params.d
-    z = ball_generator(U[..., : params.proposal_dim], params.gamma, d)
-    v = U[..., -1]
-    X = np.empty(z.shape)
+    d, alpha = params.d, params.alpha
+    m, b, s = U.shape
+    X = np.empty((m, b, d))
     x = X0
-    alpha = params.alpha
-    if alpha != 0.0:
-        az = alpha * z[..., 0]
-        # v = 0 passes whatever the ratio; so does the smallest subnormal
-        # once alpha z_1 >= -700, and its log is finite
-        log_v = np.log(np.maximum(v, 5e-324))
-        g = az - log_v
-        tol = _RATIO_BAND * (alpha * (2.0 + params.gamma) + 746.0)
-        if not (np.abs(g) > tol).all() or (alpha * params.gamma > 700.0 and (az < -700.0).any()):
-            for i in range(len(U)):
-                x = X[i] = _accept(x, z[i], v[i], alpha)
-            return X
-        z = np.where((g > 0.0)[..., None], z, np.inf)
+    tol = _RATIO_BAND * (alpha * (2.0 + params.gamma) + 746.0)
     # size[j] is |y_j| (d = 1) or y_j . y_j, and out[j] whether y_j left the
     # unit ball; 1.0 as a 0-d array compares faster than a Python float
-    size, out, one = np.empty(len(X0)), np.empty((len(X0), 1), bool), np.array(1.0)
+    size, out, one = np.empty(b), np.empty((b, 1), bool), np.array(1.0)
     size_col, out_rows = size[:, None], out[:, 0]
-    for z_i, X_i in zip(z, X):
-        np.add(x, z_i, X_i)
-        if d == 1:
-            np.absolute(X_i, size_col)
-        else:
-            np.vecdot(X_i, X_i, size)
-        np.greater(size, one, out_rows)
-        np.copyto(X_i, x, where=out)
-        x = X_i
+    steps = max(1, _REPLAY_CHUNK // (b * s))
+    for start in range(0, m, steps):
+        U_c, X_c = U[start : start + steps], X[start : start + steps]
+        z = ball_generator(U_c[..., : params.proposal_dim], params.gamma, d)
+        if alpha != 0.0:
+            v = U_c[..., -1]
+            az = alpha * z[..., 0]
+            # v = 0 passes whatever the ratio; so does the smallest subnormal
+            # once alpha z_1 >= -700, and its log is finite
+            g = np.maximum(v, 5e-324)
+            np.subtract(az, np.log(g, out=g), out=g)
+            if not (np.abs(g) > tol).all() or (alpha * params.gamma > 700.0 and (az < -700.0).any()):
+                for i in range(len(U_c)):
+                    x = X_c[i] = _accept(x, z[i], v[i], alpha)
+                continue
+            np.copyto(z, np.inf, where=(g <= 0.0)[..., None])
+        for z_i, X_i in zip(z, X_c):
+            np.add(x, z_i, X_i)
+            if d == 1:
+                np.absolute(X_i, size_col)
+            else:
+                np.vecdot(X_i, X_i, size)
+            np.greater(size, one, out_rows)
+            np.copyto(X_i, x, where=out)
+            x = X_i
     return X
 
 

@@ -9,8 +9,8 @@ Subcommands:
 Exit codes: 0 success, 2 config error (nothing written) or an output that
 cannot be written, 3 infeasible
 objective (e.g. exact discrepancy scan above dimension 3, a delta-cover
-that fails its slab audit, or a ball above dimension 8, whose stratified
-masses exceed their cap).
+that fails its slab audit, a ball above dimension 8, whose stratified
+masses exceed their cap, or an array larger than memory allows).
 
 Every numeric written to the CSV is a pure function of (config, seed);
 floats are serialized with 17 significant digits so they round-trip exactly.
@@ -370,7 +370,7 @@ def _cmd_run(path: str) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ExactScanInfeasible, CoverConstructionError, StratifiedEstimateInfeasible,
-            NotImplementedError) as exc:
+            NotImplementedError, MemoryError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - t0

@@ -79,18 +79,31 @@ def _mix64(z):
     return z
 
 
-def _splitmix_uniforms(seed, idx: np.ndarray) -> np.ndarray:
-    """The uniforms in [0,1) of the SplitMix64 outputs with counters ``idx``
-    (uint64, from 1) of the streams ``seed`` (uint64, broadcast against
-    idx)."""
-    z = seed + idx * np.uint64(_GAMMA)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    z >>= np.uint64(11)
-    return z.astype(np.float64) * 2.0**-53
+# _splitmix_uniforms mixes this many outputs at a time, in two reused buffers
+_SPLITMIX_CHUNK = 1 << 14
+
+
+def _splitmix_uniforms(seeds: np.ndarray, n: int, start: int = 0, out=None) -> np.ndarray:
+    """The uniforms in [0,1) of the SplitMix64 outputs with counters start +
+    1, ..., start + n of the streams ``seeds`` (uint64, shape (m,)), shape
+    (m, n), written into ``out`` when given.  The mix is exact integer
+    arithmetic, done in place a chunk of rows and columns at a time, so no
+    temporary is larger than a chunk and the chunks change no bit."""
+    out = np.empty((len(seeds), n)) if out is None else out
+    cols = max(1, min(n, _SPLITMIX_CHUNK))
+    z, t = np.empty((2, _SPLITMIX_CHUNK // cols, cols), np.uint64)
+    for c in range(0, n, cols):
+        step = np.arange(start + c + 1, start + min(c + cols, n) + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        for r in range(0, len(seeds), len(z)):
+            zc, tc = z[: len(seeds) - r, : step.size], t[: len(seeds) - r, : step.size]
+            np.add(seeds[r : r + len(zc), None], step, out=zc)
+            for shift, mix in ((30, _MIX1), (27, _MIX2)):
+                zc ^= np.right_shift(zc, shift, out=tc)
+                zc *= mix
+            zc ^= np.right_shift(zc, 31, out=tc)
+            zc >>= 11
+            np.multiply(zc, 2.0**-53, out=out[r : r + len(zc), c : c + step.size])
+    return out
 
 
 class Rng:
@@ -99,8 +112,8 @@ class Rng:
     The i-th output is a pure function of ``(seed, i)``, so block generation
     via :meth:`uniforms` and one-at-a-time generation via :meth:`uniform`
     produce the same stream.  :meth:`split` derives an independent child
-    stream from an integer label.  Seeds are 64-bit: ValueError outside
-    [0, 2^64), where a masked seed would alias another.
+    stream from an integer label in [0, 2^63).  Seeds are 64-bit:
+    ValueError outside [0, 2^64), where a masked seed would alias another.
     """
 
     def __init__(self, seed: int, _counter: int = 0):
@@ -109,34 +122,35 @@ class Rng:
             raise ValueError(f"Rng seeds lie in [0, 2^64), got {seed}")
         self._counter = _counter
 
-    def _raw(self, i: int) -> int:
-        return _mix64((self.seed + (i + 1) * _GAMMA) & _MASK64)
-
-    def next_u64(self) -> int:
-        v = self._raw(self._counter)
-        self._counter += 1
-        return v
-
     def uniform(self) -> float:
-        return (self.next_u64() >> 11) * 2.0**-53
+        self._counter += 1
+        return (_mix64((self.seed + self._counter * _GAMMA) & _MASK64) >> 11) * 2.0**-53
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniforms in [0,1) advancing the stream by n."""
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        u = _splitmix_uniforms(np.array([self.seed], np.uint64), n, self._counter)[0]
         self._counter += n
-        return _splitmix_uniforms(np.uint64(self.seed), idx)
+        return u
 
     def split(self, label: int) -> "Rng":
-        child = _mix64(self.seed ^ _mix64(((2 * int(label) + 1) * _GAMMA) & _MASK64))
-        return Rng(child)
+        """The child stream of an integer label in [0, 2^63); ValueError
+        outside it, where 2 label + 1, taken modulo 2^64, would give two
+        labels one child."""
+        label = int(label)
+        if not 0 <= label < 1 << 63:
+            raise ValueError(f"child labels lie in [0, 2^63), got {label}")
+        return Rng(_mix64(self.seed ^ _mix64(((2 * label + 1) * _GAMMA) & _MASK64)))
 
-    def split_uniforms(self, labels, n: int) -> np.ndarray:
-        """The first n uniforms of the children with the given integer
-        labels, shape (len(labels), n): row r is
-        ``self.split(labels[r]).uniforms(n)``, all from one counter block."""
-        labels = np.asarray(labels, np.uint64)
-        seeds = _mix64(np.uint64(self.seed) ^ _mix64((2 * labels + 1) * np.uint64(_GAMMA)))
-        return _splitmix_uniforms(seeds[:, None], np.arange(1, n + 1, dtype=np.uint64))
+    def split_uniforms(self, labels, n: int, out=None) -> np.ndarray:
+        """The first n uniforms of the children with the given labels, shape
+        (len(labels), n), written into ``out`` when given: row r is
+        ``self.split(labels[r]).uniforms(n)``, all from one
+        :func:`_splitmix_uniforms` call."""
+        labels = np.asarray(labels)
+        for label in (labels.min(), labels.max()) if labels.size else ():
+            self.split(label)  # ValueError unless every label lies in [0, 2^63)
+        seeds = _mix64(np.uint64(self.seed) ^ _mix64((2 * labels.astype(np.uint64) + 1) * np.uint64(_GAMMA)))
+        return _splitmix_uniforms(seeds, n, out=out)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Rng(seed={self.seed:#x}, counter={self._counter})"
@@ -332,17 +346,29 @@ class TargetMeasure:
 
     def _box_masses(self, corners) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`box_masses` with the error bound of every row (NaN for a
-        row with a NaN entry)."""
+        row with a NaN entry).  The NaN, empty and full masks are built a
+        column at a time.  When every row is interior, the closed form or
+        :meth:`_integrals` takes the whole clipped array; otherwise it takes
+        the interior rows, picked out by index."""
         c = np.asarray(corners, float)
         if c.ndim != 2 or c.shape[1] != self.dim:
             raise ValueError(f"corners of shape {c.shape} for measure dimension {self.dim}")
         lo, hi_dom = self.domain.bounding()
-        nan = np.isnan(c).any(axis=1)
-        empty = np.any(c <= lo, axis=1)
-        full = np.all(c >= hi_dom, axis=1) & ~empty
+        nan, empty, full = np.isnan(c[:, 0]), c[:, 0] <= lo[0], c[:, 0] >= hi_dom[0]
+        for j in range(1, self.dim):
+            nan |= np.isnan(c[:, j])
+            empty |= c[:, j] <= lo[j]
+            full &= c[:, j] >= hi_dom[j]
+        inside = ~(nan | empty | full)
+        if len(c) and inside.all():
+            hi = np.minimum(c, hi_dom)
+            if self.exact_box_mass is not None:
+                return self.exact_box_mass(hi), np.zeros(len(c))
+            return self._normalized(*self._integrals(hi))
+        full &= ~empty
         masses = np.where(nan, np.nan, full.astype(float))
         errs = np.where(nan, np.nan, 0.0)
-        rest = np.flatnonzero(~(empty | full | nan))
+        rest = np.flatnonzero(inside)
         if rest.size == 0:
             return masses, errs
         hi = np.minimum(c[rest], hi_dom)
@@ -370,8 +396,8 @@ class TargetMeasure:
             raise ValueError(f"{len(axes)} axes for measure dimension {self.dim}")
         shape = tuple(a.size for a in axes)
         if not self._profile_rule:
-            grid = np.meshgrid(*axes, indexing="ij")
-            masses, errs = self._box_masses(np.stack(grid, axis=-1).reshape(-1, self.dim))
+            rows = axes[0][:, None] if self.dim == 1 else np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+            masses, errs = self._box_masses(rows.reshape(-1, self.dim))
             return masses.reshape(shape), errs.reshape(shape)
         r = self.domain.radius
         c1, c2 = axes
@@ -488,13 +514,13 @@ class TargetMeasure:
             )
         lo = self.domain.bounding()[0]
         grid = np.stack(np.meshgrid(*[np.arange(k)] * d, indexing="ij"), axis=-1).reshape(cells, d)
-        idx = np.arange(1, reps * cells * d + 1, dtype=np.uint64)
+        size = reps * cells * d
         est, err = np.empty(len(hi)), np.empty(len(hi))
-        step = max(1, _STRATIFIED_CHUNK // idx.size)
+        step = max(1, _STRATIFIED_CHUNK // size)
         for s in range(0, len(hi), step):
             h = hi[s : s + step]
             seeds = np.array([_mix64(zlib.crc32(row.tobytes())) for row in h], np.uint64)
-            u = _splitmix_uniforms(seeds[:, None], idx).reshape(len(h), reps, cells, d)
+            u = _splitmix_uniforms(seeds, size).reshape(len(h), reps, cells, d)
             pts = (lo + (grid + u) / k * (h - lo)[:, None, None]).reshape(-1, d)
             vals = (self.density(pts) * self.domain.contains(pts)).reshape(len(h), reps, cells)
             estimates = np.prod(h - lo, axis=1)[:, None] * np.mean(vals, axis=-1)

@@ -390,14 +390,16 @@ def pullback_discrepancy_mc(
     available (mc_stderr = 0), otherwise estimated from m independent random
     chains.  Either way one block is replayed: the driver's row, then
     without the oracle the m replicas, replica r driven by the first
-    uniforms of ``rng.split(r)``.
+    uniforms of ``rng.split(r)``, drawn straight into the block.
     """
     exact = system.exact_marginal is not None
     if not exact and m < 100:
         raise ValueError("need at least 100 replications without a marginal oracle")
     U = np.asarray(driver, float)[None]
     if not exact:
-        U = np.concatenate([U, rng.split_uniforms(np.arange(m), U[0].size).reshape((m,) + U.shape[1:])])
+        U = np.empty((m + 1,) + U.shape[1:])
+        U[0] = driver
+        rng.split_uniforms(np.arange(m), U[0].size, out=U.reshape(m + 1, U[0].size)[1:])
     # indicator averages over the retained window, per cover set and path
     fractions = cover.fractions_below(run_chains(system, U, burn_in=burn_in))
     ind, acc = fractions[0], fractions[1:]

@@ -3,7 +3,10 @@
 of ``TargetMeasure.box_masses``.
 It is kept as the reference the batched estimate must match bit for bit,
 and is not used by the package.  So is the uniform disc whose marginals are
-box masses, the reference of the disc's closed-form marginal.
+box masses, the reference of the disc's closed-form marginal, and so are
+the box and grid masses with their special cases taken from whole-array
+masks (``box_masses_by_masks``, ``grid_masses_by_masks``), the reference
+of the column-by-column masks of ``TargetMeasure._box_masses``.
 """
 
 import math
@@ -69,3 +72,36 @@ def disc_by_box_masses():
     the box masses of the corners with +inf in the other coordinate, and
     quantiles are bisected from them."""
     return TargetMeasure(BallDomain(2), lambda x: np.ones(x.shape[0]), exact_box_mass=_uniform_disc_mass)
+
+
+def box_masses_by_masks(measure, corners) -> tuple[np.ndarray, np.ndarray]:
+    """Masses and per-row errors of the corner rows (m, d): the NaN, empty
+    and full rows from masks reduced along the rows, every other row
+    clipped to the domain and priced by the closed form or the measure's
+    integrals, picked out by index."""
+    c = np.asarray(corners, float)
+    lo, hi_dom = measure.domain.bounding()
+    nan = np.isnan(c).any(axis=1)
+    empty = np.any(c <= lo, axis=1)
+    full = np.all(c >= hi_dom, axis=1) & ~empty
+    masses = np.where(nan, np.nan, full.astype(float))
+    errs = np.where(nan, np.nan, 0.0)
+    rest = np.flatnonzero(~(empty | full | nan))
+    if rest.size == 0:
+        return masses, errs
+    hi = np.minimum(c[rest], hi_dom)
+    if measure.exact_box_mass is not None:
+        masses[rest] = measure.exact_box_mass(hi)
+    else:
+        masses[rest], errs[rest] = measure._normalized(*measure._integrals(hi))
+    return masses, errs
+
+
+def grid_masses_by_masks(measure, axes) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`box_masses_by_masks` of the rows of the tensor grid of
+    ``axes``, from ``meshgrid``, shaped like the grid."""
+    axes = [np.asarray(a, float).ravel() for a in axes]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, measure.dim)
+    masses, errs = box_masses_by_masks(measure, grid)
+    shape = tuple(a.size for a in axes)
+    return masses.reshape(shape), errs.reshape(shape)

@@ -444,6 +444,16 @@ class TestRunExperiments:
         assert "cap of 16777216" in err and err.count("\n") == 1
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("experiment", ["discrepancy", "pullback"])
+    def test_oversized_run_exits_3(self, tmp_path, capsys, experiment):
+        # n = 10^13 asks for a 218 TiB driver, beyond a 47-bit address space,
+        # which numpy refuses before touching memory
+        cfg = {"experiment": experiment, "dimension": 1, "n": 10**13, "output": str(tmp_path / "s.csv")}
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: Unable to allocate") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_alpha_at_its_upper_end_runs(self, tmp_path, capsys, d):
         # in d = 3 the stratified estimate's std used to overflow and end

@@ -68,6 +68,51 @@ class TestRng:
                 assert np.array_equal(block[r], Rng(seed).split(label).uniforms(n))
         assert Rng(seed).split_uniforms([], n).shape == (0, n)
 
+    @pytest.mark.parametrize("n", [core._SPLITMIX_CHUNK - 1, core._SPLITMIX_CHUNK, core._SPLITMIX_CHUNK + 1])
+    def test_chunked_streams_are_stepped_streams(self, n):
+        # one column chunk short of, at and past its size, from counter 0 and
+        # from a counter inside the stream
+        stepped = Rng(17)
+        want = [stepped.uniform() for _ in range(n + 5)]
+        assert Rng(17).uniforms(n).tolist() == want[:n]
+        r = Rng(17)
+        r.uniforms(5)
+        assert r.uniforms(n).tolist() == want[5:]
+        child = Rng(17).split(4)
+        block = Rng(17).split_uniforms([4, 9], n)
+        assert block[0].tolist() == [child.uniform() for _ in range(n)]
+        assert block[1].tolist() == Rng(17).split(9).uniforms(n).tolist()
+
+    @pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (0, 0), (7, 3), (5, 8), (2, 9), (13, 1)])
+    def test_chunks_of_rows_and_columns(self, monkeypatch, m, n):
+        # a chunk of 8 entries: several rows per chunk (n = 1 or 3), one row
+        # (n = 8) and a row over two chunks (n = 9); each row is its child
+        # stream stepped one output at a time, and ``out`` is written in place
+        monkeypatch.setattr(core, "_SPLITMIX_CHUNK", 8)
+        labels = list(range(3, 3 + 2 * m, 2))
+        out = np.full((m, n), -1.0)
+        assert Rng(21).split_uniforms(labels, n, out=out) is out
+        for row, label in zip(out, labels):
+            child = Rng(21).split(label)
+            assert row.tolist() == [child.uniform() for _ in range(n)]
+        r = Rng(21)
+        r.uniforms(3)
+        assert r.uniforms(m + n).tolist() == Rng(21).uniforms(m + n + 3)[3:].tolist()
+
+    @pytest.mark.parametrize("label", [-1, 2**63, 2**63 + 1, 2**64 - 1, 2**64 + 1])
+    def test_label_outside_63_bits_rejected(self, label):
+        # 2 label + 1 is taken modulo 2^64: l and l + 2^63 would be one child
+        with pytest.raises(ValueError, match="2\\^63"):
+            Rng(5).split(label)
+        with pytest.raises(ValueError, match="2\\^63"):
+            Rng(5).split_uniforms([0, label], 4)
+
+    def test_largest_label_kept(self):
+        top = 2**63 - 1
+        block = Rng(5).split_uniforms(np.array([top, 0], np.uint64), 6)
+        assert block[0].tolist() == Rng(5).split(top).uniforms(6).tolist()
+        assert Rng(5).split(top).seed != Rng(5).split(0).seed
+
     @pytest.mark.parametrize("seed", [2**64, -1, 2**70 + 5])
     def test_seed_outside_64_bits_rejected(self, seed):
         # masked, 2^64 would alias seed 0 and -1 seed 2^64 - 1
@@ -402,3 +447,70 @@ def test_nan_corners_have_nan_mass_and_error(make):
         assert all(math.isnan(v) for v in m.box_mass(bad[1]))
     masses, err = m.box_masses(good)
     assert masses.tobytes() == want.tobytes() and err == want_err
+
+
+def _special_rows(measure):
+    """Corner rows with NaN, +-inf and -0.0 entries, entries at, one ulp
+    below and one ulp above the domain's bounds, and interior rows."""
+    lo, hi = measure.domain.bounding()
+    d = measure.dim
+    mid = 0.5 * (lo + hi) + 0.1
+    values = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+    for b in (lo, hi):
+        values += [b[0], np.nextafter(b[0], -np.inf), np.nextafter(b[0], np.inf)]
+    rows = [mid, 0.5 * (lo + mid), np.full(d, np.inf), lo.copy(), hi.copy()]
+    for j in range(d):
+        for v in values:
+            row = mid.copy()
+            row[j] = v
+            rows.append(row)
+    rows.append(np.where(np.arange(d) == d - 1, np.nan, lo))
+    rows.append(np.where(np.arange(d) == 0, -np.inf, np.inf))
+    return np.array(rows)
+
+
+_MASKED = {
+    "exp-linear-interval": lambda: exp_linear_interval(1.3, -1.0, 1.0),
+    "uniform-interval": lambda: uniform_interval(-1.0, 2.0),
+    "quadrature-1d": _quadrature_01,
+    "uniform-disc": lambda: uniform_ball(2),
+    "exp-linear-disc": lambda: exp_linear_ball(2.0, 2),
+    "exp-linear-box": lambda: exp_linear_box(0.7, [-1.0, 0.0], [1.0, 2.0]),
+    "uniform-box-3": lambda: uniform_box([-1.0, 0.0, 0.5], [1.0, 1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(_MASKED))
+def test_box_masses_against_whole_array_masks(name):
+    # the masks built column by column, and the whole-array path when every
+    # row is interior, give the masses and errors of the masks reduced along
+    # the rows, bit for bit
+    m = _MASKED[name]()
+    rows = _special_rows(m)
+    lo, hi = m.domain.bounding()
+    interior = lo + (hi - lo) * np.linspace(0.05, 0.95, 9)[:, None] ** np.arange(1, m.dim + 1)
+    interior[0, 0] = -0.0 if lo[0] < 0.0 < hi[0] else interior[0, 0]
+    interior[1] = np.inf
+    interior[1, 0] = 0.5 * (lo[0] + hi[0])
+    blocks = [rows, interior, interior[2:3], rows[:0], rows[2:5]]
+    for corners in blocks:
+        got, want = m._box_masses(corners), scalar_masses.box_masses_by_masks(m, corners)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        masses, err = m.box_masses(corners)
+        assert masses.tobytes() == want[0].tobytes()
+        assert np.array_equal(err, np.max(want[1], initial=0.0), equal_nan=True)
+
+
+@pytest.mark.parametrize("name", [n for n in _MASKED if n != "exp-linear-disc"])
+def test_grid_masses_against_meshgrid(name):
+    # the d = 1 axis as the one column and the meshgrid rows of d = 2 and 3
+    m = _MASKED[name]()
+    lo, hi = m.domain.bounding()
+    specials = [np.nan, np.inf, -np.inf, -0.0, np.nextafter(lo[0], np.inf)]
+    axes = [np.append(lo[j] + (hi[j] - lo[j]) * np.linspace(0.0, 1.0, 6), specials) for j in range(m.dim)]
+    inner = [lo[j] + (hi[j] - lo[j]) * np.linspace(0.1, 0.9, 5) for j in range(m.dim)]
+    for grid in (axes, inner):
+        got = m._grid_masses(grid)
+        want = scalar_masses.grid_masses_by_masks(m, grid)
+        assert got[0].shape == tuple(a.size for a in grid)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()

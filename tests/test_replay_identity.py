@@ -278,8 +278,8 @@ def test_run_chains_ballwalk_near_ties(d):
 def test_replay_band_is_one_per_block(monkeypatch):
     # one entry of the block has |g| = |alpha z_1 - log v| above its own
     # rounding bound 2^-48 (alpha (2 + |z_1|) + |log v| + 1) but inside the
-    # block's band 2^-48 (alpha (2 + gamma) + 746): every step of the block
-    # goes through the exact per-step test
+    # band 2^-48 (alpha (2 + gamma) + 746): the block is one chunk, so every
+    # step of it goes through the exact per-step test
     alpha, gamma = 1.0, 0.5
     system = make_metropolis_system("exp-linear", alpha, gamma, 1)
     U = _drivers(4, 40, 3, 9)
@@ -296,6 +296,79 @@ def test_replay_band_is_one_per_block(monkeypatch):
     monkeypatch.setattr(ballwalk, "_accept", lambda *args: calls.append(1) or accept(*args))
     _assert_paths_match(system, U, lambda pts: ref.ballwalk_path(pts, gamma, 1, "exp-linear", alpha))
     assert len(calls) == 2 * len(block)  # the two replays of _assert_paths_match
+
+
+def _chunk_steps(U):
+    """Steps per chunk of ``_replay`` for the block U (m, b, s)."""
+    return max(1, ballwalk._REPLAY_CHUNK // (U.shape[1] * U.shape[2]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("chunk", [None, 1, 25, 60])
+def test_replay_over_several_chunks(monkeypatch, d, alpha, chunk):
+    # blocks of two chunks and a part, whose states carry over from chunk to
+    # chunk; a chunk smaller than one step holds one step.  None keeps the
+    # package's chunk size
+    if chunk is not None:
+        monkeypatch.setattr(ballwalk, "_REPLAY_CHUNK", chunk)
+    params = BallWalkParams(0.8, d, alpha)
+    X0 = _edge_states(d)[:5]
+    m = 2 * _chunk_steps(np.empty((1, 5, params.driver_dim))) + 3
+    U = _drivers(5, m, params.driver_dim, 60 + d).transpose(1, 0, 2)
+    _assert_replay_is_per_step(X0, U, params)
+
+
+def _count_accept(monkeypatch):
+    """Replace ``ballwalk._accept`` by itself plus a count of its calls."""
+    accept, calls = ballwalk._accept, []
+    monkeypatch.setattr(ballwalk, "_accept", lambda *args: calls.append(1) or accept(*args))
+    return calls
+
+
+def test_replay_band_is_per_chunk(monkeypatch):
+    # one entry of the second of three chunks lies inside the band: only that
+    # chunk's steps go through the exact per-step test, and the states are
+    # the per-step ones
+    alpha, gamma = 1.0, 0.5
+    params = BallWalkParams(gamma, 1, alpha)
+    X0 = np.linspace(-0.9, 0.9, 4)[:, None]
+    U = _drivers(4, 1, 3, 0).transpose(1, 0, 2)
+    steps = _chunk_steps(U)
+    U = _drivers(4, 2 * steps + 9, 3, 13).transpose(1, 0, 2)
+    U[steps + 5, 2] = [0.25, 0.5, math.exp(-alpha * gamma / 2 - 100 * 2.0**-48)]
+    g = np.abs(alpha * ballwalk.ball_generator(U[..., :2], gamma, 1)[..., 0] - np.log(np.maximum(U[..., -1], 5e-324)))
+    assert np.argwhere(g <= 2.0**-48 * (alpha * (2.0 + gamma) + 746.0)).tolist() == [[steps + 5, 2]]
+    calls = _count_accept(monkeypatch)
+    got = ballwalk._replay(X0, U, params)
+    assert len(calls) == steps
+    monkeypatch.undo()
+    assert got.tobytes() == ballwalk._replay(X0, U, params).tobytes()
+    _assert_replay_is_per_step(X0, U, params)
+
+
+def test_replay_steep_ratio_in_a_later_chunk(monkeypatch):
+    # alpha gamma = 800 > 700: the one proposal with alpha z_1 < -700, whose
+    # density ratio exp(alpha z_1) is subnormal, lies in the last of three
+    # chunks, the only chunk replayed through the exact per-step test
+    alpha, gamma = 400.0, 2.0
+    params = BallWalkParams(gamma, 1, alpha)
+    X0 = np.array([[0.9], [0.95], [-0.2]])
+    U = _drivers(3, 1, 3, 0).transpose(1, 0, 2)
+    steps = _chunk_steps(U)
+    U = _drivers(3, 2 * steps + 7, 3, 21).transpose(1, 0, 2)
+    # radii below 7/8 keep alpha z_1 >= -700 everywhere else
+    U[..., 1] *= 0.8
+    U[2 * steps + 3, 1] = [0.25, 0.95, 1e-310]
+    assert np.argwhere(alpha * ballwalk.ball_generator(U[..., :2], gamma, 1)[..., 0] < -700.0).tolist() == [
+        [2 * steps + 3, 1]
+    ]
+    calls = _count_accept(monkeypatch)
+    got = ballwalk._replay(X0, U, params)
+    assert len(calls) == len(U) - 2 * steps
+    monkeypatch.undo()
+    assert got.tobytes() == ballwalk._replay(X0, U, params).tobytes()
+    _assert_replay_is_per_step(X0, U, params)
 
 
 def test_run_chains_ballwalk_subnormal_ratios():
