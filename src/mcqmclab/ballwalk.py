@@ -46,10 +46,11 @@ class BallWalkParams:
     alpha: float
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.d < 1:
-            raise ValueError("need gamma > 0 and d >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        # NaN fails both: a NaN or infinite radius or rate makes NaN steps
+        if not 0.0 < self.gamma < math.inf or self.d < 1:
+            raise ValueError("need finite gamma > 0 and d >= 1")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and nonnegative")
 
     @property
     def proposal_dim(self) -> int:
@@ -158,10 +159,55 @@ _RATIO_BAND = 2.0**-48
 _REPLAY_CHUNK = 1 << 13
 
 
+def _one_chain(x: np.ndarray, z: np.ndarray) -> list:
+    """The step loop of :func:`_replay` for one chain, in Python floats:
+    the states after each proposal of z (m, d), d <= 3, from the state x
+    (d,), as m floats (d = 1) or m d-tuples.
+
+    In d = 1, |y| > 1 rejects, the block loop's own test.  In d = 2 and 3,
+    a sum of the d squares y_j y_j, in any order and with or without fused
+    multiply-adds, lies within gamma_d S of their exact sum S, gamma_d = d
+    u / (1 - d u), u = 2^-53 (squares that underflow add at most d 2^-1074,
+    nothing near 1; one that overflows makes every such sum +inf).  So for
+    the Python sum s and np.vecdot's t, s <= 1 - w gives t <= (1 - w) (1 +
+    gamma_d) / (1 - gamma_d) <= 1, and s > 1 + w gives t > (1 + w) (1 -
+    gamma_d) / (1 + gamma_d) >= 1, for w >= 2 gamma_d / (1 - gamma_d) = 2 d
+    u / (1 - 2 d u), which w = 4 d u covers.  Only a sum inside that band
+    asks np.vecdot, on y as the block loop does."""
+    path = []
+    if len(x) == 1:
+        (x0,) = x.tolist()
+        for z0 in z.ravel().tolist():
+            y0 = x0 + z0
+            if not abs(y0) > 1.0:
+                x0 = y0
+            path.append(x0)
+        return path
+    lo, hi = 1.0 - 4 * len(x) * 2.0**-53, 1.0 + 4 * len(x) * 2.0**-53
+    if len(x) == 2:
+        x0, x1 = x.tolist()
+        for z0, z1 in z.tolist():
+            y0, y1 = x0 + z0, x1 + z1
+            s = y0 * y0 + y1 * y1
+            if s <= lo or (s <= hi and np.vecdot(y := np.array((y0, y1)), y) <= 1.0):
+                x0, x1 = y0, y1
+            path.append((x0, x1))
+        return path
+    x0, x1, x2 = x.tolist()
+    for z0, z1, z2 in z.tolist():
+        y0, y1, y2 = x0 + z0, x1 + z1, x2 + z2
+        s = y0 * y0 + y1 * y1 + y2 * y2
+        if s <= lo or (s <= hi and np.vecdot(y := np.array((y0, y1, y2)), y) <= 1.0):
+            x0, x1, x2 = y0, y1, y2
+        path.append((x0, x1, x2))
+    return path
+
+
 @np.errstate(over="ignore")
-def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams) -> np.ndarray:
+def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams, X: np.ndarray | None = None) -> np.ndarray:
     """Ball-walk replay of a driver block U (m, b, s) from states X0 (b, d)
-    for the density of ``params``: log rho(x) = alpha * x_1.
+    for the density of ``params``: log rho(x) = alpha * x_1.  The states go
+    into X (m, b, d), a new array when X is None, which is returned.
 
     Proposals z depend on the driver alone, and so does the density-ratio
     test: with Delta = fl(alpha y_1) - fl(alpha x_1) for y = x + z, a step
@@ -196,12 +242,14 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams) -> np.ndarray
     the states and copies the previous state back into the rows with
     y . y > 1 (np.vecdot, as in ``_accept``), or |y| > 1 in d = 1, which
     for finite y is exactly fl(y y) > 1 (y is never NaN: states are finite
-    and proposals finite or +inf).  Either way, chunk by chunk, the states
-    equal per-step ``metropolis_update`` bit for bit.
+    and proposals finite or +inf).  One chain (b = 1, d <= 3) takes the
+    same steps in Python floats instead (:func:`_one_chain`).  Either way,
+    chunk by chunk, the states equal per-step ``metropolis_update`` bit for
+    bit.
     """
     d, alpha = params.d, params.alpha
     m, b, s = U.shape
-    X = np.empty((m, b, d))
+    X = np.empty((m, b, d)) if X is None else X
     x = X0
     tol = _RATIO_BAND * (alpha * (2.0 + params.gamma) + 746.0)
     # size[j] is |y_j| (d = 1) or y_j . y_j, and out[j] whether y_j left the
@@ -224,6 +272,10 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams) -> np.ndarray
                     x = X_c[i] = _accept(x, z[i], v[i], alpha)
                 continue
             np.copyto(z, np.inf, where=(g <= 0.0)[..., None])
+        if b == 1 and d <= 3:
+            X_c[:, 0] = np.reshape(_one_chain(x[0], z[:, 0]), (len(X_c), d))
+            x = X_c[-1]
+            continue
         for z_i, X_i in zip(z, X_c):
             np.add(x, z_i, X_i)
             if d == 1:
@@ -313,7 +365,7 @@ def make_metropolis_system(name: str, alpha: float, gamma: float, d: int) -> Cha
 
     update = UpdateFunction(
         s=params.driver_dim,
-        replay=lambda X0, U: _replay(X0, U, params),
+        replay=lambda X0, U, X: _replay(X0, U, params, X),
         inverse=lambda x, y: invert_update(x, y, params),
     )
 

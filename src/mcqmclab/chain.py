@@ -7,7 +7,7 @@ sequence: x_1 = psi(u_0), x_{i+1} = phi(x_i; u_i), so every path is exactly
 replayable.  The driver block U[b, n, s], one row per chain, is known
 before a replay starts, so phi is given as a block replay: each kernel maps
 the start states of b chains and their remaining driver points to all later
-states at once, and ``run_chains`` calls it once and returns one array.
+states at once, written into the one array that ``run_chains`` returns.
 """
 
 from __future__ import annotations
@@ -48,18 +48,17 @@ class GeneratorFunction:
 @dataclass(frozen=True)
 class UpdateFunction:
     """Map phi: G x [0,1]^s -> G realizing the kernel K(x, .), given as the
-    replay of a whole driver block: ``replay(X0[b, d], U[m, b, s]) ->
-    X[m, b, d]`` returns the states X[0] = phi(X0; U[0]) and X[i] =
-    phi(X[i-1]; U[i]) of b chains; m = 0 gives no states.  Each kernel
-    replays its block its own way, and must agree bit for bit with
-    stepping phi.
+    replay of a whole driver block: ``replay(X0[b, d], U[m, b, s], X[m, b,
+    d])`` writes the states X[0] = phi(X0; U[0]) and X[i] = phi(X[i-1];
+    U[i]) of b chains into X; m = 0 gives no states.  Each kernel replays
+    its block its own way, and must agree bit for bit with stepping phi.
 
     ``inverse``, when present, maps one pair (x, y) to a driver point u with
     phi(x; u) = y (the anywhere-to-anywhere witness).
     """
 
     s: int
-    replay: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    replay: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     inverse: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
@@ -113,7 +112,8 @@ def run_chains(system: ChainSystem, U, burn_in: int = 0) -> np.ndarray:
     """Replay of the driver block U[b, n, s], row j driving chain j (one
     driver D of shape (n, s) is the block ``D[None]``): x_1 =
     psi(u_0) for all chains at once, then one ``update.replay`` of the other
-    points.  Returns the retained states X[b, n - burn_in, d], read-only.
+    points into the states behind them.  Returns the retained states X[b, n
+    - burn_in, d], read-only.
 
     ValueError unless U is 3-D with b >= 1, s = ``system.s``, n >= burn_in +
     1 and every entry in [0, 1].  The states are checked against G once,
@@ -134,7 +134,7 @@ def run_chains(system: ChainSystem, U, burn_in: int = 0) -> np.ndarray:
     U = U.transpose(1, 0, 2)
     states = np.empty((n, b, system.dim))
     states[0] = system.generator.map(U[0])
-    states[1:] = system.update.replay(states[0], U[1:])
+    system.update.replay(states[0], U[1:], states[1:])
     inside = system.target.domain.contains(states)
     if not inside.all():
         i, j = divmod(int(np.argmin(inside)), b)
@@ -198,10 +198,9 @@ def make_direct_kernel(
             raise ValueError("default generator available for d = 1 only")
         generator = GeneratorFunction(s_init=1, map=lambda U: _quantile_rows(target, U))
 
-    def replay(X0, U):
+    def replay(X0, U, X):
         # the new state is psi(u) whatever the old one
-        X = generator.map(U.reshape(-1, U.shape[-1]))
-        return X.reshape(U.shape[:-1] + X0.shape[-1:])
+        X[...] = generator.map(U.reshape(-1, U.shape[-1])).reshape(X.shape)
 
     update = UpdateFunction(s=generator.s_init, replay=replay)
 
@@ -242,13 +241,13 @@ def make_lazy_direct_kernel(
 
     generator = GeneratorFunction(s_init=2, map=lambda U: _quantile_rows(nu, U))
 
-    def replay(X0, U):
+    def replay(X0, U, X):
         # a forward fill: step i holds the fresh draw of the last step at or
         # before it whose hold coordinate is < a, or X0 before the first one
         steps = np.arange(1, len(U) + 1)[:, None]
         last = np.maximum.accumulate(np.where(U[..., -1] < a, steps, 0), axis=0)
         draws = np.concatenate([X0[None], _quantile_rows(target, U)])
-        return np.take_along_axis(draws, last[..., None], axis=0)
+        X[...] = np.take_along_axis(draws, last[..., None], axis=0)
 
     update = UpdateFunction(s=2, replay=replay)
 

@@ -449,7 +449,10 @@ class TargetMeasure:
         Gauss-Legendre pair.  Cumulative sums over the sorted intervals give
         all levels of the column at once, and cumulative sums of the
         per-interval gaps between the two rules their errors.  Each column's
-        results depend on that column alone."""
+        results depend on that column alone.  Columns share every interval
+        but those at their own kinks and levels, so the nodes, r cos(theta)
+        and the profile are computed once per distinct interval (a, b), by
+        bits, and gathered back per column."""
         r = self.domain.radius
         cols, levels = top.shape
         kinks = np.arccos(_ball_section_kinks(h) / r)
@@ -464,10 +467,21 @@ class TargetMeasure:
         need = np.arange(edges.shape[1] - 1) < np.max(at, axis=1, keepdims=True)
         a, b = x[:, :-1][need], x[:, 1:][need]
         half = 0.5 * (b - a)
-        theta = (0.5 * (a + b))[:, None] + half[:, None] * _DISC_NODES
-        rho = r * np.cos(theta)
+        # the distinct intervals, told apart by bits (signed zeros too):
+        # interval first[i] is one of the i-th, and interval j is one of the
+        # inv[j]-th
+        a_bits, b_bits = a.view(np.int64), b.view(np.int64)
+        o = np.lexsort((b_bits, a_bits))
+        a_bits, b_bits = a_bits[o], b_bits[o]
+        new = np.ones(len(o), bool)
+        new[1:] = (a_bits[1:] != a_bits[:-1]) | (b_bits[1:] != b_bits[:-1])
+        inv = np.empty_like(o)
+        inv[o] = np.cumsum(new) - 1
+        first = o[new]
+        theta = (0.5 * (a + b))[first, None] + half[first, None] * _DISC_NODES
+        rho = (r * np.cos(theta))[inv]
         hs = np.broadcast_to(h[:, None], need.shape + h.shape[1:])[need]
-        f = self.profile(r * np.sin(theta)) * _ball_section(rho, hs[:, None]) * rho
+        f = self.profile(r * np.sin(theta))[inv] * _ball_section(rho, hs[:, None]) * rho
         k = _DISC_LOW[0].size
         low, high = np.zeros(need.shape), np.zeros(need.shape)
         low[need] = half * np.sum(f[:, :k] * _DISC_LOW[1], axis=-1)

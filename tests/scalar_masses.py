@@ -6,7 +6,10 @@ and is not used by the package.  So is the uniform disc whose marginals are
 box masses, the reference of the disc's closed-form marginal, and so are
 the box and grid masses with their special cases taken from whole-array
 masks (``box_masses_by_masks``, ``grid_masses_by_masks``), the reference
-of the column-by-column masks of ``TargetMeasure._box_masses``.
+of the column-by-column masks of ``TargetMeasure._box_masses``, and the
+disc profile rule with every column's nodes computed for that column
+(``profile_integrals_per_column``), the reference of the nodes shared by
+distinct interval in ``TargetMeasure._profile_integrals``.
 """
 
 import math
@@ -14,7 +17,20 @@ import zlib
 
 import numpy as np
 
-from mcqmclab.core import BallDomain, Rng, TargetMeasure, _mix64, _uniform_disc_mass
+from mcqmclab.core import (
+    _DISC_HIGH,
+    _DISC_LOW,
+    _DISC_NODES,
+    _DISC_PANEL_EDGES,
+    _DISC_PANELS,
+    BallDomain,
+    Rng,
+    TargetMeasure,
+    _ball_section,
+    _ball_section_kinks,
+    _mix64,
+    _uniform_disc_mass,
+)
 
 
 def stratified_integral(measure, hi) -> tuple[float, float]:
@@ -105,3 +121,34 @@ def grid_masses_by_masks(measure, axes) -> tuple[np.ndarray, np.ndarray]:
     masses, errs = box_masses_by_masks(measure, grid)
     shape = tuple(a.size for a in axes)
     return masses.reshape(shape), errs.reshape(shape)
+
+
+def profile_integrals_per_column(measure, top, h) -> tuple[np.ndarray, np.ndarray]:
+    """``TargetMeasure._profile_integrals`` of the levels ``top`` (cols,
+    levels) of the columns ``h`` (cols, 1) with the nodes, r cos(theta) and
+    the profile computed anew for every interval of every column."""
+    r = measure.domain.radius
+    cols, levels = top.shape
+    kinks = np.arccos(_ball_section_kinks(h) / r)
+    panels = np.broadcast_to(_DISC_PANEL_EDGES, (cols, _DISC_PANELS))
+    edges = np.concatenate([panels, -kinks, kinks, top], axis=1)
+    order = np.argsort(edges, axis=1, kind="stable")
+    x = np.take_along_axis(edges, order, axis=1)
+    pos = np.empty_like(order)
+    np.put_along_axis(pos, order, np.arange(edges.shape[1]), axis=1)
+    at = pos[:, edges.shape[1] - levels :]
+    need = np.arange(edges.shape[1] - 1) < np.max(at, axis=1, keepdims=True)
+    a, b = x[:, :-1][need], x[:, 1:][need]
+    half = 0.5 * (b - a)
+    theta = (0.5 * (a + b))[:, None] + half[:, None] * _DISC_NODES
+    rho = r * np.cos(theta)
+    hs = np.broadcast_to(h[:, None], need.shape + h.shape[1:])[need]
+    f = measure.profile(r * np.sin(theta)) * _ball_section(rho, hs[:, None]) * rho
+    k = _DISC_LOW[0].size
+    low, high = np.zeros(need.shape), np.zeros(need.shape)
+    low[need] = half * np.sum(f[:, :k] * _DISC_LOW[1], axis=-1)
+    high[need] = half * np.sum(f[:, k:] * _DISC_HIGH[1], axis=-1)
+    zero = np.zeros((cols, 1))
+    total = np.concatenate([zero, np.cumsum(high, axis=1)], axis=1)
+    gap = np.concatenate([zero, np.cumsum(np.abs(high - low), axis=1)], axis=1)
+    return np.take_along_axis(total, at, axis=1), np.take_along_axis(gap, at, axis=1)

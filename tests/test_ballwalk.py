@@ -138,7 +138,9 @@ class TestLogDensity:
         for name, walk_alpha in [("uniform", 0.0), ("exp-linear", 3.0)]:
             system = make_metropolis_system(name, 3.0, 0.5, 2)
             assert system.nu_density_norm == math.exp(walk_alpha)
-            moved = system.update.replay(x, u)[0, 0, 0] != 0.0
+            X = np.empty((1, 1, 2))
+            system.update.replay(x, u, X)
+            moved = X[0, 0, 0] != 0.0
             assert moved == (walk_alpha == 0.0)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -160,6 +162,19 @@ class TestLogDensity:
     def test_negative_alpha(self):
         with pytest.raises(ValueError):
             BallWalkParams(0.5, 2, -1.0)
+
+    @pytest.mark.parametrize(
+        "gamma,alpha", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (math.inf, 0.0)]
+    )
+    def test_non_finite_gamma_or_alpha(self, gamma, alpha):
+        # a NaN passed both gamma <= 0 and alpha < 0 and built a walk whose
+        # NaN proposals or ratios never moved it; an infinite radius proposes
+        # NaN or infinite points
+        for d in (1, 2, 3):
+            with pytest.raises(ValueError):
+                BallWalkParams(gamma, d, alpha)
+        with pytest.raises(ValueError):
+            make_metropolis_system("exp-linear", alpha, gamma, 2)
 
 
 class TestMetropolisUpdate:

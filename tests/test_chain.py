@@ -61,7 +61,7 @@ class TestRunChain:
         target = uniform_interval(0.0, 1.0)
         bad = ChainSystem(
             update=UpdateFunction(
-                s=1, replay=lambda X0, U: X0 + np.cumsum(np.ones_like(U), axis=0)
+                s=1, replay=lambda X0, U, X: np.copyto(X, X0 + np.cumsum(np.ones_like(U), axis=0))
             ),
             generator=GeneratorFunction(s_init=1, map=lambda U: U[:, :1]),
             target=target,
@@ -71,6 +71,29 @@ class TestRunChain:
         )
         with pytest.raises(ChainDomainError):
             run_chains(bad, uniform_driver(4, 1, Rng(1))[None])
+
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_replay_writes_into_the_states(self, b):
+        # the kernel fills the states behind the start states that
+        # run_chains hands it; one chain's states are returned as they are
+        import dataclasses
+
+        from mcqmclab.ballwalk import make_metropolis_system
+
+        system = make_metropolis_system("exp-linear", 1.0, 0.5, 2)
+        handed = []
+
+        def recording(X0, U, X):
+            handed.append(X)
+            system.update.replay(X0, U, X)
+
+        traced = dataclasses.replace(system, update=UpdateFunction(s=system.s, replay=recording))
+        U = np.stack([uniform_driver(30, system.s, Rng(7).split(j)) for j in range(b)])
+        states = run_chains(traced, U)
+        assert states.tobytes() == run_chains(system, U).tobytes()
+        assert handed[0].shape == (29, b, 2)
+        assert np.shares_memory(handed[0], states) == (b == 1)
+        assert handed[0].transpose(1, 0, 2).tobytes() == states[:, 1:].tobytes()
 
     def test_states_read_only(self):
         states = run_chains(_direct(), uniform_driver(4, 1, Rng(5))[None])[0]
@@ -82,7 +105,7 @@ class TestChainSystemValidation:
     def test_lambda0_range(self):
         with pytest.raises(ValueError):
             ChainSystem(
-                update=UpdateFunction(s=1, replay=lambda X0, U: X0 + 0.0 * U),
+                update=UpdateFunction(s=1, replay=lambda X0, U, X: np.copyto(X, X0 + 0.0 * U)),
                 generator=GeneratorFunction(s_init=1, map=lambda u: np.zeros(1)),
                 target=uniform_interval(),
                 lambda0=1.5,
@@ -93,7 +116,7 @@ class TestChainSystemValidation:
     def test_lambda0_le_beta(self):
         with pytest.raises(ValueError):
             ChainSystem(
-                update=UpdateFunction(s=1, replay=lambda X0, U: X0 + 0.0 * U),
+                update=UpdateFunction(s=1, replay=lambda X0, U, X: np.copyto(X, X0 + 0.0 * U)),
                 generator=GeneratorFunction(s_init=1, map=lambda u: np.zeros(1)),
                 target=uniform_interval(),
                 lambda0=0.9,
@@ -118,7 +141,9 @@ class TestLazyDirectKernel:
         system = make_lazy_direct_kernel(uniform_interval(-1.0, 1.0), a=0.5)
         x = np.array([0.3])
         U = np.array([[0.9, 0.8], [0.25, 0.1]])
-        stay, move = system.update.replay(np.array([x, x]), U[None])[0]
+        X = np.empty((1, 2, 1))
+        system.update.replay(np.array([x, x]), U[None], X)
+        stay, move = X[0]
         assert np.array_equal(stay, x)
         assert move[0] == pytest.approx(-0.5)
 

@@ -514,3 +514,24 @@ def test_grid_masses_against_meshgrid(name):
         want = scalar_masses.grid_masses_by_masks(m, grid)
         assert got[0].shape == tuple(a.size for a in grid)
         assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 5.0, 30.0, 300.0])
+def test_profile_rule_shares_nodes_per_distinct_interval(alpha):
+    # grid columns with repeated levels and columns (zero-length intervals),
+    # levels at -0.0, 0.0 and the domain's ends, the +inf column (kinks at
+    # -0.0 and 0.0) and the column c2 = 0 (kinks at +-pi/2, on the first
+    # panel edge); then box_masses rows, a level and a column each.  The
+    # nodes computed once per distinct interval give the bits of the
+    # per-column rule
+    m = exp_linear_ball(alpha, 2)
+    rng = Rng(int(alpha))
+    c = np.sort(2.0 * rng.uniforms(14) - 1.0)
+    c1 = np.concatenate([c, c[3:6], [-0.0, 0.0, 1.0, np.inf, np.nextafter(-1.0, 0.0)]])
+    c2 = np.concatenate([c[::-1], c[:2], [0.0, -0.0, np.inf, 1.0, np.nextafter(-1.0, 0.0)]])
+    top = np.arcsin(np.minimum(c1, 1.0))
+    h = np.minimum(c2, 1.0)[:, None]
+    for levels, cols in [(np.broadcast_to(top, (len(h), top.size)), h), (top[: len(h), None], h[::-1])]:
+        got = m._profile_integrals(levels, cols)
+        want = scalar_masses.profile_integrals_per_column(m, levels, cols)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()

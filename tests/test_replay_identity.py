@@ -399,7 +399,9 @@ def test_lifted_update_is_metropolis_update():
     params = BallWalkParams(0.5, 2, 1.0)
     u = Rng(8).uniforms(40 * system.s).reshape(40, system.s)
     x = np.zeros((40, 2))
-    stepped = system.update.replay(x, u[None])[0]
+    stepped = np.empty((1, 40, 2))
+    system.update.replay(x, u[None], stepped)
+    stepped = stepped[0]
     assert np.array_equal(stepped, metropolis_update(x, u, params))
 
 
@@ -441,7 +443,7 @@ def test_run_chains_rejects_bad_blocks():
 
 def test_domain_violation_names_chain_and_step():
     bad = ChainSystem(
-        update=UpdateFunction(s=1, replay=lambda X0, U: X0 + np.cumsum(U > 0.5, axis=0)),
+        update=UpdateFunction(s=1, replay=lambda X0, U, X: np.copyto(X, X0 + np.cumsum(U > 0.5, axis=0))),
         generator=GeneratorFunction(s_init=1, map=lambda U: 0.1 * U),
         target=uniform_interval(0.0, 1.0),
         lambda0=0.0,
@@ -453,7 +455,7 @@ def test_domain_violation_names_chain_and_step():
         run_chains(bad, drivers)
     # the states are checked before the burn-in is dropped: a chain that
     # leaves G at step 1 and comes back is caught with burn_in = 2
-    back = dataclasses.replace(bad, update=UpdateFunction(s=1, replay=lambda X0, U: X0 + (U > 0.5)))
+    back = dataclasses.replace(bad, update=UpdateFunction(s=1, replay=lambda X0, U, X: np.copyto(X, X0 + (U > 0.5))))
     with pytest.raises(ChainDomainError, match="chain 0 .* step 1"):
         run_chains(back, np.array([[[0.5], [0.9], [0.1]]]), burn_in=2)
 
@@ -509,3 +511,88 @@ def test_sphere_generator_d4_batch_matches_single_points():
     batch = sphere_generator(u, 4)
     assert np.array_equal(batch, np.array([sphere_generator(v, 4) for v in u]))
     assert np.allclose(np.linalg.norm(batch, axis=1), 1.0, atol=1e-12)
+
+
+def _assert_rows_replay_alone(X0, U, params):
+    """Each chain of the block U (m, b, s), b >= 2, replayed alone, which
+    takes the one-chain step loop, equals its row of the block replay bit
+    for bit."""
+    block = ballwalk._replay(X0, U, params)
+    for j in range(len(X0)):
+        alone = ballwalk._replay(X0[j : j + 1], U[:, j : j + 1], params)
+        assert alone.tobytes() == block[:, j : j + 1].tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("chunk", [None, 1, 40])
+def test_one_chain_is_its_row_of_the_block(monkeypatch, d, alpha, chunk):
+    # states on the sphere and at -0.0, zero radii (v_last = 0, proposals of
+    # -0.0 along negative directions), steps of 0.5 from +-0.5 e_1 onto the
+    # sphere, and at alpha = 1 proposals failing the ratio test, folded to
+    # +inf; over several chunks of steps, carried over from chunk to chunk
+    if chunk is not None:
+        monkeypatch.setattr(ballwalk, "_REPLAY_CHUNK", chunk)
+    params = BallWalkParams(1.0, d, alpha)
+    X0 = _edge_states(d)
+    points = [_axis_point(d, sign, r, v) for sign in (1, -1) for r in (0.0, 0.5, 1.0) for v in (0.3, 0.9)]
+    U = _drivers(len(X0), 60, params.driver_dim, 80 + d).transpose(1, 0, 2)
+    U[::3] = [[points[(i + 5 * j) % len(points)] for j in range(len(X0))] for i in range(0, 60, 3)]
+    U[1::7, :, -2] = 0.0
+    with monkeypatch.context() as patched:
+        patched.setattr(ballwalk, "_accept", None)
+        _assert_rows_replay_alone(X0, U, params)
+    _assert_replay_is_per_step(X0[:1], U[:, :1], params)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_chain_near_the_sphere(d):
+    # the uniform walk (alpha = 0) on drivers that send it onto the unit
+    # sphere to rounding, where the Python sum of squares lies in its band
+    # and np.vecdot decides
+    params = BallWalkParams(2.0, d, 0.0)
+    rng = Rng(90 + d)
+    U = np.stack([_near_tie_driver(200, d, 0.0, rng.split(j)) for j in range(3)], axis=1)
+    X0 = ballwalk.ball_generator(U[0, :, : params.proposal_dim], 1.0, d)
+    _assert_rows_replay_alone(X0, U[1:], params)
+    _assert_replay_is_per_step(X0[:1], U[1:, :1], params)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_one_chain_huge_radius(d, alpha):
+    # gamma = 1e300: y . y overflows to +inf (a Python float y * y does not
+    # raise, where y ** 2 would), which rejects like the block loop's
+    # np.vecdot; at alpha = 1 every entry is inside the band, so both go
+    # through the exact per-step test
+    params = BallWalkParams(1e300, d, alpha)
+    U = _drivers(3, 40, params.driver_dim, 3 + d).transpose(1, 0, 2)
+    U[::4, :, -2] = 0.0
+    _assert_rows_replay_alone(_edge_states(d)[[0, 4, 6]], U, params)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_chain_asks_vecdot_only_inside_its_band(monkeypatch, d):
+    # np.vecdot is asked for exactly the steps whose Python sum of squares
+    # lies within 4 d 2^-53 of 1, in step order, and for nothing in d = 1
+    params = BallWalkParams(2.0, d, 0.0)
+    U = _near_tie_driver(300, d, 0.0, Rng(110 + d))[:, None]
+    X0 = ballwalk.ball_generator(U[0, :, : params.proposal_dim], 1.0, d)
+    z = ballwalk.ball_generator(U[1:, 0, : params.proposal_dim], 2.0, d)
+    states = ballwalk._replay(X0, U[1:], params)[:, 0]
+    band = 4 * d * 2.0**-53
+    inside = []
+    for x, z_i in zip(np.concatenate([X0, states[:-1]]).tolist(), z.tolist()):
+        y = [a + b for a, b in zip(x, z_i)]
+        s = 0.0  # summed from the first square on, as the step loop sums
+        for t in y:
+            s += t * t
+        if d > 1 and 1.0 - band < s <= 1.0 + band:
+            inside.append(y)
+    vecdot, asked = np.vecdot, []
+    monkeypatch.setattr(np, "vecdot", lambda a, b, *rest: asked.append(a.tolist()) or vecdot(a, b, *rest))
+    again = ballwalk._replay(X0, U[1:], params)[:, 0]
+    monkeypatch.undo()
+    assert again.tobytes() == states.tobytes()
+    assert asked == inside
+    assert d == 1 or len(inside) >= 10
