@@ -7,10 +7,10 @@ Subcommands:
 * ``mcqmc validate <config.json>`` -- check a config without running it
 
 Exit codes: 0 success, 2 config error (nothing written) or an output that
-cannot be written, 3 infeasible
-objective (e.g. exact discrepancy scan above dimension 3, a delta-cover
-that fails its slab audit, a ball above dimension 8, whose stratified
-masses exceed their cap, or an array larger than memory allows).
+cannot be written, 3 infeasible objective (e.g. exact discrepancy scan
+above dimension 3, a delta-cover that fails its slab audit, a ball above
+dimension 8, whose stratified masses exceed their cap, or an array larger
+than memory or numpy's shape limits allow).
 
 Every numeric written to the CSV is a pure function of (config, seed);
 floats are serialized with 17 significant digits so they round-trip exactly.
@@ -201,22 +201,20 @@ def _validate(cfg: dict) -> dict:
     return params
 
 
-def _resolve_gamma(p: dict) -> float:
-    if p["gamma"] == "gamma-star":
-        return ballwalk_gap_bound(p["density"]["alpha"], p["dimension"])[0]
-    return p["gamma"]
-
-
-def _build_system(p: dict, gamma: float):
-    kernel, density, d = p["kernel"], p["density"], p["dimension"]
+def _build_system(p: dict):
+    """The config's chain system and the ball walk's gamma, gamma* where
+    the config leaves it out."""
+    kernel, density, d, gamma = p["kernel"], p["density"], p["dimension"], p["gamma"]
+    if gamma == "gamma-star":
+        gamma = ballwalk_gap_bound(density["alpha"], d)[0]
     if kernel == "metropolis-ballwalk":
-        return make_metropolis_system(density["name"], density["alpha"], gamma, d)
+        return make_metropolis_system(density["name"], density["alpha"], gamma, d), gamma
     if d != 1:
         raise ConfigError(f"kernel {kernel!r} is implemented for dimension 1 only")
     target = _target_for(density["name"], density["alpha"], 1)
     if kernel == "direct":
-        return make_direct_kernel(target)
-    return make_lazy_direct_kernel(target, p["a"])
+        return make_direct_kernel(target), gamma
+    return make_lazy_direct_kernel(target, p["a"]), gamma
 
 
 def _fmt(x) -> str:
@@ -252,8 +250,7 @@ def _run_bounds(p: dict):
 
 
 def _run_discrepancy(p: dict):
-    gamma = _resolve_gamma(p)
-    system = _build_system(p, gamma)
+    system, gamma = _build_system(p)
     n, n0, seed = p["n"], p["n0"], p["seed"]
     driver = uniform_driver(n + n0, system.s, Rng(seed))
     report = star_discrepancy_exact(run_chains(system, driver[None], burn_in=n0)[0], system.target)
@@ -262,8 +259,7 @@ def _run_discrepancy(p: dict):
 
 
 def _run_pullback(p: dict):
-    gamma = _resolve_gamma(p)
-    system = _build_system(p, gamma)
+    system, gamma = _build_system(p)
     n, n0, seed, delta = p["n"], p["n0"], p["seed"], p["delta"]
     cover = build_quantile_cover(system.target, delta)
     driver = uniform_driver(n + n0, system.s, Rng(seed))
@@ -271,11 +267,7 @@ def _run_pullback(p: dict):
         system, driver, n0, cover, p["mc-replications"], Rng(seed).split(7)
     )
     header = ["n", "seed", "delta", "disc_lower", "disc_upper", "mc_stderr"]
-    return (
-        header,
-        [[n, seed, delta, report.lower, report.upper, report.mc_stderr]],
-        {"gamma": gamma},
-    )
+    return header, [[n, seed, delta, report.lower, report.upper, report.mc_stderr]], {"gamma": gamma}
 
 
 def _search_config(p: dict, n: int) -> SearchConfig:
@@ -309,8 +301,7 @@ def _cover(system, p: dict):
 
 
 def _run_search(p: dict):
-    gamma = _resolve_gamma(p)
-    system = _build_system(p, gamma)
+    system, gamma = _build_system(p)
     sc = _search_config(p, p["n"])
     result = best_of_k(system, sc, cover=_cover(system, p))
     header = ["n", "seed", "disc_lower", "disc_upper", "theory_bound"]
@@ -320,8 +311,7 @@ def _run_search(p: dict):
 
 
 def _run_rate_study(p: dict):
-    gamma = _resolve_gamma(p)
-    system = _build_system(p, gamma)
+    system, gamma = _build_system(p)
     ns = p["ns"]
     rows = rate_study(system, ns, _search_config(p, ns[0]), cover=_cover(system, p))
     header = ["n", "seed", "disc_lower", "disc_upper", "theory_bound", "beck_bound", "runtime_ms"]
@@ -370,7 +360,11 @@ def _cmd_run(path: str) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ExactScanInfeasible, CoverConstructionError, StratifiedEstimateInfeasible,
-            NotImplementedError, MemoryError) as exc:
+            NotImplementedError, MemoryError, ValueError) as exc:
+        # any ValueError but numpy's refusal of an oversized shape is a fault
+        refusals = ("array is too big", "Maximum allowed dimension exceeded")
+        if isinstance(exc, ValueError) and not str(exc).startswith(refusals):
+            raise
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - t0

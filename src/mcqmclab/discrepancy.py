@@ -36,10 +36,10 @@ __all__ = [
 
 
 # bound on the corners whose masses the exact scan asks for at once, and on
-# the set-member counts a search's cover bracket holds at once
+# the set-member counts the cover scorer holds at once for its scored sets
 _SCAN_CHUNK_CELLS = 1 << 16
 # bound on the members of a quantile cover, (ceil(d / delta) + 1)^d; the
-# pull-back counts hold one float per member for each of its m + 1 paths
+# pull-back counts hold one float per member for each of its m replicas
 COVER_MEMBER_CAP = 1 << 20
 
 
@@ -351,20 +351,27 @@ def star_discrepancy_bracket(
     return _cover_brackets(_as_points(points, measure.dim)[None], cover)[0]
 
 
-def _cover_brackets(paths: np.ndarray, cover: DeltaCover) -> list[DiscrepancyReport]:
-    """:func:`star_discrepancy_bracket` of each set of stacked point sets
-    ``paths`` (sets, n, d), from one count of as many sets at a time as
-    keep their member counts within :data:`_SCAN_CHUNK_CELLS`."""
-    masses, mass_err = cover.masses()
+def _cover_scores(
+    paths: np.ndarray, cover: DeltaCover, volume: np.ndarray, slack: float, method: str, stderr=0.0
+) -> list[DiscrepancyReport]:
+    """The one cover scorer: for each set of stacked point sets ``paths``
+    (sets, n, d), lower max |fractions - volume| over the members and upper
+    lower + delta + slack, from one count of as many sets at a time as keep
+    their member counts within :data:`_SCAN_CHUNK_CELLS`."""
     step = max(1, _SCAN_CHUNK_CELLS // cover.size)
     lowers = []
     for i in range(0, len(paths), step):
-        emp = cover.fractions_below(paths[i : i + step])
-        lowers += np.max(np.abs(emp - masses), axis=-1).tolist()
+        lowers += np.max(np.abs(cover.fractions_below(paths[i : i + step]) - volume), axis=-1).tolist()
     return [
-        DiscrepancyReport(lo, min(lo + cover.delta + mass_err, 1.0), "cover-bracket", cover.delta)
+        DiscrepancyReport(lo, min(lo + cover.delta + slack, 1.0), method, cover.delta, stderr)
         for lo in lowers
     ]
+
+
+def _cover_brackets(paths: np.ndarray, cover: DeltaCover) -> list[DiscrepancyReport]:
+    """:func:`star_discrepancy_bracket` of each set of ``paths`` (sets, n,
+    d): the volume is the members' masses, the slack their error."""
+    return _cover_scores(paths, cover, *cover.masses(), "cover-bracket")
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +379,41 @@ def _cover_brackets(paths: np.ndarray, cover: DeltaCover) -> list[DiscrepancyRep
 # ---------------------------------------------------------------------------
 
 
+def _pullback_block(system: ChainSystem, drivers: Sequence[np.ndarray], m: int, rng: Rng) -> np.ndarray:
+    """The b driver rows ``drivers``, each (rows, s), then, without a marginal
+    oracle, m replica rows drawn straight into the block, replica r the
+    first uniforms of ``rng.split(r)`` (its prefixes are its shorter replicas)."""
+    if system.exact_marginal is not None:
+        return np.asarray(drivers, float)
+    if m < 100:
+        raise ValueError("need at least 100 replications without a marginal oracle")
+    b = len(drivers)
+    U = np.empty((b + m,) + np.shape(drivers[0]))
+    U[:b] = drivers
+    rng.split_uniforms(np.arange(m), U[0].size, out=U.reshape(b + m, -1)[b:])
+    return U
+
+
+def _pullbacks(
+    system: ChainSystem, paths: np.ndarray, burn_in: int, cover: DeltaCover, m: int
+) -> list[DiscrepancyReport]:
+    """Pull-back discrepancy of each driver row of ``paths`` (sets, n, d),
+    a :func:`_pullback_block` replayed after ``burn_in`` steps.  The volume
+    nu P^i(A) does not depend on the driver, so all rows share one: the
+    exact marginal averaged over steps burn_in ... burn_in + n - 1, or else
+    the mean of the last m rows, the replicas, whose largest stderr is
+    every row's."""
+    if system.exact_marginal is not None:
+        steps = range(burn_in, burn_in + paths.shape[1])
+        volume = np.mean(system.exact_marginal(steps, cover.corners), axis=1)
+        return _cover_scores(paths, cover, volume, 0.0, "pullback-mc")
+    acc = cover.fractions_below(paths[-m:])
+    stderr = float(np.max(acc.std(axis=0, ddof=1) / math.sqrt(m)))
+    return _cover_scores(paths[:-m], cover, acc.mean(axis=0), stderr, "pullback-mc", stderr)
+
+
 def pullback_discrepancy_mc(
-    system: ChainSystem,
-    driver: np.ndarray,
-    burn_in: int,
-    cover: DeltaCover,
-    m: int,
-    rng: Rng,
+    system: ChainSystem, driver: np.ndarray, burn_in: int, cover: DeltaCover, m: int, rng: Rng
 ) -> DiscrepancyReport:
     """Pull-back discrepancy of the driver sequence (shape (n, s)) over the
     cover sets.
@@ -388,37 +423,12 @@ def pullback_discrepancy_mc(
     equivalent to x_{i+1} in A), while the volume term equals the chain
     marginal nu P^i(A): taken from the system's exact-marginal oracle when
     available (mc_stderr = 0), otherwise estimated from m independent random
-    chains.  Either way one block is replayed: the driver's row, then
-    without the oracle the m replicas, replica r driven by the first
-    uniforms of ``rng.split(r)``, drawn straight into the block.
+    chains, replica r driven by ``rng.split(r)``.  This is the one-driver
+    call of the block a search replays and scores (:func:`_pullback_block`,
+    :func:`_pullbacks`).
     """
-    exact = system.exact_marginal is not None
-    if not exact and m < 100:
-        raise ValueError("need at least 100 replications without a marginal oracle")
-    U = np.asarray(driver, float)[None]
-    if not exact:
-        U = np.empty((m + 1,) + U.shape[1:])
-        U[0] = driver
-        rng.split_uniforms(np.arange(m), U[0].size, out=U.reshape(m + 1, U[0].size)[1:])
-    # indicator averages over the retained window, per cover set and path
-    fractions = cover.fractions_below(run_chains(system, U, burn_in=burn_in))
-    ind, acc = fractions[0], fractions[1:]
-    if exact:
-        vol = np.mean(system.exact_marginal(range(burn_in, U.shape[1]), cover.corners), axis=1)
-        stderr = 0.0
-    else:
-        vol = acc.mean(axis=0)
-        stderr = float(np.max(acc.std(axis=0, ddof=1) / math.sqrt(m)))
-
-    lower = float(np.max(np.abs(ind - vol)))
-    upper = min(lower + cover.delta + stderr, 1.0)
-    return DiscrepancyReport(
-        lower=lower,
-        upper=upper,
-        method="pullback-mc",
-        delta_used=cover.delta,
-        mc_stderr=stderr,
-    )
+    U = _pullback_block(system, np.asarray(driver, float)[None], m, rng)
+    return _pullbacks(system, run_chains(system, U, burn_in=burn_in), burn_in, cover, m)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ Two routes to a low-discrepancy driver:
   Monte Carlo rate with positive probability, so sampling a handful and
   keeping the best realizes it.  A rate study is one search at several n:
   the candidates are built and replayed once, at the largest n, and every
-  n is scored on their prefixes.
+  n is scored on their prefixes.  A Monte Carlo pull-back search replays
+  one replica set with them, shared by all candidates: they carry one
+  stderr, so the ranking is by the lower bound.
 * inversion: when the update function is anywhere-to-anywhere invertible,
   pull a prescribed low-discrepancy target path back through the update to
   obtain a driver that reproduces it exactly.
@@ -26,13 +28,8 @@ import numpy as np
 from .bounds import BoundInputs, beck_bound, corollary_main_bound
 from .chain import ChainSystem, run_chains
 from .core import Rng, halton_sequence
-from .discrepancy import (
-    DeltaCover,
-    DiscrepancyReport,
-    _cover_brackets,
-    _exact_scans,
-    pullback_discrepancy_mc,
-)
+from .discrepancy import DeltaCover, DiscrepancyReport, _cover_brackets, _exact_scans
+from .discrepancy import _pullback_block, _pullbacks
 
 __all__ = [
     "SearchConfig",
@@ -110,40 +107,36 @@ def _search(
     system: ChainSystem, config: SearchConfig, ns: list, cover: Optional[DeltaCover]
 ) -> Iterator[SearchResult]:
     """The best-of-k search at each n of the strictly increasing ``ns``, one
-    result per n (``config.n`` is not read).  The candidates are built once,
-    at n0 + max(ns): the drivers at n are their first n0 + n rows, and so
-    are the paths and the pull-back replicas.  A label names one driver
-    (every ``"halton"`` candidate is one sequence): the star objectives
-    replay each label's driver once, all in one block, and score the
-    block's paths at each n as one block too (one exact scan, or one cover
-    count), each path once for all its candidates; the Monte Carlo
-    pull-back scores every candidate with its own replicas."""
+    result per n (``config.n`` is not read).  The candidates are built at
+    n0 + max(ns), and each label's driver (every ``"halton"`` candidate is
+    one sequence) is replayed once, all in one block; without a marginal
+    oracle the pull-back's m replicas of ``Rng(seed).split(50_000)`` follow
+    them in it, one set shared by every candidate, so all candidates carry
+    one stderr and rank by ``lower``.  Each n scores the paths' first n
+    states as one block (one exact scan, cover count or pull-back)."""
     if config.objective in ("star-bracket", "pullback-mc") and cover is None:
         raise ValueError(f"objective {config.objective!r} requires a cover")
     if any(b <= a for a, b in zip([0] + ns, ns)):
         raise ValueError(f"ns must be strictly increasing sizes >= 1, got {ns!r}")
     if not ns:
         return
-    n0, pullback = config.n0, config.objective == "pullback-mc"
-    exact = config.objective == "star-exact"
+    n0, m = config.n0, config.mc_replications
     labels, drivers = _candidates(config, n0 + ns[-1], system.s)
-    if not pullback:
-        # row[label] is the label's row of the replayed block
-        row = {label: r for r, label in enumerate(dict.fromkeys(labels))}
-        paths = run_chains(system, np.stack([drivers[labels.index(label)] for label in row]), n0)
+    # row[label] is the label's row of the replayed block
+    row = {label: r for r, label in enumerate(dict.fromkeys(labels))}
+    U = [drivers[labels.index(label)] for label in row]
+    if config.objective == "pullback-mc":
+        U = _pullback_block(system, U, m, Rng(config.seed).split(50_000))
+    # a block stacked here lives only as long as its replay
+    paths = run_chains(system, np.asarray(U), n0)
+    score = {
+        "star-exact": lambda block: _exact_scans(block, system.target),
+        "star-bracket": lambda block: _cover_brackets(block, cover),
+        "pullback-mc": lambda block: _pullbacks(system, block, n0, cover, m),
+    }[config.objective]
     for n in ns:
-        if pullback:
-            reports = [
-                pullback_discrepancy_mc(
-                    system, driver[: n0 + n], n0, cover, config.mc_replications,
-                    Rng(config.seed).split(50_000 + j),
-                )
-                for j, driver in enumerate(drivers)
-            ]
-        else:
-            block = paths[:, :n]
-            scored = _exact_scans(block, system.target) if exact else _cover_brackets(block, cover)
-            reports = [scored[row[label]] for label in labels]
+        scored = score(paths[:, :n])
+        reports = [scored[row[label]] for label in labels]
         best = int(np.argmin([r.upper for r in reports]))
         theory = math.inf
         if n >= 16 and system.lambda0 is not None and system.lambda0 < 1.0:
@@ -167,6 +160,8 @@ def best_of_k(
     the one-n rate study: :func:`_search` at ``ns = [config.n]``.
 
     ``cover`` is required for the star-bracket and pullback-mc objectives.
+    Under pullback-mc the candidates share one replica set, so they share
+    one stderr and rank by their lower bounds.
     """
     return next(_search(system, config, [config.n], cover))
 

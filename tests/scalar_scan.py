@@ -3,7 +3,9 @@ of ``star_discrepancy_exact`` for every d <= 3, and the cover counts as one
 comparison of every point with every cover corner, with the cover bracket
 and pull-back built on them.
 They are kept as the references the exact scan and the binned cover counts
-must match, and are not used by the package.
+must match, and are not used by the package.  ``pullback_one_block`` is the
+one-driver pull-back as it was before the searches shared one replica set:
+the driver's row and its m replicas counted in one call.
 """
 
 import itertools
@@ -111,6 +113,36 @@ def broadcast_pullback(system, driver, burn_in, cover, m, rng) -> DiscrepancyRep
         paths = run_chains(system, np.stack([driver] + replicas), burn_in=burn_in)
         ind = broadcast_fractions_below(paths[0], corners)
         acc = np.array([broadcast_fractions_below(p, corners) for p in paths[1:]])
+        vol = acc.mean(axis=0)
+        stderr = float(np.max(acc.std(axis=0, ddof=1) / math.sqrt(m)))
+    lower = float(np.max(np.abs(ind - vol)))
+    return DiscrepancyReport(
+        lower=lower,
+        upper=min(lower + cover.delta + stderr, 1.0),
+        method="pullback-mc",
+        delta_used=cover.delta,
+        mc_stderr=stderr,
+    )
+
+
+def pullback_one_block(system, driver, burn_in, cover, m, rng) -> DiscrepancyReport:
+    """``pullback_discrepancy_mc`` scored on its own: one block of the
+    driver's row and, without a marginal oracle, the m replicas of ``rng``,
+    all counted in one ``fractions_below`` call."""
+    exact = system.exact_marginal is not None
+    if not exact and m < 100:
+        raise ValueError("need at least 100 replications without a marginal oracle")
+    U = np.asarray(driver, float)[None]
+    if not exact:
+        U = np.empty((m + 1,) + U.shape[1:])
+        U[0] = driver
+        rng.split_uniforms(np.arange(m), U[0].size, out=U.reshape(m + 1, U[0].size)[1:])
+    fractions = cover.fractions_below(run_chains(system, U, burn_in=burn_in))
+    ind, acc = fractions[0], fractions[1:]
+    if exact:
+        vol = np.mean(system.exact_marginal(range(burn_in, U.shape[1]), cover.corners), axis=1)
+        stderr = 0.0
+    else:
         vol = acc.mean(axis=0)
         stderr = float(np.max(acc.std(axis=0, ddof=1) / math.sqrt(m)))
     lower = float(np.max(np.abs(ind - vol)))

@@ -444,15 +444,40 @@ class TestRunExperiments:
         assert "cap of 16777216" in err and err.count("\n") == 1
         assert not (tmp_path / "s.csv").exists()
 
-    @pytest.mark.parametrize("experiment", ["discrepancy", "pullback"])
-    def test_oversized_run_exits_3(self, tmp_path, capsys, experiment):
+    @pytest.mark.parametrize(
+        "keys, refusal",
+        [
+            pytest.param({"experiment": "discrepancy", "n": 10**13}, "Unable to allocate", id="discrepancy"),
+            pytest.param({"experiment": "pullback", "n": 10**13}, "Unable to allocate", id="pullback"),
+            pytest.param({"experiment": "discrepancy", "n": 2**62}, "Maximum allowed dimension", id="n-2^62"),
+            pytest.param({"experiment": "discrepancy", "n": 10**20}, "Maximum allowed dimension", id="n-10^20"),
+            pytest.param({"experiment": "discrepancy", "n0": 2**62}, "Maximum allowed dimension", id="n0-2^62"),
+            pytest.param({"experiment": "pullback", "mc-replications": 2**62}, "array is too big", id="replicas-2^62"),
+            pytest.param({"experiment": "rate-study", "ns": [16, 10**20], "k": 2}, "Maximum allowed dimension", id="ns-10^20"),
+        ],
+    )
+    def test_oversized_run_exits_3(self, tmp_path, capsys, keys, refusal):
         # n = 10^13 asks for a 218 TiB driver, beyond a 47-bit address space,
-        # which numpy refuses before touching memory
-        cfg = {"experiment": experiment, "dimension": 1, "n": 10**13, "output": str(tmp_path / "s.csv")}
+        # which numpy refuses before touching memory; larger shapes it
+        # refuses with a ValueError before it computes their size in bytes
+        cfg = {"dimension": 1, **keys, "output": str(tmp_path / "s.csv")}
         assert main(["run", _write(tmp_path, "c.json", cfg)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("infeasible: Unable to allocate") and err.count("\n") == 1
+        assert err.startswith(f"infeasible: {refusal}") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+    def test_other_value_errors_are_not_infeasible(self, tmp_path, monkeypatch):
+        # only numpy's shape refusals exit 3; a ValueError of the program
+        # itself still ends the run with its traceback
+        from mcqmclab import cli
+
+        def fault(p):
+            raise ValueError("array is not too big")
+
+        monkeypatch.setitem(cli._RUNNERS, "discrepancy", fault)
+        cfg = {"experiment": "discrepancy", "output": str(tmp_path / "s.csv")}
+        with pytest.raises(ValueError, match="array is not too big"):
+            main(["run", _write(tmp_path, "c.json", cfg)])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_alpha_at_its_upper_end_runs(self, tmp_path, capsys, d):

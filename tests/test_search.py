@@ -6,6 +6,7 @@ import pytest
 from mcqmclab.chain import make_direct_kernel, run_chains
 from mcqmclab.core import Rng, halton_sequence, uniform_driver, uniform_interval
 from mcqmclab import search
+from mcqmclab import discrepancy
 from mcqmclab.discrepancy import (
     build_quantile_cover,
     star_discrepancy_bracket,
@@ -51,6 +52,48 @@ def _walk_and_cover():
 
     system = make_metropolis_system("exp-linear", 1.0, ballwalk_gap_bound(1.0, 1)[0], 1)
     return system, build_quantile_cover(system.target, 0.05)
+
+
+def _per_candidate_pullbacks(system, config, cover, n):
+    """Every candidate at n scored on its own, with its own m replicas
+    ``Rng(seed).split(50_000 + j)``: the search's former pull-back, kept as
+    the reference of the one shared replica set (candidate 0's replicas)."""
+    import scalar_scan as ref
+
+    config = dataclasses.replace(config, n=n)
+    return [
+        ref.pullback_one_block(
+            system, _one_candidate(config, j, system.s)[1], config.n0, cover,
+            config.mc_replications, Rng(config.seed).split(50_000 + j),
+        )
+        for j in range(config.k)
+    ]
+
+
+def _candidate_reports(monkeypatch, system, config, ns, cover):
+    """The search's results at each n of ``ns`` and, per n, every
+    candidate's pull-back report as its scorer returned it."""
+    blocks = []
+
+    def recording(*args):
+        blocks.append(discrepancy._pullbacks(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(search, "_pullbacks", recording)
+    results = list(search._search(system, config, ns, cover))
+    labels = [label for label, _ in results[0].all_scores]
+    row = {label: r for r, label in enumerate(dict.fromkeys(labels))}
+    return results, [[block[row[label]] for label in labels] for block in blocks]
+
+
+def _walk_and_cover_2d():
+    """The d = 2 uniform ball walk at gamma*, no exact marginal, and its
+    cover at delta = 0.2 (122 members)."""
+    from mcqmclab.ballwalk import make_metropolis_system
+    from mcqmclab.bounds import ballwalk_gap_bound
+
+    system = make_metropolis_system("uniform", 0.0, ballwalk_gap_bound(0.0, 2)[0], 2)
+    return system, build_quantile_cover(system.target, 0.2)
 
 
 def _metropolis_inversion_system():
@@ -285,8 +328,9 @@ class TestRateStudy:
         monkeypatch.setattr(search, "run_chains", replay)
         rate_study(system, [16, 48, 80], cfg, cover=cover)
         assert haltons == [6 + 80]
-        # the pull-back replays each candidate with its replicas, per n
-        assert replays == ([] if objective == "pullback-mc" else [(4, 6 + 80, system.s)])
+        # the pull-back's 200 shared replicas follow the 4 distinct drivers
+        replicas = 200 if objective == "pullback-mc" else 0
+        assert replays == [(4 + replicas, 6 + 80, system.s)]
 
     @pytest.mark.parametrize("ns", [[0, 16], [64, 16], [16, 16]])
     def test_bad_ns_raise_before_anything_is_built(self, monkeypatch, ns):
@@ -305,6 +349,78 @@ class TestRateStudy:
         cfg = SearchConfig(n=16, k=1, seed=1)
         rows = rate_study(_direct(), [1024], cfg)
         assert rows[0]["beck_bound"] == 8.859375
+
+
+class TestPullbackSearch:
+    @pytest.mark.parametrize("walk", [_walk_and_cover, _walk_and_cover_2d], ids=["d1", "d2"])
+    def test_candidate_0_is_its_own_pullback(self, monkeypatch, walk):
+        # candidate 0's replicas are the shared set, so it is scored bit for
+        # bit as on its own, at every n of a rate study
+        system, cover = walk()
+        cfg = SearchConfig(
+            n=16, k=5, seed=4, n0=6, candidate_kinds=MIXED_KINDS, objective="pullback-mc",
+            mc_replications=100,
+        )
+        ns = [16, 48, 80]
+        results, reports = _candidate_reports(monkeypatch, system, cfg, ns, cover)
+        for n, result, got in zip(ns, results, reports, strict=True):
+            want = _per_candidate_pullbacks(system, cfg, cover, n)[0]
+            assert got[0] == want and want.mc_stderr > 0.0
+            assert result.all_scores[0][1] == want.upper
+
+    @pytest.mark.parametrize("kernel", ["direct", "lazy-direct"])
+    def test_every_candidate_is_its_own_pullback_with_an_oracle(self, monkeypatch, kernel):
+        # with an exact marginal there are no replicas, and every candidate
+        # is scored as on its own; the lazy chain starts away from pi, so
+        # its marginal depends on the step
+        from mcqmclab.chain import make_lazy_direct_kernel
+        from mcqmclab.core import exp_linear_interval
+
+        lazy = make_lazy_direct_kernel(exp_linear_interval(1.0), 0.5, nu=uniform_interval())
+        system = _direct() if kernel == "direct" else lazy
+        cover = build_quantile_cover(system.target, 0.05)
+        cfg = SearchConfig(
+            n=16, k=5, seed=4, n0=6, candidate_kinds=MIXED_KINDS, objective="pullback-mc",
+            mc_replications=100,
+        )
+        ns = [16, 48, 80]
+        results, reports = _candidate_reports(monkeypatch, system, cfg, ns, cover)
+        for n, result, got in zip(ns, results, reports, strict=True):
+            want = _per_candidate_pullbacks(system, cfg, cover, n)
+            assert got == want
+            assert [u for _, u in result.all_scores] == [r.upper for r in want]
+            assert result.best_report == want[int(np.argmin([r.upper for r in want]))]
+
+    @pytest.mark.parametrize("chunk_cells", [discrepancy._SCAN_CHUNK_CELLS, 30])
+    @pytest.mark.parametrize("walk", [_walk_and_cover, _walk_and_cover_2d], ids=["d1", "d2"])
+    def test_candidates_share_one_replica_set(self, monkeypatch, walk, chunk_cells):
+        # every candidate's lower is max |fractions - shared replica mean|
+        # from the broadcast counts, and all carry the shared stderr; 30
+        # cells count the candidate rows one at a time
+        import scalar_scan as ref
+
+        system, cover = walk()
+        monkeypatch.setattr(discrepancy, "_SCAN_CHUNK_CELLS", chunk_cells)
+        cfg = SearchConfig(
+            n=40, k=5, seed=11, n0=6, candidate_kinds=MIXED_KINDS, objective="pullback-mc",
+            mc_replications=100,
+        )
+        (result,), (reports,) = _candidate_reports(monkeypatch, system, cfg, [cfg.n], cover)
+        rng, rows = Rng(cfg.seed).split(50_000), cfg.n0 + cfg.n
+        replicas = [rng.split(r).uniforms(rows * system.s).reshape(rows, system.s) for r in range(100)]
+        acc = np.array([
+            ref.broadcast_fractions_below(x, cover.corners)
+            for x in run_chains(system, np.stack(replicas), cfg.n0)
+        ])
+        vol = acc.mean(axis=0)
+        stderr = float(np.max(acc.std(axis=0, ddof=1) / np.sqrt(100)))
+        assert {r.mc_stderr for r in reports} == {stderr} and stderr > 0.0
+        for j, report in enumerate(reports):
+            x = run_chains(system, _one_candidate(cfg, j, system.s)[1][None], cfg.n0)[0]
+            lower = float(np.max(np.abs(ref.broadcast_fractions_below(x, cover.corners) - vol)))
+            assert report.lower == lower
+            assert report.upper == result.all_scores[j][1] == min(lower + cover.delta + stderr, 1.0)
+        assert len({r.lower for r in reports}) > 2
 
 
 class TestFitSlope:
