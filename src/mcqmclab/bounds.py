@@ -3,8 +3,7 @@ throughout the laboratory, so experiments can be checked against theory.
 
 All logarithms are natural except the explicit dyadic ``log2`` in the
 Beck-type formulas.  Calculators are pure total functions; a discrepancy
-bound exceeding 1 is "vacuous" (see :func:`is_vacuous`) and is returned
-as-is rather than clamped.
+bound exceeding 1 is vacuous and is returned as-is rather than clamped.
 """
 
 from __future__ import annotations
@@ -18,12 +17,9 @@ __all__ = [
     "main_discrepancy_bound",
     "corollary_main_bound",
     "tv_average_bound",
-    "spectral_tv_bound",
     "burn_in_bound",
     "beck_bound",
     "ballwalk_gap_bound",
-    "theorem59_error_bound",
-    "is_vacuous",
 ]
 
 
@@ -41,7 +37,7 @@ class BoundInputs:
     beta: float = 0.0               # absolute L2 operator norm on mean-zero functions
     nu_norm: float = 1.0            # ||dnu/dpi||_2
     nu_norm_centered: float = 0.0   # ||dnu/dpi - 1||_2
-    cover_size: int = 1             # |Gamma_delta|
+    cover_size: int = 1             # |Gamma_delta|, an int of any size or inf
     delta: float = 0.0
     c: float = 0.0                  # deviation level
 
@@ -54,11 +50,6 @@ class BoundInputs:
             raise ValueError("counts must be positive (n0 nonnegative)")
         if min(self.nu_norm, self.nu_norm_centered, self.delta, self.c) < 0:
             raise ValueError("nonnegative inputs required")
-
-
-def is_vacuous(bound: float) -> bool:
-    """True when a discrepancy/probability bound says nothing (exceeds 1)."""
-    return bound > 1.0
 
 
 def hoeffding_tail(inp: BoundInputs) -> float:
@@ -78,11 +69,12 @@ def main_discrepancy_bound(inp: BoundInputs) -> float:
     ``sqrt((1+L0)/(1-L0)) * sqrt(2 log(|cover|^2 nu_norm)) / sqrt(n) + delta``.
 
     A negative radicand (possible only for nu_norm < 1 with a trivial cover)
-    degenerates to ``delta``.
+    degenerates to ``delta``.  log|cover|^2 is taken as 2 log|cover|: finite
+    for an int cover size of any magnitude, inf for an infinite one.
     """
     if inp.lambda0 >= 1.0:
         raise ValueError("lambda0 must be < 1")
-    radicand = 2.0 * math.log(inp.cover_size**2 * inp.nu_norm)
+    radicand = 2.0 * (2.0 * math.log(inp.cover_size) + math.log(inp.nu_norm))
     if radicand < 0.0:
         return inp.delta
     gap_factor = math.sqrt((1.0 + inp.lambda0) / (1.0 - inp.lambda0))
@@ -110,13 +102,6 @@ def tv_average_bound(inp: BoundInputs) -> float:
     return (1.0 - inp.lambda0**inp.n) / (inp.n * (1.0 - inp.lambda0)) * inp.nu_norm_centered
 
 
-def spectral_tv_bound(inp: BoundInputs) -> float:
-    """TV bound under an absolute spectral gap: ``beta^n * nu_norm_centered``."""
-    if inp.beta >= 1.0:
-        raise ValueError("beta must be < 1")
-    return inp.beta**inp.n * inp.nu_norm_centered
-
-
 def burn_in_bound(inp: BoundInputs) -> tuple[float, float]:
     """Pull-back discrepancy bound with burn-in n0; returns the pair
     (mixed-gap form, simplified form).
@@ -130,7 +115,7 @@ def burn_in_bound(inp: BoundInputs) -> tuple[float, float]:
         raise ValueError("beta must be < 1")
     cnorm = inp.nu_norm_centered
     damp = inp.beta**inp.n0 * cnorm
-    log_term = math.log(inp.cover_size**2 * (1.0 + damp))
+    log_term = 2.0 * math.log(inp.cover_size) + math.log1p(damp)
     gap_factor = math.sqrt((1.0 + inp.lambda0) / (1.0 - inp.lambda0))
     mixed = (
         gap_factor * math.sqrt(2.0 * log_term) / math.sqrt(inp.n)
@@ -171,23 +156,3 @@ def ballwalk_gap_bound(alpha: float, d: int) -> tuple[float, float]:
     gap = 3.125e-6 / (d + 1) * min(1.0 / (d + 1), 1.0 / alpha)
     return gamma_star, gap
 
-
-def theorem59_error_bound(alpha: float, d: int, n: int) -> float:
-    """Worst-case integration error for the Metropolis ball walk on
-    log-concave, log-Lipschitz densities:
-    ``5000 sqrt(d) max{sqrt(2d), sqrt(alpha)}
-      (alpha + d log n + 3 d^2 log(5d))^{1/2} / sqrt(n) + 8/n^{3/4}``.
-
-    Uses ||dnu/dpi||_2 <= exp(alpha) internally.
-    """
-    if n < 16:
-        raise ValueError("requires n >= 16")
-    inner = alpha + d * math.log(n) + 3 * d**2 * math.log(5 * d)
-    return (
-        5000.0
-        * math.sqrt(d)
-        * max(math.sqrt(2 * d), math.sqrt(alpha))
-        * math.sqrt(inner)
-        / math.sqrt(n)
-        + 8.0 / n**0.75
-    )

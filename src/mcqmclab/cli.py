@@ -48,6 +48,7 @@ from .discrepancy import (
     ExactScanInfeasible,
     build_quantile_cover,
     pullback_discrepancy_mc,
+    quantile_cover_size,
     star_discrepancy_exact,
 )
 from .search import (
@@ -419,10 +420,13 @@ def _cmd_bounds(args) -> int:
         gamma_star, gap = ballwalk_gap_bound(args.alpha, args.d)
         print(f"gamma_star {_fmt(gamma_star)}")
         print(f"spectral_gap {_fmt(gap)}")
-        print(
-            "main_bound(delta=0.01) "
-            f"{_fmt(main_discrepancy_bound(BoundInputs(n=args.n, d=args.d, lambda0=1.0 - gap, nu_norm=math.exp(args.alpha), cover_size=2, delta=0.01)))}"
+        # over the quantile cover; inf where 1 - gap rounds to 1 or |Gamma| overflows a float
+        size = quantile_cover_size(args.d, 0.01)
+        walk = BoundInputs(
+            n=args.n, d=args.d, lambda0=1.0 - gap, nu_norm=math.exp(args.alpha), cover_size=size, delta=0.01
         )
+        bound = main_discrepancy_bound(walk) if walk.lambda0 < 1.0 else math.inf
+        print(f"main_bound(delta=0.01) {_fmt(bound)}")
     return 0
 
 

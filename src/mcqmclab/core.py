@@ -734,17 +734,6 @@ _PRIMES = (
 )
 
 
-def radical_inverse(i: int, base: int) -> float:
-    """Radical inverse of i >= 1 in the given base."""
-    inv = 0.0
-    f = 1.0 / base
-    while i > 0:
-        inv += (i % base) * f
-        i //= base
-        f /= base
-    return inv
-
-
 def halton_sequence(n: int, s: int) -> np.ndarray:
     """Halton points: coordinate j of point i is the radical inverse of i+1
     in the j-th prime base."""
@@ -752,10 +741,10 @@ def halton_sequence(n: int, s: int) -> np.ndarray:
         raise ValueError("need n >= 1 and s >= 1")
     if s > len(_PRIMES):
         raise ValueError(f"at most {len(_PRIMES)} dimensions supported")
-    # radical_inverse for all points and bases at once, one digit position
-    # per pass: the same float operations in the same order, and adding
-    # 0 * f once a point's digits are spent leaves it unchanged.  The last
-    # point's base-2 digits run out last.
+    # the radical inverse of all points in all bases at once, one digit
+    # position per pass: the scalar digit loop's float operations in the
+    # same order, and adding 0 * f once a point's digits are spent leaves
+    # it unchanged.  The last point's base-2 digits run out last.
     bases = np.array(_PRIMES[:s])
     digits = np.arange(1, n + 1)[:, None].repeat(s, axis=1)
     f = 1.0 / bases

@@ -29,7 +29,7 @@ __all__ = [
     "star_discrepancy_exact",
     "star_discrepancy_bracket",
     "build_quantile_cover",
-    "cover_size_bound",
+    "quantile_cover_size",
     "pullback_discrepancy_mc",
     "kh_error_bound",
 ]
@@ -294,6 +294,22 @@ class DeltaCover:
         return self._masses
 
 
+def _quantile_slabs(d: int, delta: float) -> float:
+    """Slabs per coordinate of the quantile cover, ceil(d / delta), or inf
+    where d / delta is (the smallest subnormal delta)."""
+    if not (0.0 < delta <= 1.0):
+        raise ValueError("delta must lie in (0, 1]")
+    return math.ceil(d / delta) if d / delta < math.inf else math.inf
+
+
+def quantile_cover_size(d: int, delta: float) -> float:
+    """Members of :func:`build_quantile_cover` in dimension d, m^d + 1,
+    whether or not the member cap lets the cover be built; an int, or inf
+    where the count overflows a float."""
+    m = _quantile_slabs(d, delta)
+    return m**d + 1 if d * math.log2(m) < 1024 else math.inf
+
+
 def build_quantile_cover(measure: TargetMeasure, delta: float) -> DeltaCover:
     """Delta-cover from per-coordinate marginal quantile cuts.
 
@@ -303,12 +319,9 @@ def build_quantile_cover(measure: TargetMeasure, delta: float) -> DeltaCover:
     together.  A cover of more than :data:`COVER_MEMBER_CAP` members,
     counted as (m + 1)^d, is refused before anything is computed.
     """
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must lie in (0, 1]")
     d = measure.dim
-    # d / delta is inf for the smallest subnormal delta
-    m = math.ceil(min(d / delta, COVER_MEMBER_CAP))
-    if (m + 1) ** d > COVER_MEMBER_CAP:
+    m = _quantile_slabs(d, delta)
+    if (min(m, COVER_MEMBER_CAP) + 1) ** d > COVER_MEMBER_CAP:
         raise CoverConstructionError(
             f"delta {delta!r} needs (ceil({d}/delta) + 1)^{d} cover members, "
             f"more than the cap of {COVER_MEMBER_CAP}"
@@ -323,19 +336,6 @@ def build_quantile_cover(measure: TargetMeasure, delta: float) -> DeltaCover:
         if worst > delta / d + 1e-8:
             raise CoverConstructionError(f"coordinate {j}: finest achieved slab mass {worst:.3e}")
     return DeltaCover(delta=delta, measure=measure, cuts=tuple(cuts))
-
-
-def cover_size_bound(delta: float, d: int, epsilon: float) -> int:
-    """Theoretical delta-cover size bound
-    ``(2 + ceil((2 C_{eps,d} / delta)^{1/(1-eps)}))^d`` with
-    ``C_{eps,d} = 4^eps ((3d+1) / (2 e eps log 2))^{(3d+1)/2}``."""
-    if not (0.0 < delta <= 1.0) or not (0.0 < epsilon < 1.0):
-        raise ValueError("need 0 < delta <= 1 and 0 < epsilon < 1")
-    c_eps = 4.0**epsilon * ((3 * d + 1) / (2 * math.e * epsilon * math.log(2.0))) ** (
-        (3 * d + 1) / 2
-    )
-    inner = (2.0 * c_eps / delta) ** (1.0 / (1.0 - epsilon))
-    return int(2 + math.ceil(inner)) ** d
 
 
 # ---------------------------------------------------------------------------

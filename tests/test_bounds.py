@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_bounds import cover_size_bound
 from mcqmclab.bounds import (
     BoundInputs,
     ballwalk_gap_bound,
@@ -11,10 +12,7 @@ from mcqmclab.bounds import (
     burn_in_bound,
     corollary_main_bound,
     hoeffding_tail,
-    is_vacuous,
     main_discrepancy_bound,
-    spectral_tv_bound,
-    theorem59_error_bound,
     tv_average_bound,
 )
 
@@ -55,10 +53,6 @@ class TestGoldenValues:
         )
         assert val == pytest.approx(math.sqrt(2 * math.log(4)) / 10 + 0.01, rel=1e-12)
 
-    def test_spectral_tv(self):
-        val = spectral_tv_bound(BoundInputs(n=3, beta=0.5, nu_norm_centered=2.0))
-        assert val == 0.25
-
 
 class TestEdgeCases:
     def test_hoeffding_no_gap_is_trivial(self):
@@ -85,16 +79,24 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             BoundInputs(nu_norm=-1.0)
 
-    def test_is_vacuous(self):
-        assert is_vacuous(1.2)
-        assert not is_vacuous(0.9)
+    def test_cover_size_beyond_a_float(self):
+        # 2 log|cover| in place of log(|cover|^2): an int cover size past
+        # float range still gives a finite bound, an infinite one inf
+        base = dict(n=1024, lambda0=0.5, beta=0.5, nu_norm=math.e, nu_norm_centered=1.0, delta=0.01)
+        huge = BoundInputs(cover_size=10**400, **base)
+        log_size = 400 * math.log(10)
+        expect = math.sqrt(3.0) * math.sqrt(2 * (2 * log_size + 1)) / 32 + 0.01
+        assert main_discrepancy_bound(huge) == pytest.approx(expect, rel=1e-12)
+        assert all(math.isfinite(b) for b in burn_in_bound(huge))
+        infinite = BoundInputs(cover_size=math.inf, **base)
+        assert main_discrepancy_bound(infinite) == math.inf
+        assert burn_in_bound(infinite) == (math.inf, math.inf)
 
     @pytest.mark.parametrize("r,d", [(16, 263), (16, 264), (2**20, 160)])
     def test_beck_overflow_is_vacuous_inf(self, r, d):
         # at (16, 263) the power is finite and the product overflows; above
         # it the power itself overflows a float
         assert beck_bound(r, d) == math.inf
-        assert is_vacuous(beck_bound(r, d))
 
     def test_beck_finite_values_unchanged(self):
         for r, d in [(16, 261), (2**20, 150), (1024, 3), (7, 12)]:
@@ -128,20 +130,6 @@ class TestBurnIn:
         assert m10 < m0
 
 
-class TestTheorem59:
-    def test_formula(self):
-        val = theorem59_error_bound(1.0, 1, 16)
-        inner = 1.0 + math.log(16) + 3 * math.log(5)
-        expect = 5000.0 * math.sqrt(2.0) * math.sqrt(inner) / 4.0 + 8.0 / 8.0
-        assert val == pytest.approx(expect, rel=1e-12)
-
-    def test_alpha_dominates_for_large_alpha(self):
-        # max{sqrt(2d), sqrt(alpha)} switches at alpha = 2d
-        lo = theorem59_error_bound(1.9, 1, 256)
-        hi = theorem59_error_bound(2.1, 1, 256)
-        assert hi > lo
-
-
 class TestMonotonicity:
     @given(st.integers(16, 4000), st.integers(16, 4000))
     @settings(max_examples=40, deadline=None)
@@ -164,8 +152,6 @@ class TestMonotonicity:
     def test_corollary_consistent_with_main(self, d, n):
         # the specialization to the quantile cover size only moves constants:
         # the two bounds stay within a factor 2 of each other
-        from mcqmclab.discrepancy import cover_size_bound
-
         delta = n ** (-0.75)
         size = cover_size_bound(delta, d, 0.25)
         inp = BoundInputs(n=n, d=d, cover_size=size, delta=delta)

@@ -3,7 +3,10 @@ import math
 
 import pytest
 
+from mcqmclab.bounds import BoundInputs, ballwalk_gap_bound, main_discrepancy_bound
 from mcqmclab.cli import _parser, main
+from mcqmclab.core import uniform_ball
+from mcqmclab.discrepancy import build_quantile_cover
 
 
 def _write(tmp_path, name, cfg):
@@ -586,6 +589,30 @@ class TestBoundsSubcommand:
         assert main(["bounds", "--alpha", "700"]) == 0
         out = capsys.readouterr().out
         assert "inf" not in out and "nan" not in out
+
+    @pytest.mark.parametrize("d, size, value", [(1, 101, 226.176), (2, 40_001, 499.684)])
+    def test_main_bound_prices_the_quantile_cover(self, capsys, d, size, value):
+        # the delta = 0.01 quantile cover of the ball, not a 2-member cover
+        assert main(["bounds", "--d", str(d), "--n", "1024", "--alpha", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        last = captured.out.splitlines()[-1].split()
+        assert last[0] == "main_bound(delta=0.01)"
+        built = build_quantile_cover(uniform_ball(d), 0.01).size
+        assert built == size
+        _, gap = ballwalk_gap_bound(1.0, d)
+        inp = BoundInputs(n=1024, d=d, lambda0=1.0 - gap, nu_norm=math.e, cover_size=built, delta=0.01)
+        assert float(last[1]) == pytest.approx(main_discrepancy_bound(inp), rel=1e-12)
+        assert float(last[1]) == pytest.approx(value, abs=1e-3)
+
+    @pytest.mark.parametrize("d", ["80", "264", "1000000"])
+    def test_main_bound_inf_without_a_float_cover_or_a_gap(self, capsys, d):
+        # |Gamma| = (100 d)^d + 1 overflows a float from d = 80, and from
+        # about d = 2.4e5 1 - gap rounds to 1
+        assert main(["bounds", "--d", d, "--alpha", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1] == "main_bound(delta=0.01) inf"
 
 
 class TestParser:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_masses
+from scalar_bounds import radical_inverse
 from mcqmclab import core
 from mcqmclab.chain import make_direct_kernel, make_lazy_direct_kernel, run_chains
 from mcqmclab.core import (
@@ -20,7 +21,6 @@ from mcqmclab.core import (
     exp_linear_box,
     exp_linear_interval,
     halton_sequence,
-    radical_inverse,
     uniform_ball,
     uniform_box,
     uniform_driver,

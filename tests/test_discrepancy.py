@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_bounds import cover_size_bound
 from mcqmclab import discrepancy
 from mcqmclab.chain import make_direct_kernel, make_lazy_direct_kernel
 from mcqmclab.core import (
@@ -26,9 +27,9 @@ from mcqmclab.discrepancy import (
     H1Function,
     _cover_brackets,
     build_quantile_cover,
-    cover_size_bound,
     kh_error_bound,
     pullback_discrepancy_mc,
+    quantile_cover_size,
     star_discrepancy_bracket,
     star_discrepancy_exact,
 )
@@ -203,6 +204,22 @@ class TestQuantileCover:
             monkeypatch.setattr(TargetMeasure, name, fail)
         with pytest.raises(CoverConstructionError, match=f"cap of {COVER_MEMBER_CAP}"):
             build_quantile_cover(uniform_box([-1.0] * d, [1.0] * d), delta)
+
+    @pytest.mark.parametrize(
+        "measure, delta",
+        [(uniform_interval(), 1.0), (uniform_interval(), 0.01), (uniform_interval(), 0.3),
+         (uniform_ball(2), 0.01), (uniform_box([-1.0] * 3, [1.0] * 3), 0.07)],
+    )
+    def test_size_formula_is_the_built_size(self, measure, delta):
+        assert quantile_cover_size(measure.dim, delta) == build_quantile_cover(measure, delta).size
+
+    def test_size_formula_ignores_the_cap(self):
+        # m^d + 1 where the cap refuses the cover, inf where it overflows a float
+        assert quantile_cover_size(1, 2.0**-20) == 2**20 + 1
+        assert quantile_cover_size(79, 0.01) == 7900**79 + 1
+        assert quantile_cover_size(80, 0.01) == quantile_cover_size(1, 5e-324) == math.inf
+        with pytest.raises(ValueError):
+            quantile_cover_size(1, 0.0)
 
 
 # covers of measures with closed-form box masses, for the bracket tests
