@@ -24,8 +24,6 @@ from .core import (
 )
 from .chain import (
     ChainSystem,
-    GeneratorFunction,
-    UpdateFunction,
     make_direct_kernel,
     make_lazy_direct_kernel,
     run_chains,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ballwalk_gap_bound
-from .chain import ChainSystem, GeneratorFunction, UpdateFunction
+from .chain import ChainSystem
 from .core import Rng, TargetMeasure, exp_linear_ball, special, uniform_ball
 
 __all__ = [
@@ -359,15 +359,6 @@ def make_metropolis_system(name: str, alpha: float, gamma: float, d: int) -> Cha
     target = _target_for(name, alpha, d)
 
     p = params.proposal_dim
-    generator = GeneratorFunction(
-        s_init=params.driver_dim, map=lambda U: ball_generator(U[..., :p], 1.0, d)
-    )
-
-    update = UpdateFunction(
-        s=params.driver_dim,
-        replay=lambda X0, U, X: _replay(X0, U, params, X),
-        inverse=lambda x, y: invert_update(x, y, params),
-    )
 
     def sampler(x: np.ndarray, rng: Rng) -> np.ndarray:
         # independent route: rejection-sample z uniform in the gamma-ball
@@ -387,12 +378,13 @@ def make_metropolis_system(name: str, alpha: float, gamma: float, d: int) -> Cha
     lambda0 = 1.0 - gap if abs(gamma - gamma_star) <= 1e-12 else None
 
     return ChainSystem(
-        update=update,
-        generator=generator,
+        s=params.driver_dim,
+        generate=lambda U: ball_generator(U[..., :p], 1.0, d),
+        replay=lambda X0, U, X: _replay(X0, U, params, X),
         target=target,
         lambda0=lambda0,
         beta=None,
         nu_density_norm=math.exp(params.alpha),
-        exact_marginal=None,
+        inverse=lambda x, y: invert_update(x, y, params),
         kernel_sampler=sampler,
     )

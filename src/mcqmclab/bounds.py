@@ -111,6 +111,8 @@ def burn_in_bound(inp: BoundInputs) -> tuple[float, float]:
     simple = 4 sqrt(log(|cover|^2 (1 + beta^{n0} cnorm))) / sqrt(n (1-beta))
              + 2 beta^{n0} cnorm / (n (1-beta)) + delta
     """
+    if inp.lambda0 >= 1.0:
+        raise ValueError("lambda0 must be < 1")
     if inp.beta >= 1.0:
         raise ValueError("beta must be < 1")
     cnorm = inp.nu_norm_centered

@@ -21,8 +21,6 @@ import numpy as np
 from .core import Rng, TargetMeasure, integrate
 
 __all__ = [
-    "GeneratorFunction",
-    "UpdateFunction",
     "ChainSystem",
     "ChainDomainError",
     "run_chains",
@@ -36,35 +34,21 @@ class ChainDomainError(RuntimeError):
     """An update produced a state outside the domain G."""
 
 
-@dataclass(frozen=True)
-class GeneratorFunction:
-    """Map psi: [0,1]^{s_init} -> G pushing the uniform law to the initial
-    distribution nu, batched over chains: ``map(U[b, s_init]) -> X[b, d]``."""
-
-    s_init: int
-    map: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class UpdateFunction:
-    """Map phi: G x [0,1]^s -> G realizing the kernel K(x, .), given as the
-    replay of a whole driver block: ``replay(X0[b, d], U[m, b, s], X[m, b,
-    d])`` writes the states X[0] = phi(X0; U[0]) and X[i] = phi(X[i-1];
-    U[i]) of b chains into X; m = 0 gives no states.  Each kernel replays
-    its block its own way, and must agree bit for bit with stepping phi.
-
-    ``inverse``, when present, maps one pair (x, y) to a driver point u with
-    phi(x; u) = y (the anywhere-to-anywhere witness).
-    """
-
-    s: int
-    replay: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
-    inverse: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-
-
 @dataclass
 class ChainSystem:
-    """Update/generator pair with target and spectral metadata.
+    """A chain's generator psi and update phi, its target and spectral
+    metadata.
+
+    ``s`` is the driver dimension both maps consume.  ``generate(U[b, s]) ->
+    X[b, d]`` is psi: [0,1]^s -> G, pushing the uniform law to the initial
+    distribution nu, batched over chains.  ``replay(X0[b, d], U[m, b, s],
+    X[m, b, d])`` is phi: G x [0,1]^s -> G realizing the kernel K(x, .),
+    given as the replay of a whole driver block: it writes the states X[0] =
+    phi(X0; U[0]) and X[i] = phi(X[i-1]; U[i]) of b chains into X; m = 0
+    gives no states.  Each kernel replays its block its own way, and must
+    agree bit for bit with stepping phi.  ``inverse``, when present, maps one
+    pair (x, y) to a driver point u with phi(x; u) = y (the
+    anywhere-to-anywhere witness).
 
     ``lambda0`` is max{Lambda, 0} and ``beta`` the absolute operator norm on
     mean-zero L2, each None when unknown; no theory bound is computed from
@@ -76,12 +60,14 @@ class ChainSystem:
     independently of the update function.
     """
 
-    update: UpdateFunction
-    generator: GeneratorFunction
+    s: int
+    generate: Callable[[np.ndarray], np.ndarray]
+    replay: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     target: TargetMeasure
     lambda0: Optional[float]
     beta: Optional[float]
     nu_density_norm: float
+    inverse: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     exact_marginal: Optional[Callable[[Sequence[int], np.ndarray], np.ndarray]] = None
     kernel_sampler: Optional[Callable[[np.ndarray, Rng], np.ndarray]] = None
 
@@ -91,12 +77,6 @@ class ChainSystem:
                 raise ValueError("lambda0 must lie in [0, 1]")
             if self.beta is not None and self.lambda0 > self.beta + 1e-12:
                 raise ValueError("lambda0 must not exceed beta")
-        if self.update.s != self.generator.s_init:
-            raise ValueError("generator and update must consume the same driver dimension")
-
-    @property
-    def s(self) -> int:
-        return self.update.s
 
     @property
     def nu_norm_centered(self) -> float:
@@ -111,7 +91,7 @@ class ChainSystem:
 def run_chains(system: ChainSystem, U, burn_in: int = 0) -> np.ndarray:
     """Replay of the driver block U[b, n, s], row j driving chain j (one
     driver D of shape (n, s) is the block ``D[None]``): x_1 =
-    psi(u_0) for all chains at once, then one ``update.replay`` of the other
+    psi(u_0) for all chains at once, then one ``system.replay`` of the other
     points into the states behind them.  Returns the retained states X[b, n
     - burn_in, d], read-only.
 
@@ -133,8 +113,8 @@ def run_chains(system: ChainSystem, U, burn_in: int = 0) -> np.ndarray:
     # steps are contiguous rows
     U = U.transpose(1, 0, 2)
     states = np.empty((n, b, system.dim))
-    states[0] = system.generator.map(U[0])
-    system.update.replay(states[0], U[1:], states[1:])
+    states[0] = system.generate(U[0])
+    system.replay(states[0], U[1:], states[1:])
     inside = system.target.domain.contains(states)
     if not inside.all():
         i, j = divmod(int(np.argmin(inside)), b)
@@ -184,36 +164,29 @@ def _quantile_rows(measure: TargetMeasure, U: np.ndarray) -> np.ndarray:
     return np.asarray(measure.inv_cdf(p.ravel()), float).reshape(p.shape + (1,))
 
 
-def make_direct_kernel(
-    target: TargetMeasure, generator: Optional[GeneratorFunction] = None
-) -> ChainSystem:
-    """Kernel K(x, A) = pi(A): the update ignores the state and applies the
-    pi-generator to the driver point.  Lambda0 = beta = 0 and nu = pi.
-
-    For d = 1 the generator defaults to the inverse CDF; otherwise one must
-    be supplied (e.g. the uniform-ball generator).
+def make_direct_kernel(target: TargetMeasure) -> ChainSystem:
+    """Kernel K(x, A) = pi(A) on a 1-D target: the update ignores the state
+    and applies the inverse CDF of pi to the driver point.  Lambda0 = beta =
+    0 and nu = pi.
     """
-    if generator is None:
-        if target.dim != 1:
-            raise ValueError("default generator available for d = 1 only")
-        generator = GeneratorFunction(s_init=1, map=lambda U: _quantile_rows(target, U))
+    if target.dim != 1:
+        raise ValueError("direct kernel implemented for d = 1")
 
     def replay(X0, U, X):
         # the new state is psi(u) whatever the old one
-        X[...] = generator.map(U.reshape(-1, U.shape[-1])).reshape(X.shape)
-
-    update = UpdateFunction(s=generator.s_init, replay=replay)
+        X[...] = _quantile_rows(target, U)
 
     def marginal(steps: Sequence[int], corners: np.ndarray) -> np.ndarray:
         masses = target.box_masses(corners)[0]
         return np.repeat(masses[:, None], len(steps), axis=1)
 
     def sampler(x: np.ndarray, rng: Rng) -> np.ndarray:
-        return generator.map(rng.uniforms(generator.s_init)[None])[0]
+        return _quantile_rows(target, rng.uniforms(1)[None])[0]
 
     return ChainSystem(
-        update=update,
-        generator=generator,
+        s=1,
+        generate=lambda U: _quantile_rows(target, U),
+        replay=replay,
         target=target,
         lambda0=0.0,
         beta=0.0,
@@ -239,8 +212,6 @@ def make_lazy_direct_kernel(
         raise ValueError("lazy direct kernel implemented for d = 1")
     nu = nu if nu is not None else target
 
-    generator = GeneratorFunction(s_init=2, map=lambda U: _quantile_rows(nu, U))
-
     def replay(X0, U, X):
         # a forward fill: step i holds the fresh draw of the last step at or
         # before it whose hold coordinate is < a, or X0 before the first one
@@ -248,8 +219,6 @@ def make_lazy_direct_kernel(
         last = np.maximum.accumulate(np.where(U[..., -1] < a, steps, 0), axis=0)
         draws = np.concatenate([X0[None], _quantile_rows(target, U)])
         X[...] = np.take_along_axis(draws, last[..., None], axis=0)
-
-    update = UpdateFunction(s=2, replay=replay)
 
     def marginal(steps: Sequence[int], corners: np.ndarray) -> np.ndarray:
         m_nu = nu.box_masses(corners)[0][:, None]
@@ -265,8 +234,9 @@ def make_lazy_direct_kernel(
         return x
 
     return ChainSystem(
-        update=update,
-        generator=generator,
+        s=2,
+        generate=lambda U: _quantile_rows(nu, U),
+        replay=replay,
         target=target,
         lambda0=1.0 - a,
         beta=1.0 - a,
@@ -303,7 +273,7 @@ def compare_expectation(
     vals_a = np.array([F(list(states)) for states in run_chains(system, U)])
     vals_b = np.empty(m)
     for r in range(m):
-        y = system.generator.map(rng_b.uniforms(s)[None])[0]
+        y = system.generate(rng_b.uniforms(s)[None])[0]
         states_b = [y]
         for _ in range(1, i):
             y = np.atleast_1d(system.kernel_sampler(y, rng_b))

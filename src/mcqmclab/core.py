@@ -234,7 +234,7 @@ _DISC_PANEL_EDGES = -0.5 * math.pi + math.pi / _DISC_PANELS * np.arange(_DISC_PA
 def _ball_section(rho, h):
     """Measure of the section of the ball at half-width rho below the corner's
     trailing coordinates h: in d = 2 the length of {|x2| < rho, x2 < h2}."""
-    return np.clip(h[..., 0], -rho, rho) + rho
+    return np.minimum(np.maximum(h[..., 0], -rho), rho) + rho
 
 
 def _ball_section_kinks(h):

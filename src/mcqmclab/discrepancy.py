@@ -38,8 +38,9 @@ __all__ = [
 # bound on the corners whose masses the exact scan asks for at once, and on
 # the set-member counts the cover scorer holds at once for its scored sets
 _SCAN_CHUNK_CELLS = 1 << 16
-# bound on the members of a quantile cover, (ceil(d / delta) + 1)^d; the
-# pull-back counts hold one float per member for each of its m replicas
+# bound on the members of a quantile cover, ceil(d / delta)^d + 1
+# (quantile_cover_size); the pull-back counts hold one float per member for
+# each of its m replicas
 COVER_MEMBER_CAP = 1 << 20
 
 
@@ -317,13 +318,14 @@ def build_quantile_cover(measure: TargetMeasure, delta: float) -> DeltaCover:
     bracketing each corner coordinate to adjacent cuts then gives
     pi(D \\ C) <= delta.  The levels of all d coordinates are bisected
     together.  A cover of more than :data:`COVER_MEMBER_CAP` members,
-    counted as (m + 1)^d, is refused before anything is computed.
+    m^d + 1 (:func:`quantile_cover_size`), is refused before anything is
+    computed.
     """
     d = measure.dim
     m = _quantile_slabs(d, delta)
-    if (min(m, COVER_MEMBER_CAP) + 1) ** d > COVER_MEMBER_CAP:
+    if quantile_cover_size(d, delta) > COVER_MEMBER_CAP:
         raise CoverConstructionError(
-            f"delta {delta!r} needs (ceil({d}/delta) + 1)^{d} cover members, "
+            f"delta {delta!r} needs ceil({d}/delta)^{d} + 1 cover members, "
             f"more than the cap of {COVER_MEMBER_CAP}"
         )
     coords = np.arange(d)[:, None]

@@ -177,18 +177,18 @@ def invert_to_target(
     driver is replayed through run_chains and checked against the targets to
     1e-9 sup-norm before being returned.
     """
-    if system.update.inverse is None:
+    if system.inverse is None:
         raise ValueError("system update exposes no inverse")
     targets = [np.atleast_1d(np.asarray(t, float)) for t in targets]
     x1_driver = np.atleast_1d(np.asarray(x1_driver, float))
-    x1 = system.generator.map(x1_driver[None])[0]
+    x1 = system.generate(x1_driver[None])[0]
     if np.max(np.abs(x1 - targets[0])) > 1e-9:
         raise ValueError("x1_driver does not generate targets[0]")
     points = np.empty((len(targets), system.s))
     points[0] = x1_driver
     for i in range(1, len(targets)):
         try:
-            points[i] = system.update.inverse(targets[i - 1], targets[i])
+            points[i] = system.inverse(targets[i - 1], targets[i])
         except (ValueError, NotImplementedError) as exc:
             raise ValueError(f"inversion failed between targets {i - 1} and {i}: {exc}")
     dev = float(np.max(np.abs(run_chains(system, points[None])[0] - np.stack(targets))))

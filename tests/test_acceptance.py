@@ -21,7 +21,6 @@ from mcqmclab.bounds import (
     tv_average_bound,
 )
 from mcqmclab.chain import (
-    GeneratorFunction,
     compare_expectation,
     make_direct_kernel,
     make_lazy_direct_kernel,
@@ -239,9 +238,7 @@ def test_criterion_10_reversibility_and_stationarity():
 
     # k-step stationarity: pi-distributed starts stay pi-distributed; each
     # start -1 + 2 u enters as the first coordinate of its driver's point 0
-    starts = dataclasses.replace(
-        system, generator=GeneratorFunction(system.s, lambda U: -1.0 + 2.0 * U[:, :1])
-    )
+    starts = dataclasses.replace(system, generate=lambda U: -1.0 + 2.0 * U[:, :1])
     m = 20_000
     for k in (1, 10):
         rng = Rng(2718).split(k)

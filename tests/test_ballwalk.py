@@ -139,7 +139,7 @@ class TestLogDensity:
             system = make_metropolis_system(name, 3.0, 0.5, 2)
             assert system.nu_density_norm == math.exp(walk_alpha)
             X = np.empty((1, 1, 2))
-            system.update.replay(x, u, X)
+            system.replay(x, u, X)
             moved = X[0, 0, 0] != 0.0
             assert moved == (walk_alpha == 0.0)
 

@@ -71,6 +71,14 @@ class TestEdgeCases:
         )
         assert val == 0.02
 
+    def test_no_gap_refused(self):
+        # lambda0 = 1 (beta below it) is a ValueError in every calculator
+        # with a 1 / (1 - lambda0) factor, not a ZeroDivisionError
+        inp = BoundInputs(n=16, lambda0=1.0, beta=0.5, nu_norm_centered=1.0, cover_size=2)
+        for bound in (main_discrepancy_bound, corollary_main_bound, tv_average_bound, burn_in_bound):
+            with pytest.raises(ValueError, match="lambda0 must be < 1"):
+                bound(inp)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             BoundInputs(lambda0=1.5)

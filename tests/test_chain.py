@@ -6,8 +6,6 @@ import pytest
 from mcqmclab.chain import (
     ChainDomainError,
     ChainSystem,
-    GeneratorFunction,
-    UpdateFunction,
     compare_expectation,
     make_direct_kernel,
     make_lazy_direct_kernel,
@@ -17,6 +15,7 @@ from mcqmclab.chain import (
 from mcqmclab.core import (
     Rng,
     exp_linear_interval,
+    uniform_ball,
     uniform_driver,
     uniform_interval,
 )
@@ -60,10 +59,9 @@ class TestRunChain:
     def test_domain_violation_detected(self):
         target = uniform_interval(0.0, 1.0)
         bad = ChainSystem(
-            update=UpdateFunction(
-                s=1, replay=lambda X0, U, X: np.copyto(X, X0 + np.cumsum(np.ones_like(U), axis=0))
-            ),
-            generator=GeneratorFunction(s_init=1, map=lambda U: U[:, :1]),
+            s=1,
+            generate=lambda U: U[:, :1],
+            replay=lambda X0, U, X: np.copyto(X, X0 + np.cumsum(np.ones_like(U), axis=0)),
             target=target,
             lambda0=0.0,
             beta=None,
@@ -85,9 +83,9 @@ class TestRunChain:
 
         def recording(X0, U, X):
             handed.append(X)
-            system.update.replay(X0, U, X)
+            system.replay(X0, U, X)
 
-        traced = dataclasses.replace(system, update=UpdateFunction(s=system.s, replay=recording))
+        traced = dataclasses.replace(system, replay=recording)
         U = np.stack([uniform_driver(30, system.s, Rng(7).split(j)) for j in range(b)])
         states = run_chains(traced, U)
         assert states.tobytes() == run_chains(system, U).tobytes()
@@ -105,8 +103,9 @@ class TestChainSystemValidation:
     def test_lambda0_range(self):
         with pytest.raises(ValueError):
             ChainSystem(
-                update=UpdateFunction(s=1, replay=lambda X0, U, X: np.copyto(X, X0 + 0.0 * U)),
-                generator=GeneratorFunction(s_init=1, map=lambda u: np.zeros(1)),
+                s=1,
+                generate=lambda u: np.zeros(1),
+                replay=lambda X0, U, X: np.copyto(X, X0 + 0.0 * U),
                 target=uniform_interval(),
                 lambda0=1.5,
                 beta=None,
@@ -116,8 +115,9 @@ class TestChainSystemValidation:
     def test_lambda0_le_beta(self):
         with pytest.raises(ValueError):
             ChainSystem(
-                update=UpdateFunction(s=1, replay=lambda X0, U, X: np.copyto(X, X0 + 0.0 * U)),
-                generator=GeneratorFunction(s_init=1, map=lambda u: np.zeros(1)),
+                s=1,
+                generate=lambda u: np.zeros(1),
+                replay=lambda X0, U, X: np.copyto(X, X0 + 0.0 * U),
                 target=uniform_interval(),
                 lambda0=0.9,
                 beta=0.5,
@@ -135,6 +135,10 @@ class TestDirectKernel:
         system = _direct()
         assert np.array_equal(system.exact_marginal([0, 7], np.array([[0.2]])), [[0.6, 0.6]])
 
+    def test_d1_only(self):
+        with pytest.raises(ValueError, match="d = 1"):
+            make_direct_kernel(uniform_ball(2))
+
 
 class TestLazyDirectKernel:
     def test_update_branches(self):
@@ -142,7 +146,7 @@ class TestLazyDirectKernel:
         x = np.array([0.3])
         U = np.array([[0.9, 0.8], [0.25, 0.1]])
         X = np.empty((1, 2, 1))
-        system.update.replay(np.array([x, x]), U[None], X)
+        system.replay(np.array([x, x]), U[None], X)
         stay, move = X[0]
         assert np.array_equal(stay, x)
         assert move[0] == pytest.approx(-0.5)

@@ -389,7 +389,7 @@ class TestRunExperiments:
         ],
     )
     def test_cover_above_member_cap_exits_3(self, tmp_path, capsys, cfg):
-        # (ceil(d / delta) + 1)^d members: 1e9 + 2 and 4e8; refused before
+        # ceil(d / delta)^d + 1 members: 1e9 + 1 and 4e8 + 1; refused before
         # anything is allocated
         cfg = {**cfg, "density": {"name": "uniform", "alpha": 0.0}, "n": 16, "k": 2,
                "output": str(tmp_path / "s.csv")}

@@ -191,7 +191,7 @@ class TestQuantileCover:
             assert calls[0] == calls[-1] == d * (m - 1)
 
     def test_member_cap_admits_covers_below_it(self):
-        # (2^19 + 1)^1 members counted; 2^-20 below is refused
+        # 2^19 + 1 members; 2^-20 below, 2^20 + 1 members, is refused
         cover = build_quantile_cover(uniform_interval(), 2.0**-19)
         assert cover.size == 2**19 + 1
 
@@ -208,7 +208,8 @@ class TestQuantileCover:
     @pytest.mark.parametrize(
         "measure, delta",
         [(uniform_interval(), 1.0), (uniform_interval(), 0.01), (uniform_interval(), 0.3),
-         (uniform_ball(2), 0.01), (uniform_box([-1.0] * 3, [1.0] * 3), 0.07)],
+         (uniform_ball(2), 0.01), (uniform_box([-1.0] * 3, [1.0] * 3), 0.07),
+         (uniform_box([-1.0] * 3, [1.0] * 3), 3 / 101)],
     )
     def test_size_formula_is_the_built_size(self, measure, delta):
         assert quantile_cover_size(measure.dim, delta) == build_quantile_cover(measure, delta).size

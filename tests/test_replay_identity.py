@@ -24,8 +24,6 @@ from mcqmclab.bounds import ballwalk_gap_bound
 from mcqmclab.chain import (
     ChainDomainError,
     ChainSystem,
-    GeneratorFunction,
-    UpdateFunction,
     make_direct_kernel,
     make_lazy_direct_kernel,
     run_chains,
@@ -400,7 +398,7 @@ def test_lifted_update_is_metropolis_update():
     u = Rng(8).uniforms(40 * system.s).reshape(40, system.s)
     x = np.zeros((40, 2))
     stepped = np.empty((1, 40, 2))
-    system.update.replay(x, u[None], stepped)
+    system.replay(x, u[None], stepped)
     stepped = stepped[0]
     assert np.array_equal(stepped, metropolis_update(x, u, params))
 
@@ -443,8 +441,9 @@ def test_run_chains_rejects_bad_blocks():
 
 def test_domain_violation_names_chain_and_step():
     bad = ChainSystem(
-        update=UpdateFunction(s=1, replay=lambda X0, U, X: np.copyto(X, X0 + np.cumsum(U > 0.5, axis=0))),
-        generator=GeneratorFunction(s_init=1, map=lambda U: 0.1 * U),
+        s=1,
+        generate=lambda U: 0.1 * U,
+        replay=lambda X0, U, X: np.copyto(X, X0 + np.cumsum(U > 0.5, axis=0)),
         target=uniform_interval(0.0, 1.0),
         lambda0=0.0,
         beta=None,
@@ -455,7 +454,7 @@ def test_domain_violation_names_chain_and_step():
         run_chains(bad, drivers)
     # the states are checked before the burn-in is dropped: a chain that
     # leaves G at step 1 and comes back is caught with burn_in = 2
-    back = dataclasses.replace(bad, update=UpdateFunction(s=1, replay=lambda X0, U, X: np.copyto(X, X0 + (U > 0.5))))
+    back = dataclasses.replace(bad, replay=lambda X0, U, X: np.copyto(X, X0 + (U > 0.5)))
     with pytest.raises(ChainDomainError, match="chain 0 .* step 1"):
         run_chains(back, np.array([[[0.5], [0.9], [0.1]]]), burn_in=2)
 

@@ -271,8 +271,11 @@ class TestInvertToTarget:
             invert_to_target(system, [np.array([0.5])], np.array([0.25, 0.5, 0.0]))
 
     def test_system_without_inverse_rejected(self):
-        with pytest.raises(ValueError):
-            invert_to_target(_direct(), [np.array([0.0])], np.array([0.5]))
+        # the direct kernel has no inverse: a ValueError, also for a single
+        # target, which would need no inverse
+        for targets in ([np.array([0.0])], [np.array([0.0]), np.array([0.5])]):
+            with pytest.raises(ValueError, match="exposes no inverse"):
+                invert_to_target(_direct(), targets, np.array([0.5]))
 
 
 class TestRateStudy:
