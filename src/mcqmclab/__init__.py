@@ -39,7 +39,6 @@ from .discrepancy import (
     star_discrepancy_exact,
 )
 from .bounds import (
-    BoundInputs,
     ballwalk_gap_bound,
     beck_bound,
     corollary_main_bound,

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Rng, TargetMeasure, integrate
+from .core import Rng, TargetMeasure
 
 __all__ = [
     "ChainSystem",
@@ -130,31 +130,15 @@ def run_chains(system: ChainSystem, U, burn_in: int = 0) -> np.ndarray:
 
 
 def nu_density_norm(nu: TargetMeasure, pi: TargetMeasure) -> float:
-    """||dnu/dpi||_2 by quadrature (d = 1 only)."""
+    """||dnu/dpi||_2 by quadrature (d = 1 only): the normalizers of the
+    densities of nu and pi, and that of the squared ratio of the normalized
+    densities, each of a :class:`TargetMeasure` without a closed form."""
     if pi.dim != 1:
         raise ValueError("quadrature norm implemented for d = 1 only")
-    lo, hi = pi.domain.bounding()
-    z_nu = _normalizer(nu)
-    z_pi = _normalizer(pi)
-
-    def integrand(t):
-        x = np.array([[t]])
-        g_nu = float(nu.density(x)[0]) / z_nu
-        g_pi = float(pi.density(x)[0]) / z_pi
-        return g_nu**2 / g_pi
-
-    val, _ = integrate.quad(integrand, lo[0], hi[0], epsabs=1e-12, limit=200)
-    return math.sqrt(val)
-
-
-def _normalizer(m: TargetMeasure) -> float:
-    if m.exact_box_mass is None:
-        return m.normalizer
-    lo, hi = m.domain.bounding()
-    val, _ = integrate.quad(
-        lambda t: float(m.density(np.array([[t]]))[0]), lo[0], hi[0], epsabs=1e-12
-    )
-    return val
+    z_nu = TargetMeasure(nu.domain, nu.density).normalizer
+    z_pi = TargetMeasure(pi.domain, pi.density).normalizer
+    ratio = lambda x: (nu.density(x) / z_nu) ** 2 / (pi.density(x) / z_pi)
+    return math.sqrt(TargetMeasure(pi.domain, ratio).normalizer)
 
 
 def _quantile_rows(measure: TargetMeasure, U: np.ndarray) -> np.ndarray:

@@ -34,7 +34,6 @@ import numpy as np
 from . import __version__
 from .ballwalk import _target_for, make_metropolis_system
 from .bounds import (
-    BoundInputs,
     ballwalk_gap_bound,
     beck_bound,
     corollary_main_bound,
@@ -69,14 +68,16 @@ _DENSITIES = ("uniform", "exp-linear")
 # interval, strings among the choices; [t] is a non-empty list of t.
 # Rng seeds are 64-bit: a closed end 2^64 - 1 would read as the float 2^64
 _SEED = (int, "[0, 18446744073709551616)", 0)
-_DIMENSION = (int, "[1, inf)", 1)
+# dimensions and bounds sample sizes are at most 2^53, the largest integer a
+# float holds exactly, so that the bounds' float arithmetic on them is finite
+_DIMENSION = (int, "[1, 9007199254740992]", 1)
 _DENSITY = (dict, None, {"name": "uniform", "alpha": 0.0})
 # density.alpha and bounds --alpha: e^alpha (the density's range and the
 # bound on ||dnu/dpi||) must stay a finite float
 _ALPHA = "[0, 700]"
 # bounds: the corollary needs n >= 16 and lambda0 < 1, and ||dnu/dpi||_2 >= 1
 # by Cauchy-Schwarz
-_BOUNDS_N, _LAMBDA0, _NU_NORM = "[16, inf)", "[0, 1)", "[1, inf)"
+_BOUNDS_N, _LAMBDA0, _NU_NORM = "[16, 9007199254740992]", "[0, 1)", "[1, inf)"
 _CHAIN = {
     "seed": _SEED,
     "dimension": _DIMENSION,
@@ -236,18 +237,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _run_bounds(p: dict):
-    inp = BoundInputs(
-        n=p["n"],
-        d=p["dimension"],
-        lambda0=p["lambda0"],
-        nu_norm=p["nu-norm"],
-    )
+    d, n, lambda0, nu_norm = p["dimension"], p["n"], p["lambda0"], p["nu-norm"]
     header = ["d", "n", "lambda0", "nu_norm", "corollary_bound", "beck_bound"]
-    row = [
-        inp.d, inp.n, inp.lambda0, inp.nu_norm,
-        corollary_main_bound(inp), beck_bound(inp.n, inp.d),
-    ]
-    return header, [row], {}
+    bound = corollary_main_bound(n=n, d=d, lambda0=lambda0, nu_norm=nu_norm)
+    return header, [[d, n, lambda0, nu_norm, bound, beck_bound(n, d)]], {}
 
 
 def _run_discrepancy(p: dict):
@@ -410,22 +403,19 @@ def _cmd_bounds(args) -> int:
         if not _in_interval(value, allowed):
             print(f"config error: {flag} must be a number in {allowed}, got {value!r}", file=sys.stderr)
             return 2
-    inp = BoundInputs(
-        n=args.n, d=args.d, lambda0=args.lambda0, nu_norm=args.norm, c=0.1
-    )
-    print(f"corollary_bound {_fmt(corollary_main_bound(inp))}")
-    print(f"beck_bound {_fmt(beck_bound(args.n, args.d))}")
-    print(f"hoeffding_tail(c=0.1) {_fmt(hoeffding_tail(inp))}")
+    n, lambda0, nu_norm = args.n, args.lambda0, args.norm
+    print(f"corollary_bound {_fmt(corollary_main_bound(n=n, d=args.d, lambda0=lambda0, nu_norm=nu_norm))}")
+    print(f"beck_bound {_fmt(beck_bound(n, args.d))}")
+    print(f"hoeffding_tail(c=0.1) {_fmt(hoeffding_tail(n=n, lambda0=lambda0, nu_norm=nu_norm, c=0.1))}")
     if args.alpha > 0:
         gamma_star, gap = ballwalk_gap_bound(args.alpha, args.d)
         print(f"gamma_star {_fmt(gamma_star)}")
         print(f"spectral_gap {_fmt(gap)}")
         # over the quantile cover; inf where 1 - gap rounds to 1 or |Gamma| overflows a float
-        size = quantile_cover_size(args.d, 0.01)
-        walk = BoundInputs(
-            n=args.n, d=args.d, lambda0=1.0 - gap, nu_norm=math.exp(args.alpha), cover_size=size, delta=0.01
-        )
-        bound = main_discrepancy_bound(walk) if walk.lambda0 < 1.0 else math.inf
+        lam, norm, size = 1.0 - gap, math.exp(args.alpha), quantile_cover_size(args.d, 0.01)
+        bound = math.inf
+        if lam < 1.0:
+            bound = main_discrepancy_bound(n=n, lambda0=lam, nu_norm=norm, cover_size=size, delta=0.01)
         print(f"main_bound(delta=0.01) {_fmt(bound)}")
     return 0
 

@@ -187,19 +187,18 @@ class BoxDomain:
 
 @dataclass(frozen=True)
 class BallDomain:
-    """Euclidean ball of given radius centered at the origin."""
+    """Euclidean unit ball centered at the origin."""
 
     dim: int
-    radius: float = 1.0
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Membership of points of shape (..., d), with 1e-15 relative slack
         on the squared radius for states produced by rounded arithmetic."""
         pts = np.asarray(pts, float)
-        return np.vecdot(pts, pts) <= self.radius**2 * (1 + 1e-15)
+        return np.vecdot(pts, pts) <= 1 + 1e-15
 
     def bounding(self) -> tuple[np.ndarray, np.ndarray]:
-        r = np.full(self.dim, self.radius)
+        r = np.ones(self.dim)
         return -r, r
 
 
@@ -220,7 +219,7 @@ class StratifiedEstimateInfeasible(RuntimeError):
 
 
 # The disc profile rule: a Gauss-Legendre pair on every interval between a
-# column's breakpoints in theta (x1 = r sin(theta)).  The higher order gives
+# column's breakpoints in theta (x1 = sin(theta)).  The higher order gives
 # the value, the gap to the lower one the error estimate.  The fixed panel
 # edges keep every interval at most pi / _DISC_PANELS long, also where a
 # column has a single level: with 8 panels the gap of a single-level column
@@ -286,7 +285,7 @@ class TargetMeasure:
         For densities on the d = 2 ball depending on the first coordinate
         only: profile(x1), vectorized.  Box masses then come from the
         profile rule (:meth:`_profile_integrals`): per column of corners
-        sharing c2, one pass along x1 = r sin(theta) with a Gauss-Legendre
+        sharing c2, one pass along x1 = sin(theta) with a Gauss-Legendre
         pair per interval, summed cumulatively; the error is the cumulative
         sum of the per-interval rule gaps.
 
@@ -399,17 +398,16 @@ class TargetMeasure:
             rows = axes[0][:, None] if self.dim == 1 else np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
             masses, errs = self._box_masses(rows.reshape(-1, self.dim))
             return masses.reshape(shape), errs.reshape(shape)
-        r = self.domain.radius
         c1, c2 = axes
         masses, errs = np.zeros(shape), np.zeros(shape)
-        levels, cols = c1 > -r, c2 > -r
+        levels, cols = c1 > -1.0, c2 > -1.0
         if levels.any() and cols.any():
-            top = np.arcsin(np.minimum(c1[levels], r) / r)
-            h = np.minimum(c2[cols], r)[:, None]
+            top = np.arcsin(np.minimum(c1[levels], 1.0))
+            h = np.minimum(c2[cols], 1.0)[:, None]
             num, num_err = self._profile_integrals(np.broadcast_to(top, (h.shape[0], top.size)), h)
             cells = np.ix_(levels, cols)
             masses[cells], errs[cells] = self._normalized(num.T, num_err.T)
-        full = (c1 >= r)[:, None] & (c2 >= r)
+        full = (c1 >= 1.0)[:, None] & (c2 >= 1.0)
         masses[full], errs[full] = 1.0, 0.0
         nan = np.isnan(c1)[:, None] | np.isnan(c2)
         masses[nan], errs[nan] = np.nan, np.nan
@@ -434,11 +432,11 @@ class TargetMeasure:
         return vals, (num_err + vals * self.normalizer_error) / self.normalizer
 
     def _profile_integrals(self, top: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ball with a profile: int profile(r sin t) S(r cos t; h) r cos t dt
+        """Unit ball with a profile: int profile(sin t) S(cos t; h) cos t dt
         over -pi/2 < t < top, where S(rho; h) is the section of the ball at
         half-width rho below h (:func:`_ball_section` and its kinks
         :func:`_ball_section_kinks`, the only parts that depend on d), for
-        every level ``top[k, l]`` (an angle, x1 = r sin(top)) of every
+        every level ``top[k, l]`` (an angle, x1 = sin(top)) of every
         column ``h[k]`` (the corners' other coordinates, clipped to the
         domain); returns the integrals and their rule errors, shaped like
         ``top``.
@@ -450,12 +448,11 @@ class TargetMeasure:
         all levels of the column at once, and cumulative sums of the
         per-interval gaps between the two rules their errors.  Each column's
         results depend on that column alone.  Columns share every interval
-        but those at their own kinks and levels, so the nodes, r cos(theta)
+        but those at their own kinks and levels, so the nodes, cos(theta)
         and the profile are computed once per distinct interval (a, b), by
         bits, and gathered back per column."""
-        r = self.domain.radius
         cols, levels = top.shape
-        kinks = np.arccos(_ball_section_kinks(h) / r)
+        kinks = np.arccos(_ball_section_kinks(h))
         panels = np.broadcast_to(_DISC_PANEL_EDGES, (cols, _DISC_PANELS))
         edges = np.concatenate([panels, -kinks, kinks, top], axis=1)
         order = np.argsort(edges, axis=1, kind="stable")
@@ -479,9 +476,9 @@ class TargetMeasure:
         inv[o] = np.cumsum(new) - 1
         first = o[new]
         theta = (0.5 * (a + b))[first, None] + half[first, None] * _DISC_NODES
-        rho = (r * np.cos(theta))[inv]
+        rho = np.cos(theta)[inv]
         hs = np.broadcast_to(h[:, None], need.shape + h.shape[1:])[need]
-        f = self.profile(r * np.sin(theta))[inv] * _ball_section(rho, hs[:, None]) * rho
+        f = self.profile(np.sin(theta))[inv] * _ball_section(rho, hs[:, None]) * rho
         k = _DISC_LOW[0].size
         low, high = np.zeros(need.shape), np.zeros(need.shape)
         low[need] = half * np.sum(f[:, :k] * _DISC_LOW[1], axis=-1)
@@ -498,7 +495,7 @@ class TargetMeasure:
         with each row its own column, scipy ``quad`` (d = 1) or ``dblquad``
         (a d = 2 box) row by row, else :meth:`_stratified` for all rows."""
         if self._profile_rule:
-            num, err = self._profile_integrals(np.arcsin(hi[:, :1] / self.domain.radius), hi[:, 1:])
+            num, err = self._profile_integrals(np.arcsin(hi[:, :1]), hi[:, 1:])
             return num[:, 0], err[:, 0]
         lo = self.domain.bounding()[0]
         if self.dim == 1:

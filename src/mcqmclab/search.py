@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundInputs, beck_bound, corollary_main_bound
+from .bounds import beck_bound, corollary_main_bound
 from .chain import ChainSystem, run_chains
 from .core import Rng, halton_sequence
 from .discrepancy import DeltaCover, DiscrepancyReport, _cover_brackets, _exact_scans
@@ -141,7 +141,7 @@ def _search(
         theory = math.inf
         if n >= 16 and system.lambda0 is not None and system.lambda0 < 1.0:
             lam, norm = system.lambda0, system.nu_density_norm
-            theory = corollary_main_bound(BoundInputs(n=n, d=system.dim, lambda0=lam, nu_norm=norm))
+            theory = corollary_main_bound(n=n, d=system.dim, lambda0=lam, nu_norm=norm)
         yield SearchResult(
             best_driver=drivers[best][: n0 + n],
             best_report=reports[best],

@@ -125,11 +125,10 @@ def grid_masses_by_masks(measure, axes) -> tuple[np.ndarray, np.ndarray]:
 
 def profile_integrals_per_column(measure, top, h) -> tuple[np.ndarray, np.ndarray]:
     """``TargetMeasure._profile_integrals`` of the levels ``top`` (cols,
-    levels) of the columns ``h`` (cols, 1) with the nodes, r cos(theta) and
+    levels) of the columns ``h`` (cols, 1) with the nodes, cos(theta) and
     the profile computed anew for every interval of every column."""
-    r = measure.domain.radius
     cols, levels = top.shape
-    kinks = np.arccos(_ball_section_kinks(h) / r)
+    kinks = np.arccos(_ball_section_kinks(h))
     panels = np.broadcast_to(_DISC_PANEL_EDGES, (cols, _DISC_PANELS))
     edges = np.concatenate([panels, -kinks, kinks, top], axis=1)
     order = np.argsort(edges, axis=1, kind="stable")
@@ -141,9 +140,9 @@ def profile_integrals_per_column(measure, top, h) -> tuple[np.ndarray, np.ndarra
     a, b = x[:, :-1][need], x[:, 1:][need]
     half = 0.5 * (b - a)
     theta = (0.5 * (a + b))[:, None] + half[:, None] * _DISC_NODES
-    rho = r * np.cos(theta)
+    rho = np.cos(theta)
     hs = np.broadcast_to(h[:, None], need.shape + h.shape[1:])[need]
-    f = measure.profile(r * np.sin(theta)) * _ball_section(rho, hs[:, None]) * rho
+    f = measure.profile(np.sin(theta)) * _ball_section(rho, hs[:, None]) * rho
     k = _DISC_LOW[0].size
     low, high = np.zeros(need.shape), np.zeros(need.shape)
     low[need] = half * np.sum(f[:, :k] * _DISC_LOW[1], axis=-1)

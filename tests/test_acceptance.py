@@ -13,7 +13,6 @@ import pytest
 
 from mcqmclab.ballwalk import make_metropolis_system
 from mcqmclab.bounds import (
-    BoundInputs,
     ballwalk_gap_bound,
     beck_bound,
     corollary_main_bound,
@@ -45,16 +44,11 @@ from mcqmclab.search import SearchConfig, best_of_k, fit_loglog_slope, invert_to
 
 
 def test_criterion_01_formula_golden_values():
-    assert hoeffding_tail(
-        BoundInputs(n=1000, lambda0=0.0, nu_norm=1.0, c=0.1)
-    ) == pytest.approx(2.0 * math.exp(-10.0), rel=1e-9)
-    assert corollary_main_bound(
-        BoundInputs(n=16, d=1, lambda0=0.0, nu_norm=1.0)
-    ) == pytest.approx(1.9747, abs=1e-4)
+    tail = hoeffding_tail(n=1000, lambda0=0.0, nu_norm=1.0, c=0.1)
+    assert tail == pytest.approx(2.0 * math.exp(-10.0), rel=1e-9)
+    assert corollary_main_bound(n=16, d=1, lambda0=0.0, nu_norm=1.0) == pytest.approx(1.9747, abs=1e-4)
     assert beck_bound(1024, 1) == 8.859375
-    assert tv_average_bound(
-        BoundInputs(n=4, lambda0=0.5, nu_norm_centered=1.0)
-    ) == 0.46875
+    assert tv_average_bound(n=4, lambda0=0.5, nu_norm_centered=1.0) == 0.46875
     gamma_star, gap = ballwalk_gap_bound(1.0, 1)
     assert gamma_star == pytest.approx(min(1.0 / math.sqrt(2.0), 1.0), abs=1e-12)
     assert gap == pytest.approx(7.8125e-7, abs=1e-12)
@@ -135,9 +129,7 @@ def test_criterion_05_pullback_vs_star_audit():
     sup_tv = float(np.max(np.abs(nu.cdf(grid) - pi.cdf(grid))))
     geo = (1.0 - 0.5**n) / (n * 0.5)
     sup_term = geo * sup_tv
-    tv_bound = tv_average_bound(
-        BoundInputs(n=n, lambda0=0.5, nu_norm_centered=system.nu_norm_centered)
-    )
+    tv_bound = tv_average_bound(n=n, lambda0=0.5, nu_norm_centered=system.nu_norm_centered)
     assert sup_term <= tv_bound
 
     for seed in range(50):
@@ -157,7 +149,7 @@ def test_criterion_06_hoeffding_empirical_dominance():
     freqs = np.mean(states < -0.4, axis=1)
     for c in (0.05, 0.1):
         violation = float(np.mean(np.abs(freqs - 0.3) >= c))
-        bound = hoeffding_tail(BoundInputs(n=n, lambda0=0.0, nu_norm=1.0, c=c))
+        bound = hoeffding_tail(n=n, lambda0=0.0, nu_norm=1.0, c=c)
         assert violation <= bound
 
 
@@ -168,9 +160,7 @@ def test_criterion_07_existence_realized_best_of_k():
     medians = []
     ns = (64, 256, 1024)
     for n in ns:
-        bound = corollary_main_bound(
-            BoundInputs(n=n, d=1, lambda0=system.lambda0, nu_norm=math.e)
-        )
+        bound = corollary_main_bound(n=n, d=1, lambda0=system.lambda0, nu_norm=math.e)
         uppers = []
         for seed in range(10):
             res = best_of_k(system, SearchConfig(n=n, k=32, seed=seed))

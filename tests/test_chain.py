@@ -183,6 +183,10 @@ class TestLazyDirectKernel:
         assert system.nu_norm_centered == pytest.approx(
             math.sqrt(expect**2 - 1.0), abs=1e-9
         )
+        # in general ||dnu/dpi||_2 = sinh(alpha) / alpha for pi prop. e^(alpha x)
+        for alpha in (0.5, 3.0, 10.0):
+            system = make_lazy_direct_kernel(exp_linear_interval(alpha), a=0.5, nu=nu)
+            assert system.nu_density_norm == pytest.approx(math.sinh(alpha) / alpha, rel=1e-12)
 
     def test_centered_norm_is_derived(self):
         # ||dnu/dpi - 1||_2 follows from ||dnu/dpi||_2; it is not stored

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from mcqmclab.bounds import BoundInputs, ballwalk_gap_bound, main_discrepancy_bound
+from mcqmclab.bounds import ballwalk_gap_bound, main_discrepancy_bound
 from mcqmclab.cli import _parser, main
 from mcqmclab.core import uniform_ball
 from mcqmclab.discrepancy import build_quantile_cover
@@ -129,6 +129,15 @@ class TestBadValues:
             pytest.param(("bounds", "lambda0"), 1.0, id="bounds-lambda0-1.0"),
             pytest.param(("bounds", "nu-norm"), 0.0, id="bounds-nu-norm-0.0"),
             pytest.param(("bounds", "nu-norm"), 1e-10, id="bounds-nu-norm-1e-10"),
+            # dimensions and the bounds' n are at most 2^53, the largest
+            # integer a float holds exactly
+            pytest.param("dimension", 2**53 + 1, id="dimension-2^53+1"),
+            pytest.param("dimension", 10**300, id="dimension-10^300"),
+            pytest.param("dimension", 2**1000, id="dimension-2^1000"),
+            pytest.param("dimension", 10**400, id="dimension-10^400"),
+            pytest.param(("bounds", "dimension"), 10**300, id="bounds-dimension-10^300"),
+            pytest.param(("bounds", "n"), 2**53 + 1, id="bounds-n-2^53+1"),
+            pytest.param(("bounds", "n"), 10**400, id="bounds-n-10^400"),
             # Rng seeds are 64-bit: 2^64 used to run as seed 0
             pytest.param("seed", 2**64, id="seed-2^64"),
             pytest.param("seed", 2**64 + 1, id="seed-2^64+1"),
@@ -564,9 +573,13 @@ class TestBoundsSubcommand:
     @pytest.mark.parametrize(
         "flag,value,allowed",
         [
-            ("--d", "0", "[1, inf)"),
-            ("--n", "0", "[16, inf)"),
-            ("--n", "15", "[16, inf)"),
+            ("--d", "0", "[1, 9007199254740992]"),
+            ("--n", "0", "[16, 9007199254740992]"),
+            ("--n", "15", "[16, 9007199254740992]"),
+            pytest.param("--d", str(2**53 + 1), "[1, 9007199254740992]", id="--d-2^53+1"),
+            pytest.param("--d", str(10**300), "[1, 9007199254740992]", id="--d-10^300"),
+            pytest.param("--d", str(10**400), "[1, 9007199254740992]", id="--d-10^400"),
+            pytest.param("--n", str(10**400), "[16, 9007199254740992]", id="--n-10^400"),
             ("--lambda0", "1", "[0, 1)"),
             ("--lambda0", "-0.5", "[0, 1)"),
             ("--norm", "0", "[1, inf)"),
@@ -581,9 +594,16 @@ class TestBoundsSubcommand:
         assert captured.err.startswith(f"config error: {flag} must be a number in {allowed}")
         assert captured.err.count("\n") == 1
 
-    def test_flags_at_their_ends(self, capsys):
+    def test_flags_at_their_ends(self, tmp_path, capsys):
         assert main(["bounds", "--d", "1", "--n", "16", "--lambda0", "0", "--norm", "1"]) == 0
         assert "corollary_bound 1.9747" in capsys.readouterr().out
+        # --d and --n, and the bounds experiment's dimension and n, at 2^53
+        top = str(2**53)
+        assert main(["bounds", "--d", top, "--n", top, "--alpha", "1"]) == 0
+        assert capsys.readouterr().err == ""
+        cfg = {**_bounds_cfg(tmp_path), "dimension": 2**53, "n": 2**53}
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 0
+        assert (tmp_path / "bounds.csv").read_text().splitlines()[1].split(",")[:2] == [top, top]
 
     def test_alpha_at_its_upper_end(self, capsys):
         assert main(["bounds", "--alpha", "700"]) == 0
@@ -601,8 +621,8 @@ class TestBoundsSubcommand:
         built = build_quantile_cover(uniform_ball(d), 0.01).size
         assert built == size
         _, gap = ballwalk_gap_bound(1.0, d)
-        inp = BoundInputs(n=1024, d=d, lambda0=1.0 - gap, nu_norm=math.e, cover_size=built, delta=0.01)
-        assert float(last[1]) == pytest.approx(main_discrepancy_bound(inp), rel=1e-12)
+        bound = main_discrepancy_bound(n=1024, lambda0=1.0 - gap, nu_norm=math.e, cover_size=built, delta=0.01)
+        assert float(last[1]) == pytest.approx(bound, rel=1e-12)
         assert float(last[1]) == pytest.approx(value, abs=1e-3)
 
     @pytest.mark.parametrize("d", ["80", "264", "1000000"])

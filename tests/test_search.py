@@ -225,11 +225,11 @@ class TestBestOfK:
         assert res.best_report.method == "cover-bracket"
 
     def test_theory_bound_column(self):
-        from mcqmclab.bounds import BoundInputs, corollary_main_bound
+        from mcqmclab.bounds import corollary_main_bound
 
         cfg = SearchConfig(n=64, k=2, seed=1)
         res = best_of_k(_direct(), cfg)
-        assert res.theory_bound == corollary_main_bound(BoundInputs(n=64, d=1))
+        assert res.theory_bound == corollary_main_bound(n=64, d=1, lambda0=0.0, nu_norm=1.0)
 
 
 class TestInvertToTarget:
