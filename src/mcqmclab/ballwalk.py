@@ -82,19 +82,24 @@ def _sin_power_quantile(p: np.ndarray, m: int) -> np.ndarray:
 def sphere_generator(v, d: int) -> np.ndarray:
     """Uniform points on the unit sphere S^{d-1} from d-1 driver coordinates
     (one coordinate, sign threshold 1/2, for d = 1): shape (..., d-1) or
-    (..., 1) to (..., d)."""
+    (..., 1) to (..., d).  d = 2 is (cos, sin) of the angle 2 pi v, bit
+    for bit what the angle loop of d >= 4 gives there (its first products
+    are by ones), and d = 3 is Archimedes' map."""
     v = np.asarray(v, float)
     if d == 1:
         return np.where(v[..., :1] < 0.5, -1.0, 1.0)
     if v.shape[-1] != d - 1:
         raise ValueError(f"need {d - 1} coordinates for d = {d}")
+    if d == 2:
+        ang = 2.0 * math.pi * v[..., 0]
+        return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     if d == 3:
         z = 1.0 - 2.0 * v[..., 0]
         ang = 2.0 * math.pi * v[..., 1]
         r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=-1)
-    # d = 2 and d >= 4: spherical angles theta_j with density prop. to
-    # sin^{d-1-j}, last angle uniform on [0, 2 pi)
+    # d >= 4: spherical angles theta_j with density prop. to sin^{d-1-j},
+    # last angle uniform on [0, 2 pi)
     angles = [_sin_power_quantile(v[..., j], d - 2 - j) for j in range(d - 2)]
     angles.append(2.0 * math.pi * v[..., d - 2])
     x = np.empty(v.shape[:-1] + (d,))
@@ -152,11 +157,15 @@ def metropolis_update(x: np.ndarray, u, params: BallWalkParams) -> np.ndarray:
     return _accept(x.reshape(-1, params.d), z, rows[:, -1], params.alpha).reshape(x.shape)
 
 
-# the relative width of _replay's band, derived in its docstring
+# the relative widths of _replay's bands, around a tie of the ratio test and
+# around the unit circle, derived in its docstring
 _RATIO_BAND = 2.0**-48
+_CIRCLE_BAND = 2.0**-48
 # _replay builds the proposals and the ratio test of about this many driver
 # entries at a time (one step at least)
 _REPLAY_CHUNK = 1 << 13
+# 1.0 as a 0-d array compares faster than a Python float
+_ONE = np.array(1.0)
 
 
 def _one_chain(x: np.ndarray, z: np.ndarray) -> list:
@@ -240,10 +249,22 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams, X: np.ndarray
     Otherwise a proposal that fails the ratio test becomes +inf, which the
     unit-ball test rejects, and each step writes y = x + z into its row of
     the states and copies the previous state back into the rows with
-    y . y > 1 (np.vecdot, as in ``_accept``), or |y| > 1 in d = 1, which
-    for finite y is exactly fl(y y) > 1 (y is never NaN: states are finite
-    and proposals finite or +inf).  One chain (b = 1, d <= 3) takes the
-    same steps in Python floats instead (:func:`_one_chain`).  Either way,
+    y . y > 1 (np.vecdot, as in ``_accept``; y is never NaN: states are
+    finite and proposals finite or +inf).  One chain (b = 1, d <= 3) takes
+    the same steps in Python floats instead (:func:`_one_chain`).
+
+    In d <= 2 the b chains step on one scalar each (:func:`_scalar_steps`)
+    and test |y| > 1.  In d = 1 that is exactly fl(y y) > 1 for finite y.
+    In d = 2, y is a complex number and |y| is np.absolute's, taken here
+    to be within 4 ulp of the exact |y|, so h = |y| computed has |h - |y||
+    <= 8 u |y|; np.vecdot's t lies within gamma_2 S of S = |y|^2, gamma_2 =
+    2 u / (1 - 2 u), as for :func:`_one_chain`.  So h <= 1 - w gives S <=
+    (1 - w)^2 / (1 - 8 u)^2 and t <= S (1 + gamma_2) <= 1, and h > 1 + w
+    gives S > (1 + w)^2 / (1 + 8 u)^2 and t > S (1 - gamma_2) >= 1, for w
+    >= 9.1 u, which w = 2^-48 = 32 u covers (:data:`_CIRCLE_BAND`).  An
+    infinite y gives h = t = inf; a finite y with t = inf has h > 1.  A
+    d = 2 chunk with any h inside the band |h - 1| <= w is replayed again
+    by the np.vecdot loop, which d = 3 takes for every chunk.  Either way,
     chunk by chunk, the states equal per-step ``metropolis_update`` bit for
     bit.
     """
@@ -252,10 +273,9 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams, X: np.ndarray
     X = np.empty((m, b, d)) if X is None else X
     x = X0
     tol = _RATIO_BAND * (alpha * (2.0 + params.gamma) + 746.0)
-    # size[j] is |y_j| (d = 1) or y_j . y_j, and out[j] whether y_j left the
-    # unit ball; 1.0 as a 0-d array compares faster than a Python float
-    size, out, one = np.empty(b), np.empty((b, 1), bool), np.array(1.0)
-    size_col, out_rows = size[:, None], out[:, 0]
+    # size[j] is y_j . y_j, and out[j] whether y_j left the unit ball
+    size, out = np.empty(b), np.empty((b, 1), bool)
+    out_rows = out[:, 0]
     steps = max(1, _REPLAY_CHUNK // (b * s))
     for start in range(0, m, steps):
         U_c, X_c = U[start : start + steps], X[start : start + steps]
@@ -274,18 +294,38 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams, X: np.ndarray
             np.copyto(z, np.inf, where=(g <= 0.0)[..., None])
         if b == 1 and d <= 3:
             X_c[:, 0] = np.reshape(_one_chain(x[0], z[:, 0]), (len(X_c), d))
-            x = X_c[-1]
-            continue
-        for z_i, X_i in zip(z, X_c):
-            np.add(x, z_i, X_i)
-            if d == 1:
-                np.absolute(X_i, size_col)
-            else:
+        elif d > 2 or not _scalar_steps(x, z, X_c):
+            for z_i, X_i in zip(z, X_c):
+                np.add(x, z_i, X_i)
                 np.vecdot(X_i, X_i, size)
-            np.greater(size, one, out_rows)
-            np.copyto(X_i, x, where=out)
-            x = X_i
+                np.greater(size, _ONE, out_rows)
+                np.copyto(X_i, x, where=out)
+                x = X_i
+        x = X_c[-1]
     return X
+
+
+def _scalar_steps(x: np.ndarray, z: np.ndarray, X: np.ndarray) -> bool:
+    """The step loop of :func:`_replay` for b chains in d <= 2, on one
+    scalar per chain: the states after each proposal of z (m, b, d) from
+    the states x (b, d), written into X (m, b, d).  A state is a float in
+    d = 1 and a complex number in d = 2 (views of the same memory), so one
+    loop body serves both: y = x + z, |y| > 1 rejects.  Returns whether the
+    states stand: False when d = 2 and some |y| lies within
+    :data:`_CIRCLE_BAND` of 1, where only ``np.vecdot`` decides."""
+    if x.shape[-1] == 1:
+        x, z, X = x[:, 0], z[..., 0], X[..., 0]
+    else:
+        x = np.ascontiguousarray(x).view(np.complex128)[:, 0]
+        z, X = z.view(np.complex128)[..., 0], X.view(np.complex128)[..., 0]
+    sizes, out = np.empty(z.shape), np.empty(len(x), bool)
+    for z_i, X_i, size in zip(z, X, sizes):
+        np.add(x, z_i, X_i)
+        np.absolute(X_i, size)
+        np.greater(size, _ONE, out)
+        np.copyto(X_i, x, where=out)
+        x = X_i
+    return x.dtype == float or not (np.abs(sizes - 1.0) <= _CIRCLE_BAND).any()
 
 
 def _sphere_inverse(e: np.ndarray, d: int) -> np.ndarray:

@@ -218,6 +218,24 @@ class StratifiedEstimateInfeasible(RuntimeError):
     """A stratified estimate whose rows would exceed the uniforms cap."""
 
 
+def _stratified_row_size(d: int) -> int:
+    """The uniforms of one row of the stratified estimate in dimension d,
+    12 * 4^d * d; StratifiedEstimateInfeasible when that is more than
+    :data:`STRATIFIED_ROW_CAP`.  Where 4^d alone exceeds the cap, the
+    count is named, not computed: from d = 7143 on it has more digits than
+    Python prints."""
+    if 2 * d < STRATIFIED_ROW_CAP.bit_length():
+        size = 12 * 4**d * d
+        if size <= STRATIFIED_ROW_CAP:
+            return size
+    else:
+        size = f"12 * 4^{d} * {d}"
+    raise StratifiedEstimateInfeasible(
+        f"the stratified masses in d = {d} need {size} uniforms "
+        f"per box, more than the cap of {STRATIFIED_ROW_CAP}"
+    )
+
+
 # The disc profile rule: a Gauss-Legendre pair on every interval between a
 # column's breakpoints in theta (x1 = sin(theta)).  The higher order gives
 # the value, the gap to the lower one the error estimate.  The fixed panel
@@ -249,17 +267,23 @@ def _bisect(f: Callable[[np.ndarray, np.ndarray], np.ndarray], p, a, b):
     below p_i, until the bracket is no wider than 1e-12, and returns the
     midpoint.  ``f(mid, live)`` gives the functions at the midpoints of the
     live levels, whose flat indices are ``live``; one call per step serves
-    all of them.  A scalar result is a float."""
+    all of them.  The brackets of the live levels are held packed and
+    updated in place; a level whose bracket is narrow enough leaves them.
+    A scalar result is a float."""
     shape = np.broadcast_shapes(np.shape(p), np.shape(a), np.shape(b))
     levels, lo, hi = (np.broadcast_to(np.asarray(x, float), shape).flatten() for x in (p, a, b))
-    live = np.flatnonzero(hi - lo > 1e-12)
-    while live.size:
-        mid = 0.5 * (lo[live] + hi[live])
-        up = np.asarray(f(mid, live)) < levels[live]
-        lo[live[up]] = mid[up]
-        hi[live[~up]] = mid[~up]
-        live = live[hi[live] - lo[live] > 1e-12]
     out = 0.5 * (lo + hi)
+    live = np.flatnonzero(hi - lo > 1e-12)
+    levels, lo, hi = levels[live], lo[live], hi[live]
+    while live.size:
+        mid = 0.5 * (lo + hi)
+        up = np.asarray(f(mid, live)) < levels
+        np.copyto(lo, mid, where=up)
+        np.copyto(hi, mid, where=~up)
+        wide = hi - lo > 1e-12
+        if not wide.all():
+            out[live[~wide]] = 0.5 * (lo[~wide] + hi[~wide])
+            live, levels, lo, hi = live[wide], levels[wide], lo[wide], hi[wide]
     return out.reshape(shape) if shape else float(out[0])
 
 
@@ -321,6 +345,9 @@ class TargetMeasure:
         if exact_box_mass is not None:
             self.normalizer, self.normalizer_error = 1.0, 0.0
         else:
+            if self._stratified_rule:
+                # refused before the bounding box, two arrays of length d
+                _stratified_row_size(self.dim)
             num, err = self._integrals(domain.bounding()[1][None])
             self.normalizer, self.normalizer_error = float(num[0]), float(err[0])
             if self.normalizer <= 0:
@@ -425,6 +452,13 @@ class TargetMeasure:
         at once."""
         return self.profile is not None and self.dim == 2 and isinstance(self.domain, BallDomain)
 
+    @property
+    def _stratified_rule(self) -> bool:
+        """Whether box masses without a closed form come from
+        :meth:`_stratified`."""
+        box2 = self.dim == 2 and isinstance(self.domain, BoxDomain)
+        return self.dim > 1 and not box2 and not self._profile_rule
+
     def _normalized(self, num: np.ndarray, num_err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Masses and error bounds from unnormalized integrals and their
         errors."""
@@ -497,15 +531,15 @@ class TargetMeasure:
         if self._profile_rule:
             num, err = self._profile_integrals(np.arcsin(hi[:, :1]), hi[:, 1:])
             return num[:, 0], err[:, 0]
+        if self._stratified_rule:
+            return self._stratified(hi)
         lo = self.domain.bounding()[0]
         if self.dim == 1:
             f = lambda t: float(self.density(np.array([[t]]))[0])
             rows = [integrate.quad(f, lo[0], h[0], epsabs=1e-10, limit=200) for h in hi]
-        elif self.dim == 2 and isinstance(self.domain, BoxDomain):
+        else:
             f2 = lambda y, x: float(self.density(np.array([[x, y]]))[0])
             rows = [integrate.dblquad(f2, lo[0], h[0], lo[1], h[1], epsabs=1e-8) for h in hi]
-        else:
-            return self._stratified(hi)
         return tuple(np.array(rows).T)
 
     def _stratified(self, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -515,17 +549,12 @@ class TargetMeasure:
         uniforms are the SplitMix64 stream seeded by the crc32 of the row's
         bytes, so a row's estimate depends on that row alone.  A row of more
         than :data:`STRATIFIED_ROW_CAP` uniforms is refused before anything
-        is computed."""
+        is computed (:func:`_stratified_row_size`)."""
         d, k, reps = self.dim, 4, 12
+        size = _stratified_row_size(d)
         cells = k**d
-        if reps * cells * d > STRATIFIED_ROW_CAP:
-            raise StratifiedEstimateInfeasible(
-                f"the stratified masses in d = {d} need {reps * cells * d} uniforms "
-                f"per box, more than the cap of {STRATIFIED_ROW_CAP}"
-            )
         lo = self.domain.bounding()[0]
         grid = np.stack(np.meshgrid(*[np.arange(k)] * d, indexing="ij"), axis=-1).reshape(cells, d)
-        size = reps * cells * d
         est, err = np.empty(len(hi)), np.empty(len(hi))
         step = max(1, _STRATIFIED_CHUNK // size)
         for s in range(0, len(hi), step):
@@ -567,15 +596,19 @@ class TargetMeasure:
     def marginal_quantile(self, j, p):
         """Marginal quantiles of coordinate j, elementwise over p and j (an
         index, or an integer array broadcast against p): the closed-form
-        inverse when the measure has one, else bisection of
-        :meth:`marginal_cdf` to 1e-12, every level in its own bracket and
-        one :meth:`marginal_cdf` call per step for all of them."""
+        inverse when the measure has one, else bisection to 1e-12 (every
+        level in its own bracket, one call per step for all of them) of
+        ``exact_marginal_cdf`` itself where the measure has it (the midpoints
+        lie in the bracket, where :meth:`marginal_cdf`'s clip changes
+        nothing), or of :meth:`marginal_cdf`."""
         shape = np.broadcast_shapes(np.shape(j), np.shape(p))
         if self.exact_inv_cdf is not None:
             q = np.empty(shape)
             q[...] = self.exact_inv_cdf(p)
             return q if shape else float(q)
         lo, hi = self.domain.bounding()
+        if self.exact_marginal_cdf is not None:
+            return _bisect(lambda t, live: self.exact_marginal_cdf(t), p, lo[j], hi[j])
         js = np.broadcast_to(j, shape).ravel()
         return _bisect(lambda t, live: self.marginal_cdf(js[live], t), p, lo[j], hi[j])
 

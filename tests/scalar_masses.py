@@ -9,7 +9,10 @@ masks (``box_masses_by_masks``, ``grid_masses_by_masks``), the reference
 of the column-by-column masks of ``TargetMeasure._box_masses``, and the
 disc profile rule with every column's nodes computed for that column
 (``profile_integrals_per_column``), the reference of the nodes shared by
-distinct interval in ``TargetMeasure._profile_integrals``.
+distinct interval in ``TargetMeasure._profile_integrals``.  The quantile
+cover's cuts one level at a time in Python floats (``quantile_cuts``) are
+the reference of the bisection of all levels at once in
+``TargetMeasure.marginal_quantile``.
 """
 
 import math
@@ -88,6 +91,25 @@ def disc_by_box_masses():
     the box masses of the corners with +inf in the other coordinate, and
     quantiles are bisected from them."""
     return TargetMeasure(BallDomain(2), lambda x: np.ones(x.shape[0]), exact_box_mass=_uniform_disc_mass)
+
+
+def quantile_cuts(cdf, delta: float, d: int = 2) -> list:
+    """The cuts of ``build_quantile_cover`` on [-1, 1] for the levels i / m,
+    m = ceil(d / delta), each bisected alone in Python floats from the
+    nondecreasing ``cdf`` of a float: the midpoint 0.5 (lo + hi), the lower
+    end kept while cdf(mid) < level, until hi - lo <= 1e-12."""
+    m = math.ceil(d / delta)
+    cuts = []
+    for i in range(1, m):
+        level, lo, hi = i / m, -1.0, 1.0
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if cdf(mid) < level:
+                lo = mid
+            else:
+                hi = mid
+        cuts.append(0.5 * (lo + hi))
+    return cuts
 
 
 def box_masses_by_masks(measure, corners) -> tuple[np.ndarray, np.ndarray]:

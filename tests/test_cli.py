@@ -443,11 +443,13 @@ class TestRunExperiments:
 
     @pytest.mark.parametrize(
         "experiment,d",
-        [("pullback", 40), ("search", 9), ("discrepancy", 9), ("rate-study", 31), ("search", 33)],
+        [("pullback", 40), ("search", 9), ("discrepancy", 9), ("rate-study", 31), ("search", 33),
+         ("discrepancy", 10**4), ("discrepancy", 10**6)],
     )
     def test_ball_above_stratified_cap_exits_3(self, tmp_path, capsys, experiment, d):
         # a ball in d >= 9 needs 12 * 4^d * d uniforms per box for its
-        # stratified masses; refused before anything is allocated
+        # stratified masses; refused before anything is allocated, also
+        # where that count has more digits than Python prints (d >= 7143)
         cfg = {"experiment": experiment, "dimension": d, "density": {"name": "exp-linear", "alpha": 1.0},
                "output": str(tmp_path / "s.csv")}
         assert main(["run", _write(tmp_path, "c.json", cfg)]) == 3

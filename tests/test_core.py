@@ -349,15 +349,18 @@ class TestBallMeasures:
 
 
     def test_stratified_above_row_cap_refused_before_any_work(self, monkeypatch):
-        # 12 * 4^d * d uniforms per row: 2.8e7 in d = 9, above the cap
+        # 12 * 4^d * d uniforms per row: 2.8e7 in d = 9, above the cap; the
+        # count of d = 10^6 has too many digits to print, and neither builds
+        # its bounding box, two arrays of length d
         def fail(*args, **kwargs):
             raise AssertionError("the estimate computed something")
 
         monkeypatch.setattr(core, "_splitmix_uniforms", fail)
         monkeypatch.setattr(np, "meshgrid", fail)
         monkeypatch.setattr(np, "arange", fail)
+        monkeypatch.setattr(BallDomain, "bounding", fail)
         for make in (lambda: TargetMeasure(BallDomain(9), fail), lambda: uniform_ball(40),
-                     lambda: exp_linear_ball(1.0, 33)):
+                     lambda: exp_linear_ball(1.0, 33), lambda: uniform_ball(10**6)):
             with pytest.raises(StratifiedEstimateInfeasible, match=f"cap of {STRATIFIED_ROW_CAP}"):
                 make()
 
@@ -405,6 +408,22 @@ class TestDiscMarginal:
         assert len(got) == len(want) == 2
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize(
+        "make, delta",
+        [(lambda: uniform_ball(2), 0.1), (lambda: uniform_ball(2), 0.05), (lambda: uniform_ball(2), 0.01),
+         (lambda: exp_linear_ball(1.0, 2), 0.2)],
+    )
+    def test_cover_cuts_are_the_scalar_bisection(self, make, delta):
+        # the levels bisected together, from the closed-form marginal itself
+        # (uniform) or from marginal_cdf's box masses (exp-linear), are the
+        # levels bisected one at a time in Python floats
+        disc = make()
+        got = build_quantile_cover(disc, delta).cuts
+        assert len(got) == 2
+        for j, g in enumerate(got):
+            want = np.array(scalar_masses.quantile_cuts(lambda t: disc.marginal_cdf(j, t), delta))
+            assert g.tobytes() == want.tobytes()
 
 
 def _quadrature_2d():

@@ -177,15 +177,22 @@ def _assert_replay_is_per_step(X0, U, params):
 def test_replay_is_the_per_step_update(d, alpha, data):
     # states at +-1 and -0.0, radii 0 (v_last = 0), proposals along the
     # axes that land on |y| = 1 exactly, and at alpha = 1 proposals failing
-    # the ratio test, folded to +inf when no entry is near a tie
+    # the ratio test, folded to +inf when no entry is near a tie; b = 2 and
+    # 16 chains among others, in chunks of 1 or 40 driver entries or of the
+    # package's size
     gamma = data.draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.05, 2.5))
     params = BallWalkParams(gamma, d, alpha)
     states = _edge_states(d)
-    rows = data.draw(st.lists(st.integers(0, len(states) - 1), min_size=1, max_size=5))
+    b = data.draw(st.sampled_from([2, 16]) | st.integers(1, 5))
+    rows = data.draw(st.lists(st.integers(0, len(states) - 1), min_size=b, max_size=b))
     m = data.draw(st.integers(1, 12))
     coords = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
     U = data.draw(arrays(np.float64, (m, len(rows), params.driver_dim), elements=coords))
-    _assert_replay_is_per_step(states[rows], U, params)
+    chunk = data.draw(st.sampled_from([None, 1, 40]))
+    with pytest.MonkeyPatch.context() as patched:
+        if chunk is not None:
+            patched.setattr(ballwalk, "_REPLAY_CHUNK", chunk)
+        _assert_replay_is_per_step(states[rows], U, params)
 
 
 def _axis_point(d, sign, r, v):
@@ -213,7 +220,11 @@ def test_replay_step_loop_on_the_sphere(monkeypatch, d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_ballwalk_near_ties(d):
     # proposals landing on the unit sphere to rounding, and acceptance
-    # coordinates equal to or one ulp above the density ratio
+    # coordinates equal to or one ulp above the density ratio; then the
+    # uniform walk's block replay, b >= 2, of proposals aimed at the sphere,
+    # at k = 1, 2, 3 ulps off it (inside the band of the d = 2 scalar steps)
+    # and at 32 and 64 ulps off it (outside); a block of a pair has chunks
+    # of one step with and without an entry in the band
     alpha = 1.0
     params = BallWalkParams(2.0, d, alpha)
     rng = Rng(40 + d)
@@ -231,6 +242,23 @@ def test_ballwalk_near_ties(d):
     got = metropolis_update(xs, us, params)
     for x, u, g in zip(xs, us, got):
         assert np.array_equal(g, ref.metropolis_step(x, u, 2.0, d, "exp-linear", alpha))
+
+    params = BallWalkParams(2.0, d, 0.0)
+    scales = [1.0 + k * 2.0**-52 for k in (-64, -32, -3, -2, -1, 0, 1, 2, 3, 32, 64)]
+    xs, us = [], []
+    for _ in range(40):
+        x = 0.9 * ref.ball_point(rng.uniforms(params.proposal_dim), 1.0, d)
+        e = ref.sphere_point(rng.uniforms(max(d - 1, 1)), d)
+        for scale in scales:
+            xs.append(x)
+            us.append(invert_update(x, scale * e, params))
+    xs, us = np.array(xs), np.array(us)
+    want = np.array([ref.metropolis_step(x, u, 2.0, d, "uniform", 0.0) for x, u in zip(xs, us)])
+    assert ballwalk._replay(xs, us[None], params)[0].tobytes() == want.tobytes()
+    for j in range(0, len(xs), 2):
+        pair = slice(j, j + 2)
+        assert ballwalk._replay(xs[pair], us[None, pair], params)[0].tobytes() == want[pair].tobytes()
+    _assert_replay_is_per_step(xs[:2], us.reshape(-1, 2, params.driver_dim), params)
 
 
 def _near_tie_driver(n, d, alpha, rng):
@@ -303,18 +331,19 @@ def _chunk_steps(U):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
-@pytest.mark.parametrize("chunk", [None, 1, 25, 60])
+@pytest.mark.parametrize("chunk", [None, 1, 25, 40, 60])
 def test_replay_over_several_chunks(monkeypatch, d, alpha, chunk):
-    # blocks of two chunks and a part, whose states carry over from chunk to
-    # chunk; a chunk smaller than one step holds one step.  None keeps the
-    # package's chunk size
+    # blocks of b = 5, 2 and 16 chains over two chunks and a part, whose
+    # states carry over from chunk to chunk; a chunk smaller than one step
+    # holds one step.  None keeps the package's chunk size
     if chunk is not None:
         monkeypatch.setattr(ballwalk, "_REPLAY_CHUNK", chunk)
     params = BallWalkParams(0.8, d, alpha)
-    X0 = _edge_states(d)[:5]
-    m = 2 * _chunk_steps(np.empty((1, 5, params.driver_dim))) + 3
-    U = _drivers(5, m, params.driver_dim, 60 + d).transpose(1, 0, 2)
-    _assert_replay_is_per_step(X0, U, params)
+    for b in (5, 2, 16):
+        X0 = _edge_states(d)[np.arange(b) % 8]
+        m = 2 * _chunk_steps(np.empty((1, b, params.driver_dim))) + 3
+        U = _drivers(b, m, params.driver_dim, 60 + d).transpose(1, 0, 2)
+        _assert_replay_is_per_step(X0, U, params)
 
 
 def _count_accept(monkeypatch):
@@ -561,13 +590,17 @@ def test_one_chain_near_the_sphere(d):
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
 def test_one_chain_huge_radius(d, alpha):
     # gamma = 1e300: y . y overflows to +inf (a Python float y * y does not
-    # raise, where y ** 2 would), which rejects like the block loop's
-    # np.vecdot; at alpha = 1 every entry is inside the band, so both go
-    # through the exact per-step test
+    # raise, where y ** 2 would), which rejects like the d = 3 block loop's
+    # np.vecdot and the d = 2 block's finite |y| > 1; at alpha = 1 every
+    # entry is inside the band, so both go through the exact per-step test
     params = BallWalkParams(1e300, d, alpha)
     U = _drivers(3, 40, params.driver_dim, 3 + d).transpose(1, 0, 2)
     U[::4, :, -2] = 0.0
-    _assert_rows_replay_alone(_edge_states(d)[[0, 4, 6]], U, params)
+    X0 = _edge_states(d)[[0, 4, 6]]
+    _assert_rows_replay_alone(X0, U, params)
+    # only the zero proposals (v_last = 0) stay in the unit ball, and they
+    # keep every state's value
+    assert (ballwalk._replay(X0, U, params) == X0).all()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -595,3 +628,30 @@ def test_one_chain_asks_vecdot_only_inside_its_band(monkeypatch, d):
     assert again.tobytes() == states.tobytes()
     assert asked == inside
     assert d == 1 or len(inside) >= 10
+
+
+def test_block_asks_vecdot_only_for_chunks_in_its_band(monkeypatch):
+    # d = 2, b = 2: chain 0 is sent at or near the unit circle on about half
+    # its steps, chain 1 walks freely.  The np.vecdot loop replays exactly
+    # the chunks of two steps with an entry whose |y| lies within 2^-48 of
+    # 1, every other chunk keeps its complex scalar steps, and the states
+    # are the per-step ones
+    monkeypatch.setattr(ballwalk, "_REPLAY_CHUNK", 12)
+    params = BallWalkParams(2.0, 2, 0.0)
+    U = np.stack([_near_tie_driver(301, 2, 0.0, Rng(120)), _drivers(1, 301, 3, 121)[0]], axis=1)
+    X0 = ballwalk.ball_generator(U[0, :, :2], 1.0, 2)
+    U = U[1:]
+    states = ballwalk._replay(X0, U, params)
+    y = np.concatenate([X0[None], states[:-1]]) + ballwalk.ball_generator(U[..., :2], 2.0, 2)
+    near = (np.abs(np.absolute(y.view(np.complex128)[..., 0]) - 1.0) <= 2.0**-48).any(axis=1)
+    steps = _chunk_steps(U)
+    assert steps == 2
+    in_band = [near[i : i + steps].any() for i in range(0, len(U), steps)]
+    vecdot, asked = np.vecdot, []
+    monkeypatch.setattr(np, "vecdot", lambda a, b, *rest: asked.append(1) or vecdot(a, b, *rest))
+    again = ballwalk._replay(X0, U, params)
+    monkeypatch.setattr(np, "vecdot", vecdot)
+    assert again.tobytes() == states.tobytes()
+    assert len(asked) == steps * sum(in_band)
+    assert 20 <= sum(in_band) <= len(in_band) - 20
+    _assert_replay_is_per_step(X0, U, params)
