@@ -16,6 +16,7 @@ consumes 2 coordinates and the update 3.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -115,9 +116,27 @@ def ball_generator(v, gamma: float, d: int) -> np.ndarray:
     """Uniform points in the closed gamma-ball: direction from the leading
     coordinates, radius gamma * v_last^{1/d}; shape (..., p) to (..., d).
     The root is float_power's, which matches Python's float pow bit for bit
-    where numpy's power does not; in d = 1 it is v_last itself."""
+    where numpy's power does not; in d = 1 it is v_last itself.
+
+    d <= 2 is built straight in the scalar storage of ``_scalar_steps``.
+    In d = 1 the point is copysign(gamma v_last, v_1 - 1/2): v_1 - 1/2 is
+    negative exactly when v_1 < 1/2 (and +0.0 at 1/2), so these are the
+    bits of the radius times -1 or +1, -0.0 included.  In d = 2 the point
+    is (radius cos, radius sin), the products written into the real and
+    imaginary parts of one complex array, whose (..., 2) float view is
+    returned."""
     v = np.asarray(v, float)
-    radius = gamma * (v[..., -1] if d == 1 else np.float_power(v[..., -1], 1.0 / d))
+    if d == 1:
+        return np.copysign(gamma * v[..., -1:], v[..., :1] - 0.5)
+    radius = gamma * np.float_power(v[..., -1], 1.0 / d)
+    if d == 2:
+        if v.shape[-1] != 2:
+            raise ValueError("need 2 coordinates for d = 2")
+        ang = 2.0 * math.pi * v[..., 0]
+        z = np.empty(radius.shape, complex)
+        np.multiply(radius, np.cos(ang), out=z.real)
+        np.multiply(radius, np.sin(ang), out=z.imag)
+        return z[..., None].view(float)
     return radius[..., None] * sphere_generator(v[..., :-1], d)
 
 
@@ -163,7 +182,7 @@ _RATIO_BAND = 2.0**-48
 _CIRCLE_BAND = 2.0**-48
 # _replay builds the proposals and the ratio test of about this many driver
 # entries at a time (one step at least)
-_REPLAY_CHUNK = 1 << 13
+_REPLAY_CHUNK = 1 << 16
 # 1.0 as a 0-d array compares faster than a Python float
 _ONE = np.array(1.0)
 
@@ -244,8 +263,12 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams, X: np.ndarray
 
     The steps go in chunks of about :data:`_REPLAY_CHUNK` driver entries,
     and the band is decided per chunk: the proposals and the test of a
-    chunk are built, then its steps run.  A chunk with any entry inside the
-    band replays its steps through ``_accept``, the exact per-step form.
+    chunk are built, then its steps run.  At 2^16 entries a block of a few
+    hundred thousand entries takes two or three chunks, so the per-chunk
+    work is paid a few times, and the temporaries beside the states stay
+    within a few chunks of floats (0.5 MB each) however long the block.  A
+    chunk with any entry inside the band replays its steps through
+    ``_accept``, the exact per-step form.
     Otherwise a proposal that fails the ratio test becomes +inf, which the
     unit-ball test rejects, and each step writes y = x + z into its row of
     the states and copies the previous state back into the rows with
@@ -253,7 +276,9 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams, X: np.ndarray
     finite and proposals finite or +inf).  One chain (b = 1, d <= 3) takes
     the same steps in Python floats instead (:func:`_one_chain`).
 
-    In d <= 2 the b chains step on one scalar each (:func:`_scalar_steps`)
+    In d <= 2 the b chains step on one scalar each (:func:`_scalar_steps`),
+    on proposals that :func:`ball_generator` builds in that storage (a
+    float column in d = 1, the float view of a complex array in d = 2),
     and test |y| > 1.  In d = 1 that is exactly fl(y y) > 1 for finite y.
     In d = 2, y is a complex number and |y| is np.absolute's, taken here
     to be within 4 ulp of the exact |y|, so h = |y| computed has |h - |y||
@@ -309,21 +334,27 @@ def _scalar_steps(x: np.ndarray, z: np.ndarray, X: np.ndarray) -> bool:
     """The step loop of :func:`_replay` for b chains in d <= 2, on one
     scalar per chain: the states after each proposal of z (m, b, d) from
     the states x (b, d), written into X (m, b, d).  A state is a float in
-    d = 1 and a complex number in d = 2 (views of the same memory), so one
-    loop body serves both: y = x + z, |y| > 1 rejects.  Returns whether the
-    states stand: False when d = 2 and some |y| lies within
-    :data:`_CIRCLE_BAND` of 1, where only ``np.vecdot`` decides."""
+    d = 1 and a complex number in d = 2, a view of the same memory; so is
+    a proposal, which :func:`ball_generator` builds in that storage.  One
+    loop body serves both: y = x + z, |y| > 1 rejects, and ``np.putmask``
+    puts x back into the rejected rows.  d = 1 writes every |y| into one
+    (b,) buffer; d = 2 keeps them all, (m, b), and returns whether the
+    states stand: False when some |y| lies within :data:`_CIRCLE_BAND` of
+    1, where only ``np.vecdot`` decides."""
     if x.shape[-1] == 1:
         x, z, X = x[:, 0], z[..., 0], X[..., 0]
+        sizes = itertools.repeat(np.empty(len(x)))
     else:
         x = np.ascontiguousarray(x).view(np.complex128)[:, 0]
         z, X = z.view(np.complex128)[..., 0], X.view(np.complex128)[..., 0]
-    sizes, out = np.empty(z.shape), np.empty(len(x), bool)
+        sizes = np.empty(z.shape)
+    add, absolute, greater, putmask = np.add, np.absolute, np.greater, np.putmask
+    out = np.empty(len(x), bool)
     for z_i, X_i, size in zip(z, X, sizes):
-        np.add(x, z_i, X_i)
-        np.absolute(X_i, size)
-        np.greater(size, _ONE, out)
-        np.copyto(X_i, x, where=out)
+        add(x, z_i, X_i)
+        absolute(X_i, size)
+        greater(size, _ONE, out)
+        putmask(X_i, out, x)
         x = X_i
     return x.dtype == float or not (np.abs(sizes - 1.0) <= _CIRCLE_BAND).any()
 

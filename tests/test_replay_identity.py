@@ -4,6 +4,7 @@ b = 1 and b > 1."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,9 +336,10 @@ def _chunk_steps(U):
 def test_replay_over_several_chunks(monkeypatch, d, alpha, chunk):
     # blocks of b = 5, 2 and 16 chains over two chunks and a part, whose
     # states carry over from chunk to chunk; a chunk smaller than one step
-    # holds one step.  None keeps the package's chunk size
-    if chunk is not None:
-        monkeypatch.setattr(ballwalk, "_REPLAY_CHUNK", chunk)
+    # holds one step.  None stands for chunks of 2^13 entries, 128 to 1365
+    # steps here: at the package's 2^16 the scalar check of every step of
+    # two such chunks would take eight times as long
+    monkeypatch.setattr(ballwalk, "_REPLAY_CHUNK", chunk or 1 << 13)
     params = BallWalkParams(0.8, d, alpha)
     for b in (5, 2, 16):
         X0 = _edge_states(d)[np.arange(b) % 8]
@@ -356,7 +358,9 @@ def _count_accept(monkeypatch):
 def test_replay_band_is_per_chunk(monkeypatch):
     # one entry of the second of three chunks lies inside the band: only that
     # chunk's steps go through the exact per-step test, and the states are
-    # the per-step ones
+    # the per-step ones.  Chunks of 2^13 entries; after undo() the block
+    # replays at the package's size, in one chunk
+    monkeypatch.setattr(ballwalk, "_REPLAY_CHUNK", 1 << 13)
     alpha, gamma = 1.0, 0.5
     params = BallWalkParams(gamma, 1, alpha)
     X0 = np.linspace(-0.9, 0.9, 4)[:, None]
@@ -377,7 +381,10 @@ def test_replay_band_is_per_chunk(monkeypatch):
 def test_replay_steep_ratio_in_a_later_chunk(monkeypatch):
     # alpha gamma = 800 > 700: the one proposal with alpha z_1 < -700, whose
     # density ratio exp(alpha z_1) is subnormal, lies in the last of three
-    # chunks, the only chunk replayed through the exact per-step test
+    # chunks, the only chunk replayed through the exact per-step test.
+    # Chunks of 2^13 entries; after undo() the block replays at the
+    # package's size, in one chunk
+    monkeypatch.setattr(ballwalk, "_REPLAY_CHUNK", 1 << 13)
     alpha, gamma = 400.0, 2.0
     params = BallWalkParams(gamma, 1, alpha)
     X0 = np.array([[0.9], [0.95], [-0.2]])
@@ -655,3 +662,48 @@ def test_block_asks_vecdot_only_for_chunks_in_its_band(monkeypatch):
     assert len(asked) == steps * sum(in_band)
     assert 20 <= sum(in_band) <= len(in_band) - 20
     _assert_replay_is_per_step(X0, U, params)
+
+
+_HALF_DOWN, _HALF_UP, _TOP = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1.0, 2.0])
+@pytest.mark.parametrize("d", [1, 2])
+def test_ball_generator_is_the_scalar_point(d, gamma):
+    # the d <= 2 proposals built in the step loop's scalar storage (copysign
+    # in d = 1, complex parts in d = 2) against the scalar reference, signs
+    # of zero included: the sign coordinate on both sides of 1/2, radii 0,
+    # subnormal and up to 1, angles at the quarter turns
+    leading = [0.0, _HALF_DOWN, 0.5, _HALF_UP, _TOP] if d == 1 else [0.0, 0.25, 0.5, 0.75]
+    V = np.array([[a, r] for a in leading for r in (0.0, 5e-324, 0.5, _TOP)])
+    got = ballwalk.ball_generator(V, gamma, d)
+    assert got.shape == (len(V), d)
+    for v, z in zip(V, got):
+        assert z.tobytes() == ref.ball_point(v, gamma, d).tobytes()
+        assert ballwalk.ball_generator(v, gamma, d).tobytes() == z.tobytes()
+
+
+def _replay_peak(d, b, m):
+    """Peak bytes traced while ``_replay`` writes m steps of b chains into
+    a states array allocated beforehand."""
+    params = BallWalkParams(0.8, d, 1.0)
+    U = _drivers(b, m, params.driver_dim, 130 + d).transpose(1, 0, 2)
+    X0, X = _edge_states(d)[np.arange(b) % 8], np.empty((m, b, d))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ballwalk._replay(X0, U, params, X)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d,b", [(1, 201), (2, 16)])
+def test_replay_temporaries_are_bounded_by_the_chunk(d, b):
+    # proposals, ratio test (alpha = 1) and |y| sizes of m = 4000 steps, 37
+    # chunks in d = 1 and 3 in d = 2: the temporaries beside the states stay
+    # within 4 chunks of floats, and twice the steps take no more
+    m = 4000
+    peak = _replay_peak(d, b, m)
+    assert peak < 4 * ballwalk._REPLAY_CHUNK * 8
+    assert _replay_peak(d, b, 2 * m) <= 1.05 * peak
