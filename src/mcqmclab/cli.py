@@ -8,9 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 config error (nothing written) or an output that
 cannot be written, 3 infeasible objective (e.g. exact discrepancy scan
-above dimension 3, a delta-cover that fails its slab audit, a ball above
-dimension 8, whose stratified masses exceed their cap, or an array larger
-than memory or numpy's shape limits allow).
+above dimension 3, a delta-cover that fails its slab audit, a target
+without a box-mass rule, such as a ball above dimension 3, or an array
+larger than memory or numpy's shape limits allow).
 
 Every numeric written to the CSV is a pure function of (config, seed);
 floats are serialized with 17 significant digits so they round-trip exactly.
@@ -41,7 +41,7 @@ from .bounds import (
     main_discrepancy_bound,
 )
 from .chain import make_direct_kernel, make_lazy_direct_kernel, run_chains
-from .core import Rng, StratifiedEstimateInfeasible, uniform_driver
+from .core import Rng, uniform_driver
 from .discrepancy import (
     CoverConstructionError,
     ExactScanInfeasible,
@@ -353,8 +353,7 @@ def _cmd_run(path: str) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ExactScanInfeasible, CoverConstructionError, StratifiedEstimateInfeasible,
-            NotImplementedError, MemoryError, ValueError) as exc:
+    except (ExactScanInfeasible, CoverConstructionError, NotImplementedError, MemoryError, ValueError) as exc:
         # any ValueError but numpy's refusal of an oversized shape is a fault
         refusals = ("array is too big", "Maximum allowed dimension exceeded")
         if isinstance(exc, ValueError) and not str(exc).startswith(refusals):

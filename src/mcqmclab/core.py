@@ -7,7 +7,8 @@ the types here:
   candidate and replica stream is reproducible from (seed, label).
 * ``TargetMeasure`` -- a target distribution given by a density on a bounded
   domain, with a batched box-mass oracle over corner arrays (closed form
-  where possible, quadrature or a stratified estimate otherwise).  A row c
+  where possible, the profile rule on the ball in d = 2 and 3, quadrature
+  on the interval and the d = 2 box; any other measure is refused).  A row c
   of a corner array stands for the strictly open box ``(-inf, c)``; an
   entry of +inf leaves its coordinate unrestricted, one of -inf makes the
   box empty.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import importlib
 import math
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -206,58 +206,59 @@ class BallDomain:
 # Target measures
 # ---------------------------------------------------------------------------
 
-# the stratified estimate takes its rows in chunks of at most this many
-# uniforms (one row at least)
-_STRATIFIED_CHUNK = 1 << 16
-# bound on the uniforms of one row of the stratified estimate, 12 * 4^d * d:
-# 6.3e6 in d = 8, 2.8e7 in d = 9
-STRATIFIED_ROW_CAP = 1 << 24
-
-
-class StratifiedEstimateInfeasible(RuntimeError):
-    """A stratified estimate whose rows would exceed the uniforms cap."""
-
-
-def _stratified_row_size(d: int) -> int:
-    """The uniforms of one row of the stratified estimate in dimension d,
-    12 * 4^d * d; StratifiedEstimateInfeasible when that is more than
-    :data:`STRATIFIED_ROW_CAP`.  Where 4^d alone exceeds the cap, the
-    count is named, not computed: from d = 7143 on it has more digits than
-    Python prints."""
-    if 2 * d < STRATIFIED_ROW_CAP.bit_length():
-        size = 12 * 4**d * d
-        if size <= STRATIFIED_ROW_CAP:
-            return size
-    else:
-        size = f"12 * 4^{d} * {d}"
-    raise StratifiedEstimateInfeasible(
-        f"the stratified masses in d = {d} need {size} uniforms "
-        f"per box, more than the cap of {STRATIFIED_ROW_CAP}"
-    )
-
-
-# The disc profile rule: a Gauss-Legendre pair on every interval between a
-# column's breakpoints in theta (x1 = sin(theta)).  The higher order gives
-# the value, the gap to the lower one the error estimate.  The fixed panel
-# edges keep every interval at most pi / _DISC_PANELS long, also where a
-# column has a single level: with 8 panels the gap of a single-level column
-# stays below 1e-11 up to alpha = 100 (4 panels: 2e-7).
+# The profile rule of the ball: a Gauss-Legendre pair on every interval
+# between a column's breakpoints in theta (x1 = sin(theta)).  The higher
+# order gives the value, the gap to the lower one the error estimate.  The
+# fixed panel edges keep every interval at most pi / _DISC_PANELS long, also
+# where a column has a single level: with 8 panels the gap of a single-level
+# disc column stays below 1e-11 up to alpha = 100 (4 panels: 2e-7).
 _DISC_LOW, _DISC_HIGH = (np.polynomial.legendre.leggauss(k) for k in (12, 24))
 _DISC_NODES = np.concatenate([_DISC_LOW[0], _DISC_HIGH[0]])
 _DISC_PANELS = 8
 _DISC_PANEL_EDGES = -0.5 * math.pi + math.pi / _DISC_PANELS * np.arange(_DISC_PANELS)
+# the profile rule takes its columns in chunks of at most this many integrand
+# values, 48 per interval (one column at least)
+_PROFILE_CHUNK = 1 << 16
+
+
+def _disc_area_below(t):
+    """The antiderivative G(t) = (t sqrt(1 - t^2) + asin t) / 2 of
+    sqrt(1 - t^2) on [-1, 1]."""
+    return 0.5 * (t * np.sqrt(1.0 - t * t) + np.arcsin(t))
+
+
+def _disc_area(t, c):
+    """Area of the unit disc below the corner (t, c) in [-1, 1]^2,
+    elementwise.  The x2-section at x1 = x has length h + c for |x| < s and
+    2h or 0 (as c >= 0 or not) for |x| >= s, where h = sqrt(1 - x^2) and
+    s = sqrt(1 - c^2); each piece integrates in closed form through
+    G = :func:`_disc_area_below`."""
+    G = _disc_area_below
+    s = np.sqrt(1.0 - c * c)
+    mid = np.clip(t, -s, s)
+    inner = G(mid) - G(-s) + c * (mid + s)
+    outer = 2.0 * (G(np.minimum(t, -s)) - G(-1.0) + G(np.maximum(t, s)) - G(s))
+    return inner + np.where(c >= 0.0, outer, 0.0)
 
 
 def _ball_section(rho, h):
     """Measure of the section of the ball at half-width rho below the corner's
-    trailing coordinates h: in d = 2 the length of {|x2| < rho, x2 < h2}."""
-    return np.minimum(np.maximum(h[..., 0], -rho), rho) + rho
+    trailing coordinates h: in d = 2 the length of {|x2| < rho, x2 < h2}, in
+    d = 3 the area of the disc of radius rho below (h2, h3), rho^2 times the
+    unit disc's area below clip(h / rho, -1, 1)."""
+    if h.shape[-1] == 1:
+        return np.minimum(np.maximum(h[..., 0], -rho), rho) + rho
+    t, c = (np.clip(h[..., j] / rho, -1.0, 1.0) for j in (0, 1))
+    return rho * rho * _disc_area(t, c)
 
 
 def _ball_section_kinks(h):
     """The half-widths rho at which :func:`_ball_section` is not smooth in
-    rho: |h2| in d = 2."""
-    return np.abs(h)
+    rho, one column each: |h2| in d = 2; |h2|, |h3| and min(|h|, 1), where
+    the corner meets the circle, in d = 3."""
+    if h.shape[-1] == 1:
+        return np.abs(h)
+    return np.column_stack([np.abs(h), np.minimum(np.hypot(h[:, 0], h[:, 1]), 1.0)])
 
 
 def _bisect(f: Callable[[np.ndarray, np.ndarray], np.ndarray], p, a, b):
@@ -306,18 +307,21 @@ class TargetMeasure:
         marginal CDFs are box masses (for d = 1 the CDF is the box mass of
         the corner t) and quantiles are bisected.
     profile : callable, optional
-        For densities on the d = 2 ball depending on the first coordinate
-        only: profile(x1), vectorized.  Box masses then come from the
-        profile rule (:meth:`_profile_integrals`): per column of corners
-        sharing c2, one pass along x1 = sin(theta) with a Gauss-Legendre
-        pair per interval, summed cumulatively; the error is the cumulative
-        sum of the per-interval rule gaps.
+        For densities on the d = 2 or 3 ball depending on the first
+        coordinate only: profile(x1), vectorized.  Box masses then come
+        from the profile rule (:meth:`_profile_integrals`): per column of
+        corners sharing their trailing coordinates, one pass along x1 =
+        sin(theta) with a Gauss-Legendre pair per interval, summed
+        cumulatively; the error is the cumulative sum of the per-interval
+        rule gaps.
 
     Without a closed form the masses are :meth:`_integrals` of the clipped
     corners over that of the domain's upper corner, the normalizer: the
-    profile rule, adaptive quadrature row by row (d = 1 and the d = 2 box)
-    or the stratified estimate of all rows at once (every other domain, the
-    d = 2 ball without a profile included).
+    profile rule, or adaptive quadrature row by row (d = 1 and the d = 2
+    box).  A measure that none of these serves (a ball in d >= 4, a ball
+    density without a profile, a box density in d >= 3 without a closed
+    form) raises NotImplementedError on construction, before anything is
+    computed.
 
     :meth:`box_masses` takes corner rows and :meth:`grid_masses` the tensor
     grid of per-axis values.  For every measure without a profile rule the
@@ -345,9 +349,13 @@ class TargetMeasure:
         if exact_box_mass is not None:
             self.normalizer, self.normalizer_error = 1.0, 0.0
         else:
-            if self._stratified_rule:
-                # refused before the bounding box, two arrays of length d
-                _stratified_row_size(self.dim)
+            # refused before the bounding box, two arrays of length d
+            ball = isinstance(domain, BallDomain)
+            if ball and self.dim > 3:
+                raise NotImplementedError(f"box masses on the ball are implemented for d <= 3, not d = {self.dim}")
+            if not (self._profile_rule or self.dim == 1 or self.dim == 2 and not ball):
+                what = "a ball density without a profile" if ball else "a box density without a closed form"
+                raise NotImplementedError(f"no box-mass rule for {what} in d = {self.dim}")
             num, err = self._integrals(domain.bounding()[1][None])
             self.normalizer, self.normalizer_error = float(num[0]), float(err[0])
             if self.normalizer <= 0:
@@ -410,8 +418,9 @@ class TargetMeasure:
         the same special cases as :meth:`box_masses`: ``masses[i_1, ...,
         i_d]`` belongs to the corner (axes[0][i_1], ..., axes[d-1][i_d]),
         plus the largest error bound.  The profile rule integrates each
-        column c2 once along x1 for all its levels c1; every other measure
-        returns :meth:`box_masses` of the grid's rows in C order."""
+        column, a corner of the tensor grid of the trailing axes, once along
+        x1 for all its levels c1; every other measure returns
+        :meth:`box_masses` of the grid's rows in C order."""
         masses, errs = self._grid_masses(axes)
         return masses, float(np.max(errs, initial=0.0))
 
@@ -425,20 +434,22 @@ class TargetMeasure:
             rows = axes[0][:, None] if self.dim == 1 else np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
             masses, errs = self._box_masses(rows.reshape(-1, self.dim))
             return masses.reshape(shape), errs.reshape(shape)
-        c1, c2 = axes
-        masses, errs = np.zeros(shape), np.zeros(shape)
-        levels, cols = c1 > -1.0, c2 > -1.0
+        c1 = axes[0]
+        # the columns: the corners of the trailing axes' grid, in C order
+        h = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, self.dim - 1)
+        masses, errs = np.zeros((c1.size, len(h))), np.zeros((c1.size, len(h)))
+        levels, cols = c1 > -1.0, np.all(h > -1.0, axis=1)
         if levels.any() and cols.any():
             top = np.arcsin(np.minimum(c1[levels], 1.0))
-            h = np.minimum(c2[cols], 1.0)[:, None]
-            num, num_err = self._profile_integrals(np.broadcast_to(top, (h.shape[0], top.size)), h)
+            hc = np.minimum(h[cols], 1.0)
+            num, num_err = self._profile_integrals(np.broadcast_to(top, (len(hc), top.size)), hc)
             cells = np.ix_(levels, cols)
             masses[cells], errs[cells] = self._normalized(num.T, num_err.T)
-        full = (c1 >= 1.0)[:, None] & (c2 >= 1.0)
+        full = (c1 >= 1.0)[:, None] & np.all(h >= 1.0, axis=1)
         masses[full], errs[full] = 1.0, 0.0
-        nan = np.isnan(c1)[:, None] | np.isnan(c2)
+        nan = np.isnan(c1)[:, None] | np.any(np.isnan(h), axis=1)
         masses[nan], errs[nan] = np.nan, np.nan
-        return masses, errs
+        return masses.reshape(shape), errs.reshape(shape)
 
     def box_mass(self, corner) -> tuple[float, float]:
         """Normalized mass of the open box ``(-inf, corner)`` intersected with
@@ -448,16 +459,9 @@ class TargetMeasure:
 
     @property
     def _profile_rule(self) -> bool:
-        """Whether box masses come from the disc profile rule, all corners
-        at once."""
-        return self.profile is not None and self.dim == 2 and isinstance(self.domain, BallDomain)
-
-    @property
-    def _stratified_rule(self) -> bool:
-        """Whether box masses without a closed form come from
-        :meth:`_stratified`."""
-        box2 = self.dim == 2 and isinstance(self.domain, BoxDomain)
-        return self.dim > 1 and not box2 and not self._profile_rule
+        """Whether box masses come from the profile rule, all corners at
+        once: a ball in d = 2 or 3 with a profile."""
+        return self.profile is not None and 2 <= self.dim <= 3 and isinstance(self.domain, BallDomain)
 
     def _normalized(self, num: np.ndarray, num_err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Masses and error bounds from unnormalized integrals and their
@@ -484,9 +488,24 @@ class TargetMeasure:
         results depend on that column alone.  Columns share every interval
         but those at their own kinks and levels, so the nodes, cos(theta)
         and the profile are computed once per distinct interval (a, b), by
-        bits, and gathered back per column."""
-        cols, levels = top.shape
+        bits, and gathered back per column.
+
+        The columns go a chunk at a time (:meth:`_profile_columns`), at
+        most :data:`_PROFILE_CHUNK` integrand values per chunk (one column
+        at least), so that the temporaries stay bounded by the chunk."""
         kinks = np.arccos(_ball_section_kinks(h))
+        cols, levels = top.shape
+        edges = _DISC_PANELS + 2 * kinks.shape[1] + levels
+        step = max(1, _PROFILE_CHUNK // (edges * _DISC_NODES.size))
+        out = np.empty((2, cols, levels))
+        for s in range(0, cols, step):
+            out[:, s : s + step] = self._profile_columns(top[s : s + step], h[s : s + step], kinks[s : s + step])
+        return out[0], out[1]
+
+    def _profile_columns(self, top, h, kinks) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_profile_integrals` of one chunk of columns, given the
+        angles of their kinks."""
+        cols, levels = top.shape
         panels = np.broadcast_to(_DISC_PANEL_EDGES, (cols, _DISC_PANELS))
         edges = np.concatenate([panels, -kinks, kinks, top], axis=1)
         order = np.argsort(edges, axis=1, kind="stable")
@@ -526,13 +545,11 @@ class TargetMeasure:
         """Unnormalized integrals of the density over domain ∩ (-inf, h) and
         their errors, one per row h of ``hi`` (shape (m, d), inside the
         domain's bounding box and above its lower corner): the profile rule
-        with each row its own column, scipy ``quad`` (d = 1) or ``dblquad``
-        (a d = 2 box) row by row, else :meth:`_stratified` for all rows."""
+        with each row its own column, else scipy ``quad`` (d = 1) or
+        ``dblquad`` (a d = 2 box) row by row."""
         if self._profile_rule:
             num, err = self._profile_integrals(np.arcsin(hi[:, :1]), hi[:, 1:])
             return num[:, 0], err[:, 0]
-        if self._stratified_rule:
-            return self._stratified(hi)
         lo = self.domain.bounding()[0]
         if self.dim == 1:
             f = lambda t: float(self.density(np.array([[t]]))[0])
@@ -541,38 +558,6 @@ class TargetMeasure:
             f2 = lambda y, x: float(self.density(np.array([[x, y]]))[0])
             rows = [integrate.dblquad(f2, lo[0], h[0], lo[1], h[1], epsabs=1e-8) for h in hi]
         return tuple(np.array(rows).T)
-
-    def _stratified(self, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stratified quasi-Monte Carlo estimates of :meth:`_integrals` with
-        3-sigma errors.  Each row h splits the box [lo, h] into 4^d cells
-        and takes one point per cell in each of 12 replications; its
-        uniforms are the SplitMix64 stream seeded by the crc32 of the row's
-        bytes, so a row's estimate depends on that row alone.  A row of more
-        than :data:`STRATIFIED_ROW_CAP` uniforms is refused before anything
-        is computed (:func:`_stratified_row_size`)."""
-        d, k, reps = self.dim, 4, 12
-        size = _stratified_row_size(d)
-        cells = k**d
-        lo = self.domain.bounding()[0]
-        grid = np.stack(np.meshgrid(*[np.arange(k)] * d, indexing="ij"), axis=-1).reshape(cells, d)
-        est, err = np.empty(len(hi)), np.empty(len(hi))
-        step = max(1, _STRATIFIED_CHUNK // size)
-        for s in range(0, len(hi), step):
-            h = hi[s : s + step]
-            seeds = np.array([_mix64(zlib.crc32(row.tobytes())) for row in h], np.uint64)
-            u = _splitmix_uniforms(seeds, size).reshape(len(h), reps, cells, d)
-            pts = (lo + (grid + u) / k * (h - lo)[:, None, None]).reshape(-1, d)
-            vals = (self.density(pts) * self.domain.contains(pts)).reshape(len(h), reps, cells)
-            estimates = np.prod(h - lo, axis=1)[:, None] * np.mean(vals, axis=-1)
-            est[s : s + step] = np.mean(estimates, axis=1)
-            # the std of each row scaled by a power of two at or above its
-            # largest estimate: the same bits where the plain std's squares
-            # stay finite, and finite where they overflow (frexp of an
-            # all-zero row gives scale 1)
-            scale = np.ldexp(1.0, np.frexp(np.max(np.abs(estimates), axis=1))[1])
-            std = np.std(estimates / scale[:, None], axis=1, ddof=1) * scale
-            err[s : s + step] = 3.0 * std / math.sqrt(reps)
-        return est, err
 
     # -- marginals -----------------------------------------------------------
 
@@ -700,34 +685,20 @@ def exp_linear_box(alpha: float, lower: Sequence[float], upper: Sequence[float])
     )
 
 
-def _disc_area_below(t):
-    """The antiderivative G(t) = (t sqrt(1 - t^2) + asin t) / 2 of
-    sqrt(1 - t^2) on [-1, 1]."""
-    return 0.5 * (t * np.sqrt(1.0 - t * t) + np.arcsin(t))
-
-
 def _uniform_disc_mass(hi: np.ndarray) -> np.ndarray:
     """pi((-inf, c)) for the uniform unit disc and corners c = (c1, c2) in
-    [-1, 1]^2.  The x2-section at x1 = x has length h + c2 for |x| < s and
-    2h or 0 (as c2 >= 0 or not) for |x| >= s, where h = sqrt(1 - x^2) and
-    s = sqrt(1 - c2^2); each piece integrates in closed form through G."""
-    G = _disc_area_below
-    t, c = hi[:, 0], hi[:, 1]
-    s = np.sqrt(1.0 - c * c)
-    mid = np.clip(t, -s, s)
-    inner = G(mid) - G(-s) + c * (mid + s)
-    outer = 2.0 * (G(np.minimum(t, -s)) - G(-1.0) + G(np.maximum(t, s)) - G(s))
-    return np.clip((inner + np.where(c >= 0.0, outer, 0.0)) / math.pi, 0.0, 1.0)
+    [-1, 1]^2: :func:`_disc_area` over pi."""
+    return np.clip(_disc_area(hi[:, 0], hi[:, 1]) / math.pi, 0.0, 1.0)
 
 
 def uniform_ball(d: int) -> TargetMeasure:
     """Uniform distribution on the Euclidean unit ball; closed-form box
-    masses in d = 2 and closed-form marginals in d >= 2.  In d = 2 every
-    coordinate t has CDF 2 (G(t) - G(-1)) / pi through
-    :func:`_disc_area_below`, numpy only: the box masses of the corners
-    (t, +inf) bit for bit.  In d >= 3 it is I_{(1+t)/2}((d+1)/2, (d+1)/2),
-    the regularized incomplete beta function ((t+1)^2 (2-t)/4 in d = 3),
-    and box masses are the stratified estimate."""
+    masses in d = 2, the profile rule with profile 1 in d = 3, and
+    closed-form marginals.  In d = 2 every coordinate t has CDF
+    2 (G(t) - G(-1)) / pi through :func:`_disc_area_below`, numpy only: the
+    box masses of the corners (t, +inf) bit for bit.  In d = 3 it is
+    I_{(1+t)/2}(2, 2) = (t+1)^2 (2-t)/4, the regularized incomplete beta
+    function.  In d >= 4 no box-mass rule exists: NotImplementedError."""
     if d == 1:
         return uniform_interval(-1.0, 1.0)
     a, G, below = (d + 1) / 2, _disc_area_below, _disc_area_below(-1.0)
@@ -737,13 +708,14 @@ def uniform_ball(d: int) -> TargetMeasure:
         lambda x: np.ones(x.shape[0]),
         exact_box_mass=_uniform_disc_mass if d == 2 else None,
         exact_marginal_cdf=disc if d == 2 else lambda t: special.betainc(a, a, 0.5 * (1.0 + t)),
+        profile=None if d == 2 else lambda x1: np.ones(np.shape(x1)),
     )
 
 
 def exp_linear_ball(alpha: float, d: int) -> TargetMeasure:
     """Density exp(alpha * x_1) on the unit ball (log-Lipschitz constant
-    alpha): box masses by the profile rule in d = 2, the stratified
-    estimate in d >= 3."""
+    alpha): box masses by the profile rule in d = 2 and 3; in d >= 4 no
+    box-mass rule exists: NotImplementedError."""
     if d == 1:
         return exp_linear_interval(alpha, -1.0, 1.0)
     return TargetMeasure(

@@ -1,22 +1,18 @@
-"""The stratified box-mass estimate one corner at a time: the scalar form of
-``TargetMeasure._stratified``, with the special cases and the normalization
-of ``TargetMeasure.box_masses``.
-It is kept as the reference the batched estimate must match bit for bit,
-and is not used by the package.  So is the uniform disc whose marginals are
-box masses, the reference of the disc's closed-form marginal, and so are
-the box and grid masses with their special cases taken from whole-array
-masks (``box_masses_by_masks``, ``grid_masses_by_masks``), the reference
-of the column-by-column masks of ``TargetMeasure._box_masses``, and the
-disc profile rule with every column's nodes computed for that column
-(``profile_integrals_per_column``), the reference of the nodes shared by
-distinct interval in ``TargetMeasure._profile_integrals``.  The quantile
-cover's cuts one level at a time in Python floats (``quantile_cuts``) are
-the reference of the bisection of all levels at once in
-``TargetMeasure.marginal_quantile``.
+"""References of the box-mass oracle, kept for the tests and not used by the
+package.  The uniform disc whose marginals are box masses is the reference
+of the disc's closed-form marginal.  The box and grid masses with their
+special cases taken from whole-array masks (``box_masses_by_masks``,
+``grid_masses_by_masks``) are the reference of the column-by-column masks
+of ``TargetMeasure._box_masses``.  The profile rule with every column's
+nodes computed for that column, in one chunk
+(``profile_integrals_per_column``), is the reference of the nodes shared by
+distinct interval, and of the column chunks, in
+``TargetMeasure._profile_integrals``.  The quantile cover's cuts one level
+at a time in Python floats (``quantile_cuts``) are the reference of the
+bisection of all levels at once in ``TargetMeasure.marginal_quantile``.
 """
 
 import math
-import zlib
 
 import numpy as np
 
@@ -27,63 +23,11 @@ from mcqmclab.core import (
     _DISC_PANEL_EDGES,
     _DISC_PANELS,
     BallDomain,
-    Rng,
     TargetMeasure,
     _ball_section,
     _ball_section_kinks,
-    _mix64,
     _uniform_disc_mass,
 )
-
-
-def stratified_integral(measure, hi) -> tuple[float, float]:
-    """Stratified quasi-Monte Carlo estimate, with a 3-sigma error, of the
-    unnormalized integral of the measure's density over domain ∩ (-inf, hi),
-    for hi inside the domain's bounding box."""
-    lo = measure.domain.bounding()[0]
-    d = measure.dim
-    k = 4          # strata per axis
-    reps = 12
-    cells = k**d
-    vol = float(np.prod(hi - lo))
-    if vol <= 0:
-        return 0.0, 0.0
-    # deterministic seed from the corner, so results are reproducible
-    rng = Rng(_mix64(zlib.crc32(np.asarray(hi, float).tobytes())))
-    grid = np.stack(np.meshgrid(*[np.arange(k)] * d, indexing="ij"), axis=-1).reshape(cells, d)
-    estimates = np.empty(reps)
-    for r in range(reps):
-        u = rng.uniforms(cells * d).reshape(cells, d)
-        pts = lo + (grid + u) / k * (hi - lo)
-        vals = measure.density(pts) * measure.domain.contains(pts)
-        estimates[r] = vol * float(np.mean(vals))
-    est = float(np.mean(estimates))
-    err = 3.0 * float(np.std(estimates, ddof=1)) / math.sqrt(reps)
-    return est, err
-
-
-def stratified_normalizer(measure) -> tuple[float, float]:
-    """The stratified integral over the whole domain and its error."""
-    return stratified_integral(measure, measure.domain.bounding()[1])
-
-
-def stratified_box_mass(measure, corner) -> tuple[float, float]:
-    """Normalized mass of the open box (-inf, corner) and its error: NaN for
-    a NaN entry, 0 at or below the domain's lower bound in any entry, 1 at
-    or above its upper bound in every entry, else the stratified integral of
-    the clipped corner over the normalizer."""
-    c = np.asarray(corner, float)
-    lo, hi = measure.domain.bounding()
-    if np.isnan(c).any():
-        return math.nan, math.nan
-    if np.any(c <= lo):
-        return 0.0, 0.0
-    if np.all(c >= hi):
-        return 1.0, 0.0
-    norm, norm_err = stratified_normalizer(measure)
-    num, num_err = stratified_integral(measure, np.minimum(c, hi))
-    mass = min(max(num / norm, 0.0), 1.0)
-    return mass, (num_err + mass * norm_err) / norm
 
 
 def disc_by_box_masses():
@@ -147,7 +91,7 @@ def grid_masses_by_masks(measure, axes) -> tuple[np.ndarray, np.ndarray]:
 
 def profile_integrals_per_column(measure, top, h) -> tuple[np.ndarray, np.ndarray]:
     """``TargetMeasure._profile_integrals`` of the levels ``top`` (cols,
-    levels) of the columns ``h`` (cols, 1) with the nodes, cos(theta) and
+    levels) of the columns ``h`` (cols, d - 1) with the nodes, cos(theta) and
     the profile computed anew for every interval of every column."""
     cols, levels = top.shape
     kinks = np.arccos(_ball_section_kinks(h))

@@ -1,11 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mcqmclab.bounds import ballwalk_gap_bound, main_discrepancy_bound
 from mcqmclab.cli import _parser, main
-from mcqmclab.core import uniform_ball
+from mcqmclab.core import TargetMeasure, uniform_ball
 from mcqmclab.discrepancy import build_quantile_cover
 
 
@@ -276,7 +277,9 @@ class TestRunExperiments:
         assert not (tmp_path / "d.csv").exists()
 
     def test_search_exact_infeasible_dimension(self, tmp_path, capsys):
-        # the exact scan itself refuses d = 4; the CLI maps that to exit 3
+        # the d = 4 ball has no box-mass rule, so its target is refused
+        # before the exact scan would refuse d = 4; the CLI maps that to
+        # exit 3
         cfg = {
             "experiment": "search",
             "dimension": 4,
@@ -289,7 +292,7 @@ class TestRunExperiments:
         }
         assert main(["run", _write(tmp_path, "c.json", cfg)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("infeasible: exact scan is limited to d <= 3")
+        assert err.startswith("infeasible: box masses on the ball are implemented for d <= 3, not d = 4")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
@@ -371,8 +374,11 @@ class TestRunExperiments:
         manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
         assert "no spectral gap" in manifest["theory_bound"]
 
-    def test_cover_failure_exits_3(self, tmp_path, capsys):
-        # the stratified d = 3 marginal CDFs are too noisy for the slab audit
+    def test_cover_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a marginal CDF that moves in steps of 1/4 leaves slabs of mass 1/4
+        # or more, above delta / d = 1/6, so the cover fails its slab audit
+        exact = TargetMeasure.marginal_cdf
+        monkeypatch.setattr(TargetMeasure, "marginal_cdf", lambda self, j, t: np.floor(4.0 * exact(self, j, t)) / 4.0)
         cfg = {
             "experiment": "search",
             "dimension": 3,
@@ -389,6 +395,23 @@ class TestRunExperiments:
         assert err.startswith("infeasible: coordinate 0: finest achieved slab mass")
         assert err.count("\n") == 1
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("delta", [0.5, 0.1])
+    @pytest.mark.parametrize("experiment", ["search", "pullback"])
+    def test_d3_exp_linear_covers_run(self, tmp_path, capsys, experiment, delta):
+        # the d = 3 exp-linear ball's quantile cover passes its slab audit
+        # (it failed at every alpha and delta tried while its marginal CDF
+        # was a stratified estimate); the bracket is the lower end plus
+        # delta plus the mass error or Monte Carlo slack
+        cfg = {"experiment": experiment, "dimension": 3, "density": {"name": "exp-linear", "alpha": 1.0},
+               "n": 30, "delta": delta, "output": str(tmp_path / "s.csv")}
+        if experiment == "search":
+            cfg.update(k=2, objective="star-bracket")
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        header, row = (tmp_path / "s.csv").read_text().splitlines()
+        vals = dict(zip(header.split(","), map(float, row.split(","))))
+        assert 0.0 <= vals["disc_lower"] <= vals["disc_upper"] <= min(vals["disc_lower"] + delta + 0.05, 1.0)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -424,7 +447,7 @@ class TestRunExperiments:
             ({"experiment": "discrepancy", "dimension": 2, "gamma": 1e300, "n": 32, "n0": 4},
              "n,seed,disc_lower,disc_upper\n32,0,0.80463422841915921,0.80463422841915921\n"),
             ({"experiment": "search", "dimension": 3, "gamma": 1e300, "n": 16, "k": 2},
-             "n,seed,disc_lower,disc_upper,theory_bound\n16,0,0.79615894053983183,1,inf\n"),
+             "n,seed,disc_lower,disc_upper,theory_bound\n16,0,0.89992853659354755,0.89992853759280067,inf\n"),
             ({"experiment": "pullback", "dimension": 2, "gamma": 1e200, "n": 32, "delta": 0.1},
              "n,seed,delta,disc_lower,disc_upper,mc_stderr\n"
              "32,0,0.10000000000000001,0.78500000000000003,0.92044406025041681,0.035444060250416798\n"),
@@ -443,19 +466,19 @@ class TestRunExperiments:
 
     @pytest.mark.parametrize(
         "experiment,d",
-        [("pullback", 40), ("search", 9), ("discrepancy", 9), ("rate-study", 31), ("search", 33),
-         ("discrepancy", 10**4), ("discrepancy", 10**6)],
+        [("pullback", 4), ("pullback", 40), ("search", 9), ("discrepancy", 9), ("rate-study", 31),
+         ("search", 33), ("discrepancy", 10**4), ("discrepancy", 10**6)],
     )
     def test_ball_above_stratified_cap_exits_3(self, tmp_path, capsys, experiment, d):
-        # a ball in d >= 9 needs 12 * 4^d * d uniforms per box for its
-        # stratified masses; refused before anything is allocated, also
-        # where that count has more digits than Python prints (d >= 7143)
+        # a ball in d >= 4 has no box-mass rule (the stratified estimate
+        # that served d <= 8 is gone); its target is refused before
+        # anything is allocated, also where d has millions of coordinates
         cfg = {"experiment": experiment, "dimension": d, "density": {"name": "exp-linear", "alpha": 1.0},
                "output": str(tmp_path / "s.csv")}
         assert main(["run", _write(tmp_path, "c.json", cfg)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"infeasible: the stratified masses in d = {d} need")
-        assert "cap of 16777216" in err and err.count("\n") == 1
+        assert err.startswith(f"infeasible: box masses on the ball are implemented for d <= 3, not d = {d}")
+        assert err.count("\n") == 1
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize(
@@ -495,8 +518,9 @@ class TestRunExperiments:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_alpha_at_its_upper_end_runs(self, tmp_path, capsys, d):
-        # in d = 3 the stratified estimate's std used to overflow and end
-        # the run in an invalid bracket [nan, nan]
+        # e^700 is near the largest float: the d = 3 profile rule's
+        # normalizer and masses stay finite (the stratified estimate that
+        # served d = 3 once overflowed and ended the run in [nan, nan])
         cfg = {
             "experiment": "discrepancy",
             "dimension": d,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import scalar_masses
 from scalar_bounds import radical_inverse
@@ -11,11 +12,9 @@ from mcqmclab import core
 from mcqmclab.chain import make_direct_kernel, make_lazy_direct_kernel, run_chains
 from mcqmclab.core import (
     _PRIMES,
-    STRATIFIED_ROW_CAP,
     BallDomain,
     BoxDomain,
     Rng,
-    StratifiedEstimateInfeasible,
     TargetMeasure,
     exp_linear_ball,
     exp_linear_box,
@@ -322,55 +321,59 @@ class TestBallMeasures:
         mass, err = m.box_mass([0.0, np.inf])
         assert mass == pytest.approx(0.5, abs=max(err, 1e-8))
 
-    def test_d3_stratified_vs_exact_octant(self):
+    def test_d3_closed_forms(self):
+        # the uniform 3-ball's volume 4 pi / 3, its orthant 1/8, and the
+        # marginal masses (t+1)^2 (2-t)/4 on every axis: along x1 (levels)
+        # and along x2 and x3 (columns), within the stated error
         m = uniform_ball(3)
+        assert abs(m.normalizer - 4.0 * math.pi / 3.0) <= 1e-14
         mass, err = m.box_mass([0.0, 0.0, 0.0])
-        assert err < 0.02
-        assert mass == pytest.approx(0.125, abs=err + 1e-3)
-
-    def test_stratified_reproducible(self):
-        a = uniform_ball(3).box_mass([0.2, 0.1, 0.4])
-        b = uniform_ball(3).box_mass([0.2, 0.1, 0.4])
-        assert a == b
+        assert err <= 1e-8 and abs(mass - 0.125) <= err + 1e-15
+        t = np.concatenate([np.linspace(-0.99, 0.99, 23), [-0.0, 1.0 - 1e-9]])
+        want = special.betainc(2.0, 2.0, 0.5 * (1.0 + t))
+        assert np.max(np.abs(want - (t + 1.0) ** 2 * (2.0 - t) / 4.0)) <= 1e-15
+        for j in range(3):
+            corners = np.where(np.arange(3) == j, t[:, None], np.inf)
+            masses, err = m.box_masses(corners)
+            assert err <= 1e-8
+            assert np.max(np.abs(masses - want)) <= err + 1e-15
+            assert m.marginal_cdf(j, t).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("alpha", [400.0, 700.0])
-    def test_stratified_error_finite_at_large_alpha(self, alpha):
-        # estimates near e^alpha, whose squares overflow a plain std, and a
-        # corner at x_1 <= -0.99 whose mass underflows to 0
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            m = exp_linear_ball(alpha, 3)
-            masses, err = m.box_masses(np.array([[-0.99, 0.1, 0.1], [0.5, 0.5, 0.5]]))
-        assert 0.0 < m.normalizer_error < math.inf
+    def test_d3_error_finite_at_large_alpha(self, alpha):
+        # a normalizer near e^alpha, and a corner at x_1 <= -0.99 whose
+        # mass underflows to 0, without a warning
+        m = exp_linear_ball(alpha, 3)
+        masses, err = m.box_masses(np.array([[-0.99, 0.1, 0.1], [0.5, 0.5, 0.5]]))
+        assert 0.0 < m.normalizer < math.inf and 0.0 <= m.normalizer_error < m.normalizer
         assert masses[0] == 0.0 and 0.0 <= masses[1] <= 1.0
         assert 0.0 <= err < math.inf
 
-
-    def test_stratified_above_row_cap_refused_before_any_work(self, monkeypatch):
-        # 12 * 4^d * d uniforms per row: 2.8e7 in d = 9, above the cap; the
-        # count of d = 10^6 has too many digits to print, and neither builds
-        # its bounding box, two arrays of length d
+    def test_measure_without_a_rule_refused_before_any_work(self, monkeypatch):
+        # a ball above d = 3, a ball density without a profile and a box
+        # density in d = 3 without a closed form have no box-mass rule;
+        # none computes anything or builds its bounding box, two arrays of
+        # length d (d = 10^6 included)
         def fail(*args, **kwargs):
-            raise AssertionError("the estimate computed something")
+            raise AssertionError("the measure computed something")
 
-        monkeypatch.setattr(core, "_splitmix_uniforms", fail)
         monkeypatch.setattr(np, "meshgrid", fail)
         monkeypatch.setattr(np, "arange", fail)
         monkeypatch.setattr(BallDomain, "bounding", fail)
-        for make in (lambda: TargetMeasure(BallDomain(9), fail), lambda: uniform_ball(40),
-                     lambda: exp_linear_ball(1.0, 33), lambda: uniform_ball(10**6)):
-            with pytest.raises(StratifiedEstimateInfeasible, match=f"cap of {STRATIFIED_ROW_CAP}"):
+        monkeypatch.setattr(BoxDomain, "bounding", fail)
+        monkeypatch.setattr(TargetMeasure, "_integrals", fail)
+        refusals = [
+            (lambda: uniform_ball(10**6), "implemented for d <= 3, not d = 1000000"),
+            (lambda: exp_linear_ball(1.0, 4), "implemented for d <= 3, not d = 4"),
+            (lambda: TargetMeasure(BallDomain(9), fail), "implemented for d <= 3, not d = 9"),
+            (lambda: TargetMeasure(BallDomain(2), fail), "a ball density without a profile in d = 2"),
+            (lambda: TargetMeasure(BallDomain(3), fail), "a ball density without a profile in d = 3"),
+            (lambda: TargetMeasure(BoxDomain((0.0,) * 3, (1.0,) * 3), fail),
+             "a box density without a closed form in d = 3"),
+        ]
+        for make, message in refusals:
+            with pytest.raises(NotImplementedError, match=message):
                 make()
-
-    def test_stratified_row_cap_is_inclusive(self, monkeypatch):
-        # d = 3 takes 12 * 4^3 * 3 = 2304 uniforms per row
-        monkeypatch.setattr(core, "STRATIFIED_ROW_CAP", 2304)
-        assert uniform_ball(3).normalizer > 0
-        monkeypatch.setattr(core, "STRATIFIED_ROW_CAP", 2303)
-        with pytest.raises(StratifiedEstimateInfeasible, match="d = 3 need 2304 uniforms"):
-            uniform_ball(3)
 
 
 class TestDiscMarginal:
@@ -540,17 +543,21 @@ def test_profile_rule_shares_nodes_per_distinct_interval(alpha):
     # grid columns with repeated levels and columns (zero-length intervals),
     # levels at -0.0, 0.0 and the domain's ends, the +inf column (kinks at
     # -0.0 and 0.0) and the column c2 = 0 (kinks at +-pi/2, on the first
-    # panel edge); then box_masses rows, a level and a column each.  The
-    # nodes computed once per distinct interval give the bits of the
+    # panel edge); then box_masses rows, a level and a column each.  In
+    # d = 3 the columns pair these c2 with c3 in ascending order, so that
+    # (0, 0) has every kink at +-pi/2 and (+inf, 1) its corner kink at 0.
+    # The nodes computed once per distinct interval give the bits of the
     # per-column rule
-    m = exp_linear_ball(alpha, 2)
     rng = Rng(int(alpha))
     c = np.sort(2.0 * rng.uniforms(14) - 1.0)
     c1 = np.concatenate([c, c[3:6], [-0.0, 0.0, 1.0, np.inf, np.nextafter(-1.0, 0.0)]])
     c2 = np.concatenate([c[::-1], c[:2], [0.0, -0.0, np.inf, 1.0, np.nextafter(-1.0, 0.0)]])
+    c3 = np.concatenate([c, c[5:7], [0.0, 0.0, 1.0, np.inf, 0.5]])
     top = np.arcsin(np.minimum(c1, 1.0))
-    h = np.minimum(c2, 1.0)[:, None]
-    for levels, cols in [(np.broadcast_to(top, (len(h), top.size)), h), (top[: len(h), None], h[::-1])]:
-        got = m._profile_integrals(levels, cols)
-        want = scalar_masses.profile_integrals_per_column(m, levels, cols)
-        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    for d, trailing in [(2, [c2]), (3, [c2, c3])]:
+        m = exp_linear_ball(alpha, d)
+        h = np.minimum(np.column_stack(trailing), 1.0)
+        for levels, cols in [(np.broadcast_to(top, (len(h), top.size)), h), (top[: len(h), None], h[::-1])]:
+            got = m._profile_integrals(levels, cols)
+            want = scalar_masses.profile_integrals_per_column(m, levels, cols)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()

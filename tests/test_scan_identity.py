@@ -2,8 +2,8 @@
 references: the one-corner-at-a-time scan in ``scalar_scan`` (bit for bit
 where the masses are unchanged), scipy quadrature of the disc masses, and
 the paths on which the old per-corner disc quadrature misstated its error;
-the grid oracle against the box-mass rows of its grid; and the batched
-stratified estimate against the one-corner estimate in ``scalar_masses``.
+the grid oracle against the box-mass rows of its grid; and the d = 3 ball's
+profile rule against scipy quadrature along x1 of the closed-form sections.
 """
 
 import itertools
@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-import scalar_masses
 import scalar_scan as ref
 from mcqmclab import core, discrepancy
 from mcqmclab.ballwalk import make_metropolis_system
@@ -101,11 +100,6 @@ def test_quadrature_measures_bit_identical():
         report = _same_as_scalar(_box_points(10, 1, seed), _quad_interval())
         assert report.upper > report.lower  # quadrature error enters the bracket
     _same_as_scalar(_box_points(4, 2, 7), _quad_square())
-
-
-@pytest.mark.parametrize("make", [uniform_ball, lambda d: exp_linear_ball(1.0, d)])
-def test_stratified_ball_bit_identical(make):
-    _same_as_scalar(_ball_points(5, 3, 11), make(3))
 
 
 @pytest.mark.parametrize("chunk_cells", [discrepancy._SCAN_CHUNK_CELLS, 10])
@@ -398,20 +392,23 @@ def test_grid_masses_are_box_masses_of_the_rows(name, data):
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_profile_grid_agrees_with_rows(alpha, data):
-    # the errors do not include rounding, about 1e-15
-    measure = exp_linear_ball(alpha, 2)
-    axes = _draw_axes(data, 2)
-    masses, err = measure.grid_masses(axes)
-    rows, rows_err = measure.box_masses(_grid_rows(axes))
-    rows = rows.reshape(masses.shape)
-    assert np.array_equal(np.isnan(masses), np.isnan(rows))
-    if np.isnan(masses).any():
-        assert math.isnan(err) and math.isnan(rows_err)
-    else:
-        assert np.max(np.abs(masses - rows)) <= err + rows_err + 1e-15
-        # the special cases are exact on both paths
-        exact = (axes[0][:, None] <= -1.0) | (axes[1] <= -1.0) | (axes[0][:, None] >= 1.0) & (axes[1] >= 1.0)
-        assert np.array_equal(masses[exact], rows[exact])
+    # the disc and the 3-ball; the errors do not include rounding, about
+    # 1e-15
+    for d in (2, 3):
+        measure = exp_linear_ball(alpha, d)
+        axes = _draw_axes(data, d)
+        masses, err = measure.grid_masses(axes)
+        rows, rows_err = measure.box_masses(_grid_rows(axes))
+        rows = rows.reshape(masses.shape)
+        assert np.array_equal(np.isnan(masses), np.isnan(rows))
+        if np.isnan(masses).any():
+            assert math.isnan(err) and math.isnan(rows_err)
+        else:
+            assert np.max(np.abs(masses - rows)) <= err + rows_err + 1e-15
+            # the special cases are exact on both paths
+            grid = np.meshgrid(*axes, indexing="ij")
+            exact = np.any([g <= -1.0 for g in grid], axis=0) | np.all([g >= 1.0 for g in grid], axis=0)
+            assert np.array_equal(masses[exact], rows[exact])
 
 
 def _near_kinks_and_edges():
@@ -456,57 +453,135 @@ def test_profile_grid_does_not_depend_on_the_chunk(monkeypatch, alpha):
 
 
 # ---------------------------------------------------------------------------
-# Batched stratified estimate against the one-corner estimate
+# The d = 3 ball's profile rule against quadrature along x1
 # ---------------------------------------------------------------------------
 
-STRATIFIED = {
-    "uniform-ball-3": uniform_ball(3),
-    "uniform-ball-4": uniform_ball(4),
-    "exp-linear-ball-3": exp_linear_ball(1.0, 3),
-    "exp-linear-ball-4": exp_linear_ball(2.0, 4),
-    # a disc density without a profile gets the stratified estimate
-    "custom-disc": TargetMeasure(BallDomain(2), lambda x: np.exp(x[:, 0] - 0.5 * x[:, 1])),
-}
+
+def _unit_disc_area(t, c):
+    """Area of the unit disc below (t, c) in [-1, 1]^2 in Python floats: the
+    closed form of ``core._uniform_disc_mass`` (checked against dblquad
+    above) times pi."""
+    G = lambda u: 0.5 * (u * math.sqrt(1.0 - u * u) + math.asin(u))
+    s = math.sqrt(1.0 - c * c)
+    mid = min(max(t, -s), s)
+    inner = G(mid) - G(-s) + c * (mid + s)
+    return inner + (2.0 * (G(min(t, -s)) - G(-1.0) + G(max(t, s)) - G(s)) if c >= 0.0 else 0.0)
 
 
-def _same_as_one_corner(measure, rows, masses, err):
-    want = [scalar_masses.stratified_box_mass(measure, c) for c in rows]
-    assert masses.tobytes() == np.array([m for m, _ in want]).tobytes()
-    assert np.array_equal(err, max(e for _, e in want), equal_nan=True)
+def _ball3_quad_oracle(alpha):
+    """Independent d = 3 ball masses: adaptive quadrature along x1 of
+    exp(alpha x1) times the area of the disc section below (c2, c3), rho^2
+    times the unit disc's area below (c2, c3) / rho, with the kinks at
+    rho = |c2|, |c3| and min(|(c2, c3)|, 1) given to quad."""
+
+    def raw(c):
+        c1, h = min(c[0], 1.0), np.minimum(np.asarray(c[1:], float), 1.0).tolist()
+
+        def f(x):
+            rho = math.sqrt(max(1.0 - x * x, 0.0))
+            if rho == 0.0:
+                return 0.0
+            t, u = (min(max(v / rho, -1.0), 1.0) for v in h)
+            return math.exp(alpha * x) * rho * rho * _unit_disc_area(t, u)
+
+        kinks = [abs(h[0]), abs(h[1]), min(math.hypot(*h), 1.0)]
+        points = sorted({s * math.sqrt(1.0 - k * k) for k in kinks for s in (-1.0, 1.0)})
+        points = [p for p in points if -1.0 < p < c1]
+        return integrate.quad(f, -1.0, c1, points=points or None, epsabs=1e-15, epsrel=1e-13, limit=400)[0]
+
+    z = raw([1.0, 1.0, 1.0])
+    cache = {}
+
+    def mass(corner):
+        corner = np.asarray(corner, float)
+        if np.any(corner <= -1.0):
+            return 0.0, 0.0
+        key = corner.tobytes()
+        if key not in cache:
+            cache[key] = (min(max(raw(corner) / z, 0.0), 1.0), 0.0)
+        return cache[key]
+
+    return mass
 
 
-@given(st.sampled_from(sorted(STRATIFIED)), st.data())
-@settings(max_examples=60, deadline=None)
-def test_stratified_masses_equal_one_corner_estimate(name, data):
-    # rows at the upper bound (1.0), +-inf entries and single rows among
-    # them; the grid's rows go through the same estimate
-    measure = STRATIFIED[name]
-    d = measure.dim
-    rows = data.draw(st.integers(1, 6))
-    corners = np.array(
-        data.draw(st.lists(st.lists(_COORD, min_size=d, max_size=d), min_size=rows, max_size=rows))
-    )
-    _same_as_one_corner(measure, corners, *measure.box_masses(corners))
-    size = 3 if d < 4 else 2
-    axes = [np.array(data.draw(st.lists(_COORD, min_size=1, max_size=size))) for _ in range(d)]
-    masses, err = measure.grid_masses(axes)
-    _same_as_one_corner(measure, _grid_rows(axes), masses.ravel(), err)
+def _ball3_corners():
+    """Corners of the d = 3 ball: random ones, the orthant, corners on and
+    beside the kinks of their column, and +inf entries."""
+    rng = Rng(17)
+    c = 2.0 * rng.uniforms(24).reshape(8, 3) - 1.0
+    h = c[:, 1:]
+    near = []
+    for k, col in ((abs(h[0, 0]), h[0]), (math.hypot(*h[0]), h[0]), (abs(h[1, 1]), h[1])):
+        x = math.sqrt(1.0 - k * k)
+        near += [[s * x + e, *col] for s in (-1.0, 1.0) for e in (-1e-9, 0.0, 1e-9)]
+    special = [[0.0, 0.0, 0.0], [0.3, np.inf, -0.2], [np.inf, 0.4, 0.1], [-0.6, 0.99, np.inf], [0.9, -0.95, -0.1]]
+    return np.vstack([c, near, special])
 
 
-@pytest.mark.parametrize("name", sorted(STRATIFIED))
-def test_stratified_normalizer_equals_one_corner_estimate(name):
-    measure = STRATIFIED[name]
-    want = scalar_masses.stratified_normalizer(measure)
-    assert (measure.normalizer, measure.normalizer_error) == want
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0])
+def test_ball3_masses_match_kinked_quadrature(alpha):
+    measure = uniform_ball(3) if alpha == 0.0 else exp_linear_ball(alpha, 3)
+    oracle = _ball3_quad_oracle(alpha)
+    corners = _ball3_corners()
+    want = np.array([oracle(c)[0] for c in corners])
+    masses, err = measure.box_masses(corners)
+    # the reference is accurate to about 1e-13
+    assert err <= 1e-8
+    assert np.max(np.abs(masses - want)) <= err + 1e-12
+    # the grid of a random corner, a corner beside and one on a kink, the
+    # orthant and +inf on every axis
+    axes = [np.append(corners[[0, 13, 17, 26], j], np.inf) for j in range(3)]
+    grid, grid_err = measure.grid_masses(axes)
+    want = np.array([oracle(c)[0] for c in _grid_rows(axes)])
+    assert grid_err <= 1e-8
+    assert np.max(np.abs(grid.ravel() - want)) <= grid_err + 1e-12
 
 
-@pytest.mark.parametrize("name", ["uniform-ball-3", "exp-linear-ball-4"])
-def test_stratified_masses_do_not_depend_on_the_chunk(monkeypatch, name):
-    measure = STRATIFIED[name]
+@pytest.mark.parametrize("make", [uniform_ball, lambda d: exp_linear_ball(1.0, d)])
+def test_ball3_scan_bracket_contains_star_discrepancy(make):
+    # the exact scan of a d = 3 set against the one-corner scan with the
+    # quadrature masses
+    measure = make(3)
+    pts = _ball_points(5, 3, 11)
+    report = star_discrepancy_exact(pts, measure)
+    alpha = 0.0 if measure.exact_marginal_cdf is not None else 1.0
+    star, _ = ref.star_discrepancy_scan(pts, _ball3_quad_oracle(alpha))
+    assert report.upper - report.lower <= 2e-8
+    assert report.lower - 1e-12 <= star <= report.upper + 1e-12
+
+
+@pytest.mark.parametrize(
+    "name", ["exp-linear-disc", "uniform-ball-3", "exp-linear-ball-3"]
+)
+def test_profile_masses_do_not_depend_on_the_chunk(monkeypatch, name):
+    measure = {"exp-linear-disc": exp_linear_ball(2.0, 2), "uniform-ball-3": uniform_ball(3),
+               "exp-linear-ball-3": exp_linear_ball(1.0, 3)}[name]
     corners = _ball_points(60, measure.dim, 4)
     corners[::5, -1] = np.inf
-    whole, err = measure.box_masses(corners)
-    # a bound below one row's uniforms: every row is its own chunk
-    monkeypatch.setattr(core, "_STRATIFIED_CHUNK", 1)
-    single, single_err = measure.box_masses(corners)
-    assert single.tobytes() == whole.tobytes() and single_err == err
+    axes = [np.append(np.unique(corners[:12, j]), np.inf) for j in range(measure.dim)]
+    whole = measure.box_masses(corners), measure.grid_masses(axes)
+    # a chunk below one column's integrand values: every column is its own
+    # chunk
+    monkeypatch.setattr(core, "_PROFILE_CHUNK", 1)
+    single = measure.box_masses(corners), measure.grid_masses(axes)
+    for (m, e), (m1, e1) in zip(whole, single):
+        assert m1.tobytes() == m.tobytes() and e1 == e
+
+
+def test_profile_temporaries_are_bounded_by_the_chunk():
+    # a d = 3 cover's grid with 4 levels and 1600, then 6400 columns: the
+    # column chunks bound the temporaries, so the peak stays below 20
+    # chunks of floats (measured 12.5 and 14.3; in one chunk, 186 and 745)
+    import tracemalloc
+
+    measure = uniform_ball(3)
+    cover = discrepancy.build_quantile_cover(measure, 0.12)
+    c1 = np.append(cover.cuts[0][:3], np.inf)
+    peaks = []
+    for n in (40, 80):
+        trailing = [np.linspace(-0.9, 0.9, n)] * 2
+        tracemalloc.start()
+        measure.grid_masses([c1, *trailing])
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert max(peaks) < 20 * core._PROFILE_CHUNK * 8
