@@ -52,6 +52,5 @@ from .ballwalk import (
     invert_update,
     make_metropolis_system,
     metropolis_update,
-    sphere_generator,
 )
 from .search import SearchConfig, SearchResult, best_of_k, invert_to_target, rate_study

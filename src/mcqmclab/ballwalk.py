@@ -8,10 +8,12 @@ proposal coordinate) and accepts with the usual density ratio, evaluated in
 log space.  For gamma >= 2 the update is invertible anywhere-to-anywhere,
 which is what the driver-construction pipeline exploits.
 
-Dimension conventions: for d >= 2 the proposal consumes d coordinates
+Dimension conventions: in d = 2 and 3 the proposal consumes d coordinates
 (d - 1 sphere + 1 radius) and the update d + 1 (plus acceptance).  For d = 1
 the sphere S^0 = {-1, +1} needs its own sign coordinate, so the proposal
-consumes 2 coordinates and the update 3.
+consumes 2 coordinates and the update 3.  The walk is built for d <= 3, the
+dimensions with a box-mass rule on the ball; above that the proposal, and so
+the update, raise NotImplementedError.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ import numpy as np
 
 from .bounds import ballwalk_gap_bound
 from .chain import ChainSystem
-from .core import Rng, TargetMeasure, exp_linear_ball, special, uniform_ball
+from .core import Rng, TargetMeasure, exp_linear_ball, uniform_ball
 
 __all__ = [
     "BallWalkParams",
-    "sphere_generator",
     "ball_generator",
     "metropolis_update",
     "invert_update",
@@ -63,81 +64,44 @@ class BallWalkParams:
 
 
 # ---------------------------------------------------------------------------
-# Generators (batched over leading axes)
+# Proposal generator (batched over leading axes)
 # ---------------------------------------------------------------------------
 
 
-def _sin_power_quantile(p: np.ndarray, m: int) -> np.ndarray:
-    """theta in [0, pi] with int_0^theta sin^m / int_0^pi sin^m = p.
-
-    t = sin^2(theta / 2) = (1 - cos theta) / 2 has the symmetric law
-    Beta((m+1)/2, (m+1)/2), so theta = 2 asin(sqrt(t)), taken from the
-    nearer pole to keep full precision at both ends.
-    """
-    p = np.asarray(p, float)
-    h = 0.5 * (m + 1)
-    half = 2.0 * np.arcsin(np.sqrt(special.betaincinv(h, h, np.minimum(p, 1.0 - p))))
-    return np.where(p > 0.5, math.pi - half, half)
-
-
-def sphere_generator(v, d: int) -> np.ndarray:
-    """Uniform points on the unit sphere S^{d-1} from d-1 driver coordinates
-    (one coordinate, sign threshold 1/2, for d = 1): shape (..., d-1) or
-    (..., 1) to (..., d).  d = 2 is (cos, sin) of the angle 2 pi v, bit
-    for bit what the angle loop of d >= 4 gives there (its first products
-    are by ones), and d = 3 is Archimedes' map."""
-    v = np.asarray(v, float)
-    if d == 1:
-        return np.where(v[..., :1] < 0.5, -1.0, 1.0)
-    if v.shape[-1] != d - 1:
-        raise ValueError(f"need {d - 1} coordinates for d = {d}")
-    if d == 2:
-        ang = 2.0 * math.pi * v[..., 0]
-        return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    if d == 3:
-        z = 1.0 - 2.0 * v[..., 0]
-        ang = 2.0 * math.pi * v[..., 1]
-        r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=-1)
-    # d >= 4: spherical angles theta_j with density prop. to sin^{d-1-j},
-    # last angle uniform on [0, 2 pi)
-    angles = [_sin_power_quantile(v[..., j], d - 2 - j) for j in range(d - 2)]
-    angles.append(2.0 * math.pi * v[..., d - 2])
-    x = np.empty(v.shape[:-1] + (d,))
-    sin_prod = np.ones(v.shape[:-1])
-    for j in range(d - 1):
-        x[..., j] = sin_prod * np.cos(angles[j])
-        sin_prod = sin_prod * np.sin(angles[j])
-    x[..., d - 1] = sin_prod
-    return x
-
-
 def ball_generator(v, gamma: float, d: int) -> np.ndarray:
-    """Uniform points in the closed gamma-ball: direction from the leading
-    coordinates, radius gamma * v_last^{1/d}; shape (..., p) to (..., d).
-    The root is float_power's, which matches Python's float pow bit for bit
-    where numpy's power does not; in d = 1 it is v_last itself.
+    """Uniform points in the closed gamma-ball, d <= 3: direction from the
+    leading coordinates, radius gamma * v_last^{1/d}; shape (..., p) to
+    (..., d).  The root is float_power's, which matches Python's float pow
+    bit for bit where numpy's power does not; in d = 1 it is v_last itself.
+    d >= 4 raises NotImplementedError.
 
     d <= 2 is built straight in the scalar storage of ``_scalar_steps``.
     In d = 1 the point is copysign(gamma v_last, v_1 - 1/2): v_1 - 1/2 is
     negative exactly when v_1 < 1/2 (and +0.0 at 1/2), so these are the
     bits of the radius times -1 or +1, -0.0 included.  In d = 2 the point
-    is (radius cos, radius sin), the products written into the real and
-    imaginary parts of one complex array, whose (..., 2) float view is
-    returned."""
+    is (radius cos, radius sin) of the angle 2 pi v_1, the products written
+    into the real and imaginary parts of one complex array, whose (..., 2)
+    float view is returned.  In d = 3 the direction is Archimedes' map:
+    height h = 1 - 2 v_1, angle 2 pi v_2 and (r cos, r sin, h) for r =
+    sqrt(1 - h^2)."""
     v = np.asarray(v, float)
     if d == 1:
         return np.copysign(gamma * v[..., -1:], v[..., :1] - 0.5)
+    if d > 3:
+        raise NotImplementedError(f"ball-walk proposals are implemented for d <= 3, not d = {d}")
+    if v.shape[-1] != d:
+        raise ValueError(f"need {d} coordinates for d = {d}")
     radius = gamma * np.float_power(v[..., -1], 1.0 / d)
+    ang = 2.0 * math.pi * v[..., d - 2]
     if d == 2:
-        if v.shape[-1] != 2:
-            raise ValueError("need 2 coordinates for d = 2")
-        ang = 2.0 * math.pi * v[..., 0]
         z = np.empty(radius.shape, complex)
         np.multiply(radius, np.cos(ang), out=z.real)
         np.multiply(radius, np.sin(ang), out=z.imag)
         return z[..., None].view(float)
-    return radius[..., None] * sphere_generator(v[..., :-1], d)
+    # d = 3: the height h is uniform on [-1, 1]
+    h = 1.0 - 2.0 * v[..., 0]
+    r = np.sqrt(np.maximum(1.0 - h * h, 0.0))
+    return radius[..., None] * np.stack([r * np.cos(ang), r * np.sin(ang), h], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +237,8 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams, X: np.ndarray
     unit-ball test rejects, and each step writes y = x + z into its row of
     the states and copies the previous state back into the rows with
     y . y > 1 (np.vecdot, as in ``_accept``; y is never NaN: states are
-    finite and proposals finite or +inf).  One chain (b = 1, d <= 3) takes
-    the same steps in Python floats instead (:func:`_one_chain`).
+    finite and proposals finite or +inf).  One chain (b = 1) takes the same
+    steps in Python floats instead (:func:`_one_chain`).
 
     In d <= 2 the b chains step on one scalar each (:func:`_scalar_steps`),
     on proposals that :func:`ball_generator` builds in that storage (a
@@ -317,7 +281,7 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams, X: np.ndarray
                     x = X_c[i] = _accept(x, z[i], v[i], alpha)
                 continue
             np.copyto(z, np.inf, where=(g <= 0.0)[..., None])
-        if b == 1 and d <= 3:
+        if b == 1:
             X_c[:, 0] = np.reshape(_one_chain(x[0], z[:, 0]), (len(X_c), d))
         elif d > 2 or not _scalar_steps(x, z, X_c):
             for z_i, X_i in zip(z, X_c):
@@ -360,15 +324,12 @@ def _scalar_steps(x: np.ndarray, z: np.ndarray, X: np.ndarray) -> bool:
 
 
 def _sphere_inverse(e: np.ndarray, d: int) -> np.ndarray:
+    """The direction coordinates from which :func:`ball_generator` gives
+    the unit vector e, d <= 3."""
     if d == 1:
         return np.array([0.25 if e[0] < 0 else 0.75])
-    if d == 2:
-        ang = math.atan2(e[1], e[0]) % (2.0 * math.pi)
-        return np.array([ang / (2.0 * math.pi)])
-    if d == 3:
-        ang = math.atan2(e[1], e[0]) % (2.0 * math.pi)
-        return np.array([(1.0 - e[2]) / 2.0, ang / (2.0 * math.pi)])
-    raise NotImplementedError("sphere inverse implemented for d <= 3 only")
+    turn = math.atan2(e[1], e[0]) % (2.0 * math.pi) / (2.0 * math.pi)
+    return np.array([turn] if d == 2 else [(1.0 - e[2]) / 2.0, turn])
 
 
 def invert_update(x: np.ndarray, y: np.ndarray, params: BallWalkParams) -> np.ndarray:

@@ -276,13 +276,17 @@ def _search_config(p: dict, n: int) -> SearchConfig:
     )
 
 
-def _theory_note(system) -> dict:
-    """Manifest entry giving the reason for an infinite theory bound when
-    the system's spectral constant is unknown or leaves no spectral gap."""
+def _theory_note(system, ns) -> dict:
+    """Manifest entry giving the reason for an infinite theory bound: the
+    system's spectral constant is unknown or leaves no spectral gap (every
+    row), or some rows have n < 16, below the corollary's range."""
     if system.lambda0 is None:
         return {"theory_bound": "not computed: lambda0 is unknown for gamma != gamma*"}
     if system.lambda0 >= 1.0:
         return {"theory_bound": f"not computed: lambda0 = {system.lambda0!r} leaves no spectral gap"}
+    small = [n for n in ns if n < 16]
+    if small:
+        return {"theory_bound": f"not computed for n = {', '.join(map(str, small))}: the corollary needs n >= 16"}
     return {}
 
 
@@ -300,7 +304,7 @@ def _run_search(p: dict):
     result = best_of_k(system, sc, cover=_cover(system, p))
     header = ["n", "seed", "disc_lower", "disc_upper", "theory_bound"]
     row = [sc.n, sc.seed, result.best_report.lower, result.best_report.upper, result.theory_bound]
-    extra = {"gamma": gamma, "all_scores": list(result.all_scores), **_theory_note(system)}
+    extra = {"gamma": gamma, "all_scores": list(result.all_scores), **_theory_note(system, [sc.n])}
     return header, [row], extra
 
 
@@ -310,7 +314,7 @@ def _run_rate_study(p: dict):
     rows = rate_study(system, ns, _search_config(p, ns[0]), cover=_cover(system, p))
     header = ["n", "seed", "disc_lower", "disc_upper", "theory_bound", "beck_bound", "runtime_ms"]
     out = [[r[h] for h in header] for r in rows]
-    return header, out, {"gamma": gamma, **_theory_note(system)}
+    return header, out, {"gamma": gamma, **_theory_note(system, ns)}
 
 
 def _run_invert(p: dict):

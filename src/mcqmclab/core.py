@@ -52,10 +52,9 @@ class _LazyModule:
         return getattr(importlib.import_module(self._name), attr)
 
 
-# quadrature and incomplete beta functions; callers read these names at call
-# time, so an object set in their place here is the one called
+# quadrature; callers read this name at call time, so an object set in its
+# place here is the one called
 integrate = _LazyModule("scipy.integrate")
-special = _LazyModule("scipy.special")
 
 
 # ---------------------------------------------------------------------------
@@ -694,20 +693,20 @@ def _uniform_disc_mass(hi: np.ndarray) -> np.ndarray:
 def uniform_ball(d: int) -> TargetMeasure:
     """Uniform distribution on the Euclidean unit ball; closed-form box
     masses in d = 2, the profile rule with profile 1 in d = 3, and
-    closed-form marginals.  In d = 2 every coordinate t has CDF
-    2 (G(t) - G(-1)) / pi through :func:`_disc_area_below`, numpy only: the
-    box masses of the corners (t, +inf) bit for bit.  In d = 3 it is
-    I_{(1+t)/2}(2, 2) = (t+1)^2 (2-t)/4, the regularized incomplete beta
-    function.  In d >= 4 no box-mass rule exists: NotImplementedError."""
+    closed-form marginals, numpy only.  In d = 2 every coordinate t has CDF
+    2 (G(t) - G(-1)) / pi through :func:`_disc_area_below`: the box masses
+    of the corners (t, +inf) bit for bit.  In d = 3 it is the cubic
+    (t+1)^2 (2-t)/4.  In d >= 4 no box-mass rule exists:
+    NotImplementedError."""
     if d == 1:
         return uniform_interval(-1.0, 1.0)
-    a, G, below = (d + 1) / 2, _disc_area_below, _disc_area_below(-1.0)
+    G, below = _disc_area_below, _disc_area_below(-1.0)
     disc = lambda t: np.clip(2.0 * (G(t) - below) / math.pi, 0.0, 1.0)
     return TargetMeasure(
         BallDomain(d),
         lambda x: np.ones(x.shape[0]),
         exact_box_mass=_uniform_disc_mass if d == 2 else None,
-        exact_marginal_cdf=disc if d == 2 else lambda t: special.betainc(a, a, 0.5 * (1.0 + t)),
+        exact_marginal_cdf=disc if d == 2 else lambda t: (t + 1.0) ** 2 * (2.0 - t) / 4.0,
         profile=None if d == 2 else lambda x1: np.ones(np.shape(x1)),
     )
 

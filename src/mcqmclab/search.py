@@ -96,10 +96,8 @@ def _candidates(config: SearchConfig, rows: int, s: int) -> tuple[list, list]:
             # shifted-halton: a seeded Cranley-Patterson rotation, Halton
             # plus one uniform shift modulo 1 (the digits are not scrambled)
             shift = rng.split(1000 + j).uniforms(s)
-            pts = np.mod(halton + shift, 1.0)
             labels.append(f"shifted-halton(seed={config.seed},j={j})")
-            # keep strictly inside [0,1] after the wrap
-            drivers.append(np.clip(pts, 0.0, np.nextafter(1.0, 0.0)))
+            drivers.append(np.mod(halton + shift, 1.0))
     return labels, drivers
 
 

@@ -6,22 +6,6 @@ batched replay must match bit for bit, and is not used by the package.
 import math
 
 import numpy as np
-from scipy import integrate
-
-
-def sin_power_quantile(p: float, m: int) -> float:
-    """theta in [0, pi] with int_0^theta sin^m / int_0^pi sin^m = p, by
-    bisection to 1e-12."""
-    total, _ = integrate.quad(lambda t: math.sin(t) ** m, 0.0, math.pi, epsabs=1e-14)
-    a, b = 0.0, math.pi
-    while b - a > 1e-12:
-        mid = 0.5 * (a + b)
-        val, _ = integrate.quad(lambda t: math.sin(t) ** m, 0.0, mid, epsabs=1e-14)
-        if val / total < p:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
 
 
 def sphere_point(v, d: int) -> np.ndarray:

@@ -374,6 +374,25 @@ class TestRunExperiments:
         manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
         assert "no spectral gap" in manifest["theory_bound"]
 
+    @pytest.mark.parametrize(
+        "sizes,note",
+        [({"n": 8}, "not computed for n = 8: the corollary needs n >= 16"),
+         ({"ns": [8, 32]}, "not computed for n = 8: the corollary needs n >= 16"),
+         ({"n": 16}, None)],
+        ids=["search-8", "rate-study-8-32", "search-16"],
+    )
+    def test_small_n_theory_bound_is_labelled(self, tmp_path, sizes, note):
+        # the corollary needs n >= 16: rows below it print inf, and the
+        # manifest names them
+        cfg = {"experiment": "rate-study" if "ns" in sizes else "search", "dimension": 1,
+               "kernel": "direct", "k": 2, "seed": 0, "output": str(tmp_path / "s.csv"), **sizes}
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 0
+        header, *rows = (tmp_path / "s.csv").read_text().splitlines()
+        bounds = [dict(zip(header.split(","), row.split(",")))["theory_bound"] for row in rows]
+        assert [b == "inf" for b in bounds] == [n < 16 for n in sizes.get("ns") or [sizes["n"]]]
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        assert manifest.get("theory_bound") == note
+
     def test_cover_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         # a marginal CDF that moves in steps of 1/4 leaves slabs of mass 1/4
         # or more, above delta / d = 1/6, so the cover fails its slab audit

@@ -324,14 +324,16 @@ class TestBallMeasures:
     def test_d3_closed_forms(self):
         # the uniform 3-ball's volume 4 pi / 3, its orthant 1/8, and the
         # marginal masses (t+1)^2 (2-t)/4 on every axis: along x1 (levels)
-        # and along x2 and x3 (columns), within the stated error
+        # and along x2 and x3 (columns), within the stated error; the
+        # marginal CDF is that cubic, the regularized incomplete beta
+        # function I_{(1+t)/2}(2, 2)
         m = uniform_ball(3)
         assert abs(m.normalizer - 4.0 * math.pi / 3.0) <= 1e-14
         mass, err = m.box_mass([0.0, 0.0, 0.0])
         assert err <= 1e-8 and abs(mass - 0.125) <= err + 1e-15
         t = np.concatenate([np.linspace(-0.99, 0.99, 23), [-0.0, 1.0 - 1e-9]])
-        want = special.betainc(2.0, 2.0, 0.5 * (1.0 + t))
-        assert np.max(np.abs(want - (t + 1.0) ** 2 * (2.0 - t) / 4.0)) <= 1e-15
+        want = (t + 1.0) ** 2 * (2.0 - t) / 4.0
+        assert np.max(np.abs(special.betainc(2.0, 2.0, 0.5 * (1.0 + t)) - want)) <= 1e-15
         for j in range(3):
             corners = np.where(np.arange(3) == j, t[:, None], np.inf)
             masses, err = m.box_masses(corners)

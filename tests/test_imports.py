@@ -1,7 +1,7 @@
-"""Import footprint: the package and the d <= 2 experiments load numpy and the
-stdlib only; scipy's quadrature and special functions are imported on first
-use, through the handles ``core.integrate`` and ``core.special``.  Each check
-runs in a fresh interpreter, since this one may have loaded scipy already."""
+"""Import footprint: the package and the ball and disc experiments load numpy
+and the stdlib only; scipy's quadrature is imported on first use, through the
+handle ``core.integrate``.  Each check runs in a fresh interpreter, since this
+one may have loaded scipy already."""
 
 import json
 import os
@@ -13,7 +13,7 @@ import pytest
 
 import mcqmclab
 
-LAZY = ("scipy.integrate", "scipy.special")
+LAZY = ("scipy.integrate",)
 
 
 def _loaded_after(code: str, tmp_path) -> list:
@@ -64,23 +64,43 @@ def test_lazy_direct_pullback_loads_no_scipy(tmp_path):
     assert _loaded_after(_run(tmp_path, cfg), tmp_path) == []
 
 
+def test_ball3_uniform_pullback_loads_no_scipy(tmp_path):
+    # the 3-ball's marginal is numpy's cubic, and its walk numpy's sphere
+    cfg = {
+        "experiment": "pullback",
+        "dimension": 3,
+        "density": {"name": "uniform", "alpha": 0.0},
+        "n": 64,
+        "delta": 0.1,
+        "mc-replications": 100,
+        "seed": 3,
+    }
+    code = (
+        f"{_run(tmp_path, cfg)}\n"
+        "scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not scipy, scipy"
+    )
+    assert _loaded_after(code, tmp_path) == []
+
+
 def test_handles_resolve_to_scipy(tmp_path):
     code = (
-        "import scipy.integrate, scipy.special\n"
+        "import scipy.integrate\n"
         "from mcqmclab import core\n"
         "assert core.integrate.quad is scipy.integrate.quad\n"
         "assert core.integrate.dblquad is scipy.integrate.dblquad\n"
-        "assert core.integrate.IntegrationWarning is scipy.integrate.IntegrationWarning\n"
-        "assert core.special.betainc is scipy.special.betainc\n"
-        "assert core.special.betaincinv is scipy.special.betaincinv"
+        "assert core.integrate.IntegrationWarning is scipy.integrate.IntegrationWarning"
     )
     assert _loaded_after(code, tmp_path) == list(LAZY)
 
 
 def test_first_use_loads_scipy(tmp_path):
-    # a d = 3 uniform-ball marginal loads scipy.special, and nothing else
-    code = "from mcqmclab.core import uniform_ball\nuniform_ball(3).marginal_cdf(0, 0.25)"
-    assert _loaded_after(code, tmp_path) == ["scipy.special"]
+    # a quadrature measure's normalizer loads scipy.integrate, and nothing else
+    code = (
+        "from mcqmclab.core import BoxDomain, TargetMeasure\n"
+        "TargetMeasure(BoxDomain((0.0,), (1.0,)), lambda x: 1 + x[:, 0] ** 2).normalizer"
+    )
+    assert _loaded_after(code, tmp_path) == ["scipy.integrate"]
 
 
 def test_disc_cover_loads_no_scipy(tmp_path):

@@ -19,7 +19,6 @@ from mcqmclab.ballwalk import (
     invert_update,
     make_metropolis_system,
     metropolis_update,
-    sphere_generator,
 )
 from mcqmclab.bounds import ballwalk_gap_bound
 from mcqmclab.chain import (
@@ -517,35 +516,6 @@ def test_lazy_exact_marginal_weights_are_python_pow(a):
     steps = range(5000)
     loop = [(1.0 - a) ** i * m_nu + (1.0 - (1.0 - a) ** i) * m_pi for i in steps]
     assert np.array_equal(system.exact_marginal(steps, corner)[0], loop)
-
-
-_SIN_POWER_CDF = {
-    0: lambda t: t / math.pi,
-    1: lambda t: (1.0 - np.cos(t)) / 2.0,
-    2: lambda t: (t - np.sin(t) * np.cos(t)) / math.pi,
-    3: lambda t: (2.0 - 3.0 * np.cos(t) + np.cos(t) ** 3) / 4.0,
-}
-
-
-@pytest.mark.parametrize("m", [0, 1, 2, 3])
-def test_sphere_quantile_against_bisection_and_closed_cdf(m):
-    from mcqmclab.ballwalk import _sin_power_quantile
-
-    p = np.array([1e-6, 0.013, 0.25, 0.5, 0.77, 0.999])
-    bisected = [ref.sin_power_quantile(float(q), m) for q in p]
-    assert np.max(np.abs(_sin_power_quantile(p, m) - bisected)) <= 1e-12
-    # the bisection loses accuracy at the poles; the closed-form CDF does not
-    p = np.concatenate([[0.0, 1e-12, 1e-9], p, [1.0 - 1e-9, 1.0 - 1e-12, 1.0]])
-    theta = _sin_power_quantile(p, m)
-    assert theta[0] == 0.0 and theta[-1] == math.pi
-    assert np.max(np.abs(_SIN_POWER_CDF[m](theta) - p)) <= 1e-15
-
-
-def test_sphere_generator_d4_batch_matches_single_points():
-    u = Rng(4).uniforms(60).reshape(20, 3)
-    batch = sphere_generator(u, 4)
-    assert np.array_equal(batch, np.array([sphere_generator(v, 4) for v in u]))
-    assert np.allclose(np.linalg.norm(batch, axis=1), 1.0, atol=1e-12)
 
 
 def _assert_rows_replay_alone(X0, U, params):
