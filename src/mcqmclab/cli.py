@@ -195,8 +195,14 @@ def _validate(cfg: dict) -> dict:
             params[key] = _check_density(value)
         else:
             params[key] = _check(key, value, kind, allowed)
-    if params.get("kernel") == "lazy-direct" and params["a"] is None:
+    kernel = params.get("kernel")
+    if kernel == "lazy-direct" and params["a"] is None:
         raise ConfigError("kernel 'lazy-direct' requires key 'a'")
+    # a key the kernel does not read would be echoed as if it were used
+    if kernel in ("direct", "lazy-direct") and "gamma" in cfg:
+        raise ConfigError(f"key 'gamma' is the ball walk's proposal radius; kernel {kernel!r} has none")
+    if kernel not in (None, "lazy-direct") and "a" in cfg:
+        raise ConfigError(f"key 'a' is the lazy-direct kernel's laziness; kernel {kernel!r} has none")
     ns = params.get("ns", [])
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigError(f"key 'ns' must be strictly increasing, got {ns!r}")
@@ -204,19 +210,20 @@ def _validate(cfg: dict) -> dict:
 
 
 def _build_system(p: dict):
-    """The config's chain system and the ball walk's gamma, gamma* where
-    the config leaves it out."""
+    """The config's chain system and its manifest entries: the ball walk's
+    gamma, gamma* where the config leaves it out; nothing for the direct
+    kernels, which have no proposal radius."""
     kernel, density, d, gamma = p["kernel"], p["density"], p["dimension"], p["gamma"]
-    if gamma == "gamma-star":
-        gamma = ballwalk_gap_bound(density["alpha"], d)[0]
     if kernel == "metropolis-ballwalk":
-        return make_metropolis_system(density["name"], density["alpha"], gamma, d), gamma
+        if gamma == "gamma-star":
+            gamma = ballwalk_gap_bound(density["alpha"], d)[0]
+        return make_metropolis_system(density["name"], density["alpha"], gamma, d), {"gamma": gamma}
     if d != 1:
         raise ConfigError(f"kernel {kernel!r} is implemented for dimension 1 only")
     target = _target_for(density["name"], density["alpha"], 1)
     if kernel == "direct":
-        return make_direct_kernel(target), gamma
-    return make_lazy_direct_kernel(target, p["a"]), gamma
+        return make_direct_kernel(target), {}
+    return make_lazy_direct_kernel(target, p["a"]), {}
 
 
 def _fmt(x) -> str:
@@ -244,16 +251,16 @@ def _run_bounds(p: dict):
 
 
 def _run_discrepancy(p: dict):
-    system, gamma = _build_system(p)
+    system, extra = _build_system(p)
     n, n0, seed = p["n"], p["n0"], p["seed"]
     driver = uniform_driver(n + n0, system.s, Rng(seed))
     report = star_discrepancy_exact(run_chains(system, driver[None], burn_in=n0)[0], system.target)
     header = ["n", "seed", "disc_lower", "disc_upper"]
-    return header, [[n, seed, report.lower, report.upper]], {"gamma": gamma}
+    return header, [[n, seed, report.lower, report.upper]], extra
 
 
 def _run_pullback(p: dict):
-    system, gamma = _build_system(p)
+    system, extra = _build_system(p)
     n, n0, seed, delta = p["n"], p["n0"], p["seed"], p["delta"]
     cover = build_quantile_cover(system.target, delta)
     driver = uniform_driver(n + n0, system.s, Rng(seed))
@@ -261,7 +268,7 @@ def _run_pullback(p: dict):
         system, driver, n0, cover, p["mc-replications"], Rng(seed).split(7)
     )
     header = ["n", "seed", "delta", "disc_lower", "disc_upper", "mc_stderr"]
-    return header, [[n, seed, delta, report.lower, report.upper, report.mc_stderr]], {"gamma": gamma}
+    return header, [[n, seed, delta, report.lower, report.upper, report.mc_stderr]], extra
 
 
 def _search_config(p: dict, n: int) -> SearchConfig:
@@ -299,22 +306,21 @@ def _cover(system, p: dict):
 
 
 def _run_search(p: dict):
-    system, gamma = _build_system(p)
+    system, extra = _build_system(p)
     sc = _search_config(p, p["n"])
     result = best_of_k(system, sc, cover=_cover(system, p))
     header = ["n", "seed", "disc_lower", "disc_upper", "theory_bound"]
     row = [sc.n, sc.seed, result.best_report.lower, result.best_report.upper, result.theory_bound]
-    extra = {"gamma": gamma, "all_scores": list(result.all_scores), **_theory_note(system, [sc.n])}
-    return header, [row], extra
+    return header, [row], {**extra, "all_scores": list(result.all_scores), **_theory_note(system, [sc.n])}
 
 
 def _run_rate_study(p: dict):
-    system, gamma = _build_system(p)
+    system, extra = _build_system(p)
     ns = p["ns"]
     rows = rate_study(system, ns, _search_config(p, ns[0]), cover=_cover(system, p))
     header = ["n", "seed", "disc_lower", "disc_upper", "theory_bound", "beck_bound", "runtime_ms"]
     out = [[r[h] for h in header] for r in rows]
-    return header, out, {"gamma": gamma, **_theory_note(system, ns)}
+    return header, out, {**extra, **_theory_note(system, ns)}
 
 
 def _run_invert(p: dict):

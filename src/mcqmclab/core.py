@@ -205,18 +205,21 @@ class BallDomain:
 # Target measures
 # ---------------------------------------------------------------------------
 
-# The profile rule of the ball: a Gauss-Legendre pair on every interval
-# between a column's breakpoints in theta (x1 = sin(theta)).  The higher
-# order gives the value, the gap to the lower one the error estimate.  The
-# fixed panel edges keep every interval at most pi / _DISC_PANELS long, also
-# where a column has a single level: with 8 panels the gap of a single-level
-# disc column stays below 1e-11 up to alpha = 100 (4 panels: 2e-7).
+# The profile rule of the ball: a Gauss-Legendre pair on intervals in theta
+# (x1 = sin(theta)).  The higher order gives the value, the gap to the lower
+# one the error estimate.  The fixed panel edges keep every interval at most
+# pi / _DISC_PANELS long: with 8 panels the exp-linear disc's normalizer has
+# a relative gap of 6.2e-12 at alpha = 100 (4 panels: 2.1e-7).
 _DISC_LOW, _DISC_HIGH = (np.polynomial.legendre.leggauss(k) for k in (12, 24))
 _DISC_NODES = np.concatenate([_DISC_LOW[0], _DISC_HIGH[0]])
 _DISC_PANELS = 8
 _DISC_PANEL_EDGES = -0.5 * math.pi + math.pi / _DISC_PANELS * np.arange(_DISC_PANELS)
-# the profile rule takes its columns in chunks of at most this many integrand
-# values, 48 per interval (one column at least)
+# the panel edges with pi / 2, where the disc's antiderivatives end
+_DISC_EDGES = np.append(_DISC_PANEL_EDGES, 0.5 * math.pi)
+# the profile rule holds at most this many integrand values at once (48 per
+# interval of a d = 3 column, one column at least; 36 per point of the
+# disc's antiderivatives, one point at least), and the disc's masses are
+# combined this many corners at a time
 _PROFILE_CHUNK = 1 << 16
 
 
@@ -226,37 +229,75 @@ def _disc_area_below(t):
     return 0.5 * (t * np.sqrt(1.0 - t * t) + np.arcsin(t))
 
 
-def _disc_area(t, c):
-    """Area of the unit disc below the corner (t, c) in [-1, 1]^2,
-    elementwise.  The x2-section at x1 = x has length h + c for |x| < s and
-    2h or 0 (as c >= 0 or not) for |x| >= s, where h = sqrt(1 - x^2) and
-    s = sqrt(1 - c^2); each piece integrates in closed form through
-    G = :func:`_disc_area_below`."""
-    G = _disc_area_below
-    s = np.sqrt(1.0 - c * c)
-    mid = np.clip(t, -s, s)
-    inner = G(mid) - G(-s) + c * (mid + s)
-    outer = 2.0 * (G(np.minimum(t, -s)) - G(-1.0) + G(np.maximum(t, s)) - G(s))
+def _disc_select(t, c, s, P, Q, P_start):
+    """The mass of density p(x1) on the unit disc below the corners (t, c)
+    in [-1, 1]^2, elementwise (broadcast), from the values (at t, -s, s) of
+    antiderivatives P of p(x) sqrt(1 - x^2) and Q of p, s = sqrt(1 - c^2),
+    and P_start = P(-1).  The x2-section at x1 = x has length h + c for
+    |x| < s and 2h or 0 (as c >= 0 or not) for |x| >= s, h = sqrt(1 - x^2),
+    so with m = clip(t, -s, s) the mass is P(m) - P(-s) + c (Q(m) - Q(-s)),
+    plus 2 (P(min(t, -s)) - P(-1) + P(max(t, s)) - P(s)) where c >= 0."""
+    below, above = t < -s, t > s
+    mid = lambda f: np.where(below, f[1], np.where(above, f[2], f[0]))
+    inner = mid(P) - P[1] + c * (mid(Q) - Q[1])
+    outer = 2.0 * (np.where(t > -s, P[1], P[0]) - P_start + np.where(t < s, P[2], P[0]) - P[2])
     return inner + np.where(c >= 0.0, outer, 0.0)
 
 
+def _disc_area(t, c):
+    """Area of the unit disc below the corner (t, c) in [-1, 1]^2,
+    elementwise: :func:`_disc_select` with p = 1, P = G =
+    :func:`_disc_area_below` and Q the identity."""
+    s = np.sqrt(1.0 - c * c)
+    G = _disc_area_below
+    return _disc_select(t, c, s, (G(t), G(-s), G(s)), (t, -s, s), G(-1.0))
+
+
+def _disc_rule(profile, a, b) -> np.ndarray:
+    """The Gauss-Legendre pair on the angle intervals [a_i, b_i] of the
+    integrands of the disc's antiderivatives in theta, profile(sin t)
+    cos^2 t (P) and profile(sin t) cos t (Q): shape (4, len(a)), the
+    24-point values of P and Q and their gaps to the 12-point values."""
+    half = 0.5 * (b - a)
+    theta = (0.5 * (a + b))[:, None] + half[:, None] * _DISC_NODES
+    rho = np.cos(theta)
+    q = profile(np.sin(theta)) * rho
+    k = _DISC_LOW[0].size
+    out = np.empty((4, len(a)))
+    for i, f in enumerate((q * rho, q)):
+        out[i] = half * np.sum(f[:, k:] * _DISC_HIGH[1], axis=-1)
+        out[2 + i] = np.abs(out[i] - half * np.sum(f[:, :k] * _DISC_LOW[1], axis=-1))
+    return out
+
+
+def _disc_combine(t, c, s, at_t, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized masses and errors of a disc with a profile:
+    :func:`_disc_select` of (P, Q, E_P, E_Q) at t, -s and s (arrays (4,
+    ...) broadcast against t and c), with P(-1) = 0 exactly.  The error sums
+    each point's error times the absolute value of its coefficient; a
+    difference of one point's values is exact, so the terms at m and -s
+    count where t > -s and s > 0, and 2 E_P(t) where c >= 0 and t lies
+    outside (-s, s]."""
+    P, Q, EP, EQ = zip(at_t, lo, hi)
+    above = t > s
+    m = lambda f: np.where(above, f[2], f[0])
+    err = np.where((t > -s) & (s > 0.0), m(EP) + EP[1] + np.abs(c) * (m(EQ) + EQ[1]), 0.0)
+    err += np.where((c >= 0.0) & ((t <= -s) | above), 2.0 * EP[0], 0.0)
+    return _disc_select(t, c, s, P, Q, 0.0), err
+
+
 def _ball_section(rho, h):
-    """Measure of the section of the ball at half-width rho below the corner's
-    trailing coordinates h: in d = 2 the length of {|x2| < rho, x2 < h2}, in
-    d = 3 the area of the disc of radius rho below (h2, h3), rho^2 times the
-    unit disc's area below clip(h / rho, -1, 1)."""
-    if h.shape[-1] == 1:
-        return np.minimum(np.maximum(h[..., 0], -rho), rho) + rho
+    """Area of the section of the 3-ball at half-width rho below the
+    corner's trailing coordinates h = (h2, h3): the disc of radius rho
+    below h, rho^2 times the unit disc's area below clip(h / rho, -1, 1)."""
     t, c = (np.clip(h[..., j] / rho, -1.0, 1.0) for j in (0, 1))
     return rho * rho * _disc_area(t, c)
 
 
 def _ball_section_kinks(h):
     """The half-widths rho at which :func:`_ball_section` is not smooth in
-    rho, one column each: |h2| in d = 2; |h2|, |h3| and min(|h|, 1), where
-    the corner meets the circle, in d = 3."""
-    if h.shape[-1] == 1:
-        return np.abs(h)
+    rho, one column each: |h2|, |h3| and min(|h|, 1), where the corner
+    meets the circle."""
     return np.column_stack([np.abs(h), np.minimum(np.hypot(h[:, 0], h[:, 1]), 1.0)])
 
 
@@ -308,11 +349,15 @@ class TargetMeasure:
     profile : callable, optional
         For densities on the d = 2 or 3 ball depending on the first
         coordinate only: profile(x1), vectorized.  Box masses then come
-        from the profile rule (:meth:`_profile_integrals`): per column of
-        corners sharing their trailing coordinates, one pass along x1 =
-        sin(theta) with a Gauss-Legendre pair per interval, summed
-        cumulatively; the error is the cumulative sum of the per-interval
-        rule gaps.
+        from the profile rule, a Gauss-Legendre pair along x1 = sin(theta)
+        whose gap is the error.  In d = 2 every corner's mass is the disc
+        formula of two per-point antiderivatives along x1
+        (:meth:`_disc_integrals`), and the normalizer is 2 P(1), their
+        full panel prefix.  In d = 3 (:meth:`_profile_integrals`) each
+        column of corners sharing their trailing coordinates takes one
+        pass along x1 with the pair on every interval between its kinks
+        and levels, summed cumulatively; the error is the cumulative sum
+        of the per-interval rule gaps.
 
     Without a closed form the masses are :meth:`_integrals` of the clipped
     corners over that of the domain's upper corner, the normalizer: the
@@ -323,10 +368,10 @@ class TargetMeasure:
     computed.
 
     :meth:`box_masses` takes corner rows and :meth:`grid_masses` the tensor
-    grid of per-axis values.  For every measure without a profile rule the
-    grid's masses are :meth:`box_masses` of its rows, bit for bit; with one,
-    a row is a column with one level, and the two agree within their
-    reported errors.
+    grid of per-axis values.  For every measure but the d = 3 profile rule
+    the grid's masses are :meth:`box_masses` of its rows, bit for bit; with
+    that rule a row is a column with one level, and the two agree within
+    their reported errors.
     """
 
     def __init__(
@@ -355,7 +400,15 @@ class TargetMeasure:
             if not (self._profile_rule or self.dim == 1 or self.dim == 2 and not ball):
                 what = "a ball density without a profile" if ball else "a box density without a closed form"
                 raise NotImplementedError(f"no box-mass rule for {what} in d = {self.dim}")
-            num, err = self._integrals(domain.bounding()[1][None])
+            if self._profile_rule and self.dim == 2:
+                # the panel prefix of the disc's antiderivatives P, Q, E_P and
+                # E_Q; the normalizer is 2 P(1), the full prefix
+                self._disc_prefix = np.zeros((4, _DISC_PANELS + 1))
+                panels = _disc_rule(profile, _DISC_EDGES[:-1], _DISC_EDGES[1:])
+                np.cumsum(panels, axis=1, out=self._disc_prefix[:, 1:])
+                num, err = 2.0 * self._disc_prefix[[0, 2], -1:]
+            else:
+                num, err = self._integrals(domain.bounding()[1][None])
             self.normalizer, self.normalizer_error = float(num[0]), float(err[0])
             if self.normalizer <= 0:
                 raise ValueError("density must integrate to a positive value")
@@ -416,15 +469,19 @@ class TargetMeasure:
         tensor grid of the per-axis values ``axes[j]`` (each flattened), with
         the same special cases as :meth:`box_masses`: ``masses[i_1, ...,
         i_d]`` belongs to the corner (axes[0][i_1], ..., axes[d-1][i_d]),
-        plus the largest error bound.  The profile rule integrates each
-        column, a corner of the tensor grid of the trailing axes, once along
-        x1 for all its levels c1; every other measure returns
-        :meth:`box_masses` of the grid's rows in C order."""
+        plus the largest error bound.  The d = 3 profile rule integrates
+        each column, a corner of the tensor grid of the trailing axes, once
+        along x1 for all its levels c1; every other measure returns
+        :meth:`box_masses` of the grid's rows in C order, bit for bit (the
+        d = 2 profile rule by broadcasting its antiderivatives at the c1
+        axis and at +-sqrt(1 - c2^2) of the c2 axis)."""
         masses, errs = self._grid_masses(axes)
         return masses, float(np.max(errs, initial=0.0))
 
     def _grid_masses(self, axes) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`grid_masses` with the error bound of every corner."""
+        """:meth:`grid_masses` with the error bound of every corner.  The
+        profile rules price the clipped grid and then set the empty, full
+        and NaN corners as :meth:`_box_masses` does."""
         axes = [np.asarray(a, float).ravel() for a in axes]
         if len(axes) != self.dim:
             raise ValueError(f"{len(axes)} axes for measure dimension {self.dim}")
@@ -434,16 +491,23 @@ class TargetMeasure:
             masses, errs = self._box_masses(rows.reshape(-1, self.dim))
             return masses.reshape(shape), errs.reshape(shape)
         c1 = axes[0]
-        # the columns: the corners of the trailing axes' grid, in C order
-        h = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, self.dim - 1)
-        masses, errs = np.zeros((c1.size, len(h))), np.zeros((c1.size, len(h)))
-        levels, cols = c1 > -1.0, np.all(h > -1.0, axis=1)
-        if levels.any() and cols.any():
-            top = np.arcsin(np.minimum(c1[levels], 1.0))
-            hc = np.minimum(h[cols], 1.0)
-            num, num_err = self._profile_integrals(np.broadcast_to(top, (len(hc), top.size)), hc)
-            cells = np.ix_(levels, cols)
-            masses[cells], errs[cells] = self._normalized(num.T, num_err.T)
+        if self.dim == 2:
+            h = axes[1][:, None]
+            num, num_err = self._disc_integrals(np.clip(c1, -1.0, 1.0), np.clip(axes[1], -1.0, 1.0), grid=True)
+            masses, errs = self._normalized(num, num_err)
+        else:
+            # the columns: the corners of the trailing axes' grid, in C order
+            h = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, self.dim - 1)
+            masses, errs = np.zeros((c1.size, len(h))), np.zeros((c1.size, len(h)))
+            levels, cols = c1 > -1.0, np.all(h > -1.0, axis=1)
+            if levels.any() and cols.any():
+                top = np.arcsin(np.minimum(c1[levels], 1.0))
+                hc = np.minimum(h[cols], 1.0)
+                num, num_err = self._profile_integrals(np.broadcast_to(top, (len(hc), top.size)), hc)
+                cells = np.ix_(levels, cols)
+                masses[cells], errs[cells] = self._normalized(num.T, num_err.T)
+        empty = (c1 <= -1.0)[:, None] | np.any(h <= -1.0, axis=1)
+        masses[empty], errs[empty] = 0.0, 0.0
         full = (c1 >= 1.0)[:, None] & np.all(h >= 1.0, axis=1)
         masses[full], errs[full] = 1.0, 0.0
         nan = np.isnan(c1)[:, None] | np.any(np.isnan(h), axis=1)
@@ -458,8 +522,8 @@ class TargetMeasure:
 
     @property
     def _profile_rule(self) -> bool:
-        """Whether box masses come from the profile rule, all corners at
-        once: a ball in d = 2 or 3 with a profile."""
+        """Whether box masses come from the profile rule: a ball in d = 2
+        or 3 with a profile."""
         return self.profile is not None and 2 <= self.dim <= 3 and isinstance(self.domain, BallDomain)
 
     def _normalized(self, num: np.ndarray, num_err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -468,15 +532,59 @@ class TargetMeasure:
         vals = np.clip(num / self.normalizer, 0.0, 1.0)
         return vals, (num_err + vals * self.normalizer_error) / self.normalizer
 
+    def _disc_antiderivatives(self, x: np.ndarray) -> np.ndarray:
+        """The disc's antiderivatives P(x) = int_-1^x profile(u) sqrt(1 -
+        u^2) du and Q(x) = int_-1^x profile(u) du and their errors E_P, E_Q
+        at the points x in [-1, 1] (1-D), shape (4, x.size): for theta =
+        asin x in the panel [e_k, e_k+1), the panel prefix below e_k plus
+        :func:`_disc_rule` on [e_k, theta].  Each value depends on its own
+        point alone; the points go a chunk of at most :data:`_PROFILE_CHUNK`
+        integrand values at a time."""
+        out = np.empty((4, x.size))
+        step = max(1, _PROFILE_CHUNK // _DISC_NODES.size)
+        for i in range(0, x.size, step):
+            theta = np.arcsin(x[i : i + step])
+            k = np.searchsorted(_DISC_EDGES, theta, side="right") - 1
+            out[:, i : i + step] = self._disc_prefix[:, k] + _disc_rule(self.profile, _DISC_EDGES[k], theta)
+        return out
+
+    def _disc_integrals(self, t: np.ndarray, c: np.ndarray, grid: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Unnormalized masses and errors of a disc with a profile below the
+        corners (t_i, c_i) in [-1, 1]^2 (t, c of shape (m,)), or, when
+        ``grid``, below the tensor grid of t and c, shape (t.size, c.size):
+        :func:`_disc_combine` of :meth:`_disc_antiderivatives` at t, -s and
+        s, s = sqrt(1 - c^2).  Rows go a chunk of :data:`_PROFILE_CHUNK`
+        integrand values at a time; a grid's axes take one call, combined by
+        broadcasting in blocks of at most :data:`_PROFILE_CHUNK` corners.  A
+        grid's masses are those of its rows, bit for bit."""
+        s = np.sqrt(1.0 - c * c)
+        if not grid:
+            out = np.empty((2, t.size))
+            step = max(1, _PROFILE_CHUNK // (3 * _DISC_NODES.size))
+            for i in range(0, t.size, step):
+                b = slice(i, i + step)
+                at = self._disc_antiderivatives(np.concatenate([t[b], -s[b], s[b]]))
+                out[:, b] = _disc_combine(t[b], c[b], s[b], *np.split(at, 3, axis=1))
+            return out[0], out[1]
+        at = self._disc_antiderivatives(np.concatenate([t, -s, s]))
+        at_t, lo, hi = np.split(at, [t.size, t.size + c.size], axis=1)
+        out = np.empty((2, t.size, c.size))
+        rows = max(1, min(t.size, _PROFILE_CHUNK))
+        cols = max(1, _PROFILE_CHUNK // rows)
+        for i in range(0, t.size, rows):
+            for j in range(0, c.size, cols):
+                b, r = slice(i, i + rows), slice(j, j + cols)
+                out[:, b, r] = _disc_combine(t[b, None], c[r], s[r], at_t[:, b, None], lo[:, r], hi[:, r])
+        return out[0], out[1]
+
     def _profile_integrals(self, top: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unit ball with a profile: int profile(sin t) S(cos t; h) cos t dt
+        """Unit 3-ball with a profile: int profile(sin t) S(cos t; h) cos t dt
         over -pi/2 < t < top, where S(rho; h) is the section of the ball at
         half-width rho below h (:func:`_ball_section` and its kinks
-        :func:`_ball_section_kinks`, the only parts that depend on d), for
-        every level ``top[k, l]`` (an angle, x1 = sin(top)) of every
-        column ``h[k]`` (the corners' other coordinates, clipped to the
-        domain); returns the integrals and their rule errors, shaped like
-        ``top``.
+        :func:`_ball_section_kinks`), for every level ``top[k, l]`` (an
+        angle, x1 = sin(top)) of every column ``h[k]`` (the corners' other
+        coordinates, clipped to the domain); returns the integrals and their
+        rule errors, shaped like ``top``.
 
         A column's breakpoints are the panel edges, the angles at which its
         section has kinks and its levels.  The integrand is smooth between
@@ -543,9 +651,11 @@ class TargetMeasure:
     def _integrals(self, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unnormalized integrals of the density over domain ∩ (-inf, h) and
         their errors, one per row h of ``hi`` (shape (m, d), inside the
-        domain's bounding box and above its lower corner): the profile rule
-        with each row its own column, else scipy ``quad`` (d = 1) or
-        ``dblquad`` (a d = 2 box) row by row."""
+        domain's bounding box and above its lower corner): the d = 2 profile
+        rule, the d = 3 one with each row its own column, else scipy
+        ``quad`` (d = 1) or ``dblquad`` (a d = 2 box) row by row."""
+        if self._profile_rule and self.dim == 2:
+            return self._disc_integrals(hi[:, 0], hi[:, 1])
         if self._profile_rule:
             num, err = self._profile_integrals(np.arcsin(hi[:, :1]), hi[:, 1:])
             return num[:, 0], err[:, 0]
@@ -565,9 +675,10 @@ class TargetMeasure:
         index, or an integer array broadcast against t): the closed-form
         marginal when the measure has one, else the box masses of the
         corners with t in coordinate j and +inf in the others, one
-        :meth:`box_masses` call for all of them.  Each corner is then its
-        own row, so a profile measure's mass of one corner does not depend
-        on the other corners of the call."""
+        :meth:`box_masses` call for all of them.  A corner's mass does not
+        depend on the other corners of the call: in d = 3 each corner is its
+        own column of the profile rule, and in d = 2 each antiderivative
+        value depends on its own point alone."""
         j, t = np.asarray(j), np.asarray(t, float)
         if self.exact_marginal_cdf is not None:
             lo, hi = self.domain.bounding()

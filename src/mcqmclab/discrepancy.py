@@ -193,9 +193,9 @@ def star_discrepancy_exact(points, measure: TargetMeasure) -> DiscrepancyReport:
     of :func:`_count_grid` on that axis counts the points of rank < t: the
     strict count at grid index t, and the closed count at index t - 1.  The
     masses come from :meth:`TargetMeasure.grid_masses`, a chunk of the last
-    axis at a time with the others whole, so that the profile rule's
-    cumulative axis x1 is never split and the result does not depend on the
-    chunk size.  The bracket is the largest deviation plus and minus the
+    axis at a time with the others whole, so that the d = 3 profile rule's
+    cumulative axis x1 is never split (a d = 2 mass depends on its own
+    corner alone) and the result does not depend on the chunk size.  The bracket is the largest deviation plus and minus the
     largest box-mass error.  This is the one-set call of
     :func:`_exact_scans`.
     """

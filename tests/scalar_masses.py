@@ -7,7 +7,12 @@ of ``TargetMeasure._box_masses``.  The profile rule with every column's
 nodes computed for that column, in one chunk
 (``profile_integrals_per_column``), is the reference of the nodes shared by
 distinct interval, and of the column chunks, in
-``TargetMeasure._profile_integrals``.  The quantile cover's cuts one level
+``TargetMeasure._profile_integrals``; with the d = 2 section it had when
+the disc took that rule (``disc_masses_by_columns``), it is the reference
+of the disc's masses from per-point antiderivatives.  The disc's area with
+the clipped corner (``disc_area_by_clip``) is the reference of the
+antiderivatives evaluated once per point and selected in
+``core._disc_area``.  The quantile cover's cuts one level
 at a time in Python floats (``quantile_cuts``) are the reference of the
 bisection of all levels at once in ``TargetMeasure.marginal_quantile``.
 """
@@ -26,8 +31,35 @@ from mcqmclab.core import (
     TargetMeasure,
     _ball_section,
     _ball_section_kinks,
+    _disc_area_below,
     _uniform_disc_mass,
 )
+
+
+def disc_area_by_clip(t, c):
+    """Area of the unit disc below the corners (t, c) in [-1, 1]^2,
+    elementwise, with G = ``_disc_area_below`` taken at the clipped points:
+    G(clip(t, -s, s)) - G(-s) + c (clip(t, -s, s) + s), plus 2 (G(min(t,
+    -s)) - G(-1) + G(max(t, s)) - G(s)) where c >= 0, s = sqrt(1 - c^2)."""
+    G = _disc_area_below
+    s = np.sqrt(1.0 - c * c)
+    mid = np.clip(t, -s, s)
+    inner = G(mid) - G(-s) + c * (mid + s)
+    outer = 2.0 * (G(np.minimum(t, -s)) - G(-1.0) + G(np.maximum(t, s)) - G(s))
+    return inner + np.where(c >= 0.0, outer, 0.0)
+
+
+def _section(rho, h):
+    """``core._ball_section``, and in d = 2 the length of {|x2| < rho, x2 <
+    h2}."""
+    if h.shape[-1] == 1:
+        return np.minimum(np.maximum(h[..., 0], -rho), rho) + rho
+    return _ball_section(rho, h)
+
+
+def _section_kinks(h):
+    """``core._ball_section_kinks``, and in d = 2 the one kink |h2|."""
+    return np.abs(h) if h.shape[-1] == 1 else _ball_section_kinks(h)
 
 
 def disc_by_box_masses():
@@ -94,7 +126,7 @@ def profile_integrals_per_column(measure, top, h) -> tuple[np.ndarray, np.ndarra
     levels) of the columns ``h`` (cols, d - 1) with the nodes, cos(theta) and
     the profile computed anew for every interval of every column."""
     cols, levels = top.shape
-    kinks = np.arccos(_ball_section_kinks(h))
+    kinks = np.arccos(_section_kinks(h))
     panels = np.broadcast_to(_DISC_PANEL_EDGES, (cols, _DISC_PANELS))
     edges = np.concatenate([panels, -kinks, kinks, top], axis=1)
     order = np.argsort(edges, axis=1, kind="stable")
@@ -108,7 +140,7 @@ def profile_integrals_per_column(measure, top, h) -> tuple[np.ndarray, np.ndarra
     theta = (0.5 * (a + b))[:, None] + half[:, None] * _DISC_NODES
     rho = np.cos(theta)
     hs = np.broadcast_to(h[:, None], need.shape + h.shape[1:])[need]
-    f = measure.profile(np.sin(theta)) * _ball_section(rho, hs[:, None]) * rho
+    f = measure.profile(np.sin(theta)) * _section(rho, hs[:, None]) * rho
     k = _DISC_LOW[0].size
     low, high = np.zeros(need.shape), np.zeros(need.shape)
     low[need] = half * np.sum(f[:, :k] * _DISC_LOW[1], axis=-1)
@@ -117,3 +149,16 @@ def profile_integrals_per_column(measure, top, h) -> tuple[np.ndarray, np.ndarra
     total = np.concatenate([zero, np.cumsum(high, axis=1)], axis=1)
     gap = np.concatenate([zero, np.cumsum(np.abs(high - low), axis=1)], axis=1)
     return np.take_along_axis(total, at, axis=1), np.take_along_axis(gap, at, axis=1)
+
+
+def disc_masses_by_columns(measure, corners) -> tuple[np.ndarray, np.ndarray]:
+    """Masses and errors of the corners (m, 2) in (-1, 1]^2 of a disc with a
+    profile by the column rule, each corner its own column: the integral
+    along x1 = sin(theta) of the profile times the section length, split
+    at the panel edges, the kinks +-arccos|c2| and the level asin c1, over
+    the same rule's integral for the corner (1, 1)."""
+    c = np.asarray(corners, float)
+    num, err = (v[:, 0] for v in profile_integrals_per_column(measure, np.arcsin(c[:, :1]), c[:, 1:]))
+    z, z_err = (float(v[0, 0]) for v in profile_integrals_per_column(measure, np.arcsin(np.ones((1, 1))), np.ones((1, 1))))
+    masses = np.clip(num / z, 0.0, 1.0)
+    return masses, (err + masses * z_err) / z

@@ -76,6 +76,42 @@ class TestValidate:
         }
         assert main(["validate", _write(tmp_path, "c.json", cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "kernel,key",
+        [("direct", "gamma"), ("lazy-direct", "gamma"), ("metropolis-ballwalk", "a"), ("direct", "a")],
+    )
+    @pytest.mark.parametrize("experiment", ["discrepancy", "pullback"])
+    def test_key_the_kernel_does_not_read(self, tmp_path, capsys, experiment, kernel, key):
+        # gamma is the ball walk's proposal radius and a the lazy-direct
+        # kernel's laziness: a manifest used to echo a gamma no kernel used,
+        # and an a given to the ball walk was ignored
+        cfg = {"experiment": experiment, "dimension": 1, "kernel": kernel, "n": 16,
+               "output": str(tmp_path / "o.csv"), key: 0.5}
+        if kernel == "lazy-direct":
+            cfg["a"] = 0.5
+        path = _write(tmp_path, "c.json", cfg)
+        for command in ("run", "validate"):
+            assert main([command, path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: key {key!r}") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+    @pytest.mark.parametrize("kernel", ["direct", "lazy-direct", "metropolis-ballwalk"])
+    @pytest.mark.parametrize("experiment", ["discrepancy", "pullback", "search", "rate-study"])
+    def test_only_ball_walk_manifests_carry_gamma(self, tmp_path, experiment, kernel):
+        cfg = {"experiment": experiment, "dimension": 1, "kernel": kernel, "k": 2, "seed": 3,
+               "output": str(tmp_path / "o.csv")}
+        cfg = {key: v for key, v in cfg.items() if key != "k" or experiment in ("search", "rate-study")}
+        cfg.update({"ns": [16, 32]} if experiment == "rate-study" else {"n": 16})
+        if kernel == "lazy-direct":
+            cfg["a"] = 0.5
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 0
+        manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+        if kernel == "metropolis-ballwalk":
+            assert manifest["gamma"] == ballwalk_gap_bound(0.0, 1)[0] == 1.0 / math.sqrt(2.0)
+        else:
+            assert "gamma" not in manifest
+
 
 class TestBadValues:
     def _search(self, tmp_path, key, value):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -525,9 +526,10 @@ def test_box_masses_against_whole_array_masks(name):
         assert np.array_equal(err, np.max(want[1], initial=0.0), equal_nan=True)
 
 
-@pytest.mark.parametrize("name", [n for n in _MASKED if n != "exp-linear-disc"])
+@pytest.mark.parametrize("name", list(_MASKED))
 def test_grid_masses_against_meshgrid(name):
-    # the d = 1 axis as the one column and the meshgrid rows of d = 2 and 3
+    # the d = 1 axis as the one column and the meshgrid rows of d = 2 and 3,
+    # the disc's profile rule included
     m = _MASKED[name]()
     lo, hi = m.domain.bounding()
     specials = [np.nan, np.inf, -np.inf, -0.0, np.nextafter(lo[0], np.inf)]
@@ -542,24 +544,82 @@ def test_grid_masses_against_meshgrid(name):
 
 @pytest.mark.parametrize("alpha", [1.0, 5.0, 30.0, 300.0])
 def test_profile_rule_shares_nodes_per_distinct_interval(alpha):
-    # grid columns with repeated levels and columns (zero-length intervals),
-    # levels at -0.0, 0.0 and the domain's ends, the +inf column (kinks at
-    # -0.0 and 0.0) and the column c2 = 0 (kinks at +-pi/2, on the first
-    # panel edge); then box_masses rows, a level and a column each.  In
-    # d = 3 the columns pair these c2 with c3 in ascending order, so that
-    # (0, 0) has every kink at +-pi/2 and (+inf, 1) its corner kink at 0.
-    # The nodes computed once per distinct interval give the bits of the
-    # per-column rule
+    # d = 3 grid columns with repeated levels and columns (zero-length
+    # intervals), levels at -0.0, 0.0 and the domain's ends; then
+    # box_masses rows, a level and a column each.  The columns pair c2 with
+    # c3 in ascending order, so that (0, 0) has every kink at +-pi/2 and
+    # (+inf, 1) its corner kink at 0, and include the +inf column (kinks at
+    # -0.0 and 0.0).  The nodes computed once per distinct interval give
+    # the bits of the per-column rule
     rng = Rng(int(alpha))
     c = np.sort(2.0 * rng.uniforms(14) - 1.0)
     c1 = np.concatenate([c, c[3:6], [-0.0, 0.0, 1.0, np.inf, np.nextafter(-1.0, 0.0)]])
     c2 = np.concatenate([c[::-1], c[:2], [0.0, -0.0, np.inf, 1.0, np.nextafter(-1.0, 0.0)]])
     c3 = np.concatenate([c, c[5:7], [0.0, 0.0, 1.0, np.inf, 0.5]])
     top = np.arcsin(np.minimum(c1, 1.0))
-    for d, trailing in [(2, [c2]), (3, [c2, c3])]:
-        m = exp_linear_ball(alpha, d)
-        h = np.minimum(np.column_stack(trailing), 1.0)
-        for levels, cols in [(np.broadcast_to(top, (len(h), top.size)), h), (top[: len(h), None], h[::-1])]:
-            got = m._profile_integrals(levels, cols)
-            want = scalar_masses.profile_integrals_per_column(m, levels, cols)
-            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    m = exp_linear_ball(alpha, 3)
+    h = np.minimum(np.column_stack([c2, c3]), 1.0)
+    for levels, cols in [(np.broadcast_to(top, (len(h), top.size)), h), (top[: len(h), None], h[::-1])]:
+        got = m._profile_integrals(levels, cols)
+        want = scalar_masses.profile_integrals_per_column(m, levels, cols)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+def test_disc_area_selects_the_clipped_antiderivatives():
+    # _disc_area takes G once at t, -s and s and selects among them: the
+    # bits of G at the clipped points, on rows and on broadcast grids, with
+    # +-0, +-1 and t = +-s and their neighbours
+    rng = Rng(3)
+    v = np.concatenate([2.0 * rng.uniforms(400) - 1.0, [-1.0, -0.0, 0.0, 1.0, np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0)]])
+    s = np.sqrt(1.0 - v * v)
+    t = np.concatenate([v[::-1], s, -s, np.nextafter(s, -2.0), np.nextafter(-s, 2.0)])
+    c = np.tile(v, 5)
+    for tt, cc in [(t, c), (t[:, None], v[None]), (v[:, None], v[None])]:
+        assert core._disc_area(tt, cc).tobytes() == scalar_masses.disc_area_by_clip(tt, cc).tobytes()
+
+
+def _disc_corners(seed):
+    """Random corners of (-1, 1]^2, and for c2 at and beside +-1, at +-0 and
+    at +-0.6 the levels c1 at, below and above +-sqrt(1 - c2^2), at +-0, at 1
+    and beside -1."""
+    corners = [2.0 * Rng(seed).uniforms(2000).reshape(1000, 2) - 1.0]
+    for c2 in (np.nextafter(-1.0, 0.0), -0.6, -0.0, 0.0, 0.6, np.nextafter(1.0, 0.0), 1.0):
+        s = math.sqrt(1.0 - c2 * c2)
+        c1 = [x for w in (s, -s) for x in (w, np.nextafter(w, -2.0), np.nextafter(w, 2.0))]
+        c1 += [-0.0, 0.0, 1.0, np.nextafter(-1.0, 0.0)]
+        corners.append(np.column_stack([c1, np.full(len(c1), c2)]))
+    corners = np.minimum(np.vstack(corners), 1.0)
+    return corners[np.all(corners > -1.0, axis=1)]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, 30.0, 100.0])
+def test_disc_masses_agree_with_the_column_rule(alpha):
+    # the disc's masses from per-point antiderivatives against the column
+    # rule it took before (each corner its own column), within the sum of
+    # both stated errors and 1e-15 of rounding, which neither includes
+    m = exp_linear_ball(alpha, 2)
+    corners = _disc_corners(int(alpha) + 1)
+    masses, errs = m._box_masses(corners)
+    want, want_errs = scalar_masses.disc_masses_by_columns(m, corners)
+    assert np.all(np.abs(masses - want) <= errs + want_errs + 1e-15)
+
+
+def _bessel_i1(alpha: int) -> float:
+    """I_1(alpha) for an integer alpha from its power series, the sum of
+    (alpha / 2)^(2k + 1) / (k! (k + 1)!), in exact fractions, to a term far
+    below the last bit."""
+    x = Fraction(alpha, 2)
+    term, total = x, Fraction(0)
+    for k in range(alpha + 60):
+        total += term
+        term *= x * x / ((k + 1) * (k + 2))
+    return float(total)
+
+
+@pytest.mark.parametrize("alpha", [1, 5, 30, 100])
+def test_disc_normalizer_is_the_bessel_closed_form(alpha):
+    # the integral of e^(alpha x1) over the unit disc is 2 pi I_1(alpha) /
+    # alpha; the stated error does not include rounding, 1e-15 relative
+    m = exp_linear_ball(float(alpha), 2)
+    want = 2.0 * math.pi * _bessel_i1(alpha) / alpha
+    assert abs(m.normalizer - want) <= m.normalizer_error + 1e-15 * want
