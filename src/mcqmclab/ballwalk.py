@@ -154,7 +154,8 @@ _ONE = np.array(1.0)
 def _one_chain(x: np.ndarray, z: np.ndarray) -> list:
     """The step loop of :func:`_replay` for one chain, in Python floats:
     the states after each proposal of z (m, d), d <= 3, from the state x
-    (d,), as m floats (d = 1) or m d-tuples.
+    (d,), as one flat list of m d floats, state after state (no tuple per
+    step), which one array call reshapes to (m, d).
 
     In d = 1, |y| > 1 rejects, the block loop's own test.  In d = 2 and 3,
     a sum of the d squares y_j y_j, in any order and with or without fused
@@ -167,13 +168,14 @@ def _one_chain(x: np.ndarray, z: np.ndarray) -> list:
     u / (1 - 2 d u), which w = 4 d u covers.  Only a sum inside that band
     asks np.vecdot, on y as the block loop does."""
     path = []
+    add = path.append
     if len(x) == 1:
         (x0,) = x.tolist()
         for z0 in z.ravel().tolist():
             y0 = x0 + z0
             if not abs(y0) > 1.0:
                 x0 = y0
-            path.append(x0)
+            add(x0)
         return path
     lo, hi = 1.0 - 4 * len(x) * 2.0**-53, 1.0 + 4 * len(x) * 2.0**-53
     if len(x) == 2:
@@ -183,7 +185,8 @@ def _one_chain(x: np.ndarray, z: np.ndarray) -> list:
             s = y0 * y0 + y1 * y1
             if s <= lo or (s <= hi and np.vecdot(y := np.array((y0, y1)), y) <= 1.0):
                 x0, x1 = y0, y1
-            path.append((x0, x1))
+            add(x0)
+            add(x1)
         return path
     x0, x1, x2 = x.tolist()
     for z0, z1, z2 in z.tolist():
@@ -191,7 +194,9 @@ def _one_chain(x: np.ndarray, z: np.ndarray) -> list:
         s = y0 * y0 + y1 * y1 + y2 * y2
         if s <= lo or (s <= hi and np.vecdot(y := np.array((y0, y1, y2)), y) <= 1.0):
             x0, x1, x2 = y0, y1, y2
-        path.append((x0, x1, x2))
+        add(x0)
+        add(x1)
+        add(x2)
     return path
 
 
@@ -238,7 +243,8 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams, X: np.ndarray
     the states and copies the previous state back into the rows with
     y . y > 1 (np.vecdot, as in ``_accept``; y is never NaN: states are
     finite and proposals finite or +inf).  One chain (b = 1) takes the same
-    steps in Python floats instead (:func:`_one_chain`).
+    steps in Python floats instead (:func:`_one_chain`), whose flat list
+    of floats becomes the chunk's states in one ``np.fromiter`` call.
 
     In d <= 2 the b chains step on one scalar each (:func:`_scalar_steps`),
     on proposals that :func:`ball_generator` builds in that storage (a
@@ -282,7 +288,7 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams, X: np.ndarray
                 continue
             np.copyto(z, np.inf, where=(g <= 0.0)[..., None])
         if b == 1:
-            X_c[:, 0] = np.reshape(_one_chain(x[0], z[:, 0]), (len(X_c), d))
+            X_c[:, 0] = np.fromiter(_one_chain(x[0], z[:, 0]), float, len(X_c) * d).reshape(len(X_c), d)
         elif d > 2 or not _scalar_steps(x, z, X_c):
             for z_i, X_i in zip(z, X_c):
                 np.add(x, z_i, X_i)

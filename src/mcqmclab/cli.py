@@ -368,7 +368,8 @@ def _cmd_run(path: str) -> int:
         refusals = ("array is too big", "Maximum allowed dimension exceeded")
         if isinstance(exc, ValueError) and not str(exc).startswith(refusals):
             raise
-        print(f"infeasible: {exc}", file=sys.stderr)
+        # a MemoryError may carry no message: then its type names it
+        print(f"infeasible: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - t0
     out = Path(params["output"])

@@ -7,8 +7,10 @@ the types here:
   candidate and replica stream is reproducible from (seed, label).
 * ``TargetMeasure`` -- a target distribution given by a density on a bounded
   domain, with a batched box-mass oracle over corner arrays (closed form
-  where possible, the profile rule on the ball in d = 2 and 3, quadrature
-  on the interval and the d = 2 box; any other measure is refused).  A row c
+  where possible, the disc formula of two antiderivatives in d = 2 on the
+  ball, closed-form or from the profile rule, the profile rule in d = 3,
+  quadrature on the interval and the d = 2 box; any other measure is
+  refused).  A row c
   of a corner array stands for the strictly open box ``(-inf, c)``; an
   entry of +inf leaves its coordinate unrestricted, one of -inf makes the
   box empty.
@@ -270,20 +272,25 @@ def _disc_rule(profile, a, b) -> np.ndarray:
     return out
 
 
-def _disc_combine(t, c, s, at_t, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized masses and errors of a disc with a profile:
-    :func:`_disc_select` of (P, Q, E_P, E_Q) at t, -s and s (arrays (4,
-    ...) broadcast against t and c), with P(-1) = 0 exactly.  The error sums
-    each point's error times the absolute value of its coefficient; a
-    difference of one point's values is exact, so the terms at m and -s
-    count where t > -s and s > 0, and 2 E_P(t) where c >= 0 and t lies
-    outside (-s, s]."""
-    P, Q, EP, EQ = zip(at_t, lo, hi)
+def _disc_combine(t, c, s, at_t, lo, hi, start) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Unnormalized masses and errors of a disc below the corners (t, c):
+    :func:`_disc_select` of the antiderivative tables at t, -s and s
+    (arrays (2, ...) of P and Q, or (4, ...) with their errors E_P and E_Q,
+    broadcast against t and c), with P(-1) = ``start``.  A table without
+    errors, a closed form's, has errors None.  The error sums each point's
+    error times the absolute value of its coefficient; a difference of one
+    point's values is exact, so the terms at m and -s count where t > -s
+    and s > 0, and 2 E_P(t) where c >= 0 and t lies outside (-s, s]."""
+    P, Q, *E = zip(at_t, lo, hi)
+    num = _disc_select(t, c, s, P, Q, start)
+    if not E:
+        return num, None
+    EP, EQ = E
     above = t > s
     m = lambda f: np.where(above, f[2], f[0])
     err = np.where((t > -s) & (s > 0.0), m(EP) + EP[1] + np.abs(c) * (m(EQ) + EQ[1]), 0.0)
     err += np.where((c >= 0.0) & ((t <= -s) | above), 2.0 * EP[0], 0.0)
-    return _disc_select(t, c, s, P, Q, 0.0), err
+    return num, err
 
 
 def _ball_section(rho, h):
@@ -350,22 +357,27 @@ class TargetMeasure:
         For densities on the d = 2 or 3 ball depending on the first
         coordinate only: profile(x1), vectorized.  Box masses then come
         from the profile rule, a Gauss-Legendre pair along x1 = sin(theta)
-        whose gap is the error.  In d = 2 every corner's mass is the disc
-        formula of two per-point antiderivatives along x1
-        (:meth:`_disc_integrals`), and the normalizer is 2 P(1), their
-        full panel prefix.  In d = 3 (:meth:`_profile_integrals`) each
-        column of corners sharing their trailing coordinates takes one
-        pass along x1 with the pair on every interval between its kinks
+        whose gap is the error.  In d = 2 the rule gives the disc's two
+        antiderivatives along x1 at each point (:meth:`_disc_values`), and
+        every corner's mass is the disc formula of them
+        (:meth:`_disc_integrals`).  In d = 3 (:meth:`_profile_integrals`)
+        each column of corners sharing their trailing coordinates takes
+        one pass along x1 with the pair on every interval between its kinks
         and levels, summed cumulatively; the error is the cumulative sum
         of the per-interval rule gaps.
+    disc_antiderivatives : callable, optional
+        For a density p(x1) on the d = 2 ball with closed-form
+        antiderivatives: x -> (P(x), Q(x)) for x in [-1, 1] (1-D), P' =
+        p(x) sqrt(1 - x^2) and Q' = p, vectorized; the disc formula then
+        takes them in place of the profile rule's, with error 0.
 
     Without a closed form the masses are :meth:`_integrals` of the clipped
-    corners over that of the domain's upper corner, the normalizer: the
-    profile rule, or adaptive quadrature row by row (d = 1 and the d = 2
-    box).  A measure that none of these serves (a ball in d >= 4, a ball
-    density without a profile, a box density in d >= 3 without a closed
-    form) raises NotImplementedError on construction, before anything is
-    computed.
+    corners over that of the domain's upper corner, the normalizer: in
+    d = 2 on the ball 2 (P(1) - P(-1)), else the profile rule or adaptive
+    quadrature row by row (d = 1 and the d = 2 box).  A measure that none
+    of these serves (a ball in d >= 4, a ball density without a profile or
+    antiderivatives, a box density in d >= 3 without a closed form) raises
+    NotImplementedError on construction, before anything is computed.
 
     :meth:`box_masses` takes corner rows and :meth:`grid_masses` the tensor
     grid of per-axis values.  For every measure but the d = 3 profile rule
@@ -383,6 +395,7 @@ class TargetMeasure:
         exact_inv_cdf: Optional[Callable] = None,
         exact_marginal_cdf: Optional[Callable] = None,
         profile: Optional[Callable] = None,
+        disc_antiderivatives: Optional[Callable] = None,
     ):
         self.domain = domain
         self.density = density
@@ -390,6 +403,7 @@ class TargetMeasure:
         self.exact_inv_cdf = exact_inv_cdf
         self.exact_marginal_cdf = exact_marginal_cdf
         self.profile = profile
+        self.disc_antiderivatives = disc_antiderivatives
         if exact_box_mass is not None:
             self.normalizer, self.normalizer_error = 1.0, 0.0
         else:
@@ -397,16 +411,23 @@ class TargetMeasure:
             ball = isinstance(domain, BallDomain)
             if ball and self.dim > 3:
                 raise NotImplementedError(f"box masses on the ball are implemented for d <= 3, not d = {self.dim}")
-            if not (self._profile_rule or self.dim == 1 or self.dim == 2 and not ball):
+            if not (self._ball_rule or self.dim == 1 or self.dim == 2 and not ball):
                 what = "a ball density without a profile" if ball else "a box density without a closed form"
                 raise NotImplementedError(f"no box-mass rule for {what} in d = {self.dim}")
-            if self._profile_rule and self.dim == 2:
-                # the panel prefix of the disc's antiderivatives P, Q, E_P and
-                # E_Q; the normalizer is 2 P(1), the full prefix
-                self._disc_prefix = np.zeros((4, _DISC_PANELS + 1))
-                panels = _disc_rule(profile, _DISC_EDGES[:-1], _DISC_EDGES[1:])
-                np.cumsum(panels, axis=1, out=self._disc_prefix[:, 1:])
-                num, err = 2.0 * self._disc_prefix[[0, 2], -1:]
+            if self._ball_rule and self.dim == 2:
+                if disc_antiderivatives is None:
+                    # the panel prefix of the rule's P, Q, E_P and E_Q: their
+                    # values at the panel edges, 0 at -1 and the full prefix
+                    # at 1
+                    self._disc_prefix = np.zeros((4, _DISC_PANELS + 1))
+                    panels = _disc_rule(profile, _DISC_EDGES[:-1], _DISC_EDGES[1:])
+                    np.cumsum(panels, axis=1, out=self._disc_prefix[:, 1:])
+                    ends = self._disc_prefix[:, [0, -1]]
+                else:
+                    ends = np.array(disc_antiderivatives(np.array([-1.0, 1.0])))
+                # the normalizer 2 (P(1) - P(-1)), with error 2 E_P(1)
+                self._disc_start = float(ends[0, 0])
+                num, err = [2.0 * (ends[0, 1] - ends[0, 0])], [2.0 * ends[2, 1] if len(ends) == 4 else 0.0]
             else:
                 num, err = self._integrals(domain.bounding()[1][None])
             self.normalizer, self.normalizer_error = float(num[0]), float(err[0])
@@ -473,45 +494,53 @@ class TargetMeasure:
         each column, a corner of the tensor grid of the trailing axes, once
         along x1 for all its levels c1; every other measure returns
         :meth:`box_masses` of the grid's rows in C order, bit for bit (the
-        d = 2 profile rule by broadcasting its antiderivatives at the c1
-        axis and at +-sqrt(1 - c2^2) of the c2 axis)."""
+        d = 2 ball, uniform or with a profile, by broadcasting its
+        antiderivatives at the c1 axis and at +-sqrt(1 - c2^2) of the c2
+        axis)."""
         masses, errs = self._grid_masses(axes)
         return masses, float(np.max(errs, initial=0.0))
 
     def _grid_masses(self, axes) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`grid_masses` with the error bound of every corner.  The
-        profile rules price the clipped grid and then set the empty, full
-        and NaN corners as :meth:`_box_masses` does."""
+        ball's rules price the clipped grid, each axis once in d = 2, and
+        then set the empty, full and NaN corners as :meth:`_box_masses`
+        does.  Those corners are whole rows (a level c1) and columns (the
+        trailing coordinates), so they are set by row and column index."""
         axes = [np.asarray(a, float).ravel() for a in axes]
         if len(axes) != self.dim:
             raise ValueError(f"{len(axes)} axes for measure dimension {self.dim}")
         shape = tuple(a.size for a in axes)
-        if not self._profile_rule:
+        if not self._ball_rule:
             rows = axes[0][:, None] if self.dim == 1 else np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
             masses, errs = self._box_masses(rows.reshape(-1, self.dim))
             return masses.reshape(shape), errs.reshape(shape)
+        # lo: each column's least coordinate
         c1 = axes[0]
         if self.dim == 2:
-            h = axes[1][:, None]
-            num, num_err = self._disc_integrals(np.clip(c1, -1.0, 1.0), np.clip(axes[1], -1.0, 1.0), grid=True)
-            masses, errs = self._normalized(num, num_err)
+            lo = axes[1]
+            num = self._disc_integrals(np.clip(c1, -1.0, 1.0), np.clip(lo, -1.0, 1.0), grid=True)
+            masses, errs = self._normalized(*num)
         else:
             # the columns: the corners of the trailing axes' grid, in C order
             h = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, self.dim - 1)
+            lo = h.min(axis=1)
             masses, errs = np.zeros((c1.size, len(h))), np.zeros((c1.size, len(h)))
-            levels, cols = c1 > -1.0, np.all(h > -1.0, axis=1)
+            levels, cols = c1 > -1.0, lo > -1.0
             if levels.any() and cols.any():
                 top = np.arcsin(np.minimum(c1[levels], 1.0))
                 hc = np.minimum(h[cols], 1.0)
                 num, num_err = self._profile_integrals(np.broadcast_to(top, (len(hc), top.size)), hc)
                 cells = np.ix_(levels, cols)
                 masses[cells], errs[cells] = self._normalized(num.T, num_err.T)
-        empty = (c1 <= -1.0)[:, None] | np.any(h <= -1.0, axis=1)
-        masses[empty], errs[empty] = 0.0, 0.0
-        full = (c1 >= 1.0)[:, None] & np.all(h >= 1.0, axis=1)
+        # a column is empty where lo is at most -1, full where it is at least
+        # 1, and NaN where it is NaN (min propagates NaN; NaN is set last)
+        full = np.flatnonzero(c1 >= 1.0)[:, None], lo >= 1.0
         masses[full], errs[full] = 1.0, 0.0
-        nan = np.isnan(c1)[:, None] | np.any(np.isnan(h), axis=1)
-        masses[nan], errs[nan] = np.nan, np.nan
+        for rows, cols, value in ((c1 <= -1.0, lo <= -1.0, 0.0), (np.isnan(c1), np.isnan(lo), np.nan)):
+            if rows.any():
+                masses[rows] = errs[rows] = value
+            if cols.any():
+                masses[:, cols] = errs[:, cols] = value
         return masses.reshape(shape), errs.reshape(shape)
 
     def box_mass(self, corner) -> tuple[float, float]:
@@ -521,61 +550,83 @@ class TargetMeasure:
         return float(masses[0]), err
 
     @property
-    def _profile_rule(self) -> bool:
-        """Whether box masses come from the profile rule: a ball in d = 2
-        or 3 with a profile."""
-        return self.profile is not None and 2 <= self.dim <= 3 and isinstance(self.domain, BallDomain)
+    def _ball_rule(self) -> bool:
+        """Whether box masses come from the ball's rules: the disc formula
+        in d = 2 (a profile or closed-form antiderivatives), the profile
+        rule in d = 3."""
+        if not isinstance(self.domain, BallDomain):
+            return False
+        return (self.dim == 2 and self.disc_antiderivatives is not None) or (
+            self.profile is not None and 2 <= self.dim <= 3
+        )
 
-    def _normalized(self, num: np.ndarray, num_err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _normalized(self, num: np.ndarray, num_err: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Masses and error bounds from unnormalized integrals and their
-        errors."""
+        errors; errors None (a closed form) give error 0."""
         vals = np.clip(num / self.normalizer, 0.0, 1.0)
+        if num_err is None:
+            return vals, np.zeros(vals.shape)
         return vals, (num_err + vals * self.normalizer_error) / self.normalizer
 
-    def _disc_antiderivatives(self, x: np.ndarray) -> np.ndarray:
-        """The disc's antiderivatives P(x) = int_-1^x profile(u) sqrt(1 -
-        u^2) du and Q(x) = int_-1^x profile(u) du and their errors E_P, E_Q
-        at the points x in [-1, 1] (1-D), shape (4, x.size): for theta =
-        asin x in the panel [e_k, e_k+1), the panel prefix below e_k plus
-        :func:`_disc_rule` on [e_k, theta].  Each value depends on its own
-        point alone; the points go a chunk of at most :data:`_PROFILE_CHUNK`
-        integrand values at a time."""
-        out = np.empty((4, x.size))
-        step = max(1, _PROFILE_CHUNK // _DISC_NODES.size)
+    def _disc_values(self, x: np.ndarray) -> np.ndarray:
+        """The disc's antiderivatives P (of p(u) sqrt(1 - u^2)) and Q (of p)
+        at the points x in [-1, 1] (1-D): the closed forms, shape (2,
+        x.size), or the profile rule's, shape (4, x.size), P(x) = int_-1^x
+        p(u) sqrt(1 - u^2) du and Q(x) = int_-1^x p(u) du with their errors
+        E_P and E_Q.  For theta = asin x in the panel [e_k, e_k+1) the rule
+        takes the panel prefix below e_k plus :func:`_disc_rule` on [e_k,
+        theta].  Each value depends on its own point alone; the points go a
+        chunk of at most :data:`_PROFILE_CHUNK` values (36 integrand values
+        per point for the rule) at a time."""
+        closed = self.disc_antiderivatives is not None
+        out = np.empty((2 if closed else 4, x.size))
+        step = _PROFILE_CHUNK if closed else max(1, _PROFILE_CHUNK // _DISC_NODES.size)
         for i in range(0, x.size, step):
+            if closed:
+                out[:, i : i + step] = self.disc_antiderivatives(x[i : i + step])
+                continue
             theta = np.arcsin(x[i : i + step])
             k = np.searchsorted(_DISC_EDGES, theta, side="right") - 1
             out[:, i : i + step] = self._disc_prefix[:, k] + _disc_rule(self.profile, _DISC_EDGES[k], theta)
         return out
 
-    def _disc_integrals(self, t: np.ndarray, c: np.ndarray, grid: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """Unnormalized masses and errors of a disc with a profile below the
-        corners (t_i, c_i) in [-1, 1]^2 (t, c of shape (m,)), or, when
-        ``grid``, below the tensor grid of t and c, shape (t.size, c.size):
-        :func:`_disc_combine` of :meth:`_disc_antiderivatives` at t, -s and
-        s, s = sqrt(1 - c^2).  Rows go a chunk of :data:`_PROFILE_CHUNK`
-        integrand values at a time; a grid's axes take one call, combined by
-        broadcasting in blocks of at most :data:`_PROFILE_CHUNK` corners.  A
-        grid's masses are those of its rows, bit for bit."""
+    def _disc_integrals(self, t: np.ndarray, c: np.ndarray, grid: bool = False) -> tuple:
+        """Unnormalized masses and errors (None for closed-form
+        antiderivatives) of the d = 2 ball below the corners (t_i, c_i) in
+        [-1, 1]^2 (t, c of shape (m,)), or, when ``grid``, below the tensor
+        grid of t and c, shape (t.size, c.size): :func:`_disc_combine` of
+        :meth:`_disc_values` at t, -s and s, s = sqrt(1 - c^2).  Rows go a
+        chunk of :data:`_PROFILE_CHUNK` values at a time; a grid's axes
+        take one call, combined by broadcasting in blocks of at most
+        :data:`_PROFILE_CHUNK` corners.  A grid's masses are those of its
+        rows, bit for bit."""
         s = np.sqrt(1.0 - c * c)
+        closed = self.disc_antiderivatives is not None
+        num = np.empty((t.size, c.size) if grid else t.size)
+        err = None if closed else np.empty(num.shape)
+
+        def put(block, *args):
+            num[block], e = _disc_combine(*args, self._disc_start)
+            if err is not None:
+                err[block] = e
+
         if not grid:
-            out = np.empty((2, t.size))
-            step = max(1, _PROFILE_CHUNK // (3 * _DISC_NODES.size))
+            step = max(1, _PROFILE_CHUNK // (3 if closed else 3 * _DISC_NODES.size))
             for i in range(0, t.size, step):
                 b = slice(i, i + step)
-                at = self._disc_antiderivatives(np.concatenate([t[b], -s[b], s[b]]))
-                out[:, b] = _disc_combine(t[b], c[b], s[b], *np.split(at, 3, axis=1))
-            return out[0], out[1]
-        at = self._disc_antiderivatives(np.concatenate([t, -s, s]))
-        at_t, lo, hi = np.split(at, [t.size, t.size + c.size], axis=1)
-        out = np.empty((2, t.size, c.size))
+                at = self._disc_values(np.concatenate([t[b], -s[b], s[b]]))
+                k = len(at[0]) // 3
+                put(b, t[b], c[b], s[b], at[:, :k], at[:, k : 2 * k], at[:, 2 * k :])
+            return num, err
+        at = self._disc_values(np.concatenate([t, -s, s]))
+        at_t, lo, hi = at[:, : t.size], at[:, t.size : t.size + c.size], at[:, t.size + c.size :]
         rows = max(1, min(t.size, _PROFILE_CHUNK))
         cols = max(1, _PROFILE_CHUNK // rows)
         for i in range(0, t.size, rows):
             for j in range(0, c.size, cols):
                 b, r = slice(i, i + rows), slice(j, j + cols)
-                out[:, b, r] = _disc_combine(t[b, None], c[r], s[r], at_t[:, b, None], lo[:, r], hi[:, r])
-        return out[0], out[1]
+                put((b, r), t[b, None], c[r], s[r], at_t[:, b, None], lo[:, r], hi[:, r])
+        return num, err
 
     def _profile_integrals(self, top: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unit 3-ball with a profile: int profile(sin t) S(cos t; h) cos t dt
@@ -653,10 +704,11 @@ class TargetMeasure:
         their errors, one per row h of ``hi`` (shape (m, d), inside the
         domain's bounding box and above its lower corner): the d = 2 profile
         rule, the d = 3 one with each row its own column, else scipy
-        ``quad`` (d = 1) or ``dblquad`` (a d = 2 box) row by row."""
-        if self._profile_rule and self.dim == 2:
+        ``quad`` (d = 1) or ``dblquad`` (a d = 2 box) row by row.  Closed-form
+        disc antiderivatives have errors None."""
+        if self._ball_rule and self.dim == 2:
             return self._disc_integrals(hi[:, 0], hi[:, 1])
-        if self._profile_rule:
+        if self._ball_rule:
             num, err = self._profile_integrals(np.arcsin(hi[:, :1]), hi[:, 1:])
             return num[:, 0], err[:, 0]
         lo = self.domain.bounding()[0]
@@ -795,20 +847,15 @@ def exp_linear_box(alpha: float, lower: Sequence[float], upper: Sequence[float])
     )
 
 
-def _uniform_disc_mass(hi: np.ndarray) -> np.ndarray:
-    """pi((-inf, c)) for the uniform unit disc and corners c = (c1, c2) in
-    [-1, 1]^2: :func:`_disc_area` over pi."""
-    return np.clip(_disc_area(hi[:, 0], hi[:, 1]) / math.pi, 0.0, 1.0)
-
-
 def uniform_ball(d: int) -> TargetMeasure:
-    """Uniform distribution on the Euclidean unit ball; closed-form box
-    masses in d = 2, the profile rule with profile 1 in d = 3, and
-    closed-form marginals, numpy only.  In d = 2 every coordinate t has CDF
-    2 (G(t) - G(-1)) / pi through :func:`_disc_area_below`: the box masses
-    of the corners (t, +inf) bit for bit.  In d = 3 it is the cubic
-    (t+1)^2 (2-t)/4.  In d >= 4 no box-mass rule exists:
-    NotImplementedError."""
+    """Uniform distribution on the Euclidean unit ball, numpy only: box
+    masses from the disc formula of the closed-form antiderivatives G =
+    :func:`_disc_area_below` and the identity in d = 2, with error 0 and
+    normalizer 2 (G(1) - G(-1)) = pi to the bit; the profile rule with
+    profile 1 in d = 3; closed-form marginals.  In d = 2 every coordinate t
+    has CDF 2 (G(t) - G(-1)) / pi, the box masses of the corners (t, +inf)
+    bit for bit.  In d = 3 it is the cubic (t+1)^2 (2-t)/4.  In d >= 4 no
+    box-mass rule exists: NotImplementedError."""
     if d == 1:
         return uniform_interval(-1.0, 1.0)
     G, below = _disc_area_below, _disc_area_below(-1.0)
@@ -816,9 +863,9 @@ def uniform_ball(d: int) -> TargetMeasure:
     return TargetMeasure(
         BallDomain(d),
         lambda x: np.ones(x.shape[0]),
-        exact_box_mass=_uniform_disc_mass if d == 2 else None,
         exact_marginal_cdf=disc if d == 2 else lambda t: (t + 1.0) ** 2 * (2.0 - t) / 4.0,
         profile=None if d == 2 else lambda x1: np.ones(np.shape(x1)),
+        disc_antiderivatives=(lambda x: (G(x), x)) if d == 2 else None,
     )
 
 

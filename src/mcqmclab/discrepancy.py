@@ -10,7 +10,6 @@ instead of nudging by an epsilon.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -105,11 +104,19 @@ def _count_grid(bins: Sequence[np.ndarray], dims: Sequence[int]) -> np.ndarray:
 
 def _grid_scan(points: np.ndarray, measure: TargetMeasure) -> tuple[float, float]:
     """Largest deviation and largest mass error over the critical grid of
-    one point set (n, d), d = 2 or 3, from its count grid."""
+    one point set (n, d), d = 2 or 3, from its count grid.
+
+    Each corner has 2^d count combinations, one per axis strict or closed,
+    and counts are cumulative on every axis, so each lies between the
+    all-strict count a and the all-closed count b.  fl(c / n) - m is
+    monotone in c, so the largest |c / n - m| over them is at a or b: the
+    largest deviation is max(max(b / n - m), -min(a / n - m)), the
+    argument of :func:`_sorted_scans`, bit for bit."""
     n, d = points.shape
     # per axis the distinct coordinates, then +inf, and every point's bin:
     # its rank among them, plus one
-    values, ranks = zip(*(np.unique(points[:, j], return_inverse=True) for j in range(d)))
+    values = [np.unique(points[:, j]) for j in range(d)]
+    ranks = [np.searchsorted(v, points[:, j]) for j, v in enumerate(values)]
     values = [np.append(v, np.inf) for v in values]
     # the count grid of the one set with its axes reversed, so that a chunk
     # of the last axis is a contiguous block of it
@@ -119,14 +126,14 @@ def _grid_scan(points: np.ndarray, measure: TargetMeasure) -> tuple[float, float
     best = max_err = 0.0
     for start in range(0, last.size, step):
         masses, errs = measure._grid_masses(whole + [last[start : start + step]])
-        max_err = np.maximum(max_err, np.max(errs))
+        max_err = np.maximum(max_err, errs.max())
         # in the count grid's axis order
         masses = masses.T
         # the chunk's values of the last axis and one more, for the closed
         # branch of its last value
         chunk = counts[start : start + len(masses) + 1]
-        for idx in itertools.product((slice(-1), slice(1, None)), repeat=d):
-            best = np.maximum(best, np.max(np.abs(chunk[idx] / n - masses)))
+        strict, closed = chunk[(slice(-1),) * d], chunk[(slice(1, None),) * d]
+        best = np.maximum(best, np.maximum((closed / n - masses).max(), -(strict / n - masses).min()))
     return float(best), float(max_err)
 
 
@@ -195,9 +202,11 @@ def star_discrepancy_exact(points, measure: TargetMeasure) -> DiscrepancyReport:
     masses come from :meth:`TargetMeasure.grid_masses`, a chunk of the last
     axis at a time with the others whole, so that the d = 3 profile rule's
     cumulative axis x1 is never split (a d = 2 mass depends on its own
-    corner alone) and the result does not depend on the chunk size.  The bracket is the largest deviation plus and minus the
-    largest box-mass error.  This is the one-set call of
-    :func:`_exact_scans`.
+    corner alone) and the result does not depend on the chunk size.  Each
+    corner is compared with its all-strict and all-closed counts only
+    (:func:`_grid_scan`), which bound the other 2^d - 2.  The bracket is
+    the largest deviation plus and minus the largest box-mass error.  This
+    is the one-set call of :func:`_exact_scans`.
     """
     return _exact_scans(_as_points(points, measure.dim)[None], measure)[0]
 

@@ -78,14 +78,19 @@ def _candidates(config: SearchConfig, rows: int, s: int) -> tuple[list, list]:
     candidate j of kind ``candidate_kinds[j % len(candidate_kinds)]``.  The
     uniform-random drivers are the child streams j of ``Rng(seed)``, all
     drawn in one counter block; the halton kinds share one Halton sequence.
-    Every driver's first r rows are its driver at rows = r."""
-    kinds = [config.candidate_kinds[j % len(config.candidate_kinds)] for j in range(config.k)]
+    Every driver's first r rows are its driver at rows = r.  The indices of
+    the uniform-random candidates and their block are numpy arrays built
+    before any per-candidate Python work, so a k beyond memory is refused
+    by numpy's allocation at once."""
+    kinds = config.candidate_kinds
+    j = np.arange(config.k)
+    uniform = j[np.array([kind == "uniform-random" for kind in kinds])[j % len(kinds)]]
     rng = Rng(config.seed)
-    uniform = [j for j, kind in enumerate(kinds) if kind == "uniform-random"]
     block = iter(rng.split_uniforms(uniform, rows * s).reshape(len(uniform), rows, s))
     halton = halton_sequence(rows, s) if len(uniform) < config.k else None
     labels, drivers = [], []
-    for j, kind in enumerate(kinds):
+    for j in range(config.k):
+        kind = kinds[j % len(kinds)]
         if kind == "uniform-random":
             labels.append(f"uniform-random(seed={rng.split(j).seed:#x})")
             drivers.append(next(block))

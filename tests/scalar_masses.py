@@ -32,7 +32,6 @@ from mcqmclab.core import (
     _ball_section,
     _ball_section_kinks,
     _disc_area_below,
-    _uniform_disc_mass,
 )
 
 
@@ -64,9 +63,11 @@ def _section_kinks(h):
 
 def disc_by_box_masses():
     """The uniform disc without its closed-form marginal: marginal CDFs are
-    the box masses of the corners with +inf in the other coordinate, and
+    the box masses of the corners with +inf in the other coordinate, from
+    the disc formula of G = ``_disc_area_below`` and the identity, and
     quantiles are bisected from them."""
-    return TargetMeasure(BallDomain(2), lambda x: np.ones(x.shape[0]), exact_box_mass=_uniform_disc_mass)
+    G = _disc_area_below
+    return TargetMeasure(BallDomain(2), lambda x: np.ones(x.shape[0]), disc_antiderivatives=lambda x: (G(x), x))
 
 
 def quantile_cuts(cdf, delta: float, d: int = 2) -> list:

@@ -571,6 +571,55 @@ class TestRunExperiments:
         with pytest.raises(ValueError, match="array is not too big"):
             main(["run", _write(tmp_path, "c.json", cfg)])
 
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            pytest.param({"experiment": "search", "n": 4, "k": 10**12}, id="search-k-10^12"),
+            pytest.param({"experiment": "search", "n": 4, "k": 10**9}, id="search-k-10^9"),
+            pytest.param({"experiment": "rate-study", "ns": [4, 8], "k": 10**12}, id="rate-study-k-10^12"),
+        ],
+    )
+    def test_absurd_k_exits_3_at_once(self, tmp_path, keys):
+        # the candidate block is sized with numpy before any per-candidate
+        # Python work, so numpy refuses it at once (a k-entry Python list
+        # ran for minutes and then ended in a bare MemoryError).  The run
+        # goes in a subprocess under a 3 GiB address-space limit, so that a
+        # regression fails here instead of exhausting the host; -B keeps it
+        # from writing bytecode next to the sources
+        import os
+        import resource
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import mcqmclab
+
+        limit = 3 * 2**30
+        cfg = _write(tmp_path, "c.json", {"dimension": 1, **keys, "output": str(tmp_path / "s.csv")})
+        src = str(Path(mcqmclab.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "mcqmclab.cli", "run", cfg],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("infeasible: Unable to allocate") and proc.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+    def test_message_less_exception_prints_its_type(self, tmp_path, capsys, monkeypatch):
+        # an exit-3 line is never blank: a MemoryError without a message
+        # prints its type name
+        from mcqmclab import cli
+
+        def fault(p):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli._RUNNERS, "discrepancy", fault)
+        cfg = {"experiment": "discrepancy", "output": str(tmp_path / "s.csv")}
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 3
+        assert capsys.readouterr().err == "infeasible: MemoryError\n"
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_alpha_at_its_upper_end_runs(self, tmp_path, capsys, d):
         # e^700 is near the largest float: the d = 3 profile rule's

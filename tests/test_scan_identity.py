@@ -103,20 +103,29 @@ def test_quadrature_measures_bit_identical():
 
 
 @pytest.mark.parametrize("chunk_cells", [discrepancy._SCAN_CHUNK_CELLS, 10])
-@given(st.integers(1, 3), st.sampled_from([0.0, 1.3]), st.data())
-@settings(max_examples=40, deadline=None)
-def test_random_ties_bit_identical(chunk_cells, d, alpha, data):
+@given(st.integers(1, 3), st.sampled_from([0.0, 1.3]), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_random_ties_bit_identical(chunk_cells, d, alpha, disc, data):
     # coordinates on 5 values per axis, domain ends included, so ties are
-    # dense; 10 cells make the mass chunks end inside the grid
-    lo, hi = np.array([-1.0, -0.5, 0.0][:d]), np.array([1.0, 2.0, 0.5][:d])
-    measure = uniform_box(lo, hi) if alpha == 0.0 else exp_linear_box(alpha, lo, hi)
+    # dense; 10 cells make the mass chunks end inside the grid.  The boxes
+    # take d = 1, 2 and 3 and their scalar closed forms; the discs (uniform
+    # and exp-linear, d = 2) take the values over sqrt(2), inside the
+    # closed disc, and box_mass one corner at a time
+    if disc:
+        d, lo, hi = 2, np.full(2, -(0.5**0.5)), np.full(2, 0.5**0.5)
+        measure = uniform_ball(2) if alpha == 0.0 else exp_linear_ball(alpha, 2)
+        oracle = ref.measure_oracle(measure)
+    else:
+        lo, hi = np.array([-1.0, -0.5, 0.0][:d]), np.array([1.0, 2.0, 0.5][:d])
+        measure = uniform_box(lo, hi) if alpha == 0.0 else exp_linear_box(alpha, lo, hi)
+        oracle = ref.product_oracle(alpha, lo, hi)
     n = data.draw(st.integers(1, 16))
     steps = data.draw(
         st.lists(st.lists(st.integers(0, 4), min_size=d, max_size=d), min_size=n, max_size=n)
     )
     pts = lo + (hi - lo) * np.array(steps) / 4.0
     with mock.patch.object(discrepancy, "_SCAN_CHUNK_CELLS", chunk_cells):
-        _same_as_scalar(pts, measure, ref.product_oracle(alpha, lo, hi))
+        _same_as_scalar(pts, measure, oracle)
 
 
 _BLOCK_MEASURES = {
@@ -460,7 +469,7 @@ def test_profile_grid_does_not_depend_on_the_chunk(monkeypatch, alpha):
 
 def _unit_disc_area(t, c):
     """Area of the unit disc below (t, c) in [-1, 1]^2 in Python floats: the
-    closed form of ``core._uniform_disc_mass`` (checked against dblquad
+    closed form of ``uniform_ball(2)``'s masses (checked against dblquad
     above) times pi."""
     G = lambda u: 0.5 * (u * math.sqrt(1.0 - u * u) + math.asin(u))
     s = math.sqrt(1.0 - c * c)
@@ -608,6 +617,25 @@ def test_disc_temporaries_are_bounded_by_the_chunk():
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
     assert max(peaks) < 20 * core._PROFILE_CHUNK * 8
+
+
+def test_uniform_disc_grid_temporaries_are_bounded_by_the_chunk():
+    # the uniform disc's grid of 200,000 levels c1 by 3 values c2: G is
+    # taken a chunk of points at a time and the masses are combined a block
+    # of corners at a time.  The two grids the call holds, the masses and
+    # the per-corner errors, are 18.3 chunks of floats themselves, so the
+    # bound is on the peak above them: below 20 chunks (measured 9.9; 99.6
+    # through the rows of the meshgrid)
+    import tracemalloc
+
+    measure = uniform_ball(2)
+    c1, c2 = np.linspace(-0.95, 0.95, 200_000), np.array([-0.5, 0.1, 0.7])
+    tracemalloc.start()
+    masses, err = measure.grid_masses([c1, c2])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert err == 0.0 and masses.shape == (c1.size, c2.size)
+    assert peak - 2 * masses.nbytes < 20 * core._PROFILE_CHUNK * 8
 
 
 def test_profile_temporaries_are_bounded_by_the_chunk():
