@@ -205,8 +205,8 @@ def make_lazy_direct_kernel(
         X[...] = np.take_along_axis(draws, last[..., None], axis=0)
 
     def marginal(steps: Sequence[int], corners: np.ndarray) -> np.ndarray:
-        m_nu = nu.box_masses(corners)[0][:, None]
         m_pi = target.box_masses(corners)[0][:, None]
+        m_nu = m_pi if nu is target else nu.box_masses(corners)[0][:, None]
         # float_power matches Python's float pow of the per-step form bit
         # for bit; numpy's power differs from it on some inputs
         w = np.float_power(1.0 - a, np.asarray(steps, float))

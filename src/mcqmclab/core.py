@@ -220,8 +220,8 @@ _DISC_PANEL_EDGES = -0.5 * math.pi + math.pi / _DISC_PANELS * np.arange(_DISC_PA
 _DISC_EDGES = np.append(_DISC_PANEL_EDGES, 0.5 * math.pi)
 # the profile rule holds at most this many integrand values at once (48 per
 # interval of a d = 3 column, one column at least; 36 per point of the
-# disc's antiderivatives, one point at least), and the disc's masses are
-# combined this many corners at a time
+# disc's antiderivatives, one point at least), and grid_masses prices this
+# many corners at a time
 _PROFILE_CHUNK = 1 << 16
 
 
@@ -380,10 +380,10 @@ class TargetMeasure:
     NotImplementedError on construction, before anything is computed.
 
     :meth:`box_masses` takes corner rows and :meth:`grid_masses` the tensor
-    grid of per-axis values.  For every measure but the d = 3 profile rule
-    the grid's masses are :meth:`box_masses` of its rows, bit for bit; with
-    that rule a row is a column with one level, and the two agree within
-    their reported errors.
+    grid of per-axis values (:meth:`grid_pricer`).  For every measure but
+    the d = 3 profile rule the grid's masses are :meth:`box_masses` of its
+    rows, bit for bit; with that rule a row is a column with one level, and
+    the two agree within their reported errors.
     """
 
     def __init__(
@@ -468,80 +468,98 @@ class TargetMeasure:
             full &= c[:, j] >= hi_dom[j]
         inside = ~(nan | empty | full)
         if len(c) and inside.all():
-            hi = np.minimum(c, hi_dom)
-            if self.exact_box_mass is not None:
-                return self.exact_box_mass(hi), np.zeros(len(c))
-            return self._normalized(*self._integrals(hi))
+            masses, errs = self._clipped_masses(np.minimum(c, hi_dom))
+            return masses, np.zeros(len(c)) if errs is None else errs
         full &= ~empty
         masses = np.where(nan, np.nan, full.astype(float))
         errs = np.where(nan, np.nan, 0.0)
         rest = np.flatnonzero(inside)
         if rest.size == 0:
             return masses, errs
-        hi = np.minimum(c[rest], hi_dom)
-        if self.exact_box_mass is not None:
-            masses[rest] = self.exact_box_mass(hi)
-        else:
-            masses[rest], errs[rest] = self._normalized(*self._integrals(hi))
+        masses[rest], rest_errs = self._clipped_masses(np.minimum(c[rest], hi_dom))
+        errs[rest] = 0.0 if rest_errs is None else rest_errs
         return masses, errs
+
+    def _clipped_masses(self, hi: np.ndarray) -> tuple:
+        """Masses and errors (None for a closed form) of clipped interior rows."""
+        if self.exact_box_mass is not None:
+            return self.exact_box_mass(hi), None
+        return self._normalized(*self._integrals(hi))
 
     def grid_masses(self, axes) -> tuple[np.ndarray, float]:
         """Masses of the open boxes ``(-inf, c)`` for every corner c of the
         tensor grid of the per-axis values ``axes[j]`` (each flattened), with
         the same special cases as :meth:`box_masses`: ``masses[i_1, ...,
         i_d]`` belongs to the corner (axes[0][i_1], ..., axes[d-1][i_d]),
-        plus the largest error bound.  The d = 3 profile rule integrates
-        each column, a corner of the tensor grid of the trailing axes, once
-        along x1 for all its levels c1; every other measure returns
-        :meth:`box_masses` of the grid's rows in C order, bit for bit (the
-        d = 2 ball, uniform or with a profile, by broadcasting its
-        antiderivatives at the c1 axis and at +-sqrt(1 - c2^2) of the c2
-        axis)."""
-        masses, errs = self._grid_masses(axes)
-        return masses, float(np.max(errs, initial=0.0))
+        plus the largest error bound: :meth:`grid_pricer` asked for
+        :data:`_PROFILE_CHUNK` corners at a time, a chunk of the last axis."""
+        price = self.grid_pricer(axes)
+        shape = tuple(np.size(a) for a in axes)
+        step = max(1, _PROFILE_CHUNK // max(1, math.prod(shape[:-1])))
+        masses, err = np.empty(shape), 0.0
+        for start in range(0, shape[-1], step):
+            chunk = slice(start, start + step)
+            masses[..., chunk], errs = price([slice(None)] * (len(shape) - 1) + [chunk])
+            err = np.maximum(err, 0.0 if errs is None else np.max(errs, initial=0.0))
+        return masses, float(err)
 
-    def _grid_masses(self, axes) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`grid_masses` with the error bound of every corner.  The
-        ball's rules price the clipped grid, each axis once in d = 2, and
-        then set the empty, full and NaN corners as :meth:`_box_masses`
-        does.  Those corners are whole rows (a level c1) and columns (the
-        trailing coordinates), so they are set by row and column index."""
+    def grid_pricer(self, axes) -> Callable[[Sequence[slice]], tuple[np.ndarray, Optional[np.ndarray]]]:
+        """A function of one slice per axis giving the masses of that
+        sub-grid of the grid of ``axes`` (:meth:`grid_masses`) and every
+        corner's error, or None where all are 0 (a closed form, no NaN
+        corner).  Each axis's work is done once, here: the disc's P and Q
+        at the clipped c1 axis and at +-s of the c2 axis; the d = 3 profile
+        rule integrates the requested columns over the whole c1 axis.  Other
+        measures take :meth:`_box_masses` of the sub-grid's rows."""
         axes = [np.asarray(a, float).ravel() for a in axes]
         if len(axes) != self.dim:
             raise ValueError(f"{len(axes)} axes for measure dimension {self.dim}")
-        shape = tuple(a.size for a in axes)
-        if not self._ball_rule:
-            rows = axes[0][:, None] if self.dim == 1 else np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-            masses, errs = self._box_masses(rows.reshape(-1, self.dim))
-            return masses.reshape(shape), errs.reshape(shape)
-        # lo: each column's least coordinate
-        c1 = axes[0]
-        if self.dim == 2:
-            lo = axes[1]
-            num = self._disc_integrals(np.clip(c1, -1.0, 1.0), np.clip(lo, -1.0, 1.0), grid=True)
-            masses, errs = self._normalized(*num)
-        else:
-            # the columns: the corners of the trailing axes' grid, in C order
-            h = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, self.dim - 1)
-            lo = h.min(axis=1)
-            masses, errs = np.zeros((c1.size, len(h))), np.zeros((c1.size, len(h)))
-            levels, cols = c1 > -1.0, lo > -1.0
-            if levels.any() and cols.any():
-                top = np.arcsin(np.minimum(c1[levels], 1.0))
-                hc = np.minimum(h[cols], 1.0)
-                num, num_err = self._profile_integrals(np.broadcast_to(top, (len(hc), top.size)), hc)
-                cells = np.ix_(levels, cols)
-                masses[cells], errs[cells] = self._normalized(num.T, num_err.T)
-        # a column is empty where lo is at most -1, full where it is at least
-        # 1, and NaN where it is NaN (min propagates NaN; NaN is set last)
-        full = np.flatnonzero(c1 >= 1.0)[:, None], lo >= 1.0
-        masses[full], errs[full] = 1.0, 0.0
-        for rows, cols, value in ((c1 <= -1.0, lo <= -1.0, 0.0), (np.isnan(c1), np.isnan(lo), np.nan)):
-            if rows.any():
-                masses[rows] = errs[rows] = value
-            if cols.any():
-                masses[:, cols] = errs[:, cols] = value
-        return masses.reshape(shape), errs.reshape(shape)
+        ball = self._ball_rule
+        if ball and self.dim == 2:
+            t, c = np.clip(axes[0], -1.0, 1.0), np.clip(axes[1], -1.0, 1.0)
+            s = np.sqrt(1.0 - c * c)
+            at = self._disc_values(np.concatenate([t, -s, s]))
+            at_t, at_lo, at_hi = at[:, : t.size], at[:, t.size : t.size + c.size], at[:, t.size + c.size :]
+        elif ball:
+            levels = axes[0] > -1.0
+            top = np.arcsin(np.minimum(axes[0][levels], 1.0))
+
+        def price(ranges):
+            sub = [a[r] for a, r in zip(axes, ranges)]
+            shape = tuple(a.size for a in sub)
+            if not ball:
+                grid = sub[0][:, None] if self.dim == 1 else np.stack(np.meshgrid(*sub, indexing="ij"), axis=-1)
+                masses, errs = self._box_masses(grid.reshape(-1, self.dim))
+                return masses.reshape(shape), errs.reshape(shape)
+            r1, r2 = ranges[0], ranges[-1]
+            if self.dim == 2:
+                least = sub[1]
+                at_c = c[r2], s[r2], at_t[:, r1, None], at_lo[:, r2], at_hi[:, r2]
+                masses, errs = self._normalized(*_disc_combine(t[r1, None], *at_c, self._disc_start))
+            else:
+                # the columns: the corners of the trailing axes' grid, in C order
+                h = np.stack(np.meshgrid(*sub[1:], indexing="ij"), axis=-1).reshape(-1, self.dim - 1)
+                least = h.min(axis=1)
+                masses, errs = np.zeros((2, levels.size, len(h)))
+                cols = least > -1.0
+                if top.size and cols.any():
+                    hc = np.minimum(h[cols], 1.0)
+                    num, num_err = self._profile_integrals(np.broadcast_to(top, (len(hc), top.size)), hc)
+                    masses[np.ix_(levels, cols)], errs[np.ix_(levels, cols)] = self._normalized(num.T, num_err.T)
+                masses, errs = masses[r1], errs[r1]
+            # empty, full and NaN rows and columns (min propagates NaN; NaN last)
+            level = sub[0]
+            if errs is None and (np.isnan(level).any() or np.isnan(least).any()):
+                errs = np.zeros(masses.shape)
+            full = np.flatnonzero(level >= 1.0)[:, None], least >= 1.0
+            specials = (level <= -1.0, least <= -1.0, 0.0), (np.isnan(level), np.isnan(least), np.nan)
+            for grid, full_value in zip((masses,) if errs is None else (masses, errs), (1.0, 0.0)):
+                grid[full] = full_value
+                for rows, cols, value in specials:
+                    grid[rows] = grid[:, cols] = value
+            return masses.reshape(shape), None if errs is None else errs.reshape(shape)
+
+        return price
 
     def box_mass(self, corner) -> tuple[float, float]:
         """Normalized mass of the open box ``(-inf, corner)`` intersected with
@@ -560,12 +578,12 @@ class TargetMeasure:
             self.profile is not None and 2 <= self.dim <= 3
         )
 
-    def _normalized(self, num: np.ndarray, num_err: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def _normalized(self, num: np.ndarray, num_err: Optional[np.ndarray]) -> tuple:
         """Masses and error bounds from unnormalized integrals and their
-        errors; errors None (a closed form) give error 0."""
+        errors; errors None (a closed form) stay None."""
         vals = np.clip(num / self.normalizer, 0.0, 1.0)
         if num_err is None:
-            return vals, np.zeros(vals.shape)
+            return vals, None
         return vals, (num_err + vals * self.normalizer_error) / self.normalizer
 
     def _disc_values(self, x: np.ndarray) -> np.ndarray:
@@ -590,42 +608,21 @@ class TargetMeasure:
             out[:, i : i + step] = self._disc_prefix[:, k] + _disc_rule(self.profile, _DISC_EDGES[k], theta)
         return out
 
-    def _disc_integrals(self, t: np.ndarray, c: np.ndarray, grid: bool = False) -> tuple:
+    def _disc_integrals(self, t: np.ndarray, c: np.ndarray) -> tuple:
         """Unnormalized masses and errors (None for closed-form
         antiderivatives) of the d = 2 ball below the corners (t_i, c_i) in
-        [-1, 1]^2 (t, c of shape (m,)), or, when ``grid``, below the tensor
-        grid of t and c, shape (t.size, c.size): :func:`_disc_combine` of
-        :meth:`_disc_values` at t, -s and s, s = sqrt(1 - c^2).  Rows go a
-        chunk of :data:`_PROFILE_CHUNK` values at a time; a grid's axes
-        take one call, combined by broadcasting in blocks of at most
-        :data:`_PROFILE_CHUNK` corners.  A grid's masses are those of its
-        rows, bit for bit."""
+        [-1, 1]^2: :func:`_disc_combine` of :meth:`_disc_values` at t, -s
+        and s, s = sqrt(1 - c^2), in chunks of :data:`_PROFILE_CHUNK` values."""
         s = np.sqrt(1.0 - c * c)
         closed = self.disc_antiderivatives is not None
-        num = np.empty((t.size, c.size) if grid else t.size)
-        err = None if closed else np.empty(num.shape)
-
-        def put(block, *args):
-            num[block], e = _disc_combine(*args, self._disc_start)
+        num, err = np.empty(t.size), None if closed else np.empty(t.size)
+        step = max(1, _PROFILE_CHUNK // (3 if closed else 3 * _DISC_NODES.size))
+        for i in range(0, t.size, step):
+            b = slice(i, i + step)
+            at = self._disc_values(np.concatenate([t[b], -s[b], s[b]])).reshape(-1, 3, t[b].size)
+            num[b], e = _disc_combine(t[b], c[b], s[b], *at.swapaxes(0, 1), self._disc_start)
             if err is not None:
-                err[block] = e
-
-        if not grid:
-            step = max(1, _PROFILE_CHUNK // (3 if closed else 3 * _DISC_NODES.size))
-            for i in range(0, t.size, step):
-                b = slice(i, i + step)
-                at = self._disc_values(np.concatenate([t[b], -s[b], s[b]]))
-                k = len(at[0]) // 3
-                put(b, t[b], c[b], s[b], at[:, :k], at[:, k : 2 * k], at[:, 2 * k :])
-            return num, err
-        at = self._disc_values(np.concatenate([t, -s, s]))
-        at_t, lo, hi = at[:, : t.size], at[:, t.size : t.size + c.size], at[:, t.size + c.size :]
-        rows = max(1, min(t.size, _PROFILE_CHUNK))
-        cols = max(1, _PROFILE_CHUNK // rows)
-        for i in range(0, t.size, rows):
-            for j in range(0, c.size, cols):
-                b, r = slice(i, i + rows), slice(j, j + cols)
-                put((b, r), t[b, None], c[r], s[r], at_t[:, b, None], lo[:, r], hi[:, r])
+                err[b] = e
         return num, err
 
     def _profile_integrals(self, top: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -798,8 +795,9 @@ def exp_linear_interval(alpha: float, a: float = -1.0, b: float = 1.0) -> Target
         return (np.exp(alpha * t) - math.exp(alpha * a)) / z
 
     def inv(p):
+        # the closed form can round outside [a, b] near p = 0 and p = 1
         p = np.asarray(p, float)
-        return np.log(p * z + math.exp(alpha * a)) / alpha
+        return np.clip(np.log(p * z + math.exp(alpha * a)) / alpha, a, b)
 
     return TargetMeasure(
         BoxDomain((a,), (b,)),

@@ -121,12 +121,12 @@ def _grid_scan(points: np.ndarray, measure: TargetMeasure) -> tuple[float, float
     # the count grid of the one set with its axes reversed, so that a chunk
     # of the last axis is a contiguous block of it
     counts = _count_grid([r[None] + 1 for r in ranks[::-1]], [v.size + 1 for v in values[::-1]])[0]
-    *whole, last = values
-    step = max(1, _SCAN_CHUNK_CELLS // math.prod(a.size for a in whole))
+    price = measure.grid_pricer(values)
+    step = max(1, _SCAN_CHUNK_CELLS // math.prod(a.size for a in values[:-1]))
     best = max_err = 0.0
-    for start in range(0, last.size, step):
-        masses, errs = measure._grid_masses(whole + [last[start : start + step]])
-        max_err = np.maximum(max_err, errs.max())
+    for start in range(0, values[-1].size, step):
+        masses, errs = price([slice(None)] * (d - 1) + [slice(start, start + step)])
+        max_err = np.maximum(max_err, 0.0 if errs is None else errs.max())
         # in the count grid's axis order
         masses = masses.T
         # the chunk's values of the last axis and one more, for the closed
@@ -146,8 +146,8 @@ def _sorted_scans(x: np.ndarray, measure: TargetMeasure) -> tuple[list, list]:
     count a and its end its closed count b.  fl(i / n) - F is monotone in
     i, so the largest |i / n - F| over the run is at a or b, the deviations
     of the count grid bit for bit; the corner +inf adds deviation 0.  Each
-    run's mass is taken once, at its first value, a chunk of
-    :data:`_SCAN_CHUNK_CELLS` runs at a time.
+    run's mass is taken once, at its first value, by one grid pricer, a
+    chunk of :data:`_SCAN_CHUNK_CELLS` runs at a time.
     """
     n = x.shape[1]
     xs = np.sort(x, axis=1).ravel()
@@ -156,10 +156,12 @@ def _sorted_scans(x: np.ndarray, measure: TargetMeasure) -> tuple[list, list]:
     first[::n] = True
     starts = np.flatnonzero(first)
     values = xs[starts]
+    price = measure.grid_pricer([values])
     masses, errs = np.empty_like(values), np.empty_like(values)
     for start in range(0, values.size, _SCAN_CHUNK_CELLS):
         chunk = slice(start, start + _SCAN_CHUNK_CELLS)
-        masses[chunk], errs[chunk] = measure._grid_masses([values[chunk]])
+        masses[chunk], chunk_errs = price([chunk])
+        errs[chunk] = 0.0 if chunk_errs is None else chunk_errs
     strict = starts % n
     closed = strict + np.diff(starts, append=xs.size)
     dev = np.maximum(np.abs(strict / n - masses), np.abs(closed / n - masses))
@@ -199,10 +201,10 @@ def star_discrepancy_exact(points, measure: TargetMeasure) -> DiscrepancyReport:
     axis j is its rank among the distinct coordinates plus one, so entry t
     of :func:`_count_grid` on that axis counts the points of rank < t: the
     strict count at grid index t, and the closed count at index t - 1.  The
-    masses come from :meth:`TargetMeasure.grid_masses`, a chunk of the last
-    axis at a time with the others whole, so that the d = 3 profile rule's
-    cumulative axis x1 is never split (a d = 2 mass depends on its own
-    corner alone) and the result does not depend on the chunk size.  Each
+    masses come from one :meth:`TargetMeasure.grid_pricer`, a chunk of the
+    last axis at a time with the others whole, so that the d = 3 profile
+    rule's cumulative axis x1 is never split (a d = 2 mass depends on its
+    own corner alone) and the result does not depend on the chunk size.  Each
     corner is compared with its all-strict and all-closed counts only
     (:func:`_grid_scan`), which bound the other 2^d - 2.  The bracket is
     the largest deviation plus and minus the largest box-mass error.  This

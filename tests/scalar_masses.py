@@ -93,7 +93,8 @@ def box_masses_by_masks(measure, corners) -> tuple[np.ndarray, np.ndarray]:
     """Masses and per-row errors of the corner rows (m, d): the NaN, empty
     and full rows from masks reduced along the rows, every other row
     clipped to the domain and priced by the closed form or the measure's
-    integrals, picked out by index."""
+    integrals, picked out by index; errors None (closed-form integrals)
+    are zero errors."""
     c = np.asarray(corners, float)
     lo, hi_dom = measure.domain.bounding()
     nan = np.isnan(c).any(axis=1)
@@ -108,7 +109,8 @@ def box_masses_by_masks(measure, corners) -> tuple[np.ndarray, np.ndarray]:
     if measure.exact_box_mass is not None:
         masses[rest] = measure.exact_box_mass(hi)
     else:
-        masses[rest], errs[rest] = measure._normalized(*measure._integrals(hi))
+        masses[rest], rest_errs = measure._normalized(*measure._integrals(hi))
+        errs[rest] = 0.0 if rest_errs is None else rest_errs
     return masses, errs
 
 

@@ -26,6 +26,15 @@ def _direct():
 
 
 class TestRunChain:
+    def test_direct_kernel_takes_the_driver_ends(self):
+        # drivers at 1 quantile to the interval's end; the exp-linear
+        # closed form rounded past it for alpha = 0.03 before its clip
+        for alpha in (0.03, 1.0):
+            system = make_direct_kernel(exp_linear_interval(alpha))
+            for u in (0.0, 1.0):
+                states = run_chains(system, np.full((1, 4, 1), u))[0]
+                assert np.all((states >= -1.0) & (states <= 1.0))
+
     def test_replay_is_deterministic(self):
         system = _direct()
         driver = uniform_driver(32, 1, Rng(1))
@@ -160,6 +169,21 @@ class TestLazyDirectKernel:
         assert m0 == pytest.approx(nu.box_mass(corner)[0], abs=1e-12)
         assert m_inf == pytest.approx(pi.box_mass(corner)[0], abs=1e-12)
         assert m1 == pytest.approx(0.5 * m0 + 0.5 * m_inf, abs=1e-12)
+
+    def test_marginal_prices_the_corners_once_when_nu_is_pi(self, monkeypatch):
+        # nu defaults to pi, the same object: one box_masses call per
+        # marginal, with the bits of the weighted sum of the two calls
+        pi = exp_linear_interval(1.0)
+        system = make_lazy_direct_kernel(pi, a=0.3)
+        corners = np.linspace(-1.2, 1.2, 9)[:, None]
+        masses = pi.box_masses(corners)[0][:, None]
+        w = np.float_power(0.7, np.array([0.0, 1.0, 5.0]))
+        calls = []
+        box_masses = pi.box_masses
+        monkeypatch.setattr(pi, "box_masses", lambda c: calls.append(c) or box_masses(c))
+        got = system.exact_marginal([0, 1, 5], corners)
+        assert len(calls) == 1
+        assert got.tobytes() == (w * masses + (1.0 - w) * masses).tobytes()
 
     def test_spectrum_matches_discretized_operator(self):
         # K = (1-a) I + a Pi on a 300-state discretization: the second

@@ -234,6 +234,19 @@ class TestIntervalMeasures:
         for p in np.linspace(0.01, 0.99, 23):
             assert m.cdf(m.inv_cdf(p)) == pytest.approx(p, abs=1e-12)
 
+    def test_exp_linear_quantiles_stay_in_the_interval(self):
+        # the closed-form quantile rounds outside [a, b] at some ends p for
+        # some alpha (41 of these 10,000 before its clip); the clip keeps it
+        # inside and leaves interior quantiles unchanged
+        p = np.array([0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0])
+        inner = np.linspace(0.01, 0.99, 99)
+        for alpha in np.linspace(0.01, 50.0, 2500):
+            m = exp_linear_interval(alpha)
+            q = m.inv_cdf(p)
+            assert np.all((q >= -1.0) & (q <= 1.0)), (alpha, q)
+            z = math.exp(alpha) - math.exp(-alpha)
+            assert m.inv_cdf(inner).tobytes() == (np.log(inner * z + math.exp(-alpha)) / alpha).tobytes()
+
     def test_exp_linear_mass_against_quadrature(self):
         # closed-form CDF vs the generic quadrature path on the same density
         from mcqmclab.core import TargetMeasure
@@ -529,17 +542,19 @@ def test_box_masses_against_whole_array_masks(name):
 @pytest.mark.parametrize("name", list(_MASKED))
 def test_grid_masses_against_meshgrid(name):
     # the d = 1 axis as the one column and the meshgrid rows of d = 2 and 3,
-    # the disc's profile rule included
+    # the disc's profile rule included, from the grid pricer over the whole
+    # ranges, errors None read as zero errors
     m = _MASKED[name]()
     lo, hi = m.domain.bounding()
     specials = [np.nan, np.inf, -np.inf, -0.0, np.nextafter(lo[0], np.inf)]
     axes = [np.append(lo[j] + (hi[j] - lo[j]) * np.linspace(0.0, 1.0, 6), specials) for j in range(m.dim)]
     inner = [lo[j] + (hi[j] - lo[j]) * np.linspace(0.1, 0.9, 5) for j in range(m.dim)]
     for grid in (axes, inner):
-        got = m._grid_masses(grid)
+        masses, errs = m.grid_pricer(grid)([slice(None)] * m.dim)
         want = scalar_masses.grid_masses_by_masks(m, grid)
-        assert got[0].shape == tuple(a.size for a in grid)
-        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        errs = np.zeros(masses.shape) if errs is None else errs
+        assert masses.shape == tuple(a.size for a in grid)
+        assert masses.tobytes() == want[0].tobytes() and errs.tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("alpha", [1.0, 5.0, 30.0, 300.0])
@@ -604,7 +619,7 @@ def test_uniform_disc_masses_are_the_clipped_closed_form():
     # the uniform disc takes the disc path with G and the identity: its
     # normalizer is pi to the bit, and its masses are those of the closed
     # form, with error 0, as rows and as a grid with +-inf, +-1, -0.0 and
-    # NaN on its axes
+    # NaN on its axes.  A grid without NaN has errors None, zero errors
     m, closed = uniform_ball(2), _closed_form_disc()
     assert m.normalizer == math.pi and m.normalizer_error == 0.0
     corners = _disc_corners(7)
@@ -612,8 +627,11 @@ def test_uniform_disc_masses_are_the_clipped_closed_form():
     assert masses.tobytes() == closed.box_masses(corners)[0].tobytes() and err == 0.0
     extra = [np.inf, -np.inf, 1.0, -1.0, -0.0, np.nan, 1.5]
     axes = [np.append(np.unique(corners[-60:, j]), extra) for j in (0, 1)]
-    got, want = m._grid_masses(axes), closed._grid_masses(axes)
+    got, want = (measure.grid_pricer(axes)([slice(None)] * 2) for measure in (m, closed))
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    axes = [a[~np.isnan(a)] for a in axes]
+    got, want = (measure.grid_pricer(axes)([slice(None)] * 2) for measure in (m, closed))
+    assert got[0].tobytes() == want[0].tobytes() and got[1] is None and not want[1].any()
 
 
 def test_uniform_disc_box_masses_are_not_slower_than_the_closed_form():

@@ -589,12 +589,33 @@ def test_disc_corner_mass_is_the_same_alone_and_in_a_batch(alpha):
     corners[::11, 0] = -0.0
     batch = measure._box_masses(corners)
     axes = [corners[:40, 0], corners[:40, 1]]
-    grid = [g.ravel() for g in measure._grid_masses(axes)]
+    grid = [g.ravel() for g in measure.grid_pricer(axes)([slice(None)] * 2)]
     for block, rows in ((batch, corners), (grid, _grid_rows(axes))):
         for k in range(0, len(rows), 13):
             alone = measure._box_masses(rows[k : k + 1])
             assert block[0][k : k + 1].tobytes() == alone[0].tobytes()
             assert block[1][k : k + 1].tobytes() == alone[1].tobytes()
+
+
+@pytest.mark.parametrize("make", [uniform_ball, lambda d: exp_linear_ball(1.0, d)])
+def test_disc_scan_prices_each_axis_once(monkeypatch, make):
+    # over a whole d = 2 scan of 300 points (2 chunks of the package's 2^16
+    # cells, 24 of 2^12) the antiderivatives are taken at the u1 values of
+    # the c1 axis and at +-s of the u2 values of the c2 axis, once: u1 + 2 u2
+    # points, whatever the chunk
+    measure = make(2)
+    pts = _ball_points(300, 2, 9)
+    u1, u2 = (np.unique(pts[:, j]).size + 1 for j in (0, 1))
+    sizes = []
+    disc_values = measure._disc_values
+    monkeypatch.setattr(measure, "_disc_values", lambda x: sizes.append(x.size) or disc_values(x))
+    reports = []
+    for cells in (discrepancy._SCAN_CHUNK_CELLS, 1 << 12):
+        monkeypatch.setattr(discrepancy, "_SCAN_CHUNK_CELLS", cells)
+        sizes.clear()
+        reports.append(star_discrepancy_exact(pts, measure))
+        assert sum(sizes) == u1 + 2 * u2
+    assert reports[0] == reports[1]
 
 
 def test_disc_temporaries_are_bounded_by_the_chunk():
