@@ -52,10 +52,12 @@ class ChainSystem:
 
     ``lambda0`` is max{Lambda, 0} and ``beta`` the absolute operator norm on
     mean-zero L2, each None when unknown; no theory bound is computed from
-    an unknown lambda0.  ``exact_marginal(steps, corners)`` returns the
-    array of nu P^i((-inf, c)) of shape (len(corners), len(steps)) for the
-    corner rows c and steps i when the kernel admits a closed-form marginal;
-    otherwise the marginal is estimated by Monte Carlo.
+    an unknown lambda0.  ``exact_marginal(steps, corners)``, when the
+    kernel's marginal is known, returns the averaged marginal (1/n) sum_i
+    nu P^i((-inf, c)) over the n steps i for every corner row c, the way
+    :meth:`TargetMeasure.box_masses` does: the masses, shape
+    (len(corners),), and their largest error; otherwise the marginal is
+    estimated by Monte Carlo.
     ``kernel_sampler(x, rng)`` draws one transition from K(x, .)
     independently of the update function.
     """
@@ -68,7 +70,7 @@ class ChainSystem:
     beta: Optional[float]
     nu_density_norm: float
     inverse: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    exact_marginal: Optional[Callable[[Sequence[int], np.ndarray], np.ndarray]] = None
+    exact_marginal: Optional[Callable[[Sequence[int], np.ndarray], tuple[np.ndarray, float]]] = None
     kernel_sampler: Optional[Callable[[np.ndarray, Rng], np.ndarray]] = None
 
     def __post_init__(self):
@@ -151,7 +153,8 @@ def _quantile_rows(measure: TargetMeasure, U: np.ndarray) -> np.ndarray:
 def make_direct_kernel(target: TargetMeasure) -> ChainSystem:
     """Kernel K(x, A) = pi(A) on a 1-D target: the update ignores the state
     and applies the inverse CDF of pi to the driver point.  Lambda0 = beta =
-    0 and nu = pi.
+    0 and nu = pi, so nu P^i = pi at every step and the averaged marginal
+    is pi's box masses as they stand.
     """
     if target.dim != 1:
         raise ValueError("direct kernel implemented for d = 1")
@@ -160,9 +163,8 @@ def make_direct_kernel(target: TargetMeasure) -> ChainSystem:
         # the new state is psi(u) whatever the old one
         X[...] = _quantile_rows(target, U)
 
-    def marginal(steps: Sequence[int], corners: np.ndarray) -> np.ndarray:
-        masses = target.box_masses(corners)[0]
-        return np.repeat(masses[:, None], len(steps), axis=1)
+    def marginal(steps: Sequence[int], corners: np.ndarray) -> tuple[np.ndarray, float]:
+        return target.box_masses(corners)
 
     def sampler(x: np.ndarray, rng: Rng) -> np.ndarray:
         return _quantile_rows(target, rng.uniforms(1)[None])[0]
@@ -187,8 +189,11 @@ def make_lazy_direct_kernel(
 
     The driver dimension is s_pi + 1 = 2: the update draws fresh from pi via
     the first coordinate when the last coordinate is < a, else stays.  The
-    spectrum is known exactly (lambda0 = beta = 1 - a) and the marginal law
-    nu P^i = (1-a)^i nu + (1 - (1-a)^i) pi is exposed as an exact oracle.
+    spectrum is known exactly (lambda0 = beta = 1 - a).  The marginal law
+    nu P^i = (1-a)^i nu + (1 - (1-a)^i) pi averages over the steps to w nu
+    + (1 - w) pi, w the mean of the weights (1-a)^i, with error w e_nu +
+    (1 - w) e_pi; the exact oracle returns that, and pi's box masses as
+    they stand when nu is pi (the default).
     """
     if not (0.0 < a <= 1.0):
         raise ValueError("hold-probability complement a must lie in (0, 1]")
@@ -204,13 +209,15 @@ def make_lazy_direct_kernel(
         draws = np.concatenate([X0[None], _quantile_rows(target, U)])
         X[...] = np.take_along_axis(draws, last[..., None], axis=0)
 
-    def marginal(steps: Sequence[int], corners: np.ndarray) -> np.ndarray:
-        m_pi = target.box_masses(corners)[0][:, None]
-        m_nu = m_pi if nu is target else nu.box_masses(corners)[0][:, None]
-        # float_power matches Python's float pow of the per-step form bit
-        # for bit; numpy's power differs from it on some inputs
-        w = np.float_power(1.0 - a, np.asarray(steps, float))
-        return w * m_nu + (1.0 - w) * m_pi
+    def marginal(steps: Sequence[int], corners: np.ndarray) -> tuple[np.ndarray, float]:
+        m_pi, e_pi = target.box_masses(corners)
+        if nu is target:
+            return m_pi, e_pi
+        m_nu, e_nu = nu.box_masses(corners)
+        # float_power matches Python's float pow bit for bit, so a one-step
+        # call gives the per-step form; numpy's power differs on some inputs
+        w = float(np.mean(np.float_power(1.0 - a, np.asarray(steps, float))))
+        return w * m_nu + (1.0 - w) * m_pi, w * e_nu + (1.0 - w) * e_pi
 
     def sampler(x: np.ndarray, rng: Rng) -> np.ndarray:
         if rng.uniform() < a:

@@ -791,8 +791,9 @@ def exp_linear_interval(alpha: float, a: float = -1.0, b: float = 1.0) -> Target
     z = math.exp(alpha * b) - math.exp(alpha * a)
 
     def mass(hi):
+        # the closed form can round outside [0, 1] near t = a and t = b
         t = np.clip(hi[:, 0], a, b)
-        return (np.exp(alpha * t) - math.exp(alpha * a)) / z
+        return np.clip((np.exp(alpha * t) - math.exp(alpha * a)) / z, 0.0, 1.0)
 
     def inv(p):
         # the closed form can round outside [a, b] near p = 0 and p = 1

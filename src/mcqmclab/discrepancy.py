@@ -36,10 +36,10 @@ __all__ = [
 
 # bound on the corners whose masses the exact scan asks for at once, and on
 # the set-member counts the cover scorer holds at once for its scored sets
+# and the Monte Carlo pull-back for its replicas
 _SCAN_CHUNK_CELLS = 1 << 16
 # bound on the members of a quantile cover, ceil(d / delta)^d + 1
-# (quantile_cover_size); the pull-back counts hold one float per member for
-# each of its m replicas
+# (quantile_cover_size); a count holds one float per member
 COVER_MEMBER_CAP = 1 << 20
 
 
@@ -407,22 +407,50 @@ def _pullback_block(system: ChainSystem, drivers: Sequence[np.ndarray], m: int, 
     return U
 
 
+def _replica_moments(replicas: np.ndarray, cover: DeltaCover) -> tuple[np.ndarray, float]:
+    """Mean member fractions of the replica paths (m, n, d) and the largest
+    stderr std / sqrt(m) (ddof 1) over the members.  The counts come a group
+    of at most :data:`_SCAN_CHUNK_CELLS` replica-member cells at a time, and
+    the sums run row by row in order, as ``np.mean`` and ``np.std`` of one
+    (m, size) array sum its rows, bit for bit: once for the mean, then,
+    counting the groups again, for the squared deviations."""
+    m = len(replicas)
+    step = max(1, _SCAN_CHUNK_CELLS // cover.size)
+    if m <= step:
+        acc = cover.fractions_below(replicas)
+        return acc.mean(axis=0), float(np.max(acc.std(axis=0, ddof=1) / math.sqrt(m)))
+
+    def rows():
+        for i in range(0, m, step):
+            yield from cover.fractions_below(replicas[i : i + step])
+
+    total = np.zeros(cover.size)
+    for row in rows():
+        total += row
+    mean = total / m
+    squares = np.zeros(cover.size)
+    for row in rows():
+        row -= mean
+        squares += row * row
+    return mean, float(np.max(np.sqrt(squares / (m - 1)) / math.sqrt(m)))
+
+
 def _pullbacks(
     system: ChainSystem, paths: np.ndarray, burn_in: int, cover: DeltaCover, m: int
 ) -> list[DiscrepancyReport]:
     """Pull-back discrepancy of each driver row of ``paths`` (sets, n, d),
     a :func:`_pullback_block` replayed after ``burn_in`` steps.  The volume
-    nu P^i(A) does not depend on the driver, so all rows share one: the
-    exact marginal averaged over steps burn_in ... burn_in + n - 1, or else
-    the mean of the last m rows, the replicas, whose largest stderr is
-    every row's."""
+    (1/n) sum_i nu P^i(A) does not depend on the driver, so all rows share
+    one: the exact marginal averaged over steps burn_in ... burn_in + n - 1,
+    as the oracle returns it, its mass error the slack of the upper end; or
+    else the mean of the last m rows, the replicas
+    (:func:`_replica_moments`), whose largest stderr is every row's."""
     if system.exact_marginal is not None:
         steps = range(burn_in, burn_in + paths.shape[1])
-        volume = np.mean(system.exact_marginal(steps, cover.corners), axis=1)
-        return _cover_scores(paths, cover, volume, 0.0, "pullback-mc")
-    acc = cover.fractions_below(paths[-m:])
-    stderr = float(np.max(acc.std(axis=0, ddof=1) / math.sqrt(m)))
-    return _cover_scores(paths[:-m], cover, acc.mean(axis=0), stderr, "pullback-mc", stderr)
+        volume, err = system.exact_marginal(steps, cover.corners)
+        return _cover_scores(paths, cover, volume, err, "pullback-mc")
+    volume, stderr = _replica_moments(paths[-m:], cover)
+    return _cover_scores(paths[:-m], cover, volume, stderr, "pullback-mc", stderr)
 
 
 def pullback_discrepancy_mc(

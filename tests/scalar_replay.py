@@ -73,3 +73,15 @@ def lazy_path(points, target, nu, a: float) -> np.ndarray:
 def lazy_marginal(i: int, corner, target, nu, a: float) -> float:
     w = (1.0 - a) ** i
     return w * nu.box_mass(corner)[0] + (1.0 - w) * target.box_mass(corner)[0]
+
+
+def lazy_averaged_marginal(steps, corners, target, nu, a: float) -> tuple[np.ndarray, float]:
+    """The lazy kernel's marginal averaged over ``steps``: w nu + (1 - w) pi,
+    w the mean of Python's float pow (1 - a) ** i, with error w e_nu + (1 -
+    w) e_pi; pi's own masses and error when nu is pi."""
+    m_pi, e_pi = target.box_masses(corners)
+    if nu is target:
+        return m_pi, e_pi
+    w = float(np.mean([(1.0 - a) ** i for i in steps]))
+    m_nu, e_nu = nu.box_masses(corners)
+    return w * m_nu + (1.0 - w) * m_pi, w * e_nu + (1.0 - w) * e_pi

@@ -5,7 +5,10 @@ and pull-back built on them.
 They are kept as the references the exact scan and the binned cover counts
 must match, and are not used by the package.  ``pullback_one_block`` is the
 one-driver pull-back as it was before the searches shared one replica set:
-the driver's row and its m replicas counted in one call.
+the driver's row and its m replicas counted in one call.  With an exact
+marginal both pull-backs take, unless given a volume, the mean of the
+per-step marginals (``per_step_volume``), which the averaged marginal
+matches within ``VOLUME_ROUNDING`` (``assert_reports_close``).
 """
 
 import itertools
@@ -80,6 +83,31 @@ def product_oracle(alpha: float, lower, upper):
     return mass
 
 
+# largest gap between an averaged exact marginal and the mean of its
+# per-step values, per corner; the largest measured over 300 random lazy and
+# direct kernels (up to 5000 steps, deltas 0.01-0.1) was 5.6e-16
+VOLUME_ROUNDING = 1e-15
+
+
+def per_step_volume(system, steps, corners) -> tuple[np.ndarray, float]:
+    """The exact-marginal volume as the pull-back took it before the oracle
+    averaged over the steps: one one-step oracle call per step, each nu P^i's
+    masses and error, and the mean of the (corners, steps) array of masses
+    and of the errors."""
+    calls = [system.exact_marginal([i], corners) for i in steps]
+    masses = np.stack([m for m, _ in calls], axis=1)
+    return np.mean(masses, axis=1), float(np.mean([e for _, e in calls]))
+
+
+def assert_reports_close(got: DiscrepancyReport, want: DiscrepancyReport) -> None:
+    """The same report but for the volume's rounding: the lower end within
+    ``VOLUME_ROUNDING``, the upper end also within the two roundings of
+    adding delta and the slack to it."""
+    assert (got.method, got.delta_used, got.mc_stderr) == (want.method, want.delta_used, want.mc_stderr)
+    assert abs(got.lower - want.lower) <= VOLUME_ROUNDING
+    assert abs(got.upper - want.upper) <= VOLUME_ROUNDING + 2.0**-51
+
+
 def broadcast_fractions_below(points, corners) -> np.ndarray:
     """Fraction of the points (shape (n, d)) strictly inside each open box
     ``(-inf, c)``, c a row of ``corners``: one (size, n, d) comparison."""
@@ -96,14 +124,15 @@ def broadcast_bracket(points, cover) -> DiscrepancyReport:
     return DiscrepancyReport(lower=lower, upper=upper, method="cover-bracket", delta_used=cover.delta)
 
 
-def broadcast_pullback(system, driver, burn_in, cover, m, rng) -> DiscrepancyReport:
+def broadcast_pullback(system, driver, burn_in, cover, m, rng, volume=None) -> DiscrepancyReport:
     """``pullback_discrepancy_mc`` with the broadcast counts, one call per
-    path."""
+    path; with an exact marginal, ``volume`` (masses, error) or else
+    ``per_step_volume``."""
     n = len(driver) - burn_in
     corners = cover.corners
     if system.exact_marginal is not None:
         ind = broadcast_fractions_below(run_chains(system, driver[None], burn_in)[0], corners)
-        vol = np.mean(system.exact_marginal(range(burn_in, burn_in + n), corners), axis=1)
+        vol, slack = volume or per_step_volume(system, range(burn_in, burn_in + n), corners)
         stderr = 0.0
     else:
         replicas = [
@@ -114,21 +143,22 @@ def broadcast_pullback(system, driver, burn_in, cover, m, rng) -> DiscrepancyRep
         ind = broadcast_fractions_below(paths[0], corners)
         acc = np.array([broadcast_fractions_below(p, corners) for p in paths[1:]])
         vol = acc.mean(axis=0)
-        stderr = float(np.max(acc.std(axis=0, ddof=1) / math.sqrt(m)))
+        stderr = slack = float(np.max(acc.std(axis=0, ddof=1) / math.sqrt(m)))
     lower = float(np.max(np.abs(ind - vol)))
     return DiscrepancyReport(
         lower=lower,
-        upper=min(lower + cover.delta + stderr, 1.0),
+        upper=min(lower + cover.delta + slack, 1.0),
         method="pullback-mc",
         delta_used=cover.delta,
         mc_stderr=stderr,
     )
 
 
-def pullback_one_block(system, driver, burn_in, cover, m, rng) -> DiscrepancyReport:
+def pullback_one_block(system, driver, burn_in, cover, m, rng, volume=None) -> DiscrepancyReport:
     """``pullback_discrepancy_mc`` scored on its own: one block of the
     driver's row and, without a marginal oracle, the m replicas of ``rng``,
-    all counted in one ``fractions_below`` call."""
+    all counted in one ``fractions_below`` call; with one, the volume as in
+    ``broadcast_pullback``."""
     exact = system.exact_marginal is not None
     if not exact and m < 100:
         raise ValueError("need at least 100 replications without a marginal oracle")
@@ -140,15 +170,15 @@ def pullback_one_block(system, driver, burn_in, cover, m, rng) -> DiscrepancyRep
     fractions = cover.fractions_below(run_chains(system, U, burn_in=burn_in))
     ind, acc = fractions[0], fractions[1:]
     if exact:
-        vol = np.mean(system.exact_marginal(range(burn_in, U.shape[1]), cover.corners), axis=1)
+        vol, slack = volume or per_step_volume(system, range(burn_in, U.shape[1]), cover.corners)
         stderr = 0.0
     else:
         vol = acc.mean(axis=0)
-        stderr = float(np.max(acc.std(axis=0, ddof=1) / math.sqrt(m)))
+        stderr = slack = float(np.max(acc.std(axis=0, ddof=1) / math.sqrt(m)))
     lower = float(np.max(np.abs(ind - vol)))
     return DiscrepancyReport(
         lower=lower,
-        upper=min(lower + cover.delta + stderr, 1.0),
+        upper=min(lower + cover.delta + slack, 1.0),
         method="pullback-mc",
         delta_used=cover.delta,
         mc_stderr=stderr,

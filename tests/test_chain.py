@@ -141,8 +141,13 @@ class TestDirectKernel:
         assert system.nu_density_norm == 1.0
 
     def test_exact_marginal_is_target_mass(self):
+        # nu P^i = pi at every step: the average over any steps is pi's
+        # box masses as they stand, with their error
         system = _direct()
-        assert np.array_equal(system.exact_marginal([0, 7], np.array([[0.2]])), [[0.6, 0.6]])
+        corners = np.array([[0.2], [-0.5], [2.0]])
+        masses, err = system.exact_marginal([0, 7], corners)
+        assert masses.tobytes() == system.target.box_masses(corners)[0].tobytes()
+        assert np.array_equal(masses, [0.6, 0.25, 1.0]) and err == 0.0
 
     def test_d1_only(self):
         with pytest.raises(ValueError, match="d = 1"):
@@ -165,25 +170,28 @@ class TestLazyDirectKernel:
         nu = uniform_interval(-1.0, 1.0)
         system = make_lazy_direct_kernel(pi, a=0.5, nu=nu)
         corner = np.array([0.0])
-        m0, m1, m_inf = system.exact_marginal([0, 1, 200], corner[None])[0]
+        # one-step calls give nu P^i itself
+        m0, m1, m_inf = (system.exact_marginal([i], corner[None])[0][0] for i in (0, 1, 200))
         assert m0 == pytest.approx(nu.box_mass(corner)[0], abs=1e-12)
         assert m_inf == pytest.approx(pi.box_mass(corner)[0], abs=1e-12)
         assert m1 == pytest.approx(0.5 * m0 + 0.5 * m_inf, abs=1e-12)
+        # the average over the three steps is their mean, within rounding
+        masses, err = system.exact_marginal([0, 1, 200], corner[None])
+        assert masses[0] == pytest.approx((m0 + m1 + m_inf) / 3.0, abs=1e-15) and err == 0.0
 
     def test_marginal_prices_the_corners_once_when_nu_is_pi(self, monkeypatch):
-        # nu defaults to pi, the same object: one box_masses call per
-        # marginal, with the bits of the weighted sum of the two calls
+        # nu defaults to pi, the same object: nu P^i = pi at every step, so
+        # the marginal is one box_masses call, returned as it stands
         pi = exp_linear_interval(1.0)
         system = make_lazy_direct_kernel(pi, a=0.3)
         corners = np.linspace(-1.2, 1.2, 9)[:, None]
-        masses = pi.box_masses(corners)[0][:, None]
-        w = np.float_power(0.7, np.array([0.0, 1.0, 5.0]))
+        want = pi.box_masses(corners)
         calls = []
         box_masses = pi.box_masses
         monkeypatch.setattr(pi, "box_masses", lambda c: calls.append(c) or box_masses(c))
-        got = system.exact_marginal([0, 1, 5], corners)
+        masses, err = system.exact_marginal([0, 1, 5], corners)
         assert len(calls) == 1
-        assert got.tobytes() == (w * masses + (1.0 - w) * masses).tobytes()
+        assert masses.tobytes() == want[0].tobytes() and err == want[1] == 0.0
 
     def test_spectrum_matches_discretized_operator(self):
         # K = (1-a) I + a Pi on a 300-state discretization: the second

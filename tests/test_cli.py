@@ -16,6 +16,29 @@ def _write(tmp_path, name, cfg):
     return str(path)
 
 
+def _run_under_3_gib(cfg_path):
+    """``mcqmc run`` of a config file in a subprocess under a 3 GiB
+    address-space limit, so that a run that asks for too much fails a test
+    instead of exhausting the host; -B keeps it from writing bytecode next
+    to the sources."""
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mcqmclab
+
+    limit = 3 * 2**30
+    src = str(Path(mcqmclab.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-B", "-m", "mcqmclab.cli", "run", cfg_path],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True, text=True, timeout=60,
+    )
+
+
 def _bounds_cfg(tmp_path, out="bounds.csv"):
     return {
         "experiment": "bounds",
@@ -582,30 +605,26 @@ class TestRunExperiments:
     def test_absurd_k_exits_3_at_once(self, tmp_path, keys):
         # the candidate block is sized with numpy before any per-candidate
         # Python work, so numpy refuses it at once (a k-entry Python list
-        # ran for minutes and then ended in a bare MemoryError).  The run
-        # goes in a subprocess under a 3 GiB address-space limit, so that a
-        # regression fails here instead of exhausting the host; -B keeps it
-        # from writing bytecode next to the sources
-        import os
-        import resource
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import mcqmclab
-
-        limit = 3 * 2**30
+        # ran for minutes and then ended in a bare MemoryError)
         cfg = _write(tmp_path, "c.json", {"dimension": 1, **keys, "output": str(tmp_path / "s.csv")})
-        src = str(Path(mcqmclab.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-B", "-m", "mcqmclab.cli", "run", cfg],
-            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-            capture_output=True, text=True, timeout=60,
-        )
+        proc = _run_under_3_gib(cfg)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("infeasible: Unable to allocate") and proc.stderr.count("\n") == 1
         assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+    def test_long_lazy_pullback_runs_in_3_gib(self, tmp_path):
+        # the exact marginal comes averaged over the 2^20 steps: a member
+        # by step array of it (1001 x 2^20 floats, 7.82 GiB) was refused
+        cfg = {
+            "experiment": "pullback", "dimension": 1, "kernel": "lazy-direct", "a": 0.5,
+            "delta": 0.001, "n": 2**20, "seed": 0, "output": str(tmp_path / "s.csv"),
+        }
+        proc = _run_under_3_gib(_write(tmp_path, "c.json", cfg))
+        assert proc.returncode == 0, proc.stderr
+        header, row = (tmp_path / "s.csv").read_text().splitlines()
+        vals = dict(zip(header.split(","), row.split(",")))
+        assert float(vals["mc_stderr"]) == 0.0
+        assert float(vals["disc_upper"]) == min(float(vals["disc_lower"]) + 0.001, 1.0)
 
     def test_message_less_exception_prints_its_type(self, tmp_path, capsys, monkeypatch):
         # an exit-3 line is never blank: a MemoryError without a message

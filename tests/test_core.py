@@ -247,6 +247,23 @@ class TestIntervalMeasures:
             z = math.exp(alpha) - math.exp(-alpha)
             assert m.inv_cdf(inner).tobytes() == (np.log(inner * z + math.exp(-alpha)) / alpha).tobytes()
 
+    def test_exp_linear_masses_stay_in_the_unit_interval(self):
+        # the closed-form mass rounds outside [0, 1] at some end corners for
+        # some alpha (at alpha = 0.01 the corner -1 + 2^-52 gave -5.55e-15
+        # before its clip); the clip keeps it inside and leaves interior
+        # masses unchanged
+        k = np.arange(1.0, 50.0)
+        ends = np.concatenate([-1.0 + k * 2.0**-52, 1.0 - k * 2.0**-53])[:, None]
+        inner = np.linspace(-0.99, 0.99, 99)
+        assert exp_linear_interval(0.01).box_masses([[-1.0 + 2.0**-52]])[0][0] >= 0.0
+        for alpha in np.linspace(0.01, 50.0, 500):
+            m = exp_linear_interval(alpha)
+            masses = m.box_masses(ends)[0]
+            assert np.all((masses >= 0.0) & (masses <= 1.0)), alpha
+            z = math.exp(alpha) - math.exp(-alpha)
+            want = (np.exp(alpha * inner) - math.exp(-alpha)) / z
+            assert m.box_masses(inner[:, None])[0].tobytes() == want.tobytes()
+
     def test_exp_linear_mass_against_quadrature(self):
         # closed-form CDF vs the generic quadrature path on the same density
         from mcqmclab.core import TargetMeasure

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_replay
 import scalar_scan as ref
 from mcqmclab.ballwalk import make_metropolis_system
 from mcqmclab.chain import make_lazy_direct_kernel, run_chains
@@ -170,12 +171,17 @@ def test_bracket_matches_broadcast(name):
 
 
 def test_exact_marginal_pullback_matches_broadcast():
-    system = make_lazy_direct_kernel(exp_linear_interval(1.0), a=0.5, nu=uniform_interval())
+    # bit for bit with the broadcast counts against w nu + (1 - w) pi, and
+    # within rounding of the mean of the per-step marginals
+    pi, nu, a = exp_linear_interval(1.0), uniform_interval(), 0.5
+    system = make_lazy_direct_kernel(pi, a=a, nu=nu)
     cover = build_quantile_cover(system.target, 0.05)
+    volume = scalar_replay.lazy_averaged_marginal(range(8, 80), cover.corners, pi, nu, a)
     for seed in range(3):
         driver = uniform_driver(80, 2, Rng(seed))
         got = pullback_discrepancy_mc(system, driver, 8, cover, 0, Rng(0))
-        assert got == ref.broadcast_pullback(system, driver, 8, cover, 0, Rng(0))
+        assert got == ref.broadcast_pullback(system, driver, 8, cover, 0, Rng(0), volume)
+        ref.assert_reports_close(got, ref.broadcast_pullback(system, driver, 8, cover, 0, Rng(0)))
 
 
 @pytest.mark.parametrize("d, delta", [(1, 0.1), (2, 0.5)])

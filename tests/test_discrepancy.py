@@ -9,6 +9,7 @@ from scalar_bounds import cover_size_bound
 from mcqmclab import discrepancy
 from mcqmclab.chain import make_direct_kernel, make_lazy_direct_kernel
 from mcqmclab.core import (
+    BoxDomain,
     Rng,
     TargetMeasure,
     exp_linear_ball,
@@ -379,6 +380,55 @@ class TestPullback:
         assert np.array_equal(blocks[0][0], driver)
         with pytest.raises(ValueError):
             pullback_discrepancy_mc(system, driver[:, 0], 4, cover, 100, Rng(3))
+
+    def test_quadrature_nu_error_reaches_the_upper_end(self):
+        # nu's masses are quadratures: the averaged marginal's error is the
+        # slack of the upper end, as the cover bracket's mass error is
+        pi = exp_linear_interval(1.0)
+        nu = TargetMeasure(BoxDomain((-1.0,), (1.0,)), lambda x: np.exp(np.sin(3.0 * x[:, 0])))
+        system = make_lazy_direct_kernel(pi, a=0.3, nu=nu)
+        cover = build_quantile_cover(pi, 0.1)
+        driver = uniform_driver(64, 2, Rng(2))
+        rep = pullback_discrepancy_mc(system, driver, 4, cover, 0, Rng(0))
+        err = system.exact_marginal(range(4, 64), cover.corners)[1]
+        assert err > 0.0 and rep.mc_stderr == 0.0
+        assert rep.upper == rep.lower + cover.delta + err < 1.0
+        assert rep.upper - rep.lower - cover.delta == pytest.approx(err, rel=1e-3)
+
+    @pytest.mark.parametrize("d, delta", [(1, 0.05), (2, 0.1)])
+    def test_replica_groups_give_the_one_call_moments(self, monkeypatch, d, delta):
+        # replicas counted a few rows at a time, the last group short, give
+        # the mean and the largest stderr of the one (m, size) array of
+        # their fractions bit for bit
+        cover = build_quantile_cover(exp_linear_ball(1.0, d) if d == 2 else exp_linear_interval(1.0), delta)
+        for m, n in ((100, 30), (257, 17), (400, 5)):
+            replicas = np.random.default_rng(m).uniform(-1.0, 1.0, (m, n, d))
+            one = cover.fractions_below(replicas)
+            mean, stderr = one.mean(axis=0), float(np.max(one.std(axis=0, ddof=1) / math.sqrt(m)))
+            for rows in (1, 7, m // 2, m):
+                monkeypatch.setattr(discrepancy, "_SCAN_CHUNK_CELLS", rows * cover.size)
+                got_mean, got_stderr = discrepancy._replica_moments(replicas, cover)
+                assert got_mean.tobytes() == mean.tobytes() and got_stderr == stderr
+
+    def test_replica_counts_in_groups_bound_memory(self):
+        # a d = 2 uniform-disc walk at delta 0.02 (10,001 members), m 200:
+        # the replicas' counts held at once peaked at 47 MB traced, counted
+        # in groups they take under 3 MB
+        import tracemalloc
+
+        from mcqmclab.ballwalk import make_metropolis_system
+
+        system = make_metropolis_system("uniform", 0.0, 0.5, 2)
+        cover = build_quantile_cover(system.target, 0.02)
+        driver = uniform_driver(80, system.s, Rng(1))
+        tracemalloc.start()
+        try:
+            rep = pullback_discrepancy_mc(system, driver, 16, cover, 200, Rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.mc_stderr > 0.0
+        assert peak < 8 * 2**20, peak
 
     def test_burn_in_drops_prefix(self):
         system = make_direct_kernel(uniform_interval(-1.0, 1.0))

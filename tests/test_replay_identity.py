@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import scalar_replay as ref
+import scalar_scan
 from mcqmclab import ballwalk
 from mcqmclab.ballwalk import (
     BallWalkParams,
@@ -495,6 +496,9 @@ def test_domain_violation_names_chain_and_step():
 
 
 def test_lazy_exact_marginal_matches_per_step_loop():
+    # one-step calls give the scalar per-step marginal bit for bit; a call
+    # over all the steps gives w nu + (1 - w) pi bit for bit, and the mean of
+    # the per-step values within rounding
     pi, nu = exp_linear_interval(1.0), uniform_interval(-1.0, 1.0)
     a = 0.37
     system = make_lazy_direct_kernel(pi, a=a, nu=nu)
@@ -502,20 +506,25 @@ def test_lazy_exact_marginal_matches_per_step_loop():
     for t in (-0.8, -0.1, 0.0, 0.45, 0.99):
         corner = np.array([t])
         loop = [ref.lazy_marginal(i, corner, pi, nu, a) for i in steps]
-        batched = system.exact_marginal(steps, corner[None])[0]
-        assert np.array_equal(batched, loop)
-        assert np.mean(batched) == np.mean(loop)
+        assert [system.exact_marginal([i], corner[None])[0][0] for i in steps] == loop
+        averaged, err = system.exact_marginal(steps, corner[None])
+        assert averaged.tobytes() == ref.lazy_averaged_marginal(steps, corner[None], pi, nu, a)[0].tobytes()
+        assert abs(averaged[0] - np.mean(loop)) <= scalar_scan.VOLUME_ROUNDING and err == 0.0
 
 
 @pytest.mark.parametrize("a", [1e-3, 0.37, 0.5, 0.999, 1.0])
 def test_lazy_exact_marginal_weights_are_python_pow(a):
+    # the weights are Python's float pow (1 - a) ** i: per step, and in the
+    # mean weight of a call over all the steps
     pi, nu = exp_linear_interval(1.0), uniform_interval(-1.0, 1.0)
     system = make_lazy_direct_kernel(pi, a=a, nu=nu)
     corner = np.array([[0.3]])
     m_nu, m_pi = nu.box_masses(corner)[0][0], pi.box_masses(corner)[0][0]
     steps = range(5000)
     loop = [(1.0 - a) ** i * m_nu + (1.0 - (1.0 - a) ** i) * m_pi for i in steps]
-    assert np.array_equal(system.exact_marginal(steps, corner)[0], loop)
+    assert [system.exact_marginal([i], corner)[0][0] for i in steps] == loop
+    w = float(np.mean([(1.0 - a) ** i for i in steps]))
+    assert system.exact_marginal(steps, corner)[0][0] == w * m_nu + (1.0 - w) * m_pi
 
 
 def _assert_rows_replay_alone(X0, U, params):

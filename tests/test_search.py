@@ -54,17 +54,19 @@ def _walk_and_cover():
     return system, build_quantile_cover(system.target, 0.05)
 
 
-def _per_candidate_pullbacks(system, config, cover, n):
+def _per_candidate_pullbacks(system, config, cover, n, volume=None):
     """Every candidate at n scored on its own, with its own m replicas
     ``Rng(seed).split(50_000 + j)``: the search's former pull-back, kept as
-    the reference of the one shared replica set (candidate 0's replicas)."""
+    the reference of the one shared replica set (candidate 0's replicas).
+    With an exact marginal, ``volume`` (masses, error) or else the mean of
+    the per-step marginals."""
     import scalar_scan as ref
 
     config = dataclasses.replace(config, n=n)
     return [
         ref.pullback_one_block(
             system, _one_candidate(config, j, system.s)[1], config.n0, cover,
-            config.mc_replications, Rng(config.seed).split(50_000 + j),
+            config.mc_replications, Rng(config.seed).split(50_000 + j), volume,
         )
         for j in range(config.k)
     ]
@@ -374,12 +376,17 @@ class TestPullbackSearch:
     @pytest.mark.parametrize("kernel", ["direct", "lazy-direct"])
     def test_every_candidate_is_its_own_pullback_with_an_oracle(self, monkeypatch, kernel):
         # with an exact marginal there are no replicas, and every candidate
-        # is scored as on its own; the lazy chain starts away from pi, so
-        # its marginal depends on the step
+        # is scored as on its own: bit for bit against the averaged marginal
+        # computed apart (pi, or w nu + (1 - w) pi), and within rounding of
+        # the mean of the per-step marginals; the lazy chain starts away
+        # from pi, so its marginal depends on the step
+        import scalar_replay
+        import scalar_scan as ref
         from mcqmclab.chain import make_lazy_direct_kernel
         from mcqmclab.core import exp_linear_interval
 
-        lazy = make_lazy_direct_kernel(exp_linear_interval(1.0), 0.5, nu=uniform_interval())
+        pi, nu, a = exp_linear_interval(1.0), uniform_interval(), 0.5
+        lazy = make_lazy_direct_kernel(pi, a, nu=nu)
         system = _direct() if kernel == "direct" else lazy
         cover = build_quantile_cover(system.target, 0.05)
         cfg = SearchConfig(
@@ -389,8 +396,15 @@ class TestPullbackSearch:
         ns = [16, 48, 80]
         results, reports = _candidate_reports(monkeypatch, system, cfg, ns, cover)
         for n, result, got in zip(ns, results, reports, strict=True):
-            want = _per_candidate_pullbacks(system, cfg, cover, n)
+            steps = range(cfg.n0, cfg.n0 + n)
+            if kernel == "direct":
+                volume = system.target.box_masses(cover.corners)
+            else:
+                volume = scalar_replay.lazy_averaged_marginal(steps, cover.corners, pi, nu, a)
+            want = _per_candidate_pullbacks(system, cfg, cover, n, volume)
             assert got == want
+            for g, w in zip(got, _per_candidate_pullbacks(system, cfg, cover, n), strict=True):
+                ref.assert_reports_close(g, w)
             assert [u for _, u in result.all_scores] == [r.upper for r in want]
             assert result.best_report == want[int(np.argmin([r.upper for r in want]))]
 
