@@ -411,27 +411,28 @@ def _replica_moments(replicas: np.ndarray, cover: DeltaCover) -> tuple[np.ndarra
     """Mean member fractions of the replica paths (m, n, d) and the largest
     stderr std / sqrt(m) (ddof 1) over the members.  The counts come a group
     of at most :data:`_SCAN_CHUNK_CELLS` replica-member cells at a time, and
-    the sums run row by row in order, as ``np.mean`` and ``np.std`` of one
-    (m, size) array sum its rows, bit for bit: once for the mean, then,
-    counting the groups again, for the squared deviations."""
+    each sum runs down the rows in order, as ``np.mean`` and ``np.std`` of
+    one (m, size) array sum them, bit for bit: once for the mean, then for
+    the squared deviations, counting again every group but the first, which
+    is kept.  One group is one count, and its moments are that array's."""
     m = len(replicas)
     step = max(1, _SCAN_CHUNK_CELLS // cover.size)
-    if m <= step:
-        acc = cover.fractions_below(replicas)
-        return acc.mean(axis=0), float(np.max(acc.std(axis=0, ddof=1) / math.sqrt(m)))
+    first = cover.fractions_below(replicas[:step])
 
-    def rows():
-        for i in range(0, m, step):
-            yield from cover.fractions_below(replicas[i : i + step])
+    def row_sum(terms) -> np.ndarray:
+        # each group's rows added after the running sum, in one reduction
+        total = np.add.reduce(next(terms))
+        for t in terms:
+            total = np.add.reduce(np.concatenate([total[None], t]))
+        return total
 
-    total = np.zeros(cover.size)
-    for row in rows():
-        total += row
-    mean = total / m
-    squares = np.zeros(cover.size)
-    for row in rows():
-        row -= mean
-        squares += row * row
+    def groups():
+        yield first
+        for i in range(step, m, step):
+            yield cover.fractions_below(replicas[i : i + step])
+
+    mean = row_sum(groups()) / m
+    squares = row_sum(np.square(acc - mean) for acc in groups())
     return mean, float(np.max(np.sqrt(squares / (m - 1)) / math.sqrt(m)))
 
 
