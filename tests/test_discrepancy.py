@@ -413,7 +413,7 @@ class TestPullback:
     def test_replica_counts_in_groups_bound_memory(self):
         # a d = 2 uniform-disc walk at delta 0.02 (10,001 members), m 200:
         # the replicas' counts held at once peaked at 47 MB traced, counted
-        # in groups they take under 3 MB
+        # in groups they take under 4 MB
         import tracemalloc
 
         from mcqmclab.ballwalk import make_metropolis_system
