@@ -51,6 +51,5 @@ from .ballwalk import (
     ball_generator,
     invert_update,
     make_metropolis_system,
-    metropolis_update,
 )
 from .search import SearchConfig, SearchResult, best_of_k, invert_to_target, rate_study

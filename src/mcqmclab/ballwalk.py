@@ -26,12 +26,11 @@ import numpy as np
 
 from .bounds import ballwalk_gap_bound
 from .chain import ChainSystem
-from .core import Rng, TargetMeasure, exp_linear_ball, uniform_ball
+from .core import TargetMeasure, exp_linear_ball, uniform_ball
 
 __all__ = [
     "BallWalkParams",
     "ball_generator",
-    "metropolis_update",
     "invert_update",
     "make_metropolis_system",
 ]
@@ -123,23 +122,6 @@ def _accept(x: np.ndarray, z: np.ndarray, v: np.ndarray, alpha: float) -> np.nda
     return np.where(ok[:, None], y, x)
 
 
-# y . y overflows to inf for radii near the float range, which the unit-ball
-# test rightly rejects: the update and the replay ignore it, once per call
-@np.errstate(over="ignore")
-def metropolis_update(x: np.ndarray, u, params: BallWalkParams) -> np.ndarray:
-    """Metropolis steps from states (..., d) and driver points (..., s) of
-    the same leading shape: propose x + z with z uniform in the gamma-ball;
-    accept iff the proposal stays in the unit ball and the last driver
-    coordinate clears the density ratio.  Rejection returns x unchanged."""
-    x = np.asarray(x, float)
-    u = np.asarray(u, float)
-    if u.shape[-1] != params.driver_dim:
-        raise ValueError(f"need {params.driver_dim} driver coordinates")
-    rows = u.reshape(-1, params.driver_dim)
-    z = ball_generator(rows[:, : params.proposal_dim], params.gamma, params.d)
-    return _accept(x.reshape(-1, params.d), z, rows[:, -1], params.alpha).reshape(x.shape)
-
-
 # the relative widths of _replay's bands, around a tie of the ratio test and
 # around the unit circle, derived in its docstring
 _RATIO_BAND = 2.0**-48
@@ -200,6 +182,7 @@ def _one_chain(x: np.ndarray, z: np.ndarray) -> list:
     return path
 
 
+# y . y overflows to inf near the float range, which the unit-ball test rejects
 @np.errstate(over="ignore")
 def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams, X: np.ndarray | None = None) -> np.ndarray:
     """Ball-walk replay of a driver block U (m, b, s) from states X0 (b, d)
@@ -260,8 +243,8 @@ def _replay(X0: np.ndarray, U: np.ndarray, params: BallWalkParams, X: np.ndarray
     infinite y gives h = t = inf; a finite y with t = inf has h > 1.  A
     d = 2 chunk with any h inside the band |h - 1| <= w is replayed again
     by the np.vecdot loop, which d = 3 takes for every chunk.  Either way,
-    chunk by chunk, the states equal per-step ``metropolis_update`` bit for
-    bit.
+    chunk by chunk, the states equal bit for bit those of the one-step
+    replays, blocks (1, b, s), taken one after another.
     """
     d, alpha = params.d, params.alpha
     m, b, s = U.shape
@@ -339,7 +322,8 @@ def _sphere_inverse(e: np.ndarray, d: int) -> np.ndarray:
 
 
 def invert_update(x: np.ndarray, y: np.ndarray, params: BallWalkParams) -> np.ndarray:
-    """Driver point u with metropolis_update(x, u) = y, for gamma >= 2.
+    """Driver point u whose one-step replay, the block (1, 1, s), takes
+    the state x to y, for gamma >= 2.
 
     For y != x the proposal is forced to z = y - x with acceptance coordinate
     0 (always accepted since rho > 0).  For y = x the returned u proposes a
@@ -397,21 +381,6 @@ def make_metropolis_system(name: str, alpha: float, gamma: float, d: int) -> Cha
     target = _target_for(name, alpha, d)
 
     p = params.proposal_dim
-
-    def sampler(x: np.ndarray, rng: Rng) -> np.ndarray:
-        # independent route: rejection-sample z uniform in the gamma-ball
-        while True:
-            z = params.gamma * (2.0 * rng.uniforms(d) - 1.0)
-            if np.dot(z, z) <= params.gamma**2:
-                break
-        y = x + z
-        if np.dot(y, y) > 1.0:
-            return x
-        log_ratio = params.alpha * y[0] - params.alpha * x[0]
-        if log_ratio >= 0.0 or rng.uniform() <= math.exp(log_ratio):
-            return y
-        return x
-
     gamma_star, gap = ballwalk_gap_bound(alpha, d)
     lambda0 = 1.0 - gap if abs(gamma - gamma_star) <= 1e-12 else None
 
@@ -424,5 +393,4 @@ def make_metropolis_system(name: str, alpha: float, gamma: float, d: int) -> Cha
         beta=None,
         nu_density_norm=math.exp(params.alpha),
         inverse=lambda x, y: invert_update(x, y, params),
-        kernel_sampler=sampler,
     )

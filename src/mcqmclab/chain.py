@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Rng, TargetMeasure
+from .core import TargetMeasure
 
 __all__ = [
     "ChainSystem",
@@ -26,7 +26,6 @@ __all__ = [
     "run_chains",
     "make_direct_kernel",
     "make_lazy_direct_kernel",
-    "compare_expectation",
 ]
 
 
@@ -45,10 +44,11 @@ class ChainSystem:
     X[m, b, d])`` is phi: G x [0,1]^s -> G realizing the kernel K(x, .),
     given as the replay of a whole driver block: it writes the states X[0] =
     phi(X0; U[0]) and X[i] = phi(X[i-1]; U[i]) of b chains into X; m = 0
-    gives no states.  Each kernel replays its block its own way, and must
-    agree bit for bit with stepping phi.  ``inverse``, when present, maps one
-    pair (x, y) to a driver point u with phi(x; u) = y (the
-    anywhere-to-anywhere witness).
+    gives no states, and m = 1 is one step of phi.  This replay is the one
+    update signature of every kernel.  Each kernel replays its block its
+    own way, and must agree bit for bit with stepping phi.  ``inverse``,
+    when present, maps one pair (x, y) to a driver point u with phi(x; u)
+    = y (the anywhere-to-anywhere witness).
 
     ``lambda0`` is max{Lambda, 0} and ``beta`` the absolute operator norm on
     mean-zero L2, each None when unknown; no theory bound is computed from
@@ -58,8 +58,6 @@ class ChainSystem:
     :meth:`TargetMeasure.box_masses` does: the masses, shape
     (len(corners),), and their largest error; otherwise the marginal is
     estimated by Monte Carlo.
-    ``kernel_sampler(x, rng)`` draws one transition from K(x, .)
-    independently of the update function.
     """
 
     s: int
@@ -71,7 +69,6 @@ class ChainSystem:
     nu_density_norm: float
     inverse: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     exact_marginal: Optional[Callable[[Sequence[int], np.ndarray], tuple[np.ndarray, float]]] = None
-    kernel_sampler: Optional[Callable[[np.ndarray, Rng], np.ndarray]] = None
 
     def __post_init__(self):
         if self.lambda0 is not None:
@@ -147,7 +144,7 @@ def _quantile_rows(measure: TargetMeasure, U: np.ndarray) -> np.ndarray:
     """Inverse CDF of the first driver coordinate of each row, as states of
     shape (..., 1)."""
     p = U[..., 0]
-    return np.asarray(measure.inv_cdf(p.ravel()), float).reshape(p.shape + (1,))
+    return np.asarray(measure.marginal_quantile(0, p.ravel()), float).reshape(p.shape + (1,))
 
 
 def make_direct_kernel(target: TargetMeasure) -> ChainSystem:
@@ -166,9 +163,6 @@ def make_direct_kernel(target: TargetMeasure) -> ChainSystem:
     def marginal(steps: Sequence[int], corners: np.ndarray) -> tuple[np.ndarray, float]:
         return target.box_masses(corners)
 
-    def sampler(x: np.ndarray, rng: Rng) -> np.ndarray:
-        return _quantile_rows(target, rng.uniforms(1)[None])[0]
-
     return ChainSystem(
         s=1,
         generate=lambda U: _quantile_rows(target, U),
@@ -178,7 +172,6 @@ def make_direct_kernel(target: TargetMeasure) -> ChainSystem:
         beta=0.0,
         nu_density_norm=1.0,
         exact_marginal=marginal,
-        kernel_sampler=sampler,
     )
 
 
@@ -219,11 +212,6 @@ def make_lazy_direct_kernel(
         w = float(np.mean(np.float_power(1.0 - a, np.asarray(steps, float))))
         return w * m_nu + (1.0 - w) * m_pi, w * e_nu + (1.0 - w) * e_pi
 
-    def sampler(x: np.ndarray, rng: Rng) -> np.ndarray:
-        if rng.uniform() < a:
-            return np.array([target.inv_cdf(rng.uniform())])
-        return x
-
     return ChainSystem(
         s=2,
         generate=lambda U: _quantile_rows(nu, U),
@@ -233,42 +221,4 @@ def make_lazy_direct_kernel(
         beta=1.0 - a,
         nu_density_norm=1.0 if nu is target else nu_density_norm(nu, target),
         exact_marginal=marginal,
-        kernel_sampler=sampler,
     )
-
-
-# ---------------------------------------------------------------------------
-# Expectation comparison (update-function route vs kernel route)
-# ---------------------------------------------------------------------------
-
-
-def compare_expectation(
-    system: ChainSystem,
-    F: Callable[[list[np.ndarray]], float],
-    i: int,
-    m: int,
-    rng: Rng,
-) -> tuple[float, float, float]:
-    """Two Monte Carlo estimates of E_{nu,K} F(X_1, ..., X_i).
-
-    One pushes i*s uniforms through (psi, phi); the other draws X_1 from nu
-    via psi and transitions via the kernel's reference sampler.  Returns
-    (estimate_via_driver, estimate_via_kernel, pooled_stderr).
-    """
-    if system.kernel_sampler is None:
-        raise ValueError("system has no kernel_sampler")
-    s = system.s
-    rng_a = rng.split(0)
-    rng_b = rng.split(1)
-    U = rng_a.uniforms(m * i * s).reshape(m, i, s)
-    vals_a = np.array([F(list(states)) for states in run_chains(system, U)])
-    vals_b = np.empty(m)
-    for r in range(m):
-        y = system.generate(rng_b.uniforms(s)[None])[0]
-        states_b = [y]
-        for _ in range(1, i):
-            y = np.atleast_1d(system.kernel_sampler(y, rng_b))
-            states_b.append(y)
-        vals_b[r] = F(states_b)
-    stderr = math.sqrt((np.var(vals_a, ddof=1) + np.var(vals_b, ddof=1)) / m)
-    return float(np.mean(vals_a)), float(np.mean(vals_b)), stderr

@@ -203,6 +203,12 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError(f"key 'gamma' is the ball walk's proposal radius; kernel {kernel!r} has none")
     if kernel not in (None, "lazy-direct") and "a" in cfg:
         raise ConfigError(f"key 'a' is the lazy-direct kernel's laziness; kernel {kernel!r} has none")
+    # the uniform density has no alpha: only the ball walk's gamma* and
+    # lambda0 read it, and invert (no kernel) reads neither
+    density = params.get("density", {})
+    if density.get("name") == "uniform" and density["alpha"] != 0.0 and kernel != "metropolis-ballwalk":
+        user = f"kernel {kernel!r}" if kernel else f"experiment {exp!r}"
+        raise ConfigError(f"key 'density.alpha' of the uniform preset sets only the ball walk's gamma*; {user} has none")
     ns = params.get("ns", [])
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigError(f"key 'ns' must be strictly increasing, got {ns!r}")
@@ -328,7 +334,7 @@ def _run_invert(p: dict):
     system = make_metropolis_system(density["name"], density["alpha"], gamma, 1)
     target = system.target
     quantiles = (2.0 * np.arange(n) + 1.0) / (2.0 * n)
-    targets = [np.array([target.inv_cdf(q)]) for q in quantiles]
+    targets = [np.array([target.marginal_quantile(0, q)]) for q in quantiles]
     # x1_driver: ball generator on [-1,1] maps (sign, radius) to +-radius
     t0 = float(targets[0][0])
     x1_driver = np.array([0.25 if t0 < 0 else 0.75, abs(t0), 0.0])

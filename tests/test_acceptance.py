@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from mcqmclab.ballwalk import make_metropolis_system
+from kernel_route import ballwalk_sampler, compare_expectation
+from mcqmclab.ballwalk import BallWalkParams, make_metropolis_system
 from mcqmclab.bounds import (
     ballwalk_gap_bound,
     beck_bound,
@@ -20,7 +21,6 @@ from mcqmclab.bounds import (
     tv_average_bound,
 )
 from mcqmclab.chain import (
-    compare_expectation,
     make_direct_kernel,
     make_lazy_direct_kernel,
     run_chains,
@@ -248,5 +248,6 @@ def test_criterion_10_reversibility_and_stationarity():
     def F(chain_states):
         return 1.0 if chain_states[-1][0] < 0.0 else 0.0
 
-    a, b, stderr = compare_expectation(exp_system, F, i=5, m=4000, rng=Rng(17))
+    sampler = ballwalk_sampler(BallWalkParams(gamma, 1, 1.0))
+    a, b, stderr = compare_expectation(exp_system, sampler, F, i=5, m=4000, rng=Rng(17))
     assert abs(a - b) <= 4.0 * stderr

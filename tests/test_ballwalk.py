@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_route import ballwalk_sampler, compare_expectation, metropolis_update
 from mcqmclab.ballwalk import (
     BallWalkParams,
     ball_generator,
     invert_update,
     make_metropolis_system,
-    metropolis_update,
 )
 from mcqmclab.chain import nu_density_norm, run_chains
 from mcqmclab.core import (
@@ -291,12 +291,11 @@ class TestSystemAssembly:
     def test_update_function_law_matches_kernel_sampler(self):
         # same transition law through the driver route and the independent
         # rejection sampler, compared on a box indicator after 5 steps
-        from mcqmclab.chain import compare_expectation
-
         system = make_metropolis_system("exp-linear", 1.0, 0.5, 1)
+        sampler = ballwalk_sampler(BallWalkParams(0.5, 1, 1.0))
 
         def F(states):
             return 1.0 if states[-1][0] < 0.0 else 0.0
 
-        a, b, stderr = compare_expectation(system, F, i=5, m=4000, rng=Rng(17))
+        a, b, stderr = compare_expectation(system, sampler, F, i=5, m=4000, rng=Rng(17))
         assert abs(a - b) <= 4.0 * stderr

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from kernel_route import compare_expectation, direct_sampler, lazy_direct_sampler
 from mcqmclab.chain import (
     ChainDomainError,
     ChainSystem,
-    compare_expectation,
     make_direct_kernel,
     make_lazy_direct_kernel,
     nu_density_norm,
@@ -241,9 +241,21 @@ class TestNuDensityNorm:
 class TestCompareExpectation:
     def test_driver_and_kernel_routes_agree(self):
         system = make_lazy_direct_kernel(exp_linear_interval(1.0), a=0.5)
+        sampler = lazy_direct_sampler(exp_linear_interval(1.0), 0.5)
 
         def F(states):
             return float(np.mean([s[0] < 0.0 for s in states]))
 
-        est_a, est_b, stderr = compare_expectation(system, F, i=5, m=4000, rng=Rng(11))
+        est_a, est_b, stderr = compare_expectation(system, sampler, F, i=5, m=4000, rng=Rng(11))
+        assert abs(est_a - est_b) <= 4.0 * stderr
+
+    def test_direct_kernel_routes_agree(self):
+        target = exp_linear_interval(1.0)
+
+        def F(states):
+            return float(np.mean([s[0] < 0.0 for s in states]))
+
+        est_a, est_b, stderr = compare_expectation(
+            make_direct_kernel(target), direct_sampler(target), F, i=5, m=1000, rng=Rng(3)
+        )
         assert abs(est_a - est_b) <= 4.0 * stderr

@@ -119,6 +119,31 @@ class TestValidate:
             assert err.startswith(f"config error: key {key!r}") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
+    @pytest.mark.parametrize(
+        "experiment,kernel", [("discrepancy", "direct"), ("pullback", "lazy-direct"), ("invert", None)]
+    )
+    def test_uniform_alpha_nothing_reads(self, tmp_path, capsys, experiment, kernel):
+        # the uniform preset's alpha sets only the ball walk's gamma* and
+        # lambda0: these runs wrote the CSV bytes of alpha 0 and echoed the
+        # alpha in their manifests
+        cfg = {"experiment": experiment, "density": {"name": "uniform", "alpha": 3.0}, "n": 16,
+               "output": str(tmp_path / "o.csv")}
+        if kernel is not None:
+            cfg.update(dimension=1, kernel=kernel, **({"a": 0.5} if kernel == "lazy-direct" else {}))
+        path = _write(tmp_path, "c.json", cfg)
+        for command in ("run", "validate"):
+            assert main([command, path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: key 'density.alpha'") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+    def test_uniform_alpha_sets_the_ball_walks_gamma_star(self, tmp_path):
+        cfg = {"experiment": "discrepancy", "dimension": 1, "density": {"name": "uniform", "alpha": 3.0},
+               "kernel": "metropolis-ballwalk", "n": 16, "output": str(tmp_path / "o.csv")}
+        assert main(["run", _write(tmp_path, "c.json", cfg)]) == 0
+        manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+        assert manifest["gamma"] == ballwalk_gap_bound(3.0, 1)[0] != ballwalk_gap_bound(0.0, 1)[0]
+
     @pytest.mark.parametrize("kernel", ["direct", "lazy-direct", "metropolis-ballwalk"])
     @pytest.mark.parametrize("experiment", ["discrepancy", "pullback", "search", "rate-study"])
     def test_only_ball_walk_manifests_carry_gamma(self, tmp_path, experiment, kernel):

@@ -14,12 +14,12 @@ from hypothesis.extra.numpy import arrays
 
 import scalar_replay as ref
 import scalar_scan
+from kernel_route import metropolis_update
 from mcqmclab import ballwalk
 from mcqmclab.ballwalk import (
     BallWalkParams,
     invert_update,
     make_metropolis_system,
-    metropolis_update,
 )
 from mcqmclab.bounds import ballwalk_gap_bound
 from mcqmclab.chain import (
